@@ -11,9 +11,9 @@
 //! (reflector blocks + `Z`) exceeds the last-level cache — below that,
 //! the eigenvector panels never leave L3 between the two unfused passes
 //! and the variants tie. `n` is sized to put the working set past a
-//! ~100 MiB LLC. For a noise-robust A/B on a loaded machine use the
-//! interleaved probe: `cargo run --release -p tseig-bench --example
-//! btprobe -- <n> <rounds>`.
+//! ~100 MiB LLC. End-to-end claims go through the ledger
+//! (`ledger/README.md`), which times the back-transform layer of a full
+//! solve.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tseig_bench::{default_nb, workload};

@@ -695,11 +695,7 @@ fn batch_svd<R: BufRead>(
         .collect();
     let driver = tseig_svd::GeSvd::new()
         .nb(nb.max(2))
-        .scheduler(match scheduler {
-            Scheduler::Serial => tseig_svd::stage2::Stage2Exec::Serial,
-            Scheduler::Static(t) => tseig_svd::stage2::Stage2Exec::Static(t),
-            Scheduler::Dynamic(t) => tseig_svd::stage2::Stage2Exec::Dynamic(t),
-        })
+        .scheduler(scheduler)
         .vectors(vectors);
     let mut batch = tseig_svd::SvdBatch::new(driver).threads(threads);
     if let Some(ms) = gov.deadline_ms {
@@ -742,11 +738,7 @@ fn herm_options(nb: usize, method: Method, scheduler: Scheduler, vectors: bool) 
     HermitianEigen::new()
         .nb(nb)
         .method(method)
-        .scheduler(match scheduler {
-            Scheduler::Serial => tseig_hermitian::Scheduler::Serial,
-            Scheduler::Static(t) => tseig_hermitian::Scheduler::Static(t),
-            Scheduler::Dynamic(t) => tseig_hermitian::Scheduler::Dynamic(t),
-        })
+        .scheduler(scheduler)
         .vectors(vectors)
 }
 
@@ -873,29 +865,7 @@ fn parse_batch_line(
             .ok_or("missing \"n\"")?
             .parse()
             .map_err(|_| "bad \"n\"".to_string())?;
-        let data = json_value(line, "data").ok_or("missing \"data\"")?;
-        let complex = matches!(tag, ScalarTag::C32 | ScalarTag::C64);
-        let expect = if complex { 2 * n * n } else { n * n };
-        let mut vals = Vec::with_capacity(expect);
-        for tok in data.split(',') {
-            let tok = tok.trim();
-            if tok.is_empty() {
-                continue;
-            }
-            vals.push(
-                tok.parse::<f64>()
-                    .map_err(|_| format!("bad number {tok:?} in \"data\""))?,
-            );
-        }
-        if vals.len() != expect {
-            return Err(format!(
-                "\"data\" holds {} entries, expected {} = {} for scalar {}",
-                vals.len(),
-                if complex { "2*n*n" } else { "n*n" },
-                expect,
-                tag.name(),
-            ));
-        }
+        let vals = read_entries(line, "data", n, tag)?;
         Ok(match tag {
             // f32 is I/O precision: entries round through f32, the
             // solve itself runs the f64 pipeline.
@@ -943,6 +913,32 @@ fn parse_floats(data: &str) -> Result<Vec<f64>, String> {
     Ok(vals)
 }
 
+/// Read the dense order-`n` matrix of element type `tag` stored under
+/// `key`: `n * n` entries, or `2 * n * n` interleaved re,im for complex
+/// types. The count is computed with checked arithmetic and nothing sized
+/// from `n` is allocated: the entries are parsed as they appear in the
+/// line and only then compared with the count, so a line claiming a huge
+/// `n` fails alone instead of aborting the batch on an allocation.
+fn read_entries(line: &str, key: &str, n: usize, tag: ScalarTag) -> Result<Vec<f64>, String> {
+    let complex = matches!(tag, ScalarTag::C32 | ScalarTag::C64);
+    let expect = n
+        .checked_mul(n)
+        .and_then(|nn| nn.checked_mul(if complex { 2 } else { 1 }))
+        .ok_or_else(|| format!("\"n\" = {n} is too large: the entry count overflows"))?;
+    let vals = parse_floats(json_value(line, key).ok_or(format!("missing \"{key}\""))?)
+        .map_err(|e| format!("{e} in \"{key}\""))?;
+    if vals.len() != expect {
+        return Err(format!(
+            "\"{key}\" holds {} entries, expected {} = {} for scalar {}",
+            vals.len(),
+            if complex { "2*n*n" } else { "n*n" },
+            expect,
+            tag.name(),
+        ));
+    }
+    Ok(vals)
+}
+
 /// Parse one `--kind gen` request line:
 /// `{"id": ..., "scalar": ..., "n": N, "a": [...], "b": [...]}`.
 /// Both matrices are dense column-major, `n * n` entries each for real
@@ -965,24 +961,8 @@ fn parse_gen_line(
             .ok_or("missing \"n\"")?
             .parse()
             .map_err(|_| "bad \"n\"".to_string())?;
-        let complex = matches!(tag, ScalarTag::C32 | ScalarTag::C64);
-        let expect = if complex { 2 * n * n } else { n * n };
-        let read = |key: &str| -> Result<Vec<f64>, String> {
-            let vals = parse_floats(json_value(line, key).ok_or(format!("missing \"{key}\""))?)
-                .map_err(|e| format!("{e} in \"{key}\""))?;
-            if vals.len() != expect {
-                return Err(format!(
-                    "\"{key}\" holds {} entries, expected {} = {} for scalar {}",
-                    vals.len(),
-                    if complex { "2*n*n" } else { "n*n" },
-                    expect,
-                    tag.name(),
-                ));
-            }
-            Ok(vals)
-        };
-        let av = read("a")?;
-        let bv = read("b")?;
+        let av = read_entries(line, "a", n, tag)?;
+        let bv = read_entries(line, "b", n, tag)?;
         Ok(match tag {
             ScalarTag::F32 => GenRequest::Real(
                 Matrix::from_fn(n, n, |i, j| av[i + j * n] as f32 as f64),
@@ -1044,13 +1024,15 @@ fn parse_svd_line(
             Some(v) => v.parse().map_err(|_| "bad \"m\"".to_string())?,
             None => n,
         };
+        let expect = m
+            .checked_mul(n)
+            .ok_or_else(|| format!("\"m\" x \"n\" = {m} x {n} overflows the entry count"))?;
         let vals = parse_floats(json_value(line, "data").ok_or("missing \"data\"")?)
             .map_err(|e| format!("{e} in \"data\""))?;
-        if vals.len() != m * n {
+        if vals.len() != expect {
             return Err(format!(
-                "\"data\" holds {} entries, expected m*n = {}",
+                "\"data\" holds {} entries, expected m*n = {expect}",
                 vals.len(),
-                m * n
             ));
         }
         Ok(if tag == ScalarTag::F32 {
@@ -1536,6 +1518,75 @@ mod tests {
         assert!((vals[0] - 1.0).abs() < 1e-12 && (vals[1] - 3.0).abs() < 1e-12);
         assert!(lines[1].contains("\"id\": \"broken\"") && lines[1].contains("\"ok\": false"));
         assert!(lines[2].contains("\"id\": \"b\"") && lines[2].contains("5.00000000000000000e0"));
+    }
+
+    /// Run `tseig <argv>` over `jsonl` in memory; the output lines.
+    fn batch_in_memory(argv: &str, jsonl: &str) -> Vec<String> {
+        struct SharedSink(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
+        impl Write for SharedSink {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.lock().unwrap().extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let cli = Cli::parse(&args(argv)).unwrap();
+        let out = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let sink = out.clone();
+        let input = jsonl.as_bytes().to_vec();
+        run(
+            &cli,
+            |_| Ok(std::io::BufReader::new(std::io::Cursor::new(input.clone()))),
+            move |_| Ok(SharedSink(sink.clone())),
+        )
+        .unwrap();
+        let text = String::from_utf8(out.lock().unwrap().clone()).unwrap();
+        text.lines().map(String::from).collect()
+    }
+
+    #[test]
+    fn oversized_n_fails_its_line_alone() {
+        // A huge `n` with no data, an `n` whose n*n overflows, and a
+        // complex `n` whose 2*n*n overflows must each fail their own slot
+        // without allocating n*n entries; the neighbours still solve.
+        let eig = "\
+{\"id\": \"a\", \"n\": 2, \"data\": [2.0, 1.0, 1.0, 2.0]}\n\
+{\"id\": \"huge\", \"n\": 100000, \"data\": []}\n\
+{\"id\": \"overflow\", \"n\": 5000000000, \"data\": [1.0]}\n\
+{\"id\": \"zover\", \"scalar\": \"c64\", \"n\": 3037000500, \"data\": []}\n\
+{\"id\": \"b\", \"n\": 1, \"data\": [5.0]}\n";
+        let lines = batch_in_memory("batch mem.jsonl -o out.jsonl --nb 4", eig);
+        assert_eq!(lines.len(), 5);
+        for (line, id) in lines.iter().zip(["a", "huge", "overflow", "zover", "b"]) {
+            assert!(line.contains(&format!("\"id\": \"{id}\"")), "{line}");
+            let ok = matches!(id, "a" | "b");
+            assert!(line.contains(&format!("\"ok\": {ok}")), "{line}");
+        }
+        assert!(
+            lines[1].contains("expected n*n = 10000000000"),
+            "{}",
+            lines[1]
+        );
+        assert!(lines[2].contains("overflows"), "{}", lines[2]);
+        assert!(lines[3].contains("overflows"), "{}", lines[3]);
+
+        let gen = "\
+{\"id\": \"huge\", \"n\": 100000, \"a\": [], \"b\": []}\n\
+{\"id\": \"r\", \"n\": 1, \"a\": [3.0], \"b\": [1.0]}\n\
+{\"id\": \"overflow\", \"n\": 5000000000, \"a\": [], \"b\": []}\n";
+        let lines = batch_in_memory("batch mem.jsonl -o out.jsonl --kind gen --nb 4", gen);
+        assert_eq!(lines.len(), 3);
+        assert!(lines[0].contains("\"ok\": false"), "{}", lines[0]);
+        assert!(lines[1].contains("\"ok\": true"), "{}", lines[1]);
+        assert!(lines[2].contains("\"ok\": false") && lines[2].contains("overflows"));
+
+        let svd = "{\"id\": \"overflow\", \"m\": 5000000000, \"n\": 5000000000, \"data\": []}\n\
+{\"id\": \"s\", \"n\": 1, \"data\": [2.0]}\n";
+        let lines = batch_in_memory("batch mem.jsonl -o out.jsonl --kind svd", svd);
+        assert!(lines[0].contains("\"ok\": false") && lines[0].contains("overflows"));
+        assert!(lines[1].contains("\"ok\": true"), "{}", lines[1]);
     }
 
     #[test]

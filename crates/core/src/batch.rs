@@ -356,16 +356,18 @@ fn pool_map<J: Sync, P, R: Send>(
     let done = AtomicBool::new(false);
     let stuck = AtomicUsize::new(0);
     let rescues = AtomicUsize::new(0);
+    let flops = tseig_kernels::flops::scope();
     std::thread::scope(|s| {
         // Shadow everything the `move` closures need as references:
         // scoped threads may only borrow locals declared before the
         // scope, and loop/map locals (`view`, `interval`) force `move`.
-        let (next, slots, rescues_ref, new_plan, admit, solve) =
-            (&next, &slots, &rescues, &new_plan, &admit, &solve);
+        let (next, slots, rescues_ref, new_plan, admit, solve, flops) =
+            (&next, &slots, &rescues, &new_plan, &admit, &solve, &flops);
         let handles: Vec<_> = views
             .iter()
             .map(|view| {
                 s.spawn(move || {
+                    let _charged = flops.enter();
                     let mut plan = new_plan();
                     let mut generation = 0u64;
                     let mut quarantined = false;

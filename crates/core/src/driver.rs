@@ -10,10 +10,10 @@
 use crate::backtransform::{self, apply_q};
 use crate::plan::SolvePlan;
 use crate::stage1;
-use crate::stage2::{self, reduce_scheduled, Stage2Exec, Stage2Schedule};
+use crate::stage2::{self, Stage2Schedule};
 use std::time::Instant;
 use tseig_kernels::scaling;
-use tseig_matrix::diagnostics::{Recorder, Recovery, SolveDiagnostics, VerifyLevel, VerifyReport};
+use tseig_matrix::diagnostics::{Recorder, SolveDiagnostics, VerifyLevel, VerifyReport};
 use tseig_matrix::workspace::MemReq;
 use tseig_matrix::{norms, Ctrl, Error, Matrix, Result};
 use tseig_tridiag::{EigenRange, Method, PhaseTimings};
@@ -24,19 +24,9 @@ use tseig_tridiag::{EigenRange, Method, PhaseTimings};
 /// anything above ~1e3 indicates a bug.
 pub const VERIFY_BOUND: f64 = 1e3;
 
-/// Stage-2 scheduler selection (re-exported flavour of
-/// [`Stage2Exec`] with driver-friendly defaults).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Scheduler {
-    /// Sequential kernel loop.
-    #[default]
-    Serial,
-    /// Static pipelined scheduler on `n` workers (paper's preference for
-    /// the memory-bound chase: small core count, high locality).
-    Static(usize),
-    /// Dynamic superscalar runtime on `n` workers.
-    Dynamic(usize),
-}
+/// Stage-2 scheduler selection: the runtime's one chase scheduler enum
+/// (serial by default).
+pub use tseig_runtime::chase::Scheduler;
 
 /// Result of a two-stage eigensolve.
 #[derive(Clone, Debug)]
@@ -315,17 +305,8 @@ impl SymmetricEigen {
         // plan and rebuilt only when `(n, bandwidth, threads)` changes —
         // not on every solve.
         let t1 = Instant::now();
-        match self.scheduler {
-            Scheduler::Serial => {
-                plan.band.copy_from(&plan.bf.band);
-                stage2::reduce_ws(
-                    &mut plan.band,
-                    &mut plan.v2,
-                    &mut plan.s2,
-                    &mut plan.tri,
-                    &self.ctrl,
-                )?;
-            }
+        let scheduled = match self.scheduler {
+            Scheduler::Serial => None,
             Scheduler::Static(threads) => {
                 let b = plan.bf.band.bandwidth();
                 let stale = !plan
@@ -339,47 +320,24 @@ impl SymmetricEigen {
                     .sched
                     .get_or_insert_with(|| Stage2Schedule::new(n, b, threads));
                 let band = plan.bf.band.clone(); // tidy: allow(plan-no-alloc) -- scheduled arm, documented to allocate; the chase consumes the band
-                match stage2::reduce_static_prepared(band, sched, &self.ctrl) {
-                    Ok(c) => {
-                        plan.tri = c.tridiagonal;
-                        plan.v2 = c.v2;
-                    }
-                    Err(e) => {
-                        // A cancel or deadline drains the pool and
-                        // surfaces here as a runtime error; re-check the
-                        // control first so governance reports the
-                        // structured error instead of a serial re-run.
-                        self.ctrl.checkpoint()?;
-                        rec.record(Recovery::SchedulerFallback { error: e });
-                        let band = plan.bf.band.clone(); // tidy: allow(plan-no-alloc) -- recovery ladder, allocates by design
-                        let c = reduce_scheduled(band, Stage2Exec::Serial, &self.ctrl)
-                            .map_err(Error::Runtime)?;
-                        plan.tri = c.tridiagonal;
-                        plan.v2 = c.v2;
-                    }
-                }
+                Some(stage2::reduce_static_prepared(band, sched, &self.ctrl))
             }
-            Scheduler::Dynamic(threads) => {
+            Scheduler::Dynamic(_) => {
                 let band = plan.bf.band.clone(); // tidy: allow(plan-no-alloc) -- scheduled arm, documented to allocate; the chase consumes the band
-                match reduce_scheduled(band, Stage2Exec::Dynamic(threads), &self.ctrl) {
-                    Ok(c) => {
-                        plan.tri = c.tridiagonal;
-                        plan.v2 = c.v2;
-                    }
-                    Err(e) => {
-                        // Same disambiguation as the static arm: an armed
-                        // control must not trigger the serial fallback.
-                        self.ctrl.checkpoint()?;
-                        rec.record(Recovery::SchedulerFallback { error: e });
-                        let band = plan.bf.band.clone(); // tidy: allow(plan-no-alloc) -- recovery ladder, allocates by design
-                        let c = reduce_scheduled(band, Stage2Exec::Serial, &self.ctrl)
-                            .map_err(Error::Runtime)?;
-                        plan.tri = c.tridiagonal;
-                        plan.v2 = c.v2;
-                    }
-                }
+                Some(stage2::reduce_scheduled(band, self.scheduler, &self.ctrl))
             }
-        }
+        };
+        let scheduled = scheduled.map(|r| r.map(|c| (plan.tri, plan.v2) = (c.tridiagonal, c.v2)));
+        rec.or_serial(&self.ctrl, scheduled, || {
+            plan.band.copy_from(&plan.bf.band);
+            stage2::reduce_ws(
+                &mut plan.band,
+                &mut plan.v2,
+                &mut plan.s2,
+                &mut plan.tri,
+                &self.ctrl,
+            )
+        })?;
         timings.stage2 = t1.elapsed();
         timings.reduction = timings.stage1 + timings.stage2;
 

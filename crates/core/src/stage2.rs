@@ -21,29 +21,30 @@
 //! depth)` — for the back-transformation.
 //!
 //! Execution: [`reduce`] runs the kernel sequence serially,
-//! [`reduce_scheduled`] runs it on the dynamic task runtime or the static
-//! pipelined scheduler, with dependences inferred from the exact diagonal
-//! row span each task touches plus its V2 reflector slots (the paper's
-//! data translation layer, at interval granularity). All three produce
+//! [`reduce_scheduled`] runs it through the shared chase executor of
+//! `tseig_runtime::chase` (dynamic task runtime or static pipelined
+//! scheduler), with dependences inferred from the exact diagonal row span
+//! each task touches plus its V2 reflector slots (the paper's data
+//! translation layer, at interval granularity). This module supplies only
+//! the kernels and how one `(s, k)` task runs them. All three produce
 //! bit-identical results to the serial order because the schedulers only
 //! reorder tasks whose data regions are disjoint.
 //!
-//! The declarations are certified rather than trusted: [`chase_task_specs`]
-//! exports the same `(tag, priority, regions)` triples the builders
-//! submit, `xtask graphcheck` model-checks them offline
+//! The declarations are certified rather than trusted: `xtask graphcheck`
+//! model-checks the band geometry's specs ([`chase_task_specs`]) offline
 //! (`tseig_runtime::verify`), and every storage helper reports its actual
 //! touches to the debug-only shadow checker (`tseig_runtime::shadow`).
 
-use std::sync::Arc;
 use tseig_kernels::contract;
-use tseig_kernels::flops::{add, add_bytes, Level};
+use tseig_kernels::flops::{self, add, add_bytes, Level};
 use tseig_kernels::householder::{larf_left, larf_right, larf_sym_two_sided, larfg};
 use tseig_matrix::workspace::{reset_f64s, MemReq};
 use tseig_matrix::{Ctrl, SymBandMatrix, SymTridiagonal};
-use tseig_runtime::verify::TaskSpec;
-use tseig_runtime::{
-    shadow, Access, DataCell, Priority, Region, Runtime, StaticSchedule, TaskGraph,
+use tseig_runtime::chase::{
+    self, depth_of_sweep, Chase, ChaseSchedule, ChaseTask, Geometry, BAND_SPACE,
 };
+use tseig_runtime::verify::TaskSpec;
+use tseig_runtime::{shadow, Access};
 
 /// The Householder reflectors generated by the bulge chase, indexed by
 /// `(sweep, chase depth)`. Reflector `(s, k)` acts on global rows
@@ -62,33 +63,10 @@ impl V2Set {
         let nsweeps = n.saturating_sub(2);
         let mut sweeps = Vec::with_capacity(nsweeps);
         for s in 0..nsweeps {
-            let depth = Self::depth_of_sweep(n, nb, s);
+            let depth = depth_of_sweep(n, nb, s);
             sweeps.push(vec![(0usize, 0.0f64, Vec::new()); depth]);
         }
         V2Set { n, nb, sweeps }
-    }
-
-    /// Number of reflectors sweep `s` *stores*. Reflector `k` exists when
-    /// its row range `[s+1+k*nb, ..]` has at least 2 rows, i.e.
-    /// `s + 1 + k*nb <= n - 2`.
-    pub fn depth_of_sweep(n: usize, nb: usize, s: usize) -> usize {
-        if s + 2 >= n {
-            return 0;
-        }
-        (n - 2 - s - 1) / nb + 1
-    }
-
-    /// Number of kernel *tasks* sweep `s` runs. This can exceed
-    /// [`Self::depth_of_sweep`] by one: when the last bulge block has a
-    /// single row, the previous reflector must still be applied from the
-    /// right to it, but no new reflector is generated.
-    pub fn steps_of_sweep(n: usize, nb: usize, s: usize) -> usize {
-        if s + 2 >= n {
-            return 0;
-        }
-        // Task k >= 1 exists while the block below reflector k-1 is
-        // non-empty: s + k*nb <= n - 2. Plus the k == 0 task.
-        (n - 2 - s) / nb + 1
     }
 
     /// Matrix order.
@@ -168,7 +146,7 @@ pub fn v2_req(n: usize, b: usize) -> MemReq {
     let mut elems = 0usize;
     if n > 2 && b > 1 {
         for s in 0..n - 2 {
-            for k in 0..V2Set::depth_of_sweep(n, b, s) {
+            for k in 0..depth_of_sweep(n, b, s) {
                 let r0 = s + 1 + k * b;
                 let r1 = (r0 + b - 1).min(n - 1);
                 elems += r1 - r0 + 1;
@@ -539,278 +517,101 @@ fn run_sweep_ws(band: &mut SymBandMatrix, s: usize, v2: &mut V2Set, ws: &mut Sta
         v2.store_from_slice(s, k, ns, nt, v);
         k += 1;
     }
-    debug_assert_eq!(
-        k,
-        V2Set::depth_of_sweep(n, band.bandwidth(), s),
-        "sweep {s} depth"
-    );
+    debug_assert_eq!(k, depth_of_sweep(n, band.bandwidth(), s), "sweep {s} depth");
 }
 
 // ---------------------------------------------------------------------
 // Scheduled drivers (dynamic DAG / static pipeline).
 // ---------------------------------------------------------------------
 
-/// How the bulge-chasing task graph is executed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Stage2Exec {
-    /// Plain sequential kernel loop (lowest overhead).
-    Serial,
-    /// Static pipelined scheduler: sweeps assigned round-robin to a small
-    /// worker set, synchronization by progress counters (paper §3:
-    /// better locality for this memory-bound stage).
-    Static(usize),
-    /// Dynamic superscalar runtime with region-inferred dependences.
-    Dynamic(usize),
-}
+/// How the bulge-chasing task graph is executed (the runtime's one
+/// scheduler enum).
+pub use tseig_runtime::chase::Scheduler as Stage2Exec;
 
-/// Logical task of the chase: sweep `s`, chase depth `k` (`k == 0` is
-/// `hbceu`; `k >= 1` is the `hbrel`+`hblru` pair).
-#[derive(Clone, Copy, Debug)]
-struct ChaseTask {
-    s: usize,
-    k: usize,
-}
+/// Precomputed static-scheduler plan for one `(n, b, threads)` chase
+/// shape. A solve plan builds it once and [`reduce_static_prepared`]
+/// reuses it for every solve of the same shape.
+pub type Stage2Schedule = ChaseSchedule<V2Set>;
 
-/// Region space of the band's diagonal index intervals (entry `(i, j)`
-/// of the stored lower band lies in `[j, i]`).
-const BAND_SPACE: u32 = 0;
-/// Region space of V2 reflector slots, one point per `(sweep, depth)`.
-const V2_SPACE: u32 = 1;
+impl Chase for V2Set {
+    type Band = SymBandMatrix;
+    type Ctx = flops::Scope;
+    const GEOMETRY: Geometry = Geometry::Band;
+    const TAGS: [&'static str; 2] = ["hbceu", "hbrel+hblru"];
 
-/// Exact inclusive diagonal-index span `[lo, hi]` of the band entries an
-/// `(s, k)` task touches: `hbceu` gathers column `s` and updates the
-/// symmetric block `[s+1, min(s+b, n-1)]`; a chase step applies the
-/// previous reflector (rows `s+1+(k-1)b ..`) to the block below it and
-/// two-sided-updates the next diagonal block, reaching at most row
-/// `s+(k+1)b` (clamped at the edge).
-fn task_row_span(n: usize, b: usize, t: ChaseTask) -> (usize, usize) {
-    let lo = if t.k == 0 {
-        t.s
-    } else {
-        t.s + 1 + (t.k - 1) * b
-    };
-    let hi = (t.s + (t.k + 1) * b).min(n - 1);
-    (lo, hi)
-}
-
-/// V2 slot region of reflector `(s, k)`. The stride is the maximum step
-/// count of any sweep (sweep 0), so slot ids never collide across sweeps.
-fn v2_slot(n: usize, b: usize, s: usize, k: usize) -> Region {
-    let stride = V2Set::steps_of_sweep(n, b, 0);
-    Region::point(V2_SPACE, (s * stride + k) as u64)
-}
-
-/// Declared footprint of an `(s, k)` task: the exact band row span it
-/// touches (Write — every kernel both reads and writes its blocks), the
-/// V2 slot it stores, and for chase steps the predecessor slot it reads.
-/// Exactness is load-bearing twice over: any touch outside these regions
-/// trips the shadow checker, and spans one index wider would serialize
-/// tasks `(s, k)` and `(s, k + 2)`, which are adjacent but disjoint.
-fn task_regions(n: usize, b: usize, t: ChaseTask) -> Vec<(Region, Access)> {
-    let (lo, hi) = task_row_span(n, b, t);
-    let mut regions = vec![(
-        Region::span(BAND_SPACE, lo as u64, hi as u64 + 1),
-        Access::Write,
-    )];
-    if t.k < V2Set::depth_of_sweep(n, b, t.s) {
-        // The final step of an nb-aligned sweep stores no reflector.
-        regions.push((v2_slot(n, b, t.s, t.k), Access::Write));
-    }
-    if t.k > 0 {
-        regions.push((v2_slot(n, b, t.s, t.k - 1), Access::Read));
-    }
-    regions
-}
-
-/// Tag and priority lane of a chase task (sweep heads sit on the
-/// critical path).
-fn task_meta(t: ChaseTask) -> (&'static str, Priority) {
-    if t.k == 0 {
-        ("hbceu", Priority::High)
-    } else {
-        ("hbrel+hblru", Priority::Normal)
+    /// Task `(s, 0)` is `hbceu`, `(s, k >= 1)` the `hbrel`+`hblru` pair.
+    /// Each task writes its own V2 slot and reads the slot `(s, k-1)` its
+    /// same-sweep predecessor wrote; band touches are reported by the
+    /// storage helpers, slot touches here.
+    fn run_task(
+        &mut self,
+        band: &mut SymBandMatrix,
+        scope: &flops::Scope,
+        n: usize,
+        b: usize,
+        t: ChaseTask,
+    ) {
+        let _charged = scope.enter();
+        let slot = |k| Geometry::Band.slot(n, b, t.s, k);
+        if t.k == 0 {
+            let (start, tau, v) = hbceu(band, t.s);
+            shadow::touch_region(slot(0), Access::Write);
+            self.store(t.s, 0, start, tau, v);
+        } else {
+            shadow::touch_region(slot(t.k - 1), Access::Read);
+            let prev = self.sweeps[t.s][t.k - 1].clone();
+            let Some((ns, nt, nv)) = hbrel(band, (prev.0, prev.1, &prev.2)) else {
+                return;
+            };
+            hblru(band, (ns, nt, &nv));
+            shadow::touch_region(slot(t.k), Access::Write);
+            self.store(t.s, t.k, ns, nt, nv);
+        }
     }
 }
 
 /// The chase task set as *declared* specs — the same
-/// `(tag, priority, regions)` triples [`reduce_scheduled`] submits and
-/// [`Stage2Schedule`] derives waits from, exported for offline
-/// verification. `xtask graphcheck` sweeps these through
-/// `tseig_runtime::verify` to prove race-freedom per `(n, b)` instance.
+/// `(tag, priority, regions)` triples the scheduled drivers submit,
+/// exported for offline verification (`xtask graphcheck`).
 pub fn chase_task_specs(n: usize, b: usize) -> Vec<TaskSpec> {
-    enumerate_tasks(n, b)
-        .into_iter()
-        .map(|t| {
-            let (tag, priority) = task_meta(t);
-            TaskSpec {
-                tag,
-                priority,
-                regions: task_regions(n, b, t),
-            }
-        })
-        .collect()
+    V2Set::GEOMETRY.specs(n, b, V2Set::TAGS)
 }
 
-/// Static-scheduler owner assignment (sweep round-robin) for the task
-/// set of [`chase_task_specs`], exported for offline verification of the
-/// cached static schedule.
-pub fn chase_task_owners(n: usize, b: usize, threads: usize) -> Vec<usize> {
-    let threads = threads.max(1);
-    enumerate_tasks(n, b)
-        .iter()
-        .map(|t| t.s % threads)
-        .collect()
-}
-
-/// Execute one `(s, k)` task against the shared band/V2 cells.
-///
-/// # Safety contract
-/// Caller (the scheduler) must guarantee exclusive access to the declared
-/// regions; V2 slots `(s, k)` are written by exactly one task each.
-fn run_task(band: &DataCell<SymBandMatrix>, v2: &DataCell<V2Set>, t: ChaseTask) {
-    // Safety: region declarations serialize conflicting band accesses;
-    // each task writes its own V2 slot only and reads the slot (s, k-1)
-    // its same-sweep predecessor wrote (ordered by overlapping band
-    // regions). Band touches are reported by the storage helpers; V2
-    // slot touches are reported here against the declared slot regions.
-    unsafe {
-        let bm = band.get_mut();
-        let v2m = v2.get_mut();
-        let (n, b) = (bm.n(), bm.bandwidth());
-        if t.k == 0 {
-            let (start, tau, v) = hbceu(bm, t.s);
-            shadow::touch_region(v2_slot(n, b, t.s, 0), Access::Write);
-            v2m.store(t.s, 0, start, tau, v);
-        } else {
-            shadow::touch_region(v2_slot(n, b, t.s, t.k - 1), Access::Read);
-            let prev = v2m.sweeps[t.s][t.k - 1].clone();
-            let Some((ns, nt, nv)) = hbrel(bm, (prev.0, prev.1, &prev.2)) else {
-                return;
-            };
-            hblru(bm, (ns, nt, &nv));
-            shadow::touch_region(v2_slot(n, b, t.s, t.k), Access::Write);
-            v2m.store(t.s, t.k, ns, nt, nv);
-        }
-    }
-}
-
-/// Enumerate all chase tasks in the serial (sweep-major) order.
-fn enumerate_tasks(n: usize, b: usize) -> Vec<ChaseTask> {
-    let mut tasks = Vec::new();
-    if n <= 2 || b <= 1 {
-        return tasks;
-    }
-    for s in 0..n - 2 {
-        for k in 0..V2Set::steps_of_sweep(n, b, s) {
-            tasks.push(ChaseTask { s, k });
-        }
-    }
-    tasks
-}
-
-/// Run the bulge chase under the chosen scheduler. Produces the same
-/// tridiagonal matrix and reflector set as [`reduce`]. Scheduled
-/// backends poll `ctrl` between task claims and drain the pool on an
-/// armed cancel or expired deadline; the serial backend checkpoints
-/// once per sweep.
+/// Run the bulge chase under the chosen scheduler: [`reduce_ws`] for
+/// `Serial`, the shared chase executor otherwise. Produces the same
+/// tridiagonal matrix and reflector set as [`reduce`]. The serial loop
+/// checkpoints `ctrl` per sweep; the executor's workers poll it between
+/// task claims and drain on an armed cancel or expired deadline with
+/// `Err(tseig_runtime::STOPPED_BY_POLL)`.
 pub fn reduce_scheduled(
     band: SymBandMatrix,
     exec: Stage2Exec,
     ctrl: &Ctrl,
 ) -> Result<ChaseResult, String> {
-    let n = band.n();
-    let b = band.bandwidth();
+    let (n, b) = (band.n(), band.bandwidth());
     assert!(
         band.extra() >= b,
         "bulge chase needs nb workspace diagonals"
     );
     band_contract("reduce_scheduled", &band);
-    match exec {
-        Stage2Exec::Serial => {
-            let mut band = band;
-            let mut v2 = V2Set::new(n, b);
-            let mut ws = Stage2Ws::new();
-            let mut tri = SymTridiagonal::new(Vec::new(), Vec::new());
-            reduce_ws(&mut band, &mut v2, &mut ws, &mut tri, ctrl).map_err(|e| e.to_string())?;
-            Ok(ChaseResult {
-                tridiagonal: tri,
-                v2,
-            })
-        }
-        Stage2Exec::Dynamic(threads) => {
-            let tasks = enumerate_tasks(n, b);
-            let band_cell = Arc::new(DataCell::new(band));
-            let v2_cell = Arc::new(DataCell::new(V2Set::new(n, b)));
-            let mut graph = TaskGraph::new();
-            for t in tasks {
-                let regions = task_regions(n, b, t);
-                let bc = band_cell.clone();
-                let vc = v2_cell.clone();
-                let (tag, prio) = task_meta(t);
-                graph.add_task(tag, prio, &regions, move || run_task(&bc, &vc, t));
-            }
-            Runtime::new(threads).run_with_poll(graph, &|| ctrl.poll_stop())?;
-            let band = Arc::try_unwrap(band_cell)
-                .map_err(|_| "band still shared".to_string())?
-                .into_inner();
-            let v2 = Arc::try_unwrap(v2_cell)
-                .map_err(|_| "v2 still shared".to_string())?
-                .into_inner();
-            Ok(ChaseResult {
-                tridiagonal: band.to_tridiagonal(),
-                v2,
-            })
-        }
-        Stage2Exec::Static(threads) => {
-            let plan = Stage2Schedule::new(n, b, threads);
-            reduce_static_prepared(band, &plan, ctrl)
-        }
+    if exec == Stage2Exec::Serial {
+        let mut band = band;
+        let mut v2 = V2Set::new(n, b);
+        let mut tri = SymTridiagonal::new(Vec::new(), Vec::new());
+        reduce_ws(&mut band, &mut v2, &mut Stage2Ws::new(), &mut tri, ctrl)
+            .map_err(|e| e.to_string())?;
+        return Ok(ChaseResult {
+            tridiagonal: tri,
+            v2,
+        });
     }
-}
-
-/// Precomputed static-scheduler plan for one `(n, b, threads)` chase
-/// shape: the task list plus the derived cross-worker wait lists.
-///
-/// Deriving the waits replays the region protocol through a shadow task
-/// graph — O(tasks · regions) work that depends only on the shape. The
-/// per-solve path used to pay it on every call; a solve plan now builds
-/// this once and [`reduce_static_prepared`] reuses it for every solve of
-/// the same shape.
-pub struct Stage2Schedule {
-    n: usize,
-    b: usize,
-    tasks: Vec<ChaseTask>,
-    sched: StaticSchedule,
-}
-
-impl Stage2Schedule {
-    /// Derive the schedule for an order-`n`, bandwidth-`b` chase on
-    /// `threads` workers (sweep round-robin ownership, dependences
-    /// inferred from the exact band row spans and V2 slot regions).
-    pub fn new(n: usize, b: usize, threads: usize) -> Self {
-        let threads = threads.max(1);
-        let tasks = enumerate_tasks(n, b);
-        let owner = chase_task_owners(n, b, threads);
-        let regions: Vec<Vec<(Region, Access)>> =
-            tasks.iter().map(|t| task_regions(n, b, *t)).collect();
-        let sched = StaticSchedule::derive(threads, &owner, &regions);
-        Stage2Schedule { n, b, tasks, sched }
-    }
-
-    /// Matrix order the schedule was derived for.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Bandwidth the schedule was derived for.
-    pub fn bandwidth(&self) -> usize {
-        self.b
-    }
-
-    /// Worker count the schedule was derived for.
-    pub fn threads(&self) -> usize {
-        self.sched.threads()
-    }
+    let (band, v2) = chase::run(exec, band, V2Set::new(n, b), flops::scope(), n, b, &|| {
+        ctrl.poll_stop()
+    })?;
+    Ok(ChaseResult {
+        tridiagonal: band.to_tridiagonal(),
+        v2,
+    })
 }
 
 /// Run the bulge chase under a precomputed static schedule. Bit-identical
@@ -821,36 +622,19 @@ pub fn reduce_static_prepared(
     plan: &Stage2Schedule,
     ctrl: &Ctrl,
 ) -> Result<ChaseResult, String> {
-    let n = band.n();
-    let b = band.bandwidth();
+    let (n, b) = (band.n(), band.bandwidth());
     assert!(
         band.extra() >= b,
         "bulge chase needs nb workspace diagonals"
     );
     assert!(
-        plan.n == n && plan.b == b,
+        plan.n() == n && plan.bandwidth() == b,
         "static schedule shape mismatch: plan ({}, {}), band ({n}, {b})",
-        plan.n,
-        plan.b,
+        plan.n(),
+        plan.bandwidth(),
     );
     band_contract("reduce_static_prepared", &band);
-    let band_cell = Arc::new(DataCell::new(band));
-    let v2_cell = Arc::new(DataCell::new(V2Set::new(n, b)));
-    plan.sched.execute_with_poll(
-        |i| {
-            let bc = band_cell.clone();
-            let vc = v2_cell.clone();
-            let t = plan.tasks[i];
-            Box::new(move || run_task(&bc, &vc, t))
-        },
-        &|| ctrl.poll_stop(),
-    )?;
-    let band = Arc::try_unwrap(band_cell)
-        .map_err(|_| "band still shared".to_string())?
-        .into_inner();
-    let v2 = Arc::try_unwrap(v2_cell)
-        .map_err(|_| "v2 still shared".to_string())?
-        .into_inner();
+    let (band, v2) = plan.run(band, V2Set::new(n, b), flops::scope(), &|| ctrl.poll_stop())?;
     Ok(ChaseResult {
         tridiagonal: band.to_tridiagonal(),
         v2,
@@ -861,6 +645,7 @@ pub fn reduce_static_prepared(
 mod tests {
     use super::*;
     use tseig_matrix::{gen, norms, Matrix};
+    use tseig_runtime::Region;
 
     fn band_of(n: usize, b: usize, seed: u64) -> (Matrix, SymBandMatrix) {
         let a = gen::random_symmetric(n, seed);
@@ -1002,27 +787,6 @@ mod tests {
     }
 
     #[test]
-    fn steps_exceed_depth_exactly_on_nb_boundary() {
-        // When (n - 2 - s) is an exact multiple of nb, the last bulge
-        // block has a single row: the sweep runs one more task (the
-        // final right-application) than it stores reflectors. Everywhere
-        // else the two counts agree.
-        for n in 5..40 {
-            for b in 2..10 {
-                for s in 0..n - 2 {
-                    let depth = V2Set::depth_of_sweep(n, b, s);
-                    let steps = V2Set::steps_of_sweep(n, b, s);
-                    if (n - 2 - s) % b == 0 {
-                        assert_eq!(steps, depth + 1, "n={n} b={b} s={s}");
-                    } else {
-                        assert_eq!(steps, depth, "n={n} b={b} s={s}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn boundary_shapes_preserve_spectrum() {
         // Shapes chosen so sweeps cross the (n - 2 - s) % nb == 0
         // boundary and the last reflector of a sweep is clamped short at
@@ -1060,73 +824,40 @@ mod tests {
         }
     }
 
-    #[test]
-    fn chase_graph_certified_race_free() {
-        // The same checks `xtask graphcheck` runs over its sweep, pinned
-        // in-tree on a few instances: conflict-pair dependence coverage,
-        // acyclicity, priority sanity, and static/dynamic consistency.
-        use tseig_runtime::verify;
-        for (n, b) in [(20, 3), (24, 4), (14, 5), (13, 2)] {
-            let specs = chase_task_specs(n, b);
-            assert!(!specs.is_empty());
-            let sum = verify::check_graph(&specs);
-            assert!(sum.ok(), "(n={n}, b={b}): {:?}", sum.violations);
-            for threads in 1..=4 {
-                let owners = chase_task_owners(n, b, threads);
-                let st = verify::check_static(&specs, &owners, threads);
-                assert!(st.ok(), "(n={n}, b={b}, t={threads}): {:?}", st.violations);
+    /// Run every task of the chase serially with the shadow checker armed
+    /// by its declared footprint — `narrow` may shrink one task's band
+    /// span first — and return the number of validated touches, or the
+    /// checker's panic message.
+    fn shadow_checked_chase(
+        n: usize,
+        b: usize,
+        seed: u64,
+        narrow: Option<ChaseTask>,
+    ) -> Result<u64, String> {
+        let (_, mut band) = band_of(n, b, seed);
+        let mut v2 = V2Set::new(n, b);
+        let mut touches = 0;
+        for t in Geometry::Band.tasks(n, b) {
+            let mut regions = Geometry::Band.regions(n, b, t);
+            if narrow == Some(t) {
+                let (lo, hi) = Geometry::row_span(n, b, t);
+                assert!(hi > lo + 1);
+                // Chop the last row off the declared span.
+                regions[0] = (
+                    Region::span(BAND_SPACE, lo as u64, hi as u64),
+                    Access::Write,
+                );
+            }
+            shadow::enter_task("chase", &regions);
+            let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                v2.run_task(&mut band, &flops::Scope::default(), n, b, t)
+            }));
+            touches += shadow::exit_task();
+            if let Err(p) = ran {
+                return Err(p.downcast_ref::<String>().cloned().unwrap_or_default());
             }
         }
-    }
-
-    #[test]
-    fn exact_spans_drop_spurious_same_sweep_edges() {
-        // Tasks (s, k) and (s, k+2) are disjoint: spans [s+1+(k-1)b, s+(k+1)b]
-        // and [s+1+(k+1)b, s+(k+3)b]. The old nb-chunk declaration rounded
-        // both to tile boundaries, sharing the chunk at s+(k+1)b and
-        // serializing them; the exact spans must not.
-        use tseig_runtime::verify;
-        let (n, b) = (20, 3);
-        let tasks = enumerate_tasks(n, b);
-        let id = |s: usize, k: usize| tasks.iter().position(|t| t.s == s && t.k == k).unwrap();
-        let specs = chase_task_specs(n, b);
-        let edges = verify::infer_edges(&specs);
-        // Chain within the sweep is intact...
-        assert!(edges[id(0, 1)].contains(&id(0, 2)));
-        // ...but the disjoint (s, k) -> (s, k+2) pair carries no edge and
-        // is not even a conflict.
-        assert!(!edges[id(0, 1)].contains(&id(0, 3)));
-        assert!(!verify::conflict_pairs(&specs)
-            .iter()
-            .any(|&(i, j, _)| (i, j) == (id(0, 1), id(0, 3))));
-        // Cross-sweep ordering survives the tightening: the next sweep's
-        // head overlaps this sweep's early spans.
-        assert!(edges[id(0, 1)].contains(&id(1, 0)) || edges[id(0, 2)].contains(&id(1, 0)));
-    }
-
-    #[test]
-    fn deleted_edge_caught_by_graphcheck() {
-        // Acceptance mutation: remove one real dependence edge between
-        // adjacent conflicting tasks (adjacent ids have no intermediate
-        // path) — conflict coverage must fail.
-        use tseig_runtime::verify;
-        let (n, b) = (16, 3);
-        let specs = chase_task_specs(n, b);
-        let mut edges = verify::infer_edges(&specs);
-        let victim = (0..specs.len() - 1)
-            .find(|&i| edges[i].contains(&(i + 1)))
-            .expect("some adjacent pair must be directly ordered");
-        edges[victim].retain(|&v| v != victim + 1);
-        let sum = verify::check_graph_with_edges(&specs, &edges);
-        assert!(
-            sum.violations.iter().any(|v| matches!(
-                v,
-                verify::Violation::UncoveredConflict { first, second, .. }
-                    if *first == victim && *second == victim + 1
-            )),
-            "deleted edge not caught: {:?}",
-            sum.violations
-        );
+        Ok(touches)
     }
 
     #[cfg(debug_assertions)]
@@ -1135,32 +866,8 @@ mod tests {
         // Acceptance mutation: narrow one task's declared band span by a
         // row. graphcheck cannot see this (it checks declarations against
         // declarations) — the shadow checker compares against the touches
-        // the kernels actually perform and must abort the run. One worker
-        // keeps the mutated graph's execution deterministic and race-free
-        // while still exercising the checker.
-        let (n, b) = (18, 3);
-        let (_, band) = band_of(n, b, 21);
-        let tasks = enumerate_tasks(n, b);
-        let victim = tasks.iter().position(|t| t.s == 2 && t.k == 1).unwrap();
-        let band_cell = Arc::new(DataCell::new(band));
-        let v2_cell = Arc::new(DataCell::new(V2Set::new(n, b)));
-        let mut graph = TaskGraph::new();
-        for (i, t) in tasks.iter().enumerate() {
-            let mut regions = task_regions(n, b, *t);
-            if i == victim {
-                let (lo, hi) = task_row_span(n, b, *t);
-                assert!(hi > lo + 1);
-                // Chop the last row off the declared span.
-                regions[0] = (
-                    Region::span(BAND_SPACE, lo as u64, hi as u64),
-                    Access::Write,
-                );
-            }
-            let (tag, prio) = task_meta(*t);
-            let (bc, vc, t) = (band_cell.clone(), v2_cell.clone(), *t);
-            graph.add_task(tag, prio, &regions, move || run_task(&bc, &vc, t));
-        }
-        let err = Runtime::new(1).run(graph).unwrap_err();
+        // the kernels actually perform and must abort the run.
+        let err = shadow_checked_chase(18, 3, 21, Some(ChaseTask { s: 2, k: 1 })).unwrap_err();
         assert!(
             err.contains("outside its declared footprint"),
             "expected a shadow violation, got: {err}"
@@ -1168,26 +875,16 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_runs_validate_touches_in_debug() {
-        // The shadow checker must actually be exercised by scheduled
-        // solves: every storage access in a debug run is validated (and
-        // counted); release builds compile the checker out and count 0.
-        let (_, band) = band_of(20, 3, 22);
-        let tasks = enumerate_tasks(20, 3);
-        let band_cell = Arc::new(DataCell::new(band));
-        let v2_cell = Arc::new(DataCell::new(V2Set::new(20, 3)));
-        let mut graph = TaskGraph::new();
-        for t in tasks {
-            let regions = task_regions(20, 3, t);
-            let (tag, prio) = task_meta(t);
-            let (bc, vc) = (band_cell.clone(), v2_cell.clone());
-            graph.add_task(tag, prio, &regions, move || run_task(&bc, &vc, t));
-        }
-        let stats = Runtime::new(2).run(graph).unwrap();
-        if tseig_runtime::shadow::enabled() {
-            assert!(stats.shadow_touches > 0, "instrumentation went dead");
+    fn task_touches_validated_in_debug() {
+        // The kernels' storage helpers must actually report to the shadow
+        // checker: every access in a debug run is validated against the
+        // task's declared footprint (and counted); release builds compile
+        // the checker out and count 0.
+        let touches = shadow_checked_chase(20, 3, 22, None).unwrap();
+        if shadow::enabled() {
+            assert!(touches > 0, "instrumentation went dead");
         } else {
-            assert_eq!(stats.shadow_touches, 0);
+            assert_eq!(touches, 0);
         }
     }
 
@@ -1197,7 +894,7 @@ mod tests {
             let (_, band) = band_of(n, b, 10);
             let r = reduce(band);
             for s in 0..r.v2.sweep_count() {
-                let depth = V2Set::depth_of_sweep(n, b, s);
+                let depth = depth_of_sweep(n, b, s);
                 assert_eq!(r.v2.sweep(s).len(), depth, "n={n} b={b} s={s}");
                 // The last reflector must reach the matrix edge.
                 if depth > 0 {

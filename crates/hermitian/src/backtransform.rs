@@ -26,6 +26,7 @@ use crate::stage2::V2SetC;
 use rayon::prelude::*;
 use std::cell::RefCell;
 use tseig_kernels::blas3::engine::GemmScalar;
+use tseig_kernels::flops;
 use tseig_matrix::{CMatrixG, ComplexScalar, C32, C64};
 
 /// Column-panel width for the cache-local distribution of `E`. Complex
@@ -155,8 +156,10 @@ fn apply_pipeline<T: HermScalar>(
     let nrows = e.rows();
     let ldc = e.ld();
     let need = scratch_len(diamonds, q1, pc.min(e.cols()));
+    let scope = flops::scope();
     e.as_mut_slice().par_chunks_mut(pc * ldc).for_each(|panel| {
         let cols = panel.len() / ldc;
+        let _charged = scope.enter();
         T::with_bt_scratch(|work| {
             if work.len() < need {
                 work.resize(need, T::ZERO);
@@ -319,6 +322,33 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn measured_flops_include_worker_threads() {
+        // `flops::measure` counts the calling thread's charges plus those
+        // of workers that entered its scope. The scheduled chase and the
+        // panel-parallel back-transform charge on worker threads, so each
+        // must measure exactly what its single-thread run measures.
+        use crate::stage2::{reduce_scheduled, reduce_with, Scheduler};
+        use tseig_matrix::Ctrl;
+        let (n, b) = (40, 4);
+        let band = banded(n, b, 74);
+        let (serial, want) = flops::measure(|| reduce_with(band.clone(), b, &Ctrl::NONE).unwrap());
+        assert!(want.total() > 0);
+        for sched in [Scheduler::Static(2), Scheduler::Dynamic(2)] {
+            let (_, got) =
+                flops::measure(|| reduce_scheduled(band.clone(), b, sched, &Ctrl::NONE).unwrap());
+            assert_eq!(got, want, "{sched:?}");
+        }
+        let e0 = CMatrix::from_real(&tseig_matrix::gen::random_symmetric(n, 75));
+        // One n-column panel runs on the calling thread; 4-column panels
+        // fan out over the pool.
+        let bt =
+            |panel_cols| flops::measure(|| apply_q2(&serial.v2, &mut e0.clone(), 4, panel_cols)).1;
+        let one_panel = bt(n);
+        assert!(one_panel.total() > 0);
+        assert_eq!(bt(4), one_panel);
     }
 
     #[test]

@@ -6,10 +6,10 @@
 
 use crate::backtransform::{apply_q, HermScalar};
 use crate::stage1::he2hb_with;
-use crate::stage2::{reduce_scheduled, Scheduler};
+use crate::stage2::{reduce_scheduled, reduce_with, Scheduler};
 use std::time::Instant;
 use tseig_kernels::scaling;
-use tseig_matrix::diagnostics::{Recorder, Recovery, SolveDiagnostics, VerifyLevel, VerifyReport};
+use tseig_matrix::diagnostics::{Recorder, SolveDiagnostics, VerifyLevel, VerifyReport};
 use tseig_matrix::{CMatrixG, ComplexScalar, Ctrl, Error, Result, C64};
 use tseig_tridiag::{EigenRange, Method, PhaseTimings};
 
@@ -204,19 +204,11 @@ impl HermitianEigen {
 
         // Stage 2 with the serial-path fallback on scheduled failure.
         let t1 = Instant::now();
-        let chase = match reduce_scheduled(bf.band.clone(), self.nb, self.scheduler, &self.ctrl) {
-            Ok(c) => c,
-            Err(e) if self.scheduler != Scheduler::Serial => {
-                // A cancel or expired deadline drains the scheduled pool
-                // as a runtime error; surface it structurally instead of
-                // burning the remaining budget on a serial rerun.
-                self.ctrl.checkpoint()?;
-                rec.record(Recovery::SchedulerFallback { error: e });
-                reduce_scheduled(bf.band.clone(), self.nb, Scheduler::Serial, &self.ctrl)
-                    .map_err(Error::Runtime)?
-            }
-            Err(e) => return Err(Error::Runtime(e)),
-        };
+        let scheduled = (self.scheduler != Scheduler::Serial)
+            .then(|| reduce_scheduled(bf.band.clone(), self.nb, self.scheduler, &self.ctrl));
+        let chase = rec.or_serial(&self.ctrl, scheduled, || {
+            reduce_with(bf.band.clone(), self.nb, &self.ctrl)
+        })?;
         timings.stage2 = t1.elapsed();
         timings.reduction = timings.stage1 + timings.stage2;
 

@@ -14,42 +14,21 @@
 //!
 //! Execution mirrors the real `tseig_core::stage2`: [`reduce`] runs the
 //! kernel sequence serially, [`reduce_scheduled`] runs the same `(sweep,
-//! depth)` task set on the dynamic superscalar runtime or the static
-//! pipelined scheduler of `tseig-runtime`, with dependences inferred
-//! from the exact diagonal-index interval each task touches — the chase
-//! geometry is identical to the real one, so the region protocol
-//! transfers verbatim ([`chase_task_specs`] exports it for `xtask
-//! graphcheck`), and every schedule is bit-identical to the serial order.
+//! depth)` task set through the shared chase executor of
+//! `tseig_runtime::chase`. The chase geometry is the real one
+//! (`Geometry::Band`), so the same declared footprints and the same
+//! certification apply, and every schedule is bit-identical to the
+//! serial order.
 
 use crate::ckernels::{zlarf_left, zlarf_right, zlarfg};
-use std::sync::Arc;
+use tseig_kernels::flops;
 use tseig_matrix::{CMatrixG, ComplexScalar, Ctrl, SymTridiagonal, C64};
+use tseig_runtime::chase::{self, depth_of_sweep, Chase, ChaseTask, Geometry, BAND_SPACE};
 use tseig_runtime::verify::TaskSpec;
-use tseig_runtime::{shadow, Access, DataCell, Priority, Region, Runtime, TaskGraph};
+use tseig_runtime::{shadow, Access};
 
 /// One stored stage-2 reflector: `(start row, tau, v)` with `v[0] == 1`.
 type ReflectorC<T = C64> = (usize, T, Vec<T>);
-
-/// Number of reflectors sweep `s` *stores* (same formula as the real
-/// chase: reflector `k` exists while `s + 1 + k*nb <= n - 2`). Free
-/// function because the task-geometry helpers below are element-type
-/// independent and must not pick a `V2SetC<T>` instantiation.
-pub fn depth_of_sweep(n: usize, nb: usize, s: usize) -> usize {
-    if s + 2 >= n {
-        return 0;
-    }
-    (n - 2 - s - 1) / nb + 1
-}
-
-/// Number of kernel *tasks* sweep `s` runs; one more than
-/// [`depth_of_sweep`] when the last bulge block has a single row (the
-/// right-application still runs, no reflector comes out).
-pub fn steps_of_sweep(n: usize, nb: usize, s: usize) -> usize {
-    if s + 2 >= n {
-        return 0;
-    }
-    (n - 2 - s) / nb + 1
-}
 
 /// The complex reflector set of the chase, indexed `(sweep, depth)`.
 /// Reflector `(s, k)` starts at global row `s + 1 + k * nb` (clamped at
@@ -269,243 +248,81 @@ fn run_sweep<T: ComplexScalar>(a: &mut CMatrixG<T>, s: usize, b: usize, v2: &mut
 // Scheduled drivers (dynamic DAG / static pipeline).
 // ---------------------------------------------------------------------
 
-/// How the Hermitian bulge-chasing task graph is executed — same
-/// options as the real pipeline's `Stage2Exec`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Scheduler {
-    /// Plain sequential kernel loop (lowest overhead).
-    Serial,
-    /// Static pipelined scheduler: sweeps round-robin over a small
-    /// worker set, synchronization by progress counters.
-    Static(usize),
-    /// Dynamic superscalar runtime with region-inferred dependences.
-    Dynamic(usize),
-}
+/// How the Hermitian bulge-chasing task graph is executed (the runtime's
+/// one scheduler enum, shared with the real pipeline).
+pub use tseig_runtime::chase::Scheduler;
 
-/// Logical task of the chase: sweep `s`, chase depth `k` (`k == 0` is
-/// `zhbceu`; `k >= 1` the `zhbrel`+`zhblru` pair).
-#[derive(Clone, Copy, Debug)]
-struct ChaseTask {
-    s: usize,
-    k: usize,
-}
+impl<T: ComplexScalar> Chase for V2SetC<T> {
+    type Band = CMatrixG<T>;
+    type Ctx = flops::Scope;
+    const GEOMETRY: Geometry = Geometry::Band;
+    const TAGS: [&'static str; 2] = ["zhbceu", "zhbrel+zhblru"];
 
-/// Region space of the band's diagonal index intervals (entry `(i, j)`,
-/// `i >= j`, of the Hermitian matrix lies in `[j, i]`).
-const BAND_SPACE: u32 = 0;
-/// Region space of V2 reflector slots, one point per `(sweep, depth)`.
-const V2_SPACE: u32 = 1;
-
-/// Exact inclusive diagonal-index span `[lo, hi]` of the band entries an
-/// `(s, k)` task touches — the same formula as the real chase, because
-/// the geometry is: `zhbceu` rewrites column `s` and the diamond block
-/// up to row `min(s + b, n-1)`; a chase step right-applies the previous
-/// reflector (rows `s+1+(k-1)b ..`) and reaches at most row
-/// `s + (k+1)b` (clamped at the edge).
-fn task_row_span(n: usize, b: usize, t: ChaseTask) -> (usize, usize) {
-    let lo = if t.k == 0 {
-        t.s
-    } else {
-        t.s + 1 + (t.k - 1) * b
-    };
-    let hi = (t.s + (t.k + 1) * b).min(n - 1);
-    (lo, hi)
-}
-
-/// V2 slot region of reflector `(s, k)`. The stride is the maximum step
-/// count of any sweep (sweep 0), so slot ids never collide across sweeps.
-fn v2_slot(n: usize, b: usize, s: usize, k: usize) -> Region {
-    let stride = steps_of_sweep(n, b, 0);
-    Region::point(V2_SPACE, (s * stride + k) as u64)
-}
-
-/// Declared footprint of an `(s, k)` task: the exact band span it
-/// touches (Write — every kernel both reads and writes its blocks), the
-/// V2 slot it stores, and for chase steps the predecessor slot it reads.
-/// Exactness matters twice over: any touch outside these regions trips
-/// the shadow checker, and spans one index wider would serialize tasks
-/// `(s, k)` and `(s, k + 2)`, which are adjacent but disjoint.
-fn task_regions(n: usize, b: usize, t: ChaseTask) -> Vec<(Region, Access)> {
-    let (lo, hi) = task_row_span(n, b, t);
-    let mut regions = vec![(
-        Region::span(BAND_SPACE, lo as u64, hi as u64 + 1),
-        Access::Write,
-    )];
-    if t.k < depth_of_sweep(n, b, t.s) {
-        // The final step of an nb-aligned sweep stores no reflector.
-        regions.push((v2_slot(n, b, t.s, t.k), Access::Write));
-    }
-    if t.k > 0 {
-        regions.push((v2_slot(n, b, t.s, t.k - 1), Access::Read));
-    }
-    regions
-}
-
-/// Tag and priority lane of a chase task (sweep heads sit on the
-/// critical path).
-fn task_meta(t: ChaseTask) -> (&'static str, Priority) {
-    if t.k == 0 {
-        ("zhbceu", Priority::High)
-    } else {
-        ("zhbrel+zhblru", Priority::Normal)
+    /// Task `(s, 0)` is `zhbceu`, `(s, k >= 1)` the `zhbrel`+`zhblru`
+    /// pair. Each task writes its own V2 slot and reads the slot
+    /// `(s, k-1)` its same-sweep predecessor wrote; band touches are
+    /// reported by the kernels, slot touches here.
+    fn run_task(
+        &mut self,
+        a: &mut CMatrixG<T>,
+        scope: &flops::Scope,
+        n: usize,
+        b: usize,
+        t: ChaseTask,
+    ) {
+        let _charged = scope.enter();
+        let slot = |k| Geometry::Band.slot(n, b, t.s, k);
+        if t.k == 0 {
+            let (start, tau, v) = zhbceu(a, t.s, b);
+            shadow::touch_region(slot(0), Access::Write);
+            self.store(t.s, 0, start, tau, v);
+        } else {
+            shadow::touch_region(slot(t.k - 1), Access::Read);
+            let prev = self.sweeps[t.s][t.k - 1].clone();
+            let Some((ns, nt, nv)) = zhbrel(a, b, (prev.0, prev.1, &prev.2)) else {
+                return;
+            };
+            zhblru(a, (ns, nt, &nv));
+            shadow::touch_region(slot(t.k), Access::Write);
+            self.store(t.s, t.k, ns, nt, nv);
+        }
     }
 }
 
 /// The Hermitian chase task set as *declared* specs — the same
 /// `(tag, priority, regions)` triples [`reduce_scheduled`] submits,
-/// exported for offline verification. `xtask graphcheck` sweeps these
-/// through `tseig_runtime::verify` to prove race-freedom per `(n, b)`
-/// instance, alongside the real pipeline's.
+/// exported for offline verification.
 pub fn chase_task_specs(n: usize, b: usize) -> Vec<TaskSpec> {
-    enumerate_tasks(n, b)
-        .into_iter()
-        .map(|t| {
-            let (tag, priority) = task_meta(t);
-            TaskSpec {
-                tag,
-                priority,
-                regions: task_regions(n, b, t),
-            }
-        })
-        .collect()
+    V2SetC::<C64>::GEOMETRY.specs(n, b, V2SetC::<C64>::TAGS)
 }
 
-/// Static-scheduler owner assignment (sweep round-robin) for the task
-/// set of [`chase_task_specs`], exported for offline verification of
-/// the derived static schedule.
-pub fn chase_task_owners(n: usize, b: usize, threads: usize) -> Vec<usize> {
-    let threads = threads.max(1);
-    enumerate_tasks(n, b)
-        .iter()
-        .map(|t| t.s % threads)
-        .collect()
-}
-
-/// Execute one `(s, k)` task against the shared matrix/V2 cells.
-///
-/// # Safety contract
-/// Caller (the scheduler) must guarantee exclusive access to the
-/// declared regions; V2 slots `(s, k)` are written by exactly one task.
-fn run_task<T: ComplexScalar>(
-    a: &DataCell<CMatrixG<T>>,
-    v2: &DataCell<V2SetC<T>>,
-    b: usize,
-    t: ChaseTask,
-) {
-    // Safety: region declarations serialize conflicting band accesses;
-    // each task writes its own V2 slot only and reads the slot (s, k-1)
-    // its same-sweep predecessor wrote (ordered by overlapping band
-    // regions). Band touches are reported by the kernels; V2 slot
-    // touches are reported here against the declared slot regions.
-    unsafe {
-        let am = a.get_mut();
-        let v2m = v2.get_mut();
-        let n = am.rows();
-        if t.k == 0 {
-            let (start, tau, v) = zhbceu(am, t.s, b);
-            shadow::touch_region(v2_slot(n, b, t.s, 0), Access::Write);
-            v2m.store(t.s, 0, start, tau, v);
-        } else {
-            shadow::touch_region(v2_slot(n, b, t.s, t.k - 1), Access::Read);
-            let prev = v2m.sweeps[t.s][t.k - 1].clone();
-            let Some((ns, nt, nv)) = zhbrel(am, b, (prev.0, prev.1, &prev.2)) else {
-                return;
-            };
-            zhblru(am, (ns, nt, &nv));
-            shadow::touch_region(v2_slot(n, b, t.s, t.k), Access::Write);
-            v2m.store(t.s, t.k, ns, nt, nv);
-        }
-    }
-}
-
-/// Enumerate all chase tasks in the serial (sweep-major) order.
-fn enumerate_tasks(n: usize, b: usize) -> Vec<ChaseTask> {
-    let mut tasks = Vec::new();
-    if n <= 2 || b <= 1 {
-        return tasks;
-    }
-    for s in 0..n - 2 {
-        for k in 0..steps_of_sweep(n, b, s) {
-            tasks.push(ChaseTask { s, k });
-        }
-    }
-    tasks
-}
-
-/// Run the Hermitian bulge chase under the chosen scheduler. Produces
-/// the same tridiagonal, reflector set and phases as [`reduce`] —
-/// bit-identical, because the schedulers only reorder tasks whose data
-/// regions are disjoint.
+/// Run the Hermitian bulge chase under the chosen scheduler:
+/// [`reduce_with`] for `Serial`, the shared chase executor otherwise.
+/// Produces the same tridiagonal, reflector set and phases as [`reduce`]
+/// — bit-identical, because the schedulers only reorder tasks whose data
+/// regions are disjoint. The serial loop checkpoints `ctrl` per sweep;
+/// the executor's workers poll it between task claims and drain on an
+/// armed cancel or expired deadline with
+/// `Err(tseig_runtime::STOPPED_BY_POLL)`.
 pub fn reduce_scheduled<T: ComplexScalar>(
     a: CMatrixG<T>,
     nb: usize,
     sched: Scheduler,
     ctrl: &Ctrl,
 ) -> Result<ChaseResultC<T>, String> {
-    let n = a.rows();
-    let b = nb.max(1);
-    match sched {
-        Scheduler::Serial => reduce_with(a, nb, ctrl).map_err(|e| e.to_string()),
-        Scheduler::Dynamic(threads) => {
-            let tasks = enumerate_tasks(n, b);
-            let a_cell = Arc::new(DataCell::new(a));
-            let v2_cell = Arc::new(DataCell::new(V2SetC::new(n, b)));
-            let mut graph = TaskGraph::new();
-            for t in tasks {
-                let regions = task_regions(n, b, t);
-                let ac = a_cell.clone();
-                let vc = v2_cell.clone();
-                let (tag, prio) = task_meta(t);
-                graph.add_task(tag, prio, &regions, move || run_task(&ac, &vc, b, t));
-            }
-            Runtime::new(threads).run_with_poll(graph, &|| ctrl.poll_stop())?;
-            let a = Arc::try_unwrap(a_cell)
-                .map_err(|_| "matrix still shared".to_string())?
-                .into_inner();
-            let v2 = Arc::try_unwrap(v2_cell)
-                .map_err(|_| "v2 still shared".to_string())?
-                .into_inner();
-            let (tridiagonal, phases) = phase_fold(&a);
-            Ok(ChaseResultC {
-                tridiagonal,
-                v2,
-                phases,
-            })
-        }
-        Scheduler::Static(threads) => {
-            let threads = threads.max(1);
-            let tasks = enumerate_tasks(n, b);
-            // Derive the cross-worker wait lists once through the shared
-            // runtime schedule (the same region replay the real-scalar
-            // driver caches in its `SolvePlan`), then execute.
-            let owner = chase_task_owners(n, b, threads);
-            let regions: Vec<_> = tasks.iter().map(|t| task_regions(n, b, *t)).collect();
-            let sched = tseig_runtime::StaticSchedule::derive(threads, &owner, &regions);
-            let a_cell = Arc::new(DataCell::new(a));
-            let v2_cell = Arc::new(DataCell::new(V2SetC::new(n, b)));
-            sched.execute_with_poll(
-                |i| {
-                    let ac = a_cell.clone();
-                    let vc = v2_cell.clone();
-                    let t = tasks[i];
-                    Box::new(move || run_task(&ac, &vc, b, t))
-                },
-                &|| ctrl.poll_stop(),
-            )?;
-            let a = Arc::try_unwrap(a_cell)
-                .map_err(|_| "matrix still shared".to_string())?
-                .into_inner();
-            let v2 = Arc::try_unwrap(v2_cell)
-                .map_err(|_| "v2 still shared".to_string())?
-                .into_inner();
-            let (tridiagonal, phases) = phase_fold(&a);
-            Ok(ChaseResultC {
-                tridiagonal,
-                v2,
-                phases,
-            })
-        }
+    if sched == Scheduler::Serial {
+        return reduce_with(a, nb, ctrl).map_err(|e| e.to_string());
     }
+    let (n, b) = (a.rows(), nb.max(1));
+    let (a, v2) = chase::run(sched, a, V2SetC::new(n, b), flops::scope(), n, b, &|| {
+        ctrl.poll_stop()
+    })?;
+    let (tridiagonal, phases) = phase_fold(&a);
+    Ok(ChaseResultC {
+        tridiagonal,
+        v2,
+        phases,
+    })
 }
 
 /// `A[r0..r0+l, r0..r0+l] <- H^H (.) H` on a copied window.
@@ -681,71 +498,39 @@ mod tests {
         }
     }
 
-    #[test]
-    fn chase_graph_certified_race_free() {
-        // The same checks `xtask graphcheck` runs over its sweep, pinned
-        // in-tree on a few Hermitian instances: conflict-pair dependence
-        // coverage, acyclicity, priority sanity, static consistency.
-        use tseig_runtime::verify;
-        for (n, b) in [(20, 3), (24, 4), (14, 5), (13, 2)] {
-            let specs = chase_task_specs(n, b);
-            assert!(!specs.is_empty());
-            let sum = verify::check_graph(&specs);
-            assert!(sum.ok(), "(n={n}, b={b}): {:?}", sum.violations);
-            for threads in 1..=4 {
-                let owners = chase_task_owners(n, b, threads);
-                let st = verify::check_static(&specs, &owners, threads);
-                assert!(st.ok(), "(n={n}, b={b}, t={threads}): {:?}", st.violations);
-            }
-        }
-    }
-
-    #[test]
-    fn exact_spans_drop_spurious_same_sweep_edges() {
-        // Same regression pin as the real pipeline: tasks (s, k) and
-        // (s, k+2) are disjoint; the old nb-chunk declaration serialized
-        // them through a shared boundary chunk.
-        use tseig_runtime::verify;
-        let (n, b) = (20, 3);
-        let tasks = enumerate_tasks(n, b);
-        let id = |s: usize, k: usize| tasks.iter().position(|t| t.s == s && t.k == k).unwrap();
-        let specs = chase_task_specs(n, b);
-        let edges = verify::infer_edges(&specs);
-        assert!(edges[id(0, 1)].contains(&id(0, 2)));
-        assert!(!edges[id(0, 1)].contains(&id(0, 3)));
-        assert!(!verify::conflict_pairs(&specs)
-            .iter()
-            .any(|&(i, j, _)| (i, j) == (id(0, 1), id(0, 3))));
-    }
-
     #[cfg(debug_assertions)]
     #[test]
     fn narrowed_declaration_caught_by_shadow_checker() {
         // Acceptance mutation, Hermitian side: narrow one task's declared
-        // band span by a row; the shadow checker must abort the run when
+        // band span by a row; the shadow checker must fail the task when
         // the kernels touch the chopped row.
+        use tseig_runtime::Region;
         let (n, b) = (18, 3);
-        let a = banded_hermitian(n, b, 66);
-        let tasks = enumerate_tasks(n, b);
-        let victim = tasks.iter().position(|t| t.s == 2 && t.k == 1).unwrap();
-        let a_cell = Arc::new(DataCell::new(a));
-        let v2_cell = Arc::new(DataCell::new(V2SetC::new(n, b)));
-        let mut graph = TaskGraph::new();
-        for (i, t) in tasks.iter().enumerate() {
-            let mut regions = task_regions(n, b, *t);
-            if i == victim {
-                let (lo, hi) = task_row_span(n, b, *t);
-                assert!(hi > lo + 1);
-                regions[0] = (
-                    Region::span(super::BAND_SPACE, lo as u64, hi as u64),
-                    Access::Write,
-                );
+        let mut a = banded_hermitian(n, b, 66);
+        let mut v2 = V2SetC::new(n, b);
+        let victim = ChaseTask { s: 2, k: 1 };
+        // Its predecessors run unchecked, so the victim reads real
+        // reflectors.
+        for t in Geometry::Band.tasks(n, b) {
+            if t == victim {
+                break;
             }
-            let (tag, prio) = task_meta(*t);
-            let (ac, vc, t) = (a_cell.clone(), v2_cell.clone(), *t);
-            graph.add_task(tag, prio, &regions, move || run_task(&ac, &vc, b, t));
+            v2.run_task(&mut a, &flops::Scope::default(), n, b, t);
         }
-        let err = Runtime::new(1).run(graph).unwrap_err();
+        let mut regions = Geometry::Band.regions(n, b, victim);
+        let (lo, hi) = Geometry::row_span(n, b, victim);
+        assert!(hi > lo + 1);
+        regions[0] = (
+            Region::span(BAND_SPACE, lo as u64, hi as u64),
+            Access::Write,
+        );
+        shadow::enter_task("narrowed", &regions);
+        let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            v2.run_task(&mut a, &flops::Scope::default(), n, b, victim)
+        }));
+        shadow::exit_task();
+        let err = ran.expect_err("the narrowed task must trip the checker");
+        let err = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(
             err.contains("outside its declared footprint"),
             "expected a shadow violation, got: {err}"

@@ -17,8 +17,19 @@
 //! cache-block revisits its loop nest actually incurs), so benchmarks
 //! can report arithmetic intensity (flop/byte) — the quantity that
 //! decides on which side of the roofline a kernel lands.
+//!
+//! The counters are process-global, so two solves running at once (two
+//! tests in one binary, two batch workers) both land in them. [`measure`]
+//! therefore also keeps counters of its own: every charge made on the
+//! measuring thread — or on a helper thread running inside the
+//! measurement's [`Scope`] — is added to them too, and nothing else is.
+//! Parallel sections whose workers call charging kernels carry the scope
+//! across with [`scope`] and [`Scope::enter`].
 
+use std::cell::RefCell;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 static L1: AtomicU64 = AtomicU64::new(0);
 static L2: AtomicU64 = AtomicU64::new(0);
@@ -49,6 +60,11 @@ pub fn add(level: Level, count: u64) {
         Level::L2 => L2.fetch_add(count, Ordering::Relaxed),
         Level::L3 => L3.fetch_add(count, Ordering::Relaxed),
     };
+    SCOPE.with(|scope| {
+        for sink in scope.borrow().iter() {
+            sink[level as usize].fetch_add(count, Ordering::Relaxed);
+        }
+    });
 }
 
 /// Charge `count` bytes of estimated memory traffic to `level`.
@@ -159,12 +175,69 @@ pub fn reset() {
     B3.store(0, Ordering::Relaxed);
 }
 
-/// Measure the flops charged by `f`, per level.
+/// Per-level flop counters of one [`measure`] call.
+type Sink = Arc<[AtomicU64; 3]>;
+
+thread_local! {
+    /// The measurements charges made on this thread are added to.
+    static SCOPE: RefCell<Vec<Sink>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The measurements active on the current thread, to be carried into
+/// work the thread hands to helper threads (see [`Scope::enter`]).
+#[derive(Clone, Default)]
+pub struct Scope(Vec<Sink>);
+
+/// The current thread's measurement scope. Allocation-free while no
+/// measurement is active (and so is entering an empty scope).
+pub fn scope() -> Scope {
+    SCOPE.with(|scope| Scope(scope.borrow().clone()))
+}
+
+impl Scope {
+    /// Count this thread's charges in this scope's measurements until the
+    /// returned guard drops (also on unwind), which restores the thread's
+    /// own scope.
+    pub fn enter(&self) -> Entered {
+        Entered {
+            saved: SCOPE.with(|scope| scope.replace(self.0.clone())),
+            thread_bound: PhantomData,
+        }
+    }
+}
+
+/// Guard of [`Scope::enter`]; restores the thread's previous scope on
+/// drop. Not `Send`: it must drop on the thread that entered.
+pub struct Entered {
+    saved: Vec<Sink>,
+    thread_bound: PhantomData<*const ()>,
+}
+
+impl Drop for Entered {
+    fn drop(&mut self) {
+        let saved = std::mem::take(&mut self.saved);
+        SCOPE.with(|scope| *scope.borrow_mut() = saved);
+    }
+}
+
+/// Measure the flops charged by `f`, per level: the charges made on the
+/// calling thread while `f` runs, plus those of helper threads that
+/// entered its [`Scope`] — and not those of unrelated work running at
+/// the same time.
 pub fn measure<R>(f: impl FnOnce() -> R) -> (R, FlopCounts) {
-    let before = snapshot();
+    let sink: Sink = Arc::default();
+    let mut inner = scope();
+    inner.0.push(sink.clone());
+    let entered = inner.enter();
     let r = f();
-    let after = snapshot();
-    (r, after.since(&before))
+    drop(entered);
+    let [l1, l2, l3] = &*sink;
+    let counts = FlopCounts {
+        l1: l1.load(Ordering::Relaxed),
+        l2: l2.load(Ordering::Relaxed),
+        l3: l3.load(Ordering::Relaxed),
+    };
+    (r, counts)
 }
 
 #[cfg(test)]
@@ -172,15 +245,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn measure_diffs_counters() {
+    fn measure_counts_only_its_own_work() {
+        // A charge on an unrelated thread while the measurement runs is
+        // not counted; one on a helper thread inside the scope is; the
+        // global counters see both.
+        let g0 = snapshot();
         let (_, d) = measure(|| {
             add(Level::L1, 10);
-            add(Level::L2, 20);
-            add(Level::L3, 30);
+            std::thread::scope(|t| {
+                let inner = scope();
+                t.spawn(move || {
+                    let _entered = inner.enter();
+                    add(Level::L2, 20)
+                });
+                t.spawn(|| add(Level::L3, 1000));
+            });
+            let (_, nested) = measure(|| add(Level::L3, 30));
+            assert_eq!(nested.total(), 30);
         });
-        // Other tests may add concurrently, so the diff is at least ours.
-        assert!(d.l1 >= 10 && d.l2 >= 20 && d.l3 >= 30);
-        assert!(d.total() >= 60);
+        assert_eq!((d.l1, d.l2, d.l3), (10, 20, 30));
+        let g = snapshot().since(&g0);
+        assert!(g.l1 >= 10 && g.l2 >= 20 && g.l3 >= 1030);
+        // Outside any measurement the thread's scope is empty again.
+        assert!(scope().0.is_empty());
     }
 
     #[test]

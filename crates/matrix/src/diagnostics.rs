@@ -9,6 +9,7 @@
 //! distinguish a clean solve from one that took a fallback path —
 //! LAPACK's `INFO` code, but with a story attached.
 
+use crate::{Ctrl, Result};
 use std::fmt;
 use std::sync::Mutex;
 
@@ -192,6 +193,32 @@ impl Recorder {
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .push(r);
+    }
+
+    /// Finish a phase that may run on a scheduler: `scheduled` is the
+    /// scheduled run's outcome, `None` when the serial path was chosen
+    /// outright, and `serial` runs the phase serially. A failed scheduled
+    /// run is re-run by `serial` and recorded as
+    /// [`Recovery::SchedulerFallback`] — unless `ctrl` is armed: a cancel
+    /// or expired deadline drains the scheduled pool and surfaces as such
+    /// a failure, so the control's structured error is returned instead
+    /// of spending what is left of the budget on a rerun. The rerun
+    /// itself runs under `ctrl` too.
+    pub fn or_serial<T>(
+        &self,
+        ctrl: &Ctrl,
+        scheduled: Option<std::result::Result<T, String>>,
+        serial: impl FnOnce() -> Result<T>,
+    ) -> Result<T> {
+        match scheduled {
+            Some(Ok(done)) => Ok(done),
+            Some(Err(error)) => {
+                ctrl.checkpoint()?;
+                self.record(Recovery::SchedulerFallback { error });
+                serial()
+            }
+            None => serial(),
+        }
     }
 
     /// Drain all recorded events (oldest first).

@@ -30,8 +30,10 @@ pub fn ormtr_left(f: &TridiagFactor, c: &mut Matrix) {
     let threads = rayon::current_num_threads();
     let jb = ncols.div_ceil(threads.max(1)).max(16).min(ncols);
     let ldc = c.ld();
+    let scope = tseig_kernels::flops::scope();
     c.as_mut_slice().par_chunks_mut(jb * ldc).for_each(|panel| {
         let pcols = panel.len() / ldc + usize::from(panel.len() % ldc != 0);
+        let _charged = scope.enter();
         apply_panel(f, n, nb, nrefl, panel, ldc, pcols);
     });
 }

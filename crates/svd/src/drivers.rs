@@ -16,7 +16,7 @@
 
 use crate::bdsqr::bdsqr_with;
 use crate::stage1::{apply_p1, apply_q1, ge2bb_with};
-use crate::stage2::{reduce_scheduled, BvSet, Stage2Exec, Stage2Ws};
+use crate::stage2::{reduce_scheduled, reduce_ws, BvSet, Stage2Exec, Stage2Ws};
 use std::time::Duration;
 use tseig_kernels::householder::larf_left;
 use tseig_kernels::scaling::{safe_scale_factor, scale_matrix, screen_general};
@@ -339,22 +339,16 @@ impl GeSvd {
     fn solve_two_stage(&self, plan: &mut SvdPlan, rec: &Recorder) -> Result<Svd> {
         let n = plan.work.rows();
         let form = ge2bb_with(&plan.work, self.nb, self.ib, &self.ctrl)?;
-        // Scheduled bulge chase, with the serial path as recovery rung.
-        let chase = match reduce_scheduled(clone_band(&form.band), self.scheduler, &self.ctrl) {
-            Ok(c) => c,
-            Err(e) => {
-                // A cancel or expired deadline drains the pool and lands
-                // here as the poll-stop string; re-checkpoint so it
-                // surfaces structurally instead of as a serial rerun.
-                self.ctrl.checkpoint()?;
-                rec.record(Recovery::SchedulerFallback { error: e });
-                crate::stage2::reduce(clone_band(&form.band))
-            }
-        };
-        plan.d.clear();
-        plan.d.extend_from_slice(&chase.d);
-        plan.e.clear();
-        plan.e.extend_from_slice(&chase.e);
+        // Scheduled bulge chase, with the serial path (into the plan's
+        // reflector set and scratch) as recovery rung.
+        let scheduled = (self.scheduler != Stage2Exec::Serial).then(|| {
+            reduce_scheduled(clone_band(&form.band), self.scheduler, &self.ctrl)
+                .map(|c| (plan.bv, plan.d, plan.e) = (c.bv, c.d, c.e))
+        });
+        rec.or_serial(&self.ctrl, scheduled, || {
+            let SvdPlan { bv, ws, d, e, .. } = &mut *plan;
+            reduce_ws(&mut clone_band(&form.band), bv, ws, d, e, &self.ctrl)
+        })?;
         self.bdsqr_with_retry(plan, rec, n, self.vectors)?;
         if !self.vectors {
             return Ok(Svd {
@@ -367,10 +361,10 @@ impl GeSvd {
         // U = Q1 (L_chase Ub), V = P1 (R_chase Vb).
         self.ctrl.checkpoint()?;
         let mut u = plan.ub.clone();
-        chase.bv.apply_left(&mut u);
+        plan.bv.apply_left(&mut u);
         apply_q1(&form.qpanels, &mut u);
         let mut v = plan.vb.clone();
-        chase.bv.apply_right(&mut v);
+        plan.bv.apply_right(&mut v);
         apply_p1(&form.ppanels, &mut v);
         Ok(Svd {
             u,
@@ -600,9 +594,11 @@ impl SvdBatch {
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<Result<Svd>>>> =
             (0..inputs.len()).map(|_| Mutex::new(None)).collect();
+        let flops = tseig_kernels::flops::scope();
         std::thread::scope(|s| {
             for _ in 0..workers {
                 s.spawn(|| {
+                    let _charged = flops.enter();
                     let mut plan = SvdPlan::new();
                     // tidy: allow(checkpoint-loop) -- governance runs per claim (request_driver); the solve polls its own ctrl
                     loop {

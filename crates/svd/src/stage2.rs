@@ -23,23 +23,22 @@
 //!   applications fully materialized, so tasks never read each other's
 //!   reflectors — ordering comes from band-interval overlap alone.
 //!
-//! The task set, its exact interval footprints, and the owner map are
-//! exported ([`chase_task_specs`], [`chase_task_owners`]) so
-//! `xtask graphcheck` certifies the graph race-free over the same sweep
-//! as the symmetric builders, and the same specs drive the Serial /
-//! Static / Dynamic schedulers of [`reduce_scheduled`].
-
-use std::sync::Arc;
+//! The task set, its exact interval footprints and the static owners are
+//! the runtime's `Geometry::Bidiagonal` (`tseig_runtime::chase`), which
+//! `xtask graphcheck` certifies race-free over the same sweep as the
+//! symmetric band geometry; the same footprints drive the Serial / Static
+//! / Dynamic arms of [`reduce_scheduled`]. This module supplies only the
+//! kernels and how one `(s, k)` task runs them ([`chase_task_specs`]
+//! exports the declared specs).
 
 use tseig_kernels::contract;
-use tseig_kernels::flops::{add, add_bytes, Level};
+use tseig_kernels::flops::{self, add, add_bytes, Level};
 use tseig_kernels::householder::{larf_left, larf_right, larfg};
 use tseig_matrix::workspace::{reset_f64s, MemReq};
 use tseig_matrix::{Ctrl, GeBandMatrix, Matrix};
+use tseig_runtime::chase::{self, Chase, ChaseTask, Geometry, BAND_SPACE};
 use tseig_runtime::verify::TaskSpec;
-use tseig_runtime::{
-    shadow, Access, DataCell, Priority, Region, Runtime, StaticSchedule, TaskGraph,
-};
+use tseig_runtime::{shadow, Access};
 
 /// One `(sweep, step)` reflector slot: the optional left reflector
 /// (absent for step 0) and the optional right reflector (absent when the
@@ -80,17 +79,6 @@ impl BvSet {
         set
     }
 
-    /// Number of tasks in sweep `s` (0 when the sweep is empty). Sweep
-    /// `s` exists while row `s` has entries past the superdiagonal, and
-    /// runs one head task plus one chase task per `b` columns of fill.
-    pub fn steps_of_sweep(n: usize, b: usize, s: usize) -> usize {
-        if n <= 2 || b <= 1 || s + 2 >= n {
-            0
-        } else {
-            (n - 3 - s) / b + 2
-        }
-    }
-
     /// Matrix order this set was shaped for.
     pub fn n(&self) -> usize {
         self.n
@@ -113,7 +101,7 @@ impl BvSet {
             self.sweeps.push(Vec::new());
         }
         for (s, sweep) in self.sweeps.iter_mut().enumerate() {
-            let steps = BvSet::steps_of_sweep(n, b, s);
+            let steps = Geometry::Bidiagonal.steps_of_sweep(n, b, s);
             sweep.truncate(steps);
             // tidy: allow(checkpoint-loop) -- workspace reshaping, no solver iteration
             while sweep.len() < steps {
@@ -264,12 +252,6 @@ pub struct ChaseResult {
     /// Chase reflectors for the back-transformation.
     pub bv: BvSet,
 }
-
-/// Region space of the band's diagonal-index intervals (entry `(i, j)`
-/// lies in `[min(i, j), max(i, j)]`).
-const BAND_SPACE: u32 = 0;
-/// Region space of reflector slots, one point per `(sweep, step)`.
-const BV_SPACE: u32 = 1;
 
 /// Report a band touch over the inclusive diagonal-index interval
 /// `[lo, hi]`.
@@ -500,7 +482,7 @@ fn gbelr_tail_ws(
 fn run_sweep_ws(band: &mut GeBandMatrix, bv: &mut BvSet, ws: &mut Stage2Ws, s: usize) {
     let n = band.n();
     let b = band.kl();
-    let steps = BvSet::steps_of_sweep(n, b, s);
+    let steps = Geometry::Bidiagonal.steps_of_sweep(n, b, s);
     if steps == 0 {
         return;
     }
@@ -561,71 +543,45 @@ pub fn reduce_ws(
     Ok(())
 }
 
-/// Scheduler selection for the chase (mirrors `tseig-core`'s stage 2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Stage2Exec {
-    /// Sweep-major serial loop.
-    Serial,
-    /// Precomputed static schedule on `n` workers.
-    Static(usize),
-    /// Superscalar dynamic runtime on `n` workers.
-    Dynamic(usize),
-}
+/// Scheduler selection for the chase (the runtime's one scheduler enum).
+pub use tseig_runtime::chase::Scheduler as Stage2Exec;
 
-/// One `(sweep, step)` unit of chase work.
-#[derive(Clone, Copy, Debug)]
-struct ChaseTask {
-    s: usize,
-    k: usize,
-}
+impl Chase for BvSet {
+    type Band = GeBandMatrix;
+    type Ctx = flops::Scope;
+    const GEOMETRY: Geometry = Geometry::Bidiagonal;
+    const TAGS: [&'static str; 2] = ["gbelr", "gbcle+gbelr"];
 
-/// Exact inclusive diagonal-index span `[lo, hi]` of the band entries an
-/// `(s, k)` task touches. Identical to the symmetric chase's spans: the
-/// head covers `[s, min(s+b, n-1)]`, a chase step covers
-/// `[s+1+(k-1)b, min(s+(k+1)b, n-1)]`. Exactness is load-bearing twice
-/// over: any touch outside trips the shadow checker, and spans one index
-/// wider would serialize `(s, k)` and `(s, k + 2)`, which are adjacent
-/// but disjoint.
-fn task_row_span(n: usize, b: usize, t: ChaseTask) -> (usize, usize) {
-    let lo = if t.k == 0 {
-        t.s
-    } else {
-        t.s + 1 + (t.k - 1) * b
-    };
-    let hi = (t.s + (t.k + 1) * b).min(n - 1);
-    (lo, hi)
-}
-
-/// Reflector slot region of `(s, k)`. The stride is the maximum step
-/// count of any sweep (sweep 0), so slot ids never collide.
-fn bv_slot(n: usize, b: usize, s: usize, k: usize) -> Region {
-    let stride = BvSet::steps_of_sweep(n, b, 0);
-    Region::point(BV_SPACE, (s * stride + k) as u64)
-}
-
-/// Declared footprint of an `(s, k)` task: the exact band span (Write —
-/// every kernel reads and writes its rectangles) plus the slot it
-/// stores. No task reads another task's slot: each chase step
-/// annihilates fill its predecessor fully materialized, so ordering
-/// comes from the band intervals alone.
-fn task_regions(n: usize, b: usize, t: ChaseTask) -> Vec<(Region, Access)> {
-    let (lo, hi) = task_row_span(n, b, t);
-    vec![
-        (
-            Region::span(BAND_SPACE, lo as u64, hi as u64 + 1),
-            Access::Write,
-        ),
-        (bv_slot(n, b, t.s, t.k), Access::Write),
-    ]
-}
-
-/// Tag and priority lane of a chase task (sweep heads sit on the
-/// critical path).
-fn task_meta(t: ChaseTask) -> (&'static str, Priority) {
-    if t.k == 0 {
-        ("gbelr", Priority::High)
-    } else {
-        ("gbcle+gbelr", Priority::Normal)
+    /// Task `(s, 0)` is the `gbelr` head, `(s, k >= 1)` the
+    /// `gbcle`+`gbelr` pair. Each task writes only its own reflector
+    /// slot; band touches are reported by the kernels, the slot touch
+    /// here.
+    fn run_task(
+        &mut self,
+        band: &mut GeBandMatrix,
+        scope: &flops::Scope,
+        n: usize,
+        b: usize,
+        t: ChaseTask,
+    ) {
+        let _charged = scope.enter();
+        let slot = Geometry::Bidiagonal.slot(n, b, t.s, t.k);
+        let mut scratch = Vec::new();
+        let mut work = Vec::new();
+        let mut v = Vec::new();
+        if t.k == 0 {
+            let (c0, tau) = gbelr_head_ws(band, t.s, &mut scratch, &mut work, &mut v);
+            shadow::touch_region(slot, Access::Write);
+            self.store_right(t.s, 0, c0, tau, &v);
+        } else {
+            let (l0, ltau) = gbcle_ws(band, t.s, t.k, &mut scratch, &mut work, &mut v);
+            shadow::touch_region(slot, Access::Write);
+            self.store_left(t.s, t.k, l0, ltau, &v);
+            if let Some((r0, rtau)) = gbelr_tail_ws(band, t.s, t.k, &mut scratch, &mut work, &mut v)
+            {
+                self.store_right(t.s, t.k, r0, rtau, &v);
+            }
+        }
     }
 }
 
@@ -633,212 +589,43 @@ fn task_meta(t: ChaseTask) -> (&'static str, Priority) {
 /// `(tag, priority, regions)` triples [`reduce_scheduled`] submits,
 /// exported for offline verification (`xtask graphcheck`).
 pub fn chase_task_specs(n: usize, b: usize) -> Vec<TaskSpec> {
-    enumerate_tasks(n, b)
-        .into_iter()
-        .map(|t| {
-            let (tag, priority) = task_meta(t);
-            TaskSpec {
-                tag,
-                priority,
-                regions: task_regions(n, b, t),
-            }
-        })
-        .collect()
+    BvSet::GEOMETRY.specs(n, b, BvSet::TAGS)
 }
 
-/// Static-scheduler owner assignment (sweep round-robin) for the task
-/// set of [`chase_task_specs`], exported for offline verification.
-pub fn chase_task_owners(n: usize, b: usize, threads: usize) -> Vec<usize> {
-    let threads = threads.max(1);
-    enumerate_tasks(n, b)
-        .iter()
-        .map(|t| t.s % threads)
-        .collect()
-}
-
-/// Enumerate all chase tasks in the serial (sweep-major) order.
-fn enumerate_tasks(n: usize, b: usize) -> Vec<ChaseTask> {
-    let mut tasks = Vec::new();
-    if n <= 2 || b <= 1 {
-        return tasks;
-    }
-    for s in 0..n - 2 {
-        for k in 0..BvSet::steps_of_sweep(n, b, s) {
-            tasks.push(ChaseTask { s, k });
-        }
-    }
-    tasks
-}
-
-/// Execute one `(s, k)` task against the shared band/reflector cells.
-///
-/// # Safety contract
-/// Caller (the scheduler) must guarantee exclusive access to the
-/// declared regions; slot `(s, k)` is written by exactly one task.
-fn run_task(band: &DataCell<GeBandMatrix>, bv: &DataCell<BvSet>, t: ChaseTask) {
-    // Safety: region declarations serialize conflicting band accesses,
-    // and each task writes only its own reflector slot. Band touches are
-    // reported by the kernels; slot touches are reported here against
-    // the declared slot regions.
-    unsafe {
-        let bm = band.get_mut();
-        let bvm = bv.get_mut();
-        let (n, b) = (bm.n(), bm.kl());
-        let mut scratch = Vec::new();
-        let mut work = Vec::new();
-        let mut v = Vec::new();
-        if t.k == 0 {
-            let (c0, tau) = gbelr_head_ws(bm, t.s, &mut scratch, &mut work, &mut v);
-            shadow::touch_region(bv_slot(n, b, t.s, 0), Access::Write);
-            bvm.store_right(t.s, 0, c0, tau, &v);
-        } else {
-            let (l0, ltau) = gbcle_ws(bm, t.s, t.k, &mut scratch, &mut work, &mut v);
-            shadow::touch_region(bv_slot(n, b, t.s, t.k), Access::Write);
-            bvm.store_left(t.s, t.k, l0, ltau, &v);
-            if let Some((r0, rtau)) = gbelr_tail_ws(bm, t.s, t.k, &mut scratch, &mut work, &mut v) {
-                bvm.store_right(t.s, t.k, r0, rtau, &v);
-            }
-        }
-    }
-}
-
-/// Run the bulge chase under the chosen scheduler. Produces the same
-/// bidiagonal and reflector set as [`reduce`], bitwise. Scheduled
-/// backends poll `ctrl` between task claims and drain the pool on an
-/// armed cancel or expired deadline; the serial backend checkpoints
-/// once per sweep.
+/// Run the bulge chase under the chosen scheduler: [`reduce_ws`] for
+/// `Serial`, the shared chase executor otherwise. Produces the same
+/// bidiagonal and reflector set as [`reduce`], bitwise. The serial loop
+/// checkpoints `ctrl` per sweep; the executor's workers poll it between
+/// task claims and drain on an armed cancel or expired deadline with
+/// `Err(tseig_runtime::STOPPED_BY_POLL)`.
 pub fn reduce_scheduled(
     band: GeBandMatrix,
     exec: Stage2Exec,
     ctrl: &Ctrl,
 ) -> Result<ChaseResult, String> {
-    let n = band.n();
-    let b = band.kl();
+    let (n, b) = (band.n(), band.kl());
     assert!(
         band.ku() >= 2 * b,
         "bulge chase needs ku >= 2*kl fill diagonals"
     );
-    match exec {
-        Stage2Exec::Serial => {
-            let mut band = band;
-            let mut bv = BvSet::default();
-            let mut ws = Stage2Ws::default();
-            let mut d = Vec::new();
-            let mut e = Vec::new();
-            reduce_ws(&mut band, &mut bv, &mut ws, &mut d, &mut e, ctrl)
-                .map_err(|e| e.to_string())?;
-            Ok(ChaseResult { d, e, bv })
-        }
-        Stage2Exec::Dynamic(threads) => {
-            band_contract("reduce_scheduled", &band);
-            let tasks = enumerate_tasks(n, b);
-            let band_cell = Arc::new(DataCell::new(band));
-            let bv_cell = Arc::new(DataCell::new(BvSet::new(n, b)));
-            let mut graph = TaskGraph::new();
-            for t in tasks {
-                let regions = task_regions(n, b, t);
-                let bc = band_cell.clone();
-                let vc = bv_cell.clone();
-                let (tag, prio) = task_meta(t);
-                graph.add_task(tag, prio, &regions, move || run_task(&bc, &vc, t));
-            }
-            Runtime::new(threads).run_with_poll(graph, &|| ctrl.poll_stop())?;
-            let band = Arc::try_unwrap(band_cell)
-                .map_err(|_| "band still shared".to_string())?
-                .into_inner();
-            let bv = Arc::try_unwrap(bv_cell)
-                .map_err(|_| "reflector set still shared".to_string())?
-                .into_inner();
-            let mut d = vec![0.0f64; n];
-            let mut e = vec![0.0f64; n.saturating_sub(1)];
-            band.to_bidiagonal_into(&mut d, &mut e);
-            Ok(ChaseResult { d, e, bv })
-        }
-        Stage2Exec::Static(threads) => {
-            let plan = Stage2Schedule::new(n, b, threads);
-            reduce_static_prepared(band, &plan, ctrl)
-        }
+    if exec == Stage2Exec::Serial {
+        let (mut band, mut bv, mut d, mut e) = (band, BvSet::default(), Vec::new(), Vec::new());
+        reduce_ws(
+            &mut band,
+            &mut bv,
+            &mut Stage2Ws::default(),
+            &mut d,
+            &mut e,
+            ctrl,
+        )
+        .map_err(|e| e.to_string())?;
+        return Ok(ChaseResult { d, e, bv });
     }
-}
-
-/// Precomputed static-scheduler plan for one `(n, b, threads)` chase
-/// shape: the task list plus the derived cross-worker wait lists.
-pub struct Stage2Schedule {
-    n: usize,
-    b: usize,
-    tasks: Vec<ChaseTask>,
-    sched: StaticSchedule,
-}
-
-impl Stage2Schedule {
-    /// Derive the schedule for an order-`n`, bandwidth-`b` chase on
-    /// `threads` workers (sweep round-robin ownership).
-    pub fn new(n: usize, b: usize, threads: usize) -> Self {
-        let threads = threads.max(1);
-        let tasks = enumerate_tasks(n, b);
-        let owner = chase_task_owners(n, b, threads);
-        let regions: Vec<Vec<(Region, Access)>> =
-            tasks.iter().map(|t| task_regions(n, b, *t)).collect();
-        let sched = StaticSchedule::derive(threads, &owner, &regions);
-        Stage2Schedule { n, b, tasks, sched }
-    }
-
-    /// Matrix order the schedule was derived for.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Bandwidth the schedule was derived for.
-    pub fn bandwidth(&self) -> usize {
-        self.b
-    }
-
-    /// Worker count the schedule was derived for.
-    pub fn threads(&self) -> usize {
-        self.sched.threads()
-    }
-}
-
-/// Run the bulge chase under a precomputed static schedule. Bit-identical
-/// to `reduce_scheduled(band, Stage2Exec::Static(threads))` with a
-/// matching plan, minus the per-solve wait-list derivation.
-pub fn reduce_static_prepared(
-    band: GeBandMatrix,
-    plan: &Stage2Schedule,
-    ctrl: &Ctrl,
-) -> Result<ChaseResult, String> {
-    let n = band.n();
-    let b = band.kl();
-    assert!(
-        band.ku() >= 2 * b,
-        "bulge chase needs ku >= 2*kl fill diagonals"
-    );
-    assert!(
-        plan.n == n && plan.b == b,
-        "static schedule shape mismatch: plan ({}, {}), band ({n}, {b})",
-        plan.n,
-        plan.b,
-    );
-    band_contract("reduce_static_prepared", &band);
-    let band_cell = Arc::new(DataCell::new(band));
-    let bv_cell = Arc::new(DataCell::new(BvSet::new(n, b)));
-    plan.sched.execute_with_poll(
-        |i| {
-            let bc = band_cell.clone();
-            let vc = bv_cell.clone();
-            let t = plan.tasks[i];
-            Box::new(move || run_task(&bc, &vc, t))
-        },
-        &|| ctrl.poll_stop(),
-    )?;
-    let band = Arc::try_unwrap(band_cell)
-        .map_err(|_| "band still shared".to_string())?
-        .into_inner();
-    let bv = Arc::try_unwrap(bv_cell)
-        .map_err(|_| "reflector set still shared".to_string())?
-        .into_inner();
-    let mut d = vec![0.0f64; n];
-    let mut e = vec![0.0f64; n.saturating_sub(1)];
+    band_contract("reduce_scheduled", &band);
+    let (band, bv) = chase::run(exec, band, BvSet::new(n, b), flops::scope(), n, b, &|| {
+        ctrl.poll_stop()
+    })?;
+    let (mut d, mut e) = (vec![0.0; n], vec![0.0; n.saturating_sub(1)]);
     band.to_bidiagonal_into(&mut d, &mut e);
     Ok(ChaseResult { d, e, bv })
 }
@@ -846,7 +633,6 @@ pub fn reduce_static_prepared(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tseig_runtime::verify;
 
     fn random_band(n: usize, b: usize, seed: u64) -> GeBandMatrix {
         use rand::rngs::StdRng;
@@ -956,7 +742,7 @@ mod tests {
         for (n, b) in [(0, 2), (1, 2), (2, 3), (6, 1), (6, 0)] {
             let band = random_band(n, b.max(1), 9);
             let dense0 = band.to_dense();
-            assert!(enumerate_tasks(n, b).is_empty());
+            assert!(Geometry::Bidiagonal.tasks(n, b).is_empty());
             let res = reduce(GeBandMatrix::from_dense(&dense0, b, 2 * b));
             let bbid = bidiagonal_dense(&res.d, &res.e);
             // With no chase the bidiagonal is just the stored part.
@@ -1020,35 +806,14 @@ mod tests {
     #[test]
     fn task_count_matches_slot_shape() {
         for (n, b) in [(6, 2), (13, 3), (24, 5), (33, 8)] {
-            let tasks = enumerate_tasks(n, b);
-            let total: usize = (0..n - 2).map(|s| BvSet::steps_of_sweep(n, b, s)).sum();
+            let tasks = Geometry::Bidiagonal.tasks(n, b);
+            let total: usize = (0..n - 2)
+                .map(|s| Geometry::Bidiagonal.steps_of_sweep(n, b, s))
+                .sum();
             assert_eq!(tasks.len(), total);
             let bv = BvSet::new(n, b);
             let stored: usize = bv.sweeps.iter().map(Vec::len).sum();
             assert_eq!(stored, total);
-        }
-    }
-
-    #[test]
-    fn task_graph_certifies() {
-        for (n, b) in [(6, 2), (13, 3), (16, 5), (24, 8), (33, 4)] {
-            let specs = chase_task_specs(n, b);
-            assert!(!specs.is_empty(), "no tasks for n={n} b={b}");
-            let sum = verify::check_graph(&specs);
-            assert!(
-                sum.ok(),
-                "dynamic graph violations for n={n} b={b}: {:?}",
-                sum.violations
-            );
-            for threads in [1, 2, 3, 5] {
-                let owners = chase_task_owners(n, b, threads);
-                let st = verify::check_static(&specs, &owners, threads);
-                assert!(
-                    st.ok(),
-                    "static schedule violations for n={n} b={b} t={threads}: {:?}",
-                    st.violations
-                );
-            }
         }
     }
 

@@ -7,9 +7,10 @@
 //! `Error`; no panic escapes the driver.
 
 use std::sync::Mutex;
+use std::time::Duration;
 use tseig_matrix::chaos::{self, Plan, Site};
 use tseig_matrix::diagnostics::Recovery;
-use tseig_matrix::{norms, Error, Matrix};
+use tseig_matrix::{norms, Ctrl, Deadline, Error, Matrix};
 use tseig_svd::drivers::{svd_residual, GeSvd, Svd, SvdMethod};
 use tseig_svd::gesvd;
 use tseig_svd::stage2::Stage2Exec;
@@ -134,6 +135,63 @@ fn chase_task_panic_falls_back_to_serial() {
         assert!(svd.diagnostics.degraded);
     }
     result_ok(&a, &svd);
+}
+
+/// The serial rerun after a scheduled-chase panic runs under the
+/// request's control: a deadline that expires during the rerun surfaces
+/// as `DeadlineExceeded` at the rerun's next sweep, instead of the rerun
+/// ignoring it and stalling to completion.
+#[test]
+fn deadline_expiring_in_the_serial_rerun_is_honoured() {
+    let (n, nb) = (30, 4);
+    let a = rand_mat(n, n, 5);
+    // Checkpoints before the chase: the driver's admission checkpoint
+    // plus those of stage 1 (counted on a probe). The next one is the
+    // fallback's own check; the stall is armed a few sweeps into the
+    // rerun after it. `skip` also delays the task panic, so the panic
+    // fires on a later task of the scheduled chase.
+    let stage1 = with_plan(Plan::new(), || {
+        tseig_svd::stage1::ge2bb_with(&a, nb, 0, &Ctrl::NONE).unwrap();
+        chaos::reached(Site::Stall { ticks: 0 })
+    });
+    let stall_at = 1 + stage1 + 1 + 5;
+    assert!(
+        stall_at < tseig_svd::stage2::chase_task_specs(n, nb).len() as u64,
+        "the skipped task panic must still fire"
+    );
+    let budget = Duration::from_millis(200);
+    let plan = Plan::new()
+        .with(Site::TaskPanic, 1)
+        .with(Site::Stall { ticks: 5_000 }, 1)
+        .skip(stall_at);
+    let (err, panics, stalls) = with_plan(plan, || {
+        let err = GeSvd::new()
+            .method(SvdMethod::TwoStage)
+            .nb(nb)
+            .scheduler(Stage2Exec::Dynamic(2))
+            .ctrl(Ctrl::new().with_deadline(Deadline::new(budget)))
+            .solve(&a)
+            .expect_err("the stalled rerun must run out of budget");
+        (
+            err,
+            chaos::reached(Site::TaskPanic),
+            chaos::reached(Site::Stall { ticks: 0 }),
+        )
+    });
+    assert!(panics > stall_at, "the scheduled chase must have panicked");
+    assert!(stalls > stall_at, "the rerun must have reached the stall");
+    match err {
+        Error::DeadlineExceeded { elapsed, budget: b } => {
+            assert_eq!(b, budget);
+            // Honoured at the stalled checkpoint: the overshoot is one
+            // checkpoint interval, not the 5 s stall.
+            assert!(
+                elapsed < budget + Duration::from_millis(1_000),
+                "deadline ignored by the rerun: {elapsed:?}"
+            );
+        }
+        other => panic!("expected DeadlineExceeded, got {other:?}"),
+    }
 }
 
 /// One poisoned request in a stream of solves degrades alone: the other

@@ -100,9 +100,16 @@ fn solve_rec(
     d1[m - 1] -= rho_abs;
     d2[0] -= rho_abs;
 
+    let scope = tseig_kernels::flops::scope();
     let (left, right) = rayon::join(
-        || solve_rec(d1, e1, rec, ctrl),
-        || solve_rec(d2, e2, rec, ctrl),
+        || {
+            let _charged = scope.enter();
+            solve_rec(d1, e1, rec, ctrl)
+        },
+        || {
+            let _charged = scope.enter();
+            solve_rec(d2, e2, rec, ctrl)
+        },
     );
     let (vals1, q1) = left?;
     let (vals2, q2) = right?;

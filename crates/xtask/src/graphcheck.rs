@@ -1,11 +1,13 @@
 //! `xtask graphcheck` — offline race-freedom certification of the
 //! stage-2 task graphs (feature `graphcheck`).
 //!
-//! Both bulge-chasing frontends declare their task footprints through
-//! the same exported spec builders they schedule with
-//! (`chase_task_specs`/`chase_task_owners`), so the checker enumerates
-//! the *real* graphs, not a model of them. For every `(builder, n, b)`
-//! instance of a fixed sweep it proves, via `tseig_runtime::verify`:
+//! Every bulge-chasing frontend schedules through the one chase executor
+//! of `tseig_runtime::chase`, which declares the task footprints of two
+//! distinct geometries: the symmetric/Hermitian band chase and the
+//! band-bidiagonal chase. The checker enumerates the *real* graphs each
+//! geometry submits (through the frontends' exported `chase_task_specs`),
+//! not a model of them. For every `(geometry, n, b)` instance of a fixed
+//! sweep it proves, via `tseig_runtime::verify`:
 //!
 //! * the inferred dependence graph is acyclic (edges only run forward in
 //!   submission order);
@@ -26,6 +28,7 @@
 //! test run — see DESIGN.md §11 for the split.
 
 use crate::Diag;
+use tseig_runtime::chase::Geometry;
 use tseig_runtime::verify::{self, TaskSpec};
 
 /// Matrix sizes of the sweep — small enough to enumerate exhaustively,
@@ -38,30 +41,24 @@ const SWEEP_B: &[usize] = &[2, 3, 5, 8];
 const SWEEP_THREADS: &[usize] = &[1, 2, 3, 4, 6];
 
 type SpecFn = fn(usize, usize) -> Vec<TaskSpec>;
-type OwnerFn = fn(usize, usize, usize) -> Vec<usize>;
 
-/// The production task-graph builders, by name, with the source file
-/// their declarations live in (for annotations). `svd` is the
-/// band-bidiagonal bulge chase — same interval-footprint discipline over
-/// its own `BAND_SPACE`/`BV_SPACE`.
-const BUILDERS: &[(&str, &str, SpecFn, OwnerFn)] = &[
+/// The production chase geometries, by name, with the file their
+/// declarations live in (for annotations) and a frontend exporting the
+/// specs it schedules. The real and Hermitian eigensolver chases share
+/// the band geometry (the `frontends_share_the_band_geometry` test pins
+/// that); the SVD chase is the bidiagonal one.
+const BUILDERS: &[(&str, &str, SpecFn, Geometry)] = &[
     (
-        "core",
-        "crates/core/src/stage2.rs",
+        "band",
+        "crates/runtime/src/chase.rs",
         tseig_core::stage2::chase_task_specs,
-        tseig_core::stage2::chase_task_owners,
+        Geometry::Band,
     ),
     (
-        "hermitian",
-        "crates/hermitian/src/stage2.rs",
-        tseig_hermitian::stage2::chase_task_specs,
-        tseig_hermitian::stage2::chase_task_owners,
-    ),
-    (
-        "svd",
-        "crates/svd/src/stage2.rs",
+        "bidiagonal",
+        "crates/runtime/src/chase.rs",
         tseig_svd::stage2::chase_task_specs,
-        tseig_svd::stage2::chase_task_owners,
+        Geometry::Bidiagonal,
     ),
 ];
 
@@ -94,7 +91,7 @@ fn check_instance(
     builder: &'static str,
     file: &'static str,
     specs_of: SpecFn,
-    owners_of: OwnerFn,
+    geometry: Geometry,
     n: usize,
     b: usize,
 ) -> InstanceReport {
@@ -102,7 +99,7 @@ fn check_instance(
     let sum = verify::check_graph(&specs);
     let mut violations: Vec<String> = sum.violations.iter().map(|v| v.to_string()).collect();
     for &threads in SWEEP_THREADS {
-        let owners = owners_of(n, b, threads);
+        let owners = geometry.owners(n, b, threads);
         let st = verify::check_static(&specs, &owners, threads);
         violations.extend(
             st.violations
@@ -123,13 +120,13 @@ fn check_instance(
     }
 }
 
-/// Run the full sweep over both builders.
+/// Run the full sweep over both geometries.
 pub fn run_sweep() -> Vec<InstanceReport> {
     let mut reports = Vec::new();
-    for &(builder, file, specs_of, owners_of) in BUILDERS {
+    for &(builder, file, specs_of, geometry) in BUILDERS {
         for &n in SWEEP_N {
             for &b in SWEEP_B {
-                reports.push(check_instance(builder, file, specs_of, owners_of, n, b));
+                reports.push(check_instance(builder, file, specs_of, geometry, n, b));
             }
         }
     }
@@ -228,11 +225,29 @@ mod tests {
         let cert = certificate_json(&reports);
         assert!(cert.contains("\"schema\": \"tseig-graphcheck/1\""));
         assert!(cert.contains("\"ok\": true"));
-        assert!(cert.contains("\"builder\": \"hermitian\""));
-        assert!(cert.contains("\"builder\": \"svd\""));
+        assert!(cert.contains("\"builder\": \"band\""));
+        assert!(cert.contains("\"builder\": \"bidiagonal\""));
         // Parseable enough for CI consumers: balanced braces/brackets.
         assert_eq!(cert.matches('{').count(), cert.matches('}').count());
         assert_eq!(cert.matches('[').count(), cert.matches(']').count());
+    }
+
+    #[test]
+    fn frontends_share_the_band_geometry() {
+        // The Hermitian chase is certified through the real one: same
+        // task order, priorities and footprints, only the tags differ.
+        let shape = |specs: Vec<TaskSpec>| -> Vec<_> {
+            specs.into_iter().map(|t| (t.priority, t.regions)).collect()
+        };
+        for &n in SWEEP_N {
+            for &b in SWEEP_B {
+                assert_eq!(
+                    shape(tseig_hermitian::stage2::chase_task_specs(n, b)),
+                    shape(tseig_core::stage2::chase_task_specs(n, b)),
+                    "n={n} b={b}"
+                );
+            }
+        }
     }
 
     #[test]

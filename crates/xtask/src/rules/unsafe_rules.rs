@@ -3,7 +3,7 @@
 //!
 //! The repo's concurrency argument (disjoint `jc`/`ic` panels in the
 //! packed GEMM, region-serialized `DataCell` access in the task runtime)
-//! and its ISA-gated intrinsics live in exactly four files. Everything
+//! and its ISA-gated intrinsics live in exactly three files. Everything
 //! else must stay safe Rust: a new `unsafe` block anywhere else is a
 //! build failure until this allowlist is deliberately extended in
 //! review.
@@ -16,19 +16,16 @@ use crate::Diag;
 ///
 /// * `runtime/src/data.rs` — the `DataCell` interior-mutability core; the
 ///   runtime's region serialization is the safety argument.
-/// * `core/src/stage2.rs`, `hermitian/src/stage2.rs`, and
-///   `svd/src/stage2.rs` — the real, complex, and band-bidiagonal
-///   bulge-chase tasks reading/writing the shared band through
-///   `DataCell` under the scheduler's region guarantee (identical chase
-///   geometry, so the same region protocol and safety argument).
+/// * `runtime/src/chase.rs` — the one bulge-chase executor: every
+///   frontend's `(s, k)` task reaches the shared band and reflector store
+///   through `DataCell` under the scheduler's region guarantee, written
+///   once for all three chases.
 /// * `kernels/src/blas3/simd.rs` — the `std::arch` GEMM microkernels;
 ///   runtime `is_x86_feature_detected!` dispatch plus the safe entry
 ///   wrappers' bounds assertions are the safety argument.
 pub const UNSAFE_ALLOWLIST: &[&str] = &[
     "crates/runtime/src/data.rs",
-    "crates/core/src/stage2.rs",
-    "crates/hermitian/src/stage2.rs",
-    "crates/svd/src/stage2.rs",
+    "crates/runtime/src/chase.rs",
     "crates/kernels/src/blas3/simd.rs",
 ];
 
