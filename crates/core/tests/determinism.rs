@@ -66,3 +66,37 @@ fn plan_reuse_across_sizes_is_bitwise_equal_to_fresh_plans() {
         );
     }
 }
+
+/// FNV-1a over the bits of the eigenvalues and eigenvectors.
+fn result_hash(r: &TwoStageResult) -> u64 {
+    let z = r.eigenvectors.as_ref().expect("vectors");
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for x in r.eigenvalues.iter().chain(z.as_slice()) {
+        for b in x.to_bits().to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn standard_and_generalized_solves_are_pinned() {
+    // Recorded before the Householder, QR and Cholesky kernels became
+    // generic over the element type: the f64 instances must keep every
+    // bit.
+    let eigen = SymmetricEigen::new().nb(8);
+    let a = gen::random_symmetric(70, 41);
+    let standard = eigen.solve(&a).unwrap();
+    let g = gen::random_symmetric(50, 42);
+    let mut b = g.multiply(&g.transpose()).unwrap();
+    for i in 0..50 {
+        b[(i, i)] += 50.0;
+    }
+    let pencil = tseig_core::solve_generalized(&gen::random_symmetric(50, 43), &b, &eigen).unwrap();
+    assert_eq!(
+        (result_hash(&standard), result_hash(&pencil)),
+        (0x5b4c_1557_e481_ed2b, 0x53a7_629b_5bbb_3d28),
+        "standard / generalized solve bits"
+    );
+}
