@@ -15,9 +15,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use tseig_bench::workload;
-use tseig_hermitian::ckernels::{zgemm, zgemm_oracle, Op};
 use tseig_kernels::blas2::{gemv, symv_lower};
-use tseig_kernels::blas3::{gemm, gemm_par, gemm_unpacked, gemm_with_kernel, simd, Trans};
+use tseig_kernels::blas3::engine::zgemm_oracle;
+use tseig_kernels::blas3::{
+    engine, gemm, gemm_par, gemm_unpacked, gemm_with_kernel, simd, Op, Trans,
+};
 use tseig_kernels::flops;
 use tseig_matrix::{c64, Matrix, C32, C64};
 
@@ -181,7 +183,7 @@ fn kernels(c: &mut Criterion) {
     });
 
     // Complex GEMM through the same generic packed engine (portable 8x4
-    // C64 microkernel): the Hermitian pipeline's zgemm. Throughput in
+    // C64 microkernel): the Hermitian pipeline's GEMM. Throughput in
     // real flops at the conventional 8mnk complex accounting.
     let za = cworkload(n, 0x76);
     let zb = cworkload(n, 0x77);
@@ -189,7 +191,7 @@ fn kernels(c: &mut Criterion) {
     g.bench_function(BenchmarkId::new("zgemm_packed", n), |bch| {
         let mut zc = vec![C64::ZERO; n * n];
         bch.iter(|| {
-            zgemm(
+            engine::gemm_par(
                 Op::No,
                 Op::ConjTrans,
                 n,
@@ -224,7 +226,7 @@ fn kernels(c: &mut Criterion) {
     g.bench_function(BenchmarkId::new("sgemm_packed", n), |bch| {
         let mut sc = vec![0.0f32; n * n];
         bch.iter(|| {
-            tseig_kernels::blas3::engine::gemm(
+            engine::gemm(
                 Op::No,
                 Op::No,
                 n,
@@ -259,7 +261,7 @@ fn kernels(c: &mut Criterion) {
     g.bench_function(BenchmarkId::new("cgemm_packed", n), |bch| {
         let mut cc = vec![C32::ZERO; n * n];
         bch.iter(|| {
-            tseig_kernels::blas3::engine::gemm(
+            engine::gemm(
                 Op::No,
                 Op::ConjTrans,
                 n,
@@ -381,7 +383,7 @@ fn kernels(c: &mut Criterion) {
     let mut packed_rate = 0.0f64;
     for _ in 0..3 {
         let t = std::time::Instant::now();
-        zgemm(
+        engine::gemm_par(
             Op::No,
             Op::ConjTrans,
             n,

@@ -18,11 +18,8 @@ use tseig_matrix::workspace::MemReq;
 use tseig_matrix::{norms, Ctrl, Error, Matrix, Result};
 use tseig_tridiag::{EigenRange, Method, PhaseTimings};
 
-/// Scaled-measure acceptance bound for [`SymmetricEigen::verify`]: the
-/// workspace convention (see [`tseig_matrix::norms`]) is that backward
-/// error and orthogonality measures of order 1–100 are excellent and
-/// anything above ~1e3 indicates a bug.
-pub const VERIFY_BOUND: f64 = 1e3;
+/// Scaled-measure acceptance bound for [`SymmetricEigen::verify`].
+pub use tseig_matrix::diagnostics::VERIFY_BOUND;
 
 /// Stage-2 scheduler selection: the runtime's one chase scheduler enum
 /// (serial by default).

@@ -24,20 +24,12 @@
 use crate::driver::{SymmetricEigen, TwoStageResult, VERIFY_BOUND};
 use crate::plan::SolvePlan;
 use tseig_kernels::blas3::{gemm, Trans};
-use tseig_kernels::cholesky::{potrf_lower, trsm_left_lower, trsm_right_lower_trans};
+use tseig_kernels::cholesky::{hegst, potrf_lower, trsm_left_lower, POTRF_NB};
 use tseig_kernels::scaling::{safe_scale_factor, scale_matrix, screen_symmetric};
-use tseig_matrix::diagnostics::{Recorder, Recovery, VerifyLevel, VerifyReport};
+use tseig_matrix::diagnostics::{
+    Recorder, Recovery, VerifyLevel, VerifyReport, MAX_SHIFT_ATTEMPTS,
+};
 use tseig_matrix::{norms, Error, Matrix, Result};
-
-/// Block size of the Cholesky factorization.
-const POTRF_NB: usize = 32;
-
-/// Diagonal-shift escalations tried after a Cholesky breakdown before
-/// giving up. The shift starts at `||B|| n eps` and grows by 100x per
-/// attempt, so only near-semidefinite `B` (a pivot lost to rounding or a
-/// slightly indefinite assembly) is rescued — a genuinely indefinite
-/// matrix still fails with the original breakdown error.
-const MAX_SHIFT_ATTEMPTS: usize = 3;
 
 /// Estimated `kappa(B)` beyond which the pencil counts as
 /// ill-conditioned (`1/sqrt(eps)`, the point where `L^-1 A L^-T` loses
@@ -172,23 +164,18 @@ pub fn solve_generalized_with_plan(
         scale_matrix(&mut plan.c, s);
     }
     plan.c.symmetrize_from_lower();
-    {
-        let ldc = plan.c.ld();
-        trsm_left_lower(Trans::No, n, n, 1.0, &plan.l, plan.c.as_mut_slice(), ldc);
-        let ldc = plan.c.ld();
-        trsm_right_lower_trans(n, n, &plan.l, plan.c.as_mut_slice(), ldc);
-    }
-    // Two one-sided triangular solves leave C symmetric only to rounding
-    // amplified by kappa(L); average the halves so the standard pipeline
-    // sees an exactly-symmetric matrix. When L is ill-conditioned the
-    // asymmetry is a real accuracy hazard, so it is recorded.
-    for j in 0..n {
-        for i in j + 1..n {
-            let v = 0.5 * (plan.c[(i, j)] + plan.c[(j, i)]);
-            plan.c[(i, j)] = v;
-            plan.c[(j, i)] = v;
-        }
-    }
+    let ldc = plan.c.ld();
+    hegst(
+        n,
+        plan.c.as_mut_slice(),
+        ldc,
+        plan.l.as_slice(),
+        plan.l.ld(),
+    );
+    // The two one-sided triangular solves leave C symmetric only to
+    // rounding amplified by kappa(L), which hegst averages away; when L
+    // is ill-conditioned that asymmetry is a real accuracy hazard, so it
+    // is recorded.
     if cond > cond_threshold() {
         rec.record(Recovery::PencilSymmetrized { cond });
     }

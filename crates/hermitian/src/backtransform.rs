@@ -14,19 +14,20 @@
 //! `Q2` sequence, and then the reverse `Q1` chain while it is
 //! cache-resident — no barrier between the three stages, and all
 //! per-panel workspace comes from a grow-only thread-local scratch so
-//! the allocator never runs inside the panel loop. Since `zlarfb_left`
-//! is built on the packed complex `zgemm`, all the Level-3 flops of the
-//! back-transform run through the same generic packed engine as the
-//! real driver. [`apply_phases`], [`apply_q2`] and [`apply_q1`] remain
-//! as the unfused pieces for tests and benches.
+//! the allocator never runs inside the panel loop. The block reflectors
+//! are applied by the generic `larfb` of `tseig-kernels`, so all the
+//! Level-3 flops of the back-transform run through the same packed
+//! engine as the real driver. [`apply_phases`], [`apply_q2`] and
+//! [`apply_q1`] remain as the unfused pieces for tests and benches.
 
-use crate::ckernels::{zlarf_left, zlarfb_left, zlarft, Op};
 use crate::stage1::Q1PanelC;
 use crate::stage2::V2SetC;
 use rayon::prelude::*;
 use std::cell::RefCell;
 use tseig_kernels::blas3::engine::GemmScalar;
 use tseig_kernels::flops;
+use tseig_kernels::householder::{larf_left, larfb_with_work, larft, Side};
+use tseig_kernels::Trans;
 use tseig_matrix::{CMatrixG, ComplexScalar, C32, C64};
 
 /// Column-panel width for the cache-local distribution of `E`. Complex
@@ -114,7 +115,7 @@ fn build_diamonds<T: ComplexScalar>(v2: &V2SetC<T>, ell: usize) -> Vec<DiamondC<
                 tau[col] = r.1;
             }
             let mut t = vec![T::ZERO; kb * kb];
-            zlarft(height, kb, v.as_slice(), height, &tau, &mut t, kb);
+            larft(height, kb, v.as_slice(), height, &tau, &mut t, kb);
             out.push(DiamondC { r0, v, t });
         }
     }
@@ -122,7 +123,7 @@ fn build_diamonds<T: ComplexScalar>(v2: &V2SetC<T>, ell: usize) -> Vec<DiamondC<
 }
 
 /// Workspace length one panel of `cols` columns needs: the
-/// `2 * k * cols` `zlarfb_left` scratch of the widest block in either
+/// `2 * k * cols` `larfb` scratch of the widest block in either
 /// half of the chain.
 fn scratch_len<T: ComplexScalar>(
     diamonds: &[DiamondC<T>],
@@ -174,8 +175,9 @@ fn apply_pipeline<T: HermScalar>(
             }
             for d in diamonds {
                 let rows = d.v.rows();
-                zlarfb_left(
-                    Op::No,
+                larfb_with_work(
+                    Side::Left,
+                    Trans::No,
                     rows,
                     cols,
                     d.v.cols(),
@@ -190,8 +192,9 @@ fn apply_pipeline<T: HermScalar>(
             }
             for p in q1.iter().rev() {
                 let rows = p.v.rows();
-                zlarfb_left(
-                    Op::No,
+                larfb_with_work(
+                    Side::Left,
+                    Trans::No,
                     rows,
                     cols,
                     p.v.cols(),
@@ -261,7 +264,7 @@ pub fn apply_q2_naive<T: ComplexScalar>(v2: &V2SetC<T>, e: &mut CMatrixG<T>) {
             if v.is_empty() {
                 continue;
             }
-            zlarf_left(
+            larf_left(
                 v,
                 *tau,
                 v.len(),

@@ -13,10 +13,8 @@ use tseig_matrix::diagnostics::{Recorder, SolveDiagnostics, VerifyLevel, VerifyR
 use tseig_matrix::{CMatrixG, ComplexScalar, Ctrl, Error, Result, C64};
 use tseig_tridiag::{EigenRange, Method, PhaseTimings};
 
-/// Scaled-measure acceptance bound for [`HermitianEigen::verify`] —
-/// same convention as the real driver: 1–100 is excellent, above ~1e3
-/// indicates a bug.
-pub const VERIFY_BOUND: f64 = 1e3;
+/// Scaled-measure acceptance bound for [`HermitianEigen::verify`].
+pub use tseig_matrix::diagnostics::VERIFY_BOUND;
 
 /// Result of a Hermitian eigensolve. Eigenvalues are always `f64` (the
 /// tridiagonal solve runs in full precision for every complex width);

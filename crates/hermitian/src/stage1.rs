@@ -9,8 +9,10 @@
 //! A <- A - V X^H - X V^H            (her2k)
 //! ```
 
-use crate::ckernels::{zgemm, zgeqr2, zhemm_lower_left, zher2k_lower, zlarft, Op};
-use tseig_kernels::blas3::engine::GemmScalar;
+use tseig_kernels::blas3::engine::{gemm_par, GemmScalar};
+use tseig_kernels::blas3::{symm_lower_left_par, syr2k_lower_par, Op};
+use tseig_kernels::householder::larft;
+use tseig_kernels::qr::geqr2;
 use tseig_matrix::{CMatrixG, ComplexScalar, Ctrl, C64};
 
 /// One panel's block reflector, acting on rows `r0..n`.
@@ -67,7 +69,7 @@ pub fn he2hb_with<T: ComplexScalar + GemmScalar>(
         let mut tau = vec![T::ZERO; kb];
         {
             let panel = &mut a.as_mut_slice()[r0 + j0 * lda..];
-            zgeqr2(m, nb, panel, lda, &mut tau);
+            geqr2(m, nb, panel, lda, &mut tau);
         }
         // Extract clean V and T.
         let mut v = CMatrixG::zeros(m, kb);
@@ -78,7 +80,7 @@ pub fn he2hb_with<T: ComplexScalar + GemmScalar>(
             }
         }
         let mut t = vec![T::ZERO; kb * kb];
-        zlarft(m, kb, v.as_slice(), m, &tau, &mut t, kb);
+        larft(m, kb, v.as_slice(), m, &tau, &mut t, kb);
         // Zero the annihilated part below the R factor, and mirror the
         // panel's new band block into the upper triangle.
         for jj in 0..nb {
@@ -128,7 +130,7 @@ fn two_sided_update<T: ComplexScalar + GemmScalar>(
     }
     // VT = V T.
     let mut vt = CMatrixG::zeros(m, kb);
-    zgemm(
+    gemm_par(
         Op::No,
         Op::No,
         m,
@@ -147,7 +149,7 @@ fn two_sided_update<T: ComplexScalar + GemmScalar>(
     let mut w = CMatrixG::zeros(m, kb);
     {
         let a2 = &a.as_slice()[r0 + r0 * lda..];
-        zhemm_lower_left(
+        symm_lower_left_par(
             m,
             kb,
             T::ONE,
@@ -162,7 +164,7 @@ fn two_sided_update<T: ComplexScalar + GemmScalar>(
     }
     // M = V^H W.
     let mut mm = vec![T::ZERO; kb * kb];
-    zgemm(
+    gemm_par(
         Op::ConjTrans,
         Op::No,
         kb,
@@ -179,7 +181,7 @@ fn two_sided_update<T: ComplexScalar + GemmScalar>(
     );
     // TM = T^H M.
     let mut tm = vec![T::ZERO; kb * kb];
-    zgemm(
+    gemm_par(
         Op::ConjTrans,
         Op::No,
         kb,
@@ -196,7 +198,7 @@ fn two_sided_update<T: ComplexScalar + GemmScalar>(
     );
     // X = W - 1/2 V TM.
     let mut x = w;
-    zgemm(
+    gemm_par(
         Op::No,
         Op::No,
         m,
@@ -214,7 +216,7 @@ fn two_sided_update<T: ComplexScalar + GemmScalar>(
     // A2 -= V X^H + X V^H.
     {
         let a2 = &mut a.as_mut_slice()[r0 + r0 * lda..];
-        zher2k_lower(m, kb, -1.0, v.as_slice(), m, x.as_slice(), m, a2, lda);
+        syr2k_lower_par(m, kb, -1.0, v.as_slice(), m, x.as_slice(), m, 1.0, a2, lda);
     }
     // Restore exact Hermitian symmetry of the trailing block (the upper
     // triangle is stale after the lower-only update).
@@ -230,62 +232,29 @@ fn two_sided_update<T: ComplexScalar + GemmScalar>(
 mod tests {
     use super::*;
     use crate::validate::{rand_hermitian, real_embedding_eigenvalues};
-    use tseig_matrix::{c64, CMatrix};
+    use tseig_kernels::householder::{larfb, Side};
+    use tseig_kernels::Trans;
+    use tseig_matrix::CMatrix;
 
     /// Materialize Q1 = Q_0 Q_1 ... explicitly (tests only).
     pub(crate) fn form_q1(bf: &BandFormC, n: usize) -> CMatrix {
         let mut q = CMatrix::identity(n);
+        // Q <- Q (I - V T V^H), panels ascending.
         for p in &bf.panels {
-            // Q <- Q (I - V T V^H): W = Q[:, r0..] V; Q[:, r0..] -= W T V^H.
             let m = n - p.r0;
             let kb = p.v.cols();
-            let mut w = CMatrix::zeros(n, kb);
-            let ldq = q.ld();
-            zgemm(
-                Op::No,
-                Op::No,
+            larfb(
+                Side::Right,
+                Trans::No,
                 n,
-                kb,
                 m,
-                C64::ONE,
-                &q.as_slice()[p.r0 * ldq..],
-                ldq,
+                kb,
                 p.v.as_slice(),
                 m,
-                C64::ZERO,
-                w.as_mut_slice(),
-                n,
-            );
-            let mut wt = CMatrix::zeros(n, kb);
-            zgemm(
-                Op::No,
-                Op::No,
-                n,
-                kb,
-                kb,
-                C64::ONE,
-                w.as_slice(),
-                n,
                 &p.t,
                 kb,
-                C64::ZERO,
-                wt.as_mut_slice(),
+                &mut q.as_mut_slice()[p.r0 * n..],
                 n,
-            );
-            zgemm(
-                Op::No,
-                Op::ConjTrans,
-                n,
-                m,
-                kb,
-                c64(-1.0, 0.0),
-                wt.as_slice(),
-                n,
-                p.v.as_slice(),
-                m,
-                C64::ONE,
-                &mut q.as_mut_slice()[p.r0 * ldq..],
-                ldq,
             );
         }
         q

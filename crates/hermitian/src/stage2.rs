@@ -2,7 +2,7 @@
 //!
 //! The same three-kernel column-wise chase as the real pipeline
 //! ([`zhbceu`]/[`zhbrel`]/[`zhblru`], delayed annihilation), in complex
-//! arithmetic. `zlarfg` makes every annihilation result *real*, so the
+//! arithmetic. `larfg` makes every annihilation result *real*, so the
 //! final tridiagonal is real up to the entries no sweep ever touches;
 //! [`phase_fold`] rotates those real too with a unitary diagonal that is
 //! handed to the back-transformation.
@@ -20,8 +20,8 @@
 //! certification apply, and every schedule is bit-identical to the
 //! serial order.
 
-use crate::ckernels::{zlarf_left, zlarf_right, zlarfg};
 use tseig_kernels::flops;
+use tseig_kernels::householder::{larf_left, larf_right, larf_sym_two_sided, larfg};
 use tseig_matrix::{CMatrixG, ComplexScalar, Ctrl, SymTridiagonal, C64};
 use tseig_runtime::chase::{self, depth_of_sweep, Chase, ChaseTask, Geometry, BAND_SPACE};
 use tseig_runtime::verify::TaskSpec;
@@ -102,7 +102,7 @@ fn touch_band(c0: usize, r1: usize, access: Access) {
 }
 
 /// Kernel 1 (`zHBCEU`): start sweep `s` — annihilate column `s` below
-/// the first sub-diagonal (to a *real* `beta`, courtesy of `zlarfg`) and
+/// the first sub-diagonal (to a *real* `beta`, courtesy of `larfg`) and
 /// update the symmetric diamond block two-sided. Returns the generated
 /// reflector `(start_row, tau, v)`.
 pub fn zhbceu<T: ComplexScalar>(a: &mut CMatrixG<T>, s: usize, b: usize) -> ReflectorC<T> {
@@ -118,11 +118,11 @@ pub fn zhbceu<T: ComplexScalar>(a: &mut CMatrixG<T>, s: usize, b: usize) -> Refl
     }
     let (beta, tau) = {
         let (head, tail) = v.split_at_mut(1);
-        zlarfg(head[0], tail)
+        larfg(head[0], tail)
     };
     v[0] = T::ONE;
-    a[(r0, s)] = T::new(beta, 0.0);
-    a[(s, r0)] = T::new(beta, 0.0);
+    a[(r0, s)] = beta;
+    a[(s, r0)] = beta;
     for i in 1..l {
         a[(r0 + i, s)] = T::ZERO;
         a[(s, r0 + i)] = T::ZERO;
@@ -162,7 +162,7 @@ pub fn zhbrel<T: ComplexScalar>(
     }
     let mut work = vec![T::ZERO; rl.max(pl)];
     // Right-apply the previous reflector (creates the bulge).
-    zlarf_right(pv, ptau, rl, pl, &mut blk, rl, &mut work);
+    larf_right(pv, ptau, rl, pl, &mut blk, rl, &mut work);
     if rl < 2 {
         write_back_rect(a, br0, rl, pr0, pl, &blk);
         return None;
@@ -172,14 +172,14 @@ pub fn zhbrel<T: ComplexScalar>(
     nv.copy_from_slice(&blk[..rl]);
     let (nbeta, ntau) = {
         let (head, tail) = nv.split_at_mut(1);
-        zlarfg(head[0], tail)
+        larfg(head[0], tail)
     };
     nv[0] = T::ONE;
-    blk[0] = T::new(nbeta, 0.0);
+    blk[0] = nbeta;
     blk[1..rl].fill(T::ZERO);
     // Left-apply the new reflector's H^H to the remaining columns.
     if pl > 1 {
-        zlarf_left(&nv, ntau.conj(), rl, pl - 1, &mut blk[rl..], rl, &mut work);
+        larf_left(&nv, ntau.conj(), rl, pl - 1, &mut blk[rl..], rl, &mut work);
     }
     write_back_rect(a, br0, rl, pr0, pl, &blk);
     Some((br0, ntau, nv))
@@ -338,8 +338,7 @@ fn two_sided_window<T: ComplexScalar>(a: &mut CMatrixG<T>, r0: usize, l: usize, 
         }
     }
     let mut work = vec![T::ZERO; l];
-    zlarf_left(v, tau.conj(), l, l, &mut blk, l, &mut work);
-    zlarf_right(v, tau, l, l, &mut blk, l, &mut work);
+    larf_sym_two_sided(v, tau, l, &mut blk, l, &mut work);
     for j in 0..l {
         for i in 0..l {
             a[(r0 + i, r0 + j)] = blk[i + j * l];
@@ -446,7 +445,7 @@ mod tests {
         for s in (0..r.v2.sweep_count()).rev() {
             for (start, tau, v) in r.v2.sweep(s).iter().rev() {
                 let ldq = q2.ld();
-                zlarf_left(
+                larf_left(
                     v,
                     *tau,
                     v.len(),

@@ -23,7 +23,7 @@ pub fn rand_hermitian(n: usize, seed: u64) -> CMatrix {
 /// Hermitian matrix with a prescribed (real) spectrum: random unitary
 /// similarity built from complex Householder reflections.
 pub fn hermitian_with_spectrum(lambda: &[f64], seed: u64) -> CMatrix {
-    use crate::ckernels::{zlarf_left, zlarf_right, zlarfg};
+    use tseig_kernels::householder::{larf_left, larf_right, larfg};
     use tseig_matrix::C64;
     let n = lambda.len();
     let mut rng = StdRng::seed_from_u64(seed);
@@ -41,12 +41,12 @@ pub fn hermitian_with_spectrum(lambda: &[f64], seed: u64) -> CMatrix {
             .map(|_| c64(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
             .collect();
         let alpha = c64(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0));
-        let (_, tau) = zlarfg(alpha, &mut x);
+        let (_, tau) = larfg(alpha, &mut x);
         let mut v = vec![C64::ONE];
         v.extend_from_slice(&x);
         // A <- H^H A H  (unitary similarity preserves the spectrum).
         let lda = a.ld();
-        zlarf_left(
+        larf_left(
             &v,
             tau.conj(),
             len,
@@ -56,7 +56,7 @@ pub fn hermitian_with_spectrum(lambda: &[f64], seed: u64) -> CMatrix {
             &mut work,
         );
         // Right application on columns k..n.
-        zlarf_right(
+        larf_right(
             &v,
             tau,
             n,

@@ -5,6 +5,7 @@
 
 use crate::contract;
 use crate::flops::{add, add_bytes, Level};
+use tseig_matrix::ComplexScalar;
 
 /// `x . y` (unit stride).
 #[inline]
@@ -72,14 +73,15 @@ pub fn scal(alpha: f64, x: &mut [f64]) {
     }
 }
 
-/// Euclidean norm with scaling against overflow/underflow
-/// (LAPACK `dnrm2` semantics).
-pub fn nrm2(x: &[f64]) -> f64 {
-    add(Level::L1, 2 * x.len() as u64);
-    add_bytes(Level::L1, 8 * x.len() as u64);
+/// Euclidean norm with scaling against overflow/underflow (LAPACK
+/// `dnrm2`/`dznrm2` semantics: a complex entry contributes its real and
+/// imaginary parts as two components), accumulated in `f64`.
+pub fn nrm2<T: ComplexScalar>(x: &[T]) -> f64 {
+    add(Level::L1, T::MULADD_FLOPS * x.len() as u64);
+    add_bytes(Level::L1, T::BYTES * x.len() as u64);
     let mut scale = 0.0f64;
     let mut ssq = 1.0f64;
-    for &v in x {
+    let mut component = |v: f64| {
         if v != 0.0 {
             let a = v.abs();
             if scale < a {
@@ -88,6 +90,12 @@ pub fn nrm2(x: &[f64]) -> f64 {
             } else {
                 ssq += (a / scale).powi(2);
             }
+        }
+    };
+    for &v in x {
+        component(v.re());
+        if T::IS_COMPLEX {
+            component(v.im());
         }
     }
     scale * ssq.sqrt()
@@ -140,7 +148,7 @@ mod tests {
     #[test]
     fn nrm2_basic_and_extreme() {
         assert!((nrm2(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
-        assert_eq!(nrm2(&[]), 0.0);
+        assert_eq!(nrm2::<f64>(&[]), 0.0);
         assert_eq!(nrm2(&[0.0, 0.0]), 0.0);
         // Values whose squares would overflow naively.
         let big = 1e200;
@@ -150,6 +158,12 @@ mod tests {
         let small = 1e-200;
         let n = nrm2(&[small, small]);
         assert!((n - small * 2.0f64.sqrt()).abs() / n < 1e-15);
+        // A complex entry counts its real and imaginary parts, scaled
+        // the same way.
+        for x in [1.0, big, small] {
+            let n = nrm2(&[tseig_matrix::c64(3.0 * x, -4.0 * x)]);
+            assert!((n - 5.0 * x).abs() / n < 1e-15, "{x}");
+        }
     }
 
     #[test]

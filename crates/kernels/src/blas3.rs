@@ -53,8 +53,10 @@ pub mod simd;
 
 use crate::contract;
 use crate::flops::{add, add_bytes, Level};
+use engine::GemmScalar;
 use rayon::prelude::*;
 use simd::MicroKernel;
+use tseig_matrix::{ComplexScalar, Scalar};
 
 /// Transpose flag, LAPACK-style.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,6 +94,21 @@ impl From<Trans> for Op {
     }
 }
 
+impl Op {
+    /// The op `trans` stands for at element type `T`: [`Trans::Yes`] is
+    /// the conjugate transpose, which on the real types is the plain
+    /// transpose (and stays [`Op::Trans`], the pack path the real
+    /// kernels have always taken).
+    #[inline]
+    pub fn of<T: Scalar>(trans: Trans) -> Op {
+        match trans {
+            Trans::No => Op::No,
+            Trans::Yes if T::IS_COMPLEX => Op::ConjTrans,
+            Trans::Yes => Op::Trans,
+        }
+    }
+}
+
 pub use blocking::KC;
 /// Register-tile height of the **unpacked baseline** (`gemm_unpacked`);
 /// the packed path takes its tile shape from [`simd::selected`].
@@ -103,58 +120,6 @@ const NR: usize = 4;
 const MC: usize = 256;
 /// Column-block reference size used by the byte-traffic model.
 const NC: usize = 1024;
-
-/// Stored dimensions `(rows, cols)` of the operand behind `op(X)` when
-/// `op(X)` is `rows_of_op x cols_of_op`.
-fn op_dims(trans: Trans, rows_of_op: usize, cols_of_op: usize) -> (usize, usize) {
-    match trans {
-        Trans::No => (rows_of_op, cols_of_op),
-        Trans::Yes => (cols_of_op, rows_of_op),
-    }
-}
-
-/// Entry contract shared by every public `gemm`-shaped kernel: operand
-/// coverage, leading-dimension bounds, in/out alias rejection, and
-/// (`paranoid`) input poison.
-#[allow(clippy::too_many_arguments)]
-fn gemm_contract(
-    kernel: &str,
-    transa: Trans,
-    transb: Trans,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f64],
-    lda: usize,
-    b: &[f64],
-    ldb: usize,
-    c: &[f64],
-    ldc: usize,
-) {
-    if !contract::enabled() {
-        return;
-    }
-    let (ar, ac) = op_dims(transa, m, k);
-    let (br, bc) = op_dims(transb, k, n);
-    contract::require_mat(kernel, "a", a, ar, ac, lda);
-    contract::require_mat(kernel, "b", b, br, bc, ldb);
-    contract::require_mat(kernel, "c", c, m, n, ldc);
-    contract::require_no_alias(kernel, "a", a, "c", c);
-    contract::require_no_alias(kernel, "b", b, "c", c);
-    contract::require_finite_mat(kernel, "a", a, ar, ac, lda);
-    contract::require_finite_mat(kernel, "b", b, br, bc, ldb);
-}
-
-/// Estimated memory traffic of one packed `gemm` call, in bytes: each
-/// operand is read from memory and written to its packed buffer once per
-/// cache block that revisits it (`A` once per `jc` panel, `B` once in
-/// total), and `C` is read+written once per rank-`KC` update.
-fn gemm_bytes(m: usize, n: usize, k: usize) -> u64 {
-    let njc = n.div_ceil(NC).max(1) as u64;
-    let npc = k.div_ceil(KC).max(1) as u64;
-    let (m, n, k) = (m as u64, n as u64, k as u64);
-    8 * (2 * m * k * njc + 2 * k * n + 2 * m * n * npc)
-}
 
 /// `C <- alpha op(A) op(B) + beta C`.
 ///
@@ -215,74 +180,7 @@ pub fn gemm_with_kernel(
     c: &mut [f64],
     ldc: usize,
 ) {
-    gemm_contract("gemm", transa, transb, m, n, k, a, lda, b, ldb, c, ldc);
-    add(Level::L3, (2 * m * n * k) as u64);
-    add_bytes(Level::L3, gemm_bytes(m, n, k));
-    scale_c(beta, m, n, c, ldc);
-    if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    gemm_into_with(kern, transa, transb, m, n, k, alpha, a, lda, b, ldb, c, ldc);
-}
-
-/// The packed loop nest: `C += alpha op(A) op(B)`, no scaling, no flop
-/// accounting. Shared by every public entry point (serial and parallel,
-/// `gemm` and the structured kernels built on it).
-#[allow(clippy::too_many_arguments)]
-fn gemm_into(
-    transa: Trans,
-    transb: Trans,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a: &[f64],
-    lda: usize,
-    b: &[f64],
-    ldb: usize,
-    c: &mut [f64],
-    ldc: usize,
-) {
-    gemm_into_with(
-        simd::selected(),
-        transa,
-        transb,
-        m,
-        n,
-        k,
-        alpha,
-        a,
-        lda,
-        b,
-        ldb,
-        c,
-        ldc,
-    );
-}
-
-/// [`gemm_into`] on an explicit microkernel: the generic packed nest in
-/// [`engine`] monomorphized at `f64`. The nest, the packing formats and
-/// the `KC` split are byte-for-byte the pre-generic ones (`Trans` maps
-/// to `Op` and `f64::conj` is the identity), so every dispatch path
-/// stays bitwise identical across the refactor — the differential
-/// suite in `tests/simd_dispatch.rs` pins this.
-#[allow(clippy::too_many_arguments)]
-fn gemm_into_with(
-    kern: &MicroKernel,
-    transa: Trans,
-    transb: Trans,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a: &[f64],
-    lda: usize,
-    b: &[f64],
-    ldb: usize,
-    c: &mut [f64],
-    ldc: usize,
-) {
-    engine::gemm_into_with(
+    gemm_t(
         kern,
         transa.into(),
         transb.into(),
@@ -294,13 +192,79 @@ fn gemm_into_with(
         lda,
         b,
         ldb,
+        beta,
         c,
         ldc,
     );
 }
 
-fn scale_c(beta: f64, m: usize, n: usize, c: &mut [f64], ldc: usize) {
+/// The body of [`gemm`] at any element type: contract, counters
+/// (`T::MULADD_FLOPS` per multiply-add, bytes on the packed model with
+/// this module's fixed [`NC`]-wide column panels), `beta` scaling and
+/// the packed nest of [`engine`] on an explicit microkernel. The
+/// generic structured kernels built on `gemm` (`larfb`) call it
+/// directly, so their `f64` instances charge exactly what [`gemm`]
+/// charges.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_t<T: GemmScalar>(
+    kern: &simd::MicroKernel<T>,
+    opa: Op,
+    opb: Op,
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: T,
+    a: &[T],
+    lda: usize,
+    b: &[T],
+    ldb: usize,
+    beta: T,
+    c: &mut [T],
+    ldc: usize,
+) {
+    engine::gemm_contract("gemm", opa, opb, m, n, k, a, lda, b, ldb, c, ldc);
+    add(Level::L3, T::MULADD_FLOPS * (m * n * k) as u64);
+    add_bytes(Level::L3, engine::packed_bytes::<T>(NC, m, n, k));
     engine::scale_c(beta, m, n, c, ldc);
+    if alpha == T::ZERO || m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    engine::gemm_into_with(kern, opa, opb, m, n, k, alpha, a, lda, b, ldb, c, ldc);
+}
+
+/// The packed loop nest on the type's dispatched microkernel: `C +=
+/// alpha op(A) op(B)`, no scaling, no flop accounting. Shared by the
+/// structured kernels built on it (`syr2k`, `symm`, `trmm`).
+#[allow(clippy::too_many_arguments)]
+fn gemm_into<T: GemmScalar>(
+    opa: Op,
+    opb: Op,
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: T,
+    a: &[T],
+    lda: usize,
+    b: &[T],
+    ldb: usize,
+    c: &mut [T],
+    ldc: usize,
+) {
+    engine::gemm_into_with(
+        T::kernel(),
+        opa,
+        opb,
+        m,
+        n,
+        k,
+        alpha,
+        a,
+        lda,
+        b,
+        ldb,
+        c,
+        ldc,
+    );
 }
 
 /// Parallel [`gemm`] over the packed loop nest. Wide problems split the
@@ -358,11 +322,12 @@ pub fn gemm_par_with(
     c: &mut [f64],
     ldc: usize,
 ) {
-    gemm_contract("gemm_par", transa, transb, m, n, k, a, lda, b, ldb, c, ldc);
+    let (opa, opb) = (transa.into(), transb.into());
+    engine::gemm_contract("gemm_par", opa, opb, m, n, k, a, lda, b, ldb, c, ldc);
     add(Level::L3, (2 * m * n * k) as u64);
-    add_bytes(Level::L3, gemm_bytes(m, n, k));
+    add_bytes(Level::L3, engine::packed_bytes::<f64>(NC, m, n, k));
     if alpha == 0.0 || k == 0 {
-        scale_c(beta, m, n, c, ldc);
+        engine::scale_c(beta, m, n, c, ldc);
         return;
     }
     if m == 0 || n == 0 {
@@ -374,8 +339,8 @@ pub fn gemm_par_with(
     engine::par_nest(
         simd::selected(),
         threads,
-        transa.into(),
-        transb.into(),
+        opa,
+        opb,
         m,
         n,
         k,
@@ -410,10 +375,10 @@ pub fn gemm_unpacked(
     c: &mut [f64],
     ldc: usize,
 ) {
-    gemm_contract(
+    engine::gemm_contract(
         "gemm_unpacked",
-        transa,
-        transb,
+        transa.into(),
+        transb.into(),
         m,
         n,
         k,
@@ -433,7 +398,7 @@ pub fn gemm_unpacked(
         let (mu, nu, ku) = (m as u64, n as u64, k as u64);
         add_bytes(Level::L3, 8 * (mu * ku + ku * nu * nic + 2 * mu * nu * npc));
     }
-    scale_c(beta, m, n, c, ldc);
+    engine::scale_c(beta, m, n, c, ldc);
     if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
         return;
     }
@@ -722,32 +687,34 @@ fn gemm_tt(
     }
 }
 
-/// Symmetric rank-k update of the lower triangle:
-/// `C <- alpha A A^T + beta C` (`trans == No`, `A` is `n x k`) or
-/// `C <- alpha A^T A + beta C` (`trans == Yes`, `A` is `k x n`).
+/// Hermitian (symmetric, on the real types) rank-k update of the lower
+/// triangle: `C <- alpha A A^H + beta C` (`trans == No`, `A` is
+/// `n x k`) or `C <- alpha A^H A + beta C` (`trans == Yes`, `A` is
+/// `k x n`). `alpha` and `beta` are real, so `C` stays Hermitian; its
+/// diagonal is kept exactly real.
 #[allow(clippy::too_many_arguments)]
-pub fn syrk_lower(
+pub fn syrk_lower<T: GemmScalar>(
     trans: Trans,
     n: usize,
     k: usize,
     alpha: f64,
-    a: &[f64],
+    a: &[T],
     lda: usize,
     beta: f64,
-    c: &mut [f64],
+    c: &mut [T],
     ldc: usize,
 ) {
     if contract::enabled() {
-        let (ar, ac) = op_dims(trans, n, k);
+        let (ar, ac) = engine::op_dims(trans.into(), n, k);
         contract::require_mat("syrk_lower", "a", a, ar, ac, lda);
         contract::require_mat("syrk_lower", "c", c, n, n, ldc);
         contract::require_no_alias("syrk_lower", "a", a, "c", c);
         contract::require_finite_mat("syrk_lower", "a", a, ar, ac, lda);
     }
-    add(Level::L3, (n * n * k) as u64);
+    add(Level::L3, (T::MULADD_FLOPS / 2) * (n * n * k) as u64);
     add_bytes(Level::L3, {
         let npc = k.div_ceil(KC).max(1) as u64;
-        8 * (2 * (n * k) as u64 + (n * n) as u64 * npc)
+        T::BYTES * (2 * (n * k) as u64 + (n * n) as u64 * npc)
     });
     scale_lower(beta, n, c, ldc);
     if alpha == 0.0 || n == 0 || k == 0 {
@@ -758,8 +725,8 @@ pub fn syrk_lower(
             for kk in 0..k {
                 let acol = &a[kk * lda..kk * lda + n];
                 for j in 0..n {
-                    let t = alpha * acol[j];
-                    if t == 0.0 {
+                    let t = acol[j].conj().scale(alpha);
+                    if t == T::ZERO {
                         continue;
                     }
                     let ccol = &mut c[j * ldc..j * ldc + n];
@@ -774,29 +741,41 @@ pub fn syrk_lower(
                 let aj = &a[j * lda..j * lda + k];
                 for i in j..n {
                     let ai = &a[i * lda..i * lda + k];
-                    let mut s = 0.0;
+                    let mut s = T::ZERO;
                     for l in 0..k {
-                        s += ai[l] * aj[l];
+                        s += ai[l].conj() * aj[l];
                     }
-                    c[i + j * ldc] += alpha * s;
+                    c[i + j * ldc] += s.scale(alpha);
                 }
             }
         }
     }
+    real_diagonal(n, c, ldc);
 }
 
-/// Scale the lower triangle (diagonal included) of an order-`n` matrix.
-fn scale_lower(beta: f64, n: usize, c: &mut [f64], ldc: usize) {
+/// Drop the rounding-level imaginary parts a Hermitian update leaves on
+/// the diagonal of an order-`n` matrix; the identity on the real types.
+fn real_diagonal<T: ComplexScalar>(n: usize, c: &mut [T], ldc: usize) {
+    if T::IS_COMPLEX {
+        for j in 0..n {
+            c[j + j * ldc] = T::new(c[j + j * ldc].re(), 0.0);
+        }
+    }
+}
+
+/// Scale the lower triangle (diagonal included) of an order-`n` matrix
+/// by the real `beta`.
+fn scale_lower<T: ComplexScalar>(beta: f64, n: usize, c: &mut [T], ldc: usize) {
     if beta == 1.0 {
         return;
     }
     for j in 0..n {
         let col = &mut c[j * ldc + j..j * ldc + n];
         if beta == 0.0 {
-            col.fill(0.0);
+            col.fill(T::ZERO);
         } else {
             for v in col {
-                *v *= beta;
+                *v = v.scale(beta);
             }
         }
     }
@@ -810,34 +789,36 @@ const SYR2K_JB: usize = 64;
 /// Traffic model shared by the serial and parallel `syr2k`: `A`/`B`
 /// each packed twice (once per `gemm` role), the `C` triangle
 /// read+written once per rank-`KC` update.
-fn syr2k_bytes(n: usize, k: usize) -> u64 {
+fn syr2k_bytes<T: Scalar>(n: usize, k: usize) -> u64 {
     let npc = k.div_ceil(KC).max(1) as u64;
-    8 * (4 * (n * k) as u64 + (n * n) as u64 * npc)
+    T::BYTES * (4 * (n * k) as u64 + (n * n) as u64 * npc)
 }
 
-/// Symmetric rank-2k update of the lower triangle:
-/// `C <- alpha (A B^T + B A^T) + beta C`, with `A`, `B` both `n x k`.
+/// Hermitian (symmetric, on the real types) rank-2k update of the lower
+/// triangle: `C <- alpha (A B^H + B A^H) + beta C`, with `A`, `B` both
+/// `n x k` and `alpha`, `beta` real so `C` stays Hermitian (its diagonal
+/// is kept exactly real).
 ///
 /// This is the trailing-matrix update of both the one-stage (`latrd` +
 /// `syr2k`) and the first stage of the two-stage reduction. Blocked:
 /// `SYR2K_JB`-wide diagonal blocks run the rank-1 kernel, the strictly
 /// sub-diagonal part of each column panel is two packed `gemm`s.
 #[allow(clippy::too_many_arguments)]
-pub fn syr2k_lower(
+pub fn syr2k_lower<T: GemmScalar>(
     n: usize,
     k: usize,
     alpha: f64,
-    a: &[f64],
+    a: &[T],
     lda: usize,
-    b: &[f64],
+    b: &[T],
     ldb: usize,
     beta: f64,
-    c: &mut [f64],
+    c: &mut [T],
     ldc: usize,
 ) {
     syr2k_contract("syr2k_lower", n, k, a, lda, b, ldb, c, ldc);
-    add(Level::L3, (2 * n * n * k) as u64);
-    add_bytes(Level::L3, syr2k_bytes(n, k));
+    add(Level::L3, T::MULADD_FLOPS * (n * n * k) as u64);
+    add_bytes(Level::L3, syr2k_bytes::<T>(n, k));
     scale_lower(beta, n, c, ldc);
     if alpha == 0.0 || n == 0 || k == 0 {
         return;
@@ -845,50 +826,7 @@ pub fn syr2k_lower(
     let mut j0 = 0;
     while j0 < n {
         let jn = SYR2K_JB.min(n - j0);
-        syr2k_diag(
-            jn,
-            k,
-            alpha,
-            &a[j0..],
-            lda,
-            &b[j0..],
-            ldb,
-            &mut c[j0 + j0 * ldc..],
-            ldc,
-        );
-        let rows_below = n - j0 - jn;
-        if rows_below > 0 {
-            let r0 = j0 + jn;
-            let cpanel = &mut c[r0 + j0 * ldc..];
-            gemm_into(
-                Trans::No,
-                Trans::Yes,
-                rows_below,
-                jn,
-                k,
-                alpha,
-                &a[r0..],
-                lda,
-                &b[j0..],
-                ldb,
-                cpanel,
-                ldc,
-            );
-            gemm_into(
-                Trans::No,
-                Trans::Yes,
-                rows_below,
-                jn,
-                k,
-                alpha,
-                &b[r0..],
-                ldb,
-                &a[j0..],
-                lda,
-                cpanel,
-                ldc,
-            );
-        }
+        syr2k_panel(n, k, alpha, j0, jn, a, lda, b, ldb, &mut c[j0 * ldc..], ldc);
         j0 += jn;
     }
 }
@@ -896,15 +834,15 @@ pub fn syr2k_lower(
 /// Entry contract shared by the serial and parallel `syr2k`: `A`, `B`
 /// are `n x k`, `C` covers an order-`n` triangle, nothing aliases `C`.
 #[allow(clippy::too_many_arguments)]
-fn syr2k_contract(
+fn syr2k_contract<T: Scalar>(
     kernel: &str,
     n: usize,
     k: usize,
-    a: &[f64],
+    a: &[T],
     lda: usize,
-    b: &[f64],
+    b: &[T],
     ldb: usize,
-    c: &[f64],
+    c: &[T],
     ldc: usize,
 ) {
     if !contract::enabled() {
@@ -919,27 +857,91 @@ fn syr2k_contract(
     contract::require_finite_mat(kernel, "b", b, n, k, ldb);
 }
 
-/// Rank-1-loop `syr2k` on a diagonal block (accumulate only; scaling and
-/// accounting are the callers' responsibility).
+/// Accumulate the `syr2k` update of the column panel `j0..j0+jn` into
+/// `cpanel` (which starts at column `j0` of `C`): the diagonal block by
+/// the rank-1 kernel, the rows below it by two packed `gemm`s.
 #[allow(clippy::too_many_arguments)]
-fn syr2k_diag(
+fn syr2k_panel<T: GemmScalar>(
     n: usize,
     k: usize,
     alpha: f64,
-    a: &[f64],
+    j0: usize,
+    jn: usize,
+    a: &[T],
     lda: usize,
-    b: &[f64],
+    b: &[T],
     ldb: usize,
-    c: &mut [f64],
+    cpanel: &mut [T],
+    ldc: usize,
+) {
+    syr2k_diag(
+        jn,
+        k,
+        alpha,
+        &a[j0..],
+        lda,
+        &b[j0..],
+        ldb,
+        &mut cpanel[j0..],
+        ldc,
+    );
+    let rows_below = n - j0 - jn;
+    if rows_below > 0 {
+        let r0 = j0 + jn;
+        let (calpha, bh) = (T::from_f64(alpha), Op::of::<T>(Trans::Yes));
+        let below = &mut cpanel[r0..];
+        gemm_into(
+            Op::No,
+            bh,
+            rows_below,
+            jn,
+            k,
+            calpha,
+            &a[r0..],
+            lda,
+            &b[j0..],
+            ldb,
+            below,
+            ldc,
+        );
+        gemm_into(
+            Op::No,
+            bh,
+            rows_below,
+            jn,
+            k,
+            calpha,
+            &b[r0..],
+            ldb,
+            &a[j0..],
+            lda,
+            below,
+            ldc,
+        );
+    }
+}
+
+/// Rank-1-loop `syr2k` on a diagonal block (accumulate only; scaling and
+/// accounting are the callers' responsibility).
+#[allow(clippy::too_many_arguments)]
+fn syr2k_diag<T: ComplexScalar>(
+    n: usize,
+    k: usize,
+    alpha: f64,
+    a: &[T],
+    lda: usize,
+    b: &[T],
+    ldb: usize,
+    c: &mut [T],
     ldc: usize,
 ) {
     for kk in 0..k {
         let acol = &a[kk * lda..kk * lda + n];
         let bcol = &b[kk * ldb..kk * ldb + n];
         for j in 0..n {
-            let ta = alpha * acol[j];
-            let tb = alpha * bcol[j];
-            if ta == 0.0 && tb == 0.0 {
+            let ta = acol[j].conj().scale(alpha);
+            let tb = bcol[j].conj().scale(alpha);
+            if ta == T::ZERO && tb == T::ZERO {
                 continue;
             }
             let ccol = &mut c[j * ldc..j * ldc + n];
@@ -948,22 +950,23 @@ fn syr2k_diag(
             }
         }
     }
+    real_diagonal(n, c, ldc);
 }
 
 /// Parallel [`syr2k_lower`]: column panels of the lower triangle are
 /// disjoint, one rayon task each; within a panel the sub-diagonal block
 /// runs the packed `gemm` with per-thread packing buffers.
 #[allow(clippy::too_many_arguments)]
-pub fn syr2k_lower_par(
+pub fn syr2k_lower_par<T: GemmScalar>(
     n: usize,
     k: usize,
     alpha: f64,
-    a: &[f64],
+    a: &[T],
     lda: usize,
-    b: &[f64],
+    b: &[T],
     ldb: usize,
     beta: f64,
-    c: &mut [f64],
+    c: &mut [T],
     ldc: usize,
 ) {
     if n * n * k < 48 * 48 * 48 || rayon::current_num_threads() == 1 {
@@ -971,8 +974,8 @@ pub fn syr2k_lower_par(
         return;
     }
     syr2k_contract("syr2k_lower_par", n, k, a, lda, b, ldb, c, ldc);
-    add(Level::L3, (2 * n * n * k) as u64);
-    add_bytes(Level::L3, syr2k_bytes(n, k));
+    add(Level::L3, T::MULADD_FLOPS * (n * n * k) as u64);
+    add_bytes(Level::L3, syr2k_bytes::<T>(n, k));
     let jb = SYR2K_JB;
     c[..(n - 1) * ldc + n]
         .par_chunks_mut(jb * ldc)
@@ -984,96 +987,56 @@ pub fn syr2k_lower_par(
             for jj in 0..jn {
                 let col = &mut cpanel[jj * ldc + j0 + jj..jj * ldc + n];
                 if beta == 0.0 {
-                    col.fill(0.0);
+                    col.fill(T::ZERO);
                 } else if beta != 1.0 {
                     for v in col {
-                        *v *= beta;
+                        *v = v.scale(beta);
                     }
                 }
             }
             if alpha == 0.0 || k == 0 {
                 return;
             }
-            syr2k_diag(
-                jn,
-                k,
-                alpha,
-                &a[j0..],
-                lda,
-                &b[j0..],
-                ldb,
-                &mut cpanel[j0..],
-                ldc,
-            );
-            let rows_below = n - j0 - jn;
-            if rows_below > 0 {
-                let r0 = j0 + jn;
-                gemm_into(
-                    Trans::No,
-                    Trans::Yes,
-                    rows_below,
-                    jn,
-                    k,
-                    alpha,
-                    &a[r0..],
-                    lda,
-                    &b[j0..],
-                    ldb,
-                    &mut cpanel[r0..],
-                    ldc,
-                );
-                gemm_into(
-                    Trans::No,
-                    Trans::Yes,
-                    rows_below,
-                    jn,
-                    k,
-                    alpha,
-                    &b[r0..],
-                    ldb,
-                    &a[j0..],
-                    lda,
-                    &mut cpanel[r0..],
-                    ldc,
-                );
-            }
+            syr2k_panel(n, k, alpha, j0, jn, a, lda, b, ldb, cpanel, ldc);
         });
 }
 
 /// Traffic model of `symm_lower_left`: the stored triangle is read once,
 /// `B` is re-streamed once per `A` column sweep that falls out of cache
 /// (modeled as once per `MC` rows), `C` read+written once.
-fn symm_bytes(m: usize, k: usize) -> u64 {
+fn symm_bytes<T: Scalar>(m: usize, k: usize) -> u64 {
     let sweeps = m.div_ceil(MC).max(1) as u64;
-    8 * ((m * m / 2) as u64 + (m * k) as u64 * sweeps + 2 * (m * k) as u64)
+    T::BYTES * ((m * m / 2) as u64 + (m * k) as u64 * sweeps + 2 * (m * k) as u64)
 }
 
-/// Symmetric-times-rectangular multiply: `C <- alpha A B + beta C` with
-/// `A` symmetric of order `m` (lower triangle stored) and `B`, `C`
-/// `m x k`. One single pass over the stored triangle serves both the
-/// lower part and its mirrored upper part; with `k` columns of `B`, each
-/// loaded element of `A` is reused `2k` times — Level-3 intensity.
+/// Hermitian (symmetric, on the real types) times rectangular multiply:
+/// `C <- alpha A B + beta C` with `A` Hermitian of order `m` (lower
+/// triangle stored; the imaginary part of its diagonal is ignored) and
+/// `B`, `C` `m x k`. One single pass over the stored triangle serves
+/// both the lower part and its mirrored upper part; with `k` columns of
+/// `B`, each loaded element of `A` is reused `2k` times — Level-3
+/// intensity.
 ///
 /// This is the `A2 * (V T)` product at the heart of the stage-1 trailing
 /// update.
 #[allow(clippy::too_many_arguments)]
-pub fn symm_lower_left(
+pub fn symm_lower_left<T: GemmScalar>(
     m: usize,
     k: usize,
-    alpha: f64,
-    a: &[f64],
+    alpha: T,
+    a: &[T],
     lda: usize,
-    b: &[f64],
+    b: &[T],
     ldb: usize,
-    beta: f64,
-    c: &mut [f64],
+    beta: T,
+    c: &mut [T],
     ldc: usize,
 ) {
     symm_contract("symm_lower_left", m, k, a, lda, b, ldb, c, ldc);
-    add(Level::L3, (2 * m * m * k) as u64);
-    add_bytes(Level::L3, symm_bytes(m, k));
-    scale_c(beta, m, k, c, ldc);
-    if alpha == 0.0 {
+    add(Level::L3, T::MULADD_FLOPS * (m * m * k) as u64);
+    add_bytes(Level::L3, symm_bytes::<T>(m, k));
+    engine::scale_c(beta, m, k, c, ldc);
+    if alpha == T::ZERO {
         return;
     }
     symm_into(m, k, alpha, a, lda, b, ldb, c, ldc);
@@ -1083,15 +1046,15 @@ pub fn symm_lower_left(
 /// stored lower triangle of order `m` (only that triangle is poison-
 /// scanned), `B` and `C` are `m x k`, nothing aliases `C`.
 #[allow(clippy::too_many_arguments)]
-fn symm_contract(
+fn symm_contract<T: Scalar>(
     kernel: &str,
     m: usize,
     k: usize,
-    a: &[f64],
+    a: &[T],
     lda: usize,
-    b: &[f64],
+    b: &[T],
     ldb: usize,
-    c: &[f64],
+    c: &[T],
     ldc: usize,
 ) {
     if !contract::enabled() {
@@ -1109,15 +1072,15 @@ fn symm_contract(
 /// Accumulate-only body of [`symm_lower_left`] (no scaling, no
 /// accounting): one pass over the stored triangle.
 #[allow(clippy::too_many_arguments)]
-fn symm_into(
+fn symm_into<T: ComplexScalar>(
     m: usize,
     k: usize,
-    alpha: f64,
-    a: &[f64],
+    alpha: T,
+    a: &[T],
     lda: usize,
-    b: &[f64],
+    b: &[T],
     ldb: usize,
-    c: &mut [f64],
+    c: &mut [T],
     ldc: usize,
 ) {
     for ja in 0..m {
@@ -1127,11 +1090,11 @@ fn symm_into(
             let ccol = &mut c[jb * ldc..jb * ldc + m];
             let t = alpha * bcol[ja];
             // Diagonal + lower part: column ja of A times b[ja].
-            ccol[ja] += t * acol[ja];
-            let mut s = 0.0;
+            ccol[ja] += t.scale(acol[ja].re());
+            let mut s = T::ZERO;
             for i in ja + 1..m {
                 ccol[i] += t * acol[i];
-                s += acol[i] * bcol[i];
+                s += acol[i].conj() * bcol[i];
             }
             // Mirrored upper part: row ja of A dotted with b.
             ccol[ja] += alpha * s;
@@ -1144,16 +1107,16 @@ fn symm_into(
 /// private `C` — the off-diagonal blocks through the packed `gemm` —
 /// and the partials are summed. `A` is streamed exactly once in total.
 #[allow(clippy::too_many_arguments)]
-pub fn symm_lower_left_par(
+pub fn symm_lower_left_par<T: GemmScalar>(
     m: usize,
     k: usize,
-    alpha: f64,
-    a: &[f64],
+    alpha: T,
+    a: &[T],
     lda: usize,
-    b: &[f64],
+    b: &[T],
     ldb: usize,
-    beta: f64,
-    c: &mut [f64],
+    beta: T,
+    c: &mut [T],
     ldc: usize,
 ) {
     if m * m * k < 48 * 48 * 48 || rayon::current_num_threads() == 1 {
@@ -1161,8 +1124,8 @@ pub fn symm_lower_left_par(
         return;
     }
     symm_contract("symm_lower_left_par", m, k, a, lda, b, ldb, c, ldc);
-    add(Level::L3, (2 * m * m * k) as u64);
-    add_bytes(Level::L3, symm_bytes(m, k));
+    add(Level::L3, T::MULADD_FLOPS * (m * m * k) as u64);
+    add_bytes(Level::L3, symm_bytes::<T>(m, k));
     // Chunk boundaries over A's column range, balanced by trapezoid
     // area; each chunk contributes a small diagonal symm plus two packed
     // gemms, accumulated into a private C and reduced.
@@ -1184,7 +1147,7 @@ pub fn symm_lower_left_par(
     if last != m {
         bounds.push(m);
     }
-    let partials: Vec<(usize, usize, Vec<f64>)> = bounds
+    let partials: Vec<(usize, usize, Vec<T>)> = bounds
         .par_windows(2)
         .map(|w| {
             let (c0, c1) = (w[0], w[1]);
@@ -1193,12 +1156,12 @@ pub fn symm_lower_left_par(
             // Private output covering only the rows this chunk touches
             // (c0..m), k columns.
             let rows = m - c0;
-            let mut pc = vec![0.0f64; rows * k];
-            // Diagonal symmetric block: rows/cols c0..c1.
+            let mut pc = vec![T::ZERO; rows * k];
+            // Diagonal Hermitian block: rows/cols c0..c1.
             symm_into(
                 wl,
                 k,
-                1.0,
+                T::ONE,
                 &a[c0 + c0 * lda..],
                 lda,
                 &b[c0..],
@@ -1209,12 +1172,12 @@ pub fn symm_lower_left_par(
             if rl > 0 {
                 // C[c1.., :] += A[c1.., c0..c1] * B[c0..c1, :]
                 gemm_into(
-                    Trans::No,
-                    Trans::No,
+                    Op::No,
+                    Op::No,
                     rl,
                     k,
                     wl,
-                    1.0,
+                    T::ONE,
                     &a[c1 + c0 * lda..],
                     lda,
                     &b[c0..],
@@ -1222,14 +1185,14 @@ pub fn symm_lower_left_par(
                     &mut pc[wl..],
                     rows,
                 );
-                // C[c0..c1, :] += A[c1.., c0..c1]^T * B[c1.., :]
+                // C[c0..c1, :] += A[c1.., c0..c1]^H * B[c1.., :]
                 gemm_into(
-                    Trans::Yes,
-                    Trans::No,
+                    Op::of::<T>(Trans::Yes),
+                    Op::No,
                     wl,
                     k,
                     rl,
-                    1.0,
+                    T::ONE,
                     &a[c1 + c0 * lda..],
                     lda,
                     &b[c1..],
@@ -1243,9 +1206,9 @@ pub fn symm_lower_left_par(
         .collect();
     for j in 0..k {
         let col = &mut c[j * ldc..j * ldc + m];
-        if beta == 0.0 {
-            col.fill(0.0);
-        } else if beta != 1.0 {
+        if beta == T::ZERO {
+            col.fill(T::ZERO);
+        } else if beta != T::ONE {
             for v in col.iter_mut() {
                 *v *= beta;
             }
@@ -1264,19 +1227,20 @@ pub fn symm_lower_left_par(
 const TRMM_TB: usize = 64;
 
 /// Triangular multiply `B <- alpha op(T) B` with `T` a `k x k`
-/// **upper-triangular, non-unit** matrix and `B` `k x n`. Used by the
-/// blocked reflector application (`larfb`), where `T` is the compact
-/// WY factor — there `k` is a block size and the scalar path runs; for
-/// larger `k` the off-diagonal work is routed through the packed `gemm`.
+/// **upper-triangular, non-unit** matrix and `B` `k x n`; `Trans::Yes`
+/// is `T^H`. Used by the blocked reflector application (`larfb`), where
+/// `T` is the compact WY factor — there `k` is a block size and the
+/// scalar path runs; for larger `k` the off-diagonal work is routed
+/// through the packed `gemm`.
 #[allow(clippy::too_many_arguments)]
-pub fn trmm_upper_left(
+pub fn trmm_upper_left<T: GemmScalar>(
     trans: Trans,
     k: usize,
     n: usize,
-    alpha: f64,
-    t: &[f64],
+    alpha: T,
+    t: &[T],
     ldt: usize,
-    b: &mut [f64],
+    b: &mut [T],
     ldb: usize,
 ) {
     if contract::enabled() {
@@ -1285,8 +1249,11 @@ pub fn trmm_upper_left(
         contract::require_no_alias("trmm_upper_left", "t", t, "b", b);
         contract::require_finite_upper("trmm_upper_left", "t", t, k, ldt);
     }
-    add(Level::L3, (n * k * k) as u64);
-    add_bytes(Level::L3, 8 * ((k * k / 2) as u64 + 2 * (k * n) as u64));
+    add(Level::L3, (T::MULADD_FLOPS / 2) * (n * k * k) as u64);
+    add_bytes(
+        Level::L3,
+        T::BYTES * ((k * k / 2) as u64 + 2 * (k * n) as u64),
+    );
     if k == 0 || n == 0 {
         return;
     }
@@ -1299,117 +1266,75 @@ pub fn trmm_upper_left(
     // through the packed gemm via a scratch block (cold path — every
     // in-pipeline caller has k <= TRMM_TB).
     let nblocks = k.div_ceil(TRMM_TB);
-    let mut w = vec![0.0f64; TRMM_TB * n];
-    match trans {
-        Trans::No => {
-            // Top-down: B1 <- alpha (T11 B1 + T12 B2) uses B2 before B2
-            // is overwritten.
-            for blk in 0..nblocks {
-                let i0 = blk * TRMM_TB;
-                let ib = TRMM_TB.min(k - i0);
-                let rest = k - i0 - ib;
-                if rest > 0 {
-                    let wblk = &mut w[..ib * n];
-                    wblk.fill(0.0);
-                    // W = alpha * T12 * B2, reading B2 = rows i0+ib.. of B.
-                    gemm_into(
-                        Trans::No,
-                        Trans::No,
-                        ib,
-                        n,
-                        rest,
-                        alpha,
-                        &t[i0 + (i0 + ib) * ldt..],
-                        ldt,
-                        &b[i0 + ib..],
-                        ldb,
-                        wblk,
-                        ib,
-                    );
-                    trmm_diag(
-                        trans,
-                        ib,
-                        n,
-                        alpha,
-                        &t[i0 + i0 * ldt..],
-                        ldt,
-                        &mut b[i0..],
-                        ldb,
-                    );
-                    for j in 0..n {
-                        let dst = &mut b[i0 + j * ldb..][..ib];
-                        let src = &wblk[j * ib..(j + 1) * ib];
-                        for (d, s) in dst.iter_mut().zip(src) {
-                            *d += s;
-                        }
-                    }
-                } else {
-                    trmm_diag(
-                        trans,
-                        ib,
-                        n,
-                        alpha,
-                        &t[i0 + i0 * ldt..],
-                        ldt,
-                        &mut b[i0..],
-                        ldb,
-                    );
-                }
+    let mut w = vec![T::ZERO; TRMM_TB * n];
+    let blocks: Vec<usize> = match trans {
+        // Top-down: B1 <- alpha (T11 B1 + T12 B2) uses B2 before B2 is
+        // overwritten.
+        Trans::No => (0..nblocks).collect(),
+        // Bottom-up: B2 <- alpha (T22^H B2 + T12^H B1) uses B1 before B1
+        // is overwritten.
+        Trans::Yes => (0..nblocks).rev().collect(),
+    };
+    for blk in blocks {
+        let i0 = blk * TRMM_TB;
+        let ib = TRMM_TB.min(k - i0);
+        let wblk = &mut w[..ib * n];
+        let coupled = match trans {
+            Trans::No => k - i0 - ib,
+            Trans::Yes => i0,
+        };
+        if coupled > 0 {
+            wblk.fill(T::ZERO);
+            match trans {
+                // W = alpha * T12 * B2, reading B2 = rows i0+ib.. of B.
+                Trans::No => gemm_into(
+                    Op::No,
+                    Op::No,
+                    ib,
+                    n,
+                    coupled,
+                    alpha,
+                    &t[i0 + (i0 + ib) * ldt..],
+                    ldt,
+                    &b[i0 + ib..],
+                    ldb,
+                    wblk,
+                    ib,
+                ),
+                // W = alpha * T12^H * B1, T12 = rows 0..i0 of columns
+                // i0..i0+ib, B1 = rows 0..i0 of B.
+                Trans::Yes => gemm_into(
+                    Op::of::<T>(Trans::Yes),
+                    Op::No,
+                    ib,
+                    n,
+                    coupled,
+                    alpha,
+                    &t[i0 * ldt..],
+                    ldt,
+                    b,
+                    ldb,
+                    wblk,
+                    ib,
+                ),
             }
         }
-        Trans::Yes => {
-            // Bottom-up: B2 <- alpha (T22^T B2 + T12^T B1) uses B1 before
-            // B1 is overwritten.
-            for blk in (0..nblocks).rev() {
-                let i0 = blk * TRMM_TB;
-                let ib = TRMM_TB.min(k - i0);
-                if i0 > 0 {
-                    let wblk = &mut w[..ib * n];
-                    wblk.fill(0.0);
-                    // W = alpha * T12^T * B1, T12 = rows 0..i0 of columns
-                    // i0..i0+ib, B1 = rows 0..i0 of B.
-                    gemm_into(
-                        Trans::Yes,
-                        Trans::No,
-                        ib,
-                        n,
-                        i0,
-                        alpha,
-                        &t[i0 * ldt..],
-                        ldt,
-                        b,
-                        ldb,
-                        wblk,
-                        ib,
-                    );
-                    trmm_diag(
-                        trans,
-                        ib,
-                        n,
-                        alpha,
-                        &t[i0 + i0 * ldt..],
-                        ldt,
-                        &mut b[i0..],
-                        ldb,
-                    );
-                    for j in 0..n {
-                        let dst = &mut b[i0 + j * ldb..][..ib];
-                        let src = &wblk[j * ib..(j + 1) * ib];
-                        for (d, s) in dst.iter_mut().zip(src) {
-                            *d += s;
-                        }
-                    }
-                } else {
-                    trmm_diag(
-                        trans,
-                        ib,
-                        n,
-                        alpha,
-                        &t[i0 + i0 * ldt..],
-                        ldt,
-                        &mut b[i0..],
-                        ldb,
-                    );
+        trmm_diag(
+            trans,
+            ib,
+            n,
+            alpha,
+            &t[i0 + i0 * ldt..],
+            ldt,
+            &mut b[i0..],
+            ldb,
+        );
+        if coupled > 0 {
+            for j in 0..n {
+                let dst = &mut b[i0 + j * ldb..][..ib];
+                let src = &wblk[j * ib..(j + 1) * ib];
+                for (d, s) in dst.iter_mut().zip(src) {
+                    *d += *s;
                 }
             }
         }
@@ -1419,14 +1344,15 @@ pub fn trmm_upper_left(
 /// Scalar in-place triangular multiply on a diagonal block, `NR` columns
 /// of `B` at a time so the `T` triangle is streamed once per column
 /// quad instead of once per column.
-fn trmm_diag(
+#[allow(clippy::too_many_arguments)]
+fn trmm_diag<T: Scalar>(
     trans: Trans,
     k: usize,
     n: usize,
-    alpha: f64,
-    t: &[f64],
+    alpha: T,
+    t: &[T],
     ldt: usize,
-    b: &mut [f64],
+    b: &mut [T],
     ldb: usize,
 ) {
     let mut j = 0;
@@ -1437,7 +1363,7 @@ fn trmm_diag(
                 // b_i <- sum_{l >= i} T(i,l) b_l : top-down keeps unread
                 // entries intact.
                 for i in 0..k {
-                    let mut s = [0.0f64; NR];
+                    let mut s = [T::ZERO; NR];
                     for l in i..k {
                         let tv = t[i + l * ldt];
                         for (jj, sv) in s.iter_mut().enumerate().take(jn) {
@@ -1445,22 +1371,22 @@ fn trmm_diag(
                         }
                     }
                     for (jj, sv) in s.iter().enumerate().take(jn) {
-                        b[i + (j + jj) * ldb] = alpha * sv;
+                        b[i + (j + jj) * ldb] = alpha * *sv;
                     }
                 }
             }
             Trans::Yes => {
-                // b_i <- sum_{l <= i} T(l,i) b_l : bottom-up.
+                // b_i <- sum_{l <= i} conj(T(l,i)) b_l : bottom-up.
                 for i in (0..k).rev() {
-                    let mut s = [0.0f64; NR];
+                    let mut s = [T::ZERO; NR];
                     for l in 0..=i {
-                        let tv = t[l + i * ldt];
+                        let tv = t[l + i * ldt].conj();
                         for (jj, sv) in s.iter_mut().enumerate().take(jn) {
                             *sv += tv * b[l + (j + jj) * ldb];
                         }
                     }
                     for (jj, sv) in s.iter().enumerate().take(jn) {
-                        b[i + (j + jj) * ldb] = alpha * sv;
+                        b[i + (j + jj) * ldb] = alpha * *sv;
                     }
                 }
             }
@@ -1540,7 +1466,8 @@ pub fn trmm_unit_lower_left(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tseig_matrix::Matrix;
+    use crate::testutil::{rand_hermitian, rand_mat as rand_cmat};
+    use tseig_matrix::{CMatrixG, Matrix, C64};
 
     fn naive(a: &Matrix, b: &Matrix) -> Matrix {
         a.multiply(b).unwrap()
@@ -1960,77 +1887,74 @@ mod tests {
         assert!(c1.approx_eq(&c2, 1e-12));
     }
 
-    #[test]
-    fn syrk_matches_gemm() {
-        let n = 8;
-        let k = 5;
-        let a = rand_mat(n, k, 10);
-        let mut c = Matrix::zeros(n, n);
-        syrk_lower(
-            Trans::No,
-            n,
-            k,
-            1.0,
-            a.as_slice(),
-            n,
-            0.0,
-            c.as_mut_slice(),
-            n,
-        );
-        let want = naive(&a, &a.transpose());
-        for j in 0..n {
-            for i in j..n {
-                assert!((c[(i, j)] - want[(i, j)]).abs() < 1e-13);
+    fn check_syrk<T: GemmScalar>(n: usize, k: usize, seed: u64) {
+        let a = rand_cmat::<T>(n, k, seed);
+        let want = a.multiply(&a.adjoint());
+        let ah = a.adjoint();
+        for (trans, op_a, lda) in [(Trans::No, &a, n), (Trans::Yes, &ah, k)] {
+            let mut c = CMatrixG::<T>::zeros(n, n);
+            syrk_lower(
+                trans,
+                n,
+                k,
+                1.0,
+                op_a.as_slice(),
+                lda,
+                0.0,
+                c.as_mut_slice(),
+                n,
+            );
+            for j in 0..n {
+                assert_eq!(c[(j, j)].im(), 0.0, "{trans:?}: diagonal not real");
+                for i in j..n {
+                    let d = ComplexScalar::abs(c[(i, j)] - want[(i, j)]);
+                    assert!(d < 1e-13, "{trans:?} ({i},{j})");
+                }
             }
         }
-        // Trans variant.
-        let at = a.transpose();
-        let mut c2 = Matrix::zeros(n, n);
-        syrk_lower(
-            Trans::Yes,
-            n,
-            k,
-            1.0,
-            at.as_slice(),
-            k,
-            0.0,
-            c2.as_mut_slice(),
-            n,
-        );
-        for j in 0..n {
-            for i in j..n {
-                assert!((c2[(i, j)] - want[(i, j)]).abs() < 1e-13);
+    }
+
+    #[test]
+    fn syrk_matches_gemm() {
+        check_syrk::<f64>(8, 5, 10);
+        check_syrk::<C64>(8, 5, 10);
+    }
+
+    fn check_syr2k<T: GemmScalar>(n: usize, k: usize, seed: u64) {
+        let a = rand_cmat::<T>(n, k, seed);
+        let b = rand_cmat::<T>(n, k, seed + 1);
+        let c0 = rand_hermitian::<T>(n, seed + 2);
+        let abh = a.multiply(&b.adjoint());
+        let bah = b.multiply(&a.adjoint());
+        for beta in [0.0, 1.0] {
+            let mut c = c0.clone();
+            syr2k_lower(
+                n,
+                k,
+                0.5,
+                a.as_slice(),
+                n,
+                b.as_slice(),
+                n,
+                beta,
+                c.as_mut_slice(),
+                n,
+            );
+            for j in 0..n {
+                assert_eq!(c[(j, j)].im(), 0.0, "diagonal not real");
+                for i in j..n {
+                    let w = (abh[(i, j)] + bah[(i, j)]).scale(0.5) + c0[(i, j)].scale(beta);
+                    let d = ComplexScalar::abs(c[(i, j)] - w);
+                    assert!(d < 1e-13, "beta={beta} ({i},{j})");
+                }
             }
         }
     }
 
     #[test]
     fn syr2k_matches_gemm_pair() {
-        let n = 9;
-        let k = 4;
-        let a = rand_mat(n, k, 11);
-        let b = rand_mat(n, k, 12);
-        let mut c = Matrix::zeros(n, n);
-        syr2k_lower(
-            n,
-            k,
-            0.5,
-            a.as_slice(),
-            n,
-            b.as_slice(),
-            n,
-            0.0,
-            c.as_mut_slice(),
-            n,
-        );
-        let abt = naive(&a, &b.transpose());
-        let bat = naive(&b, &a.transpose());
-        for j in 0..n {
-            for i in j..n {
-                let w = 0.5 * (abt[(i, j)] + bat[(i, j)]);
-                assert!((c[(i, j)] - w).abs() < 1e-13);
-            }
-        }
+        check_syr2k::<f64>(9, 4, 11);
+        check_syr2k::<C64>(6, 3, 5);
     }
 
     #[test]
@@ -2115,39 +2039,45 @@ mod tests {
         }
     }
 
-    #[test]
-    fn symm_matches_dense() {
-        let m = 9;
-        let k = 4;
-        let full = tseig_matrix::gen::random_symmetric(m, 20);
-        let b = rand_mat(m, k, 21);
+    fn check_symm<T: GemmScalar>(m: usize, k: usize, seed: u64) {
+        let full = rand_hermitian::<T>(m, seed);
+        let b = rand_cmat::<T>(m, k, seed + 1);
         let mut a = full.clone();
         for j in 0..m {
+            // Only the lower triangle and the diagonal's real part are read.
+            a[(j, j)] = T::new(full[(j, j)].re(), 0.25);
             for i in 0..j {
-                a[(i, j)] = f64::NAN; // prove only the lower triangle is read
+                a[(i, j)] = T::new(f64::NAN, f64::NAN);
             }
         }
-        let c0 = rand_mat(m, k, 22);
+        let c0 = rand_cmat::<T>(m, k, seed + 2);
         let mut c = c0.clone();
+        let (alpha, beta) = (T::new(2.0, 0.5), T::new(-1.0, 0.0));
         symm_lower_left(
             m,
             k,
-            2.0,
+            alpha,
             a.as_slice(),
             m,
             b.as_slice(),
             m,
-            -1.0,
+            beta,
             c.as_mut_slice(),
             m,
         );
-        let want = naive(&full, &b);
+        let want = full.multiply(&b);
         for j in 0..k {
             for i in 0..m {
-                let w = 2.0 * want[(i, j)] - c0[(i, j)];
-                assert!((c[(i, j)] - w).abs() < 1e-12, "({i},{j})");
+                let w = alpha * want[(i, j)] + beta * c0[(i, j)];
+                assert!(ComplexScalar::abs(c[(i, j)] - w) < 1e-12, "({i},{j})");
             }
         }
+    }
+
+    #[test]
+    fn symm_matches_dense() {
+        check_symm::<f64>(9, 4, 20);
+        check_symm::<C64>(7, 3, 3);
     }
 
     #[test]
@@ -2185,28 +2115,33 @@ mod tests {
         assert!(c1.approx_eq(&c2, 1e-10));
     }
 
-    #[test]
-    fn trmm_matches_dense_triangular_product() {
-        let k = 6;
-        let n = 4;
-        let mut t = rand_mat(k, k, 16);
+    fn check_trmm<T: GemmScalar>(k: usize, n: usize, seed: u64, tol: f64) {
+        let mut t = rand_cmat::<T>(k, k, seed);
         for j in 0..k {
             for i in j + 1..k {
-                t[(i, j)] = 0.0; // make upper triangular
+                t[(i, j)] = T::ZERO; // make upper triangular
             }
         }
-        let b0 = rand_mat(k, n, 17);
-        let mut b = b0.clone();
-        trmm_upper_left(Trans::No, k, n, 1.0, t.as_slice(), k, b.as_mut_slice(), k);
-        assert!(b.approx_eq(&naive(&t, &b0), 1e-13));
-
-        let mut b2 = b0.clone();
-        trmm_upper_left(Trans::Yes, k, n, 2.0, t.as_slice(), k, b2.as_mut_slice(), k);
-        let mut want = naive(&t.transpose(), &b0);
-        for v in want.as_mut_slice() {
-            *v *= 2.0;
+        let b0 = rand_cmat::<T>(k, n, seed + 1);
+        let alpha = T::new(1.5, -0.25);
+        for (trans, op_t) in [(Trans::No, t.clone()), (Trans::Yes, t.adjoint())] {
+            let mut b = b0.clone();
+            trmm_upper_left(trans, k, n, alpha, t.as_slice(), k, b.as_mut_slice(), k);
+            let mut want = op_t.multiply(&b0);
+            for v in want.as_mut_slice() {
+                *v *= alpha;
+            }
+            assert!(b.max_diff(&want) < tol, "{trans:?} k={k}");
         }
-        assert!(b2.approx_eq(&want, 1e-13));
+    }
+
+    #[test]
+    fn trmm_matches_dense_triangular_product() {
+        check_trmm::<f64>(6, 4, 16, 1e-13);
+        check_trmm::<C64>(6, 4, 16, 1e-13);
+        // k > TRMM_TB: the blocked path with the packed gemm on the
+        // coupling blocks.
+        check_trmm::<C64>(150, 7, 18, 1e-11);
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! points in [`super`] monomorphize it with the dispatched SIMD
 //! microkernel (bitwise identical to the pre-generic engine — the
 //! differential dispatch suite pins that), the Hermitian pipeline
-//! monomorphizes it at [`C64`]/[`C32`], and the single-precision real
-//! path at `f32` — each type behind its own runtime-dispatched
-//! microkernel table in [`super::simd`].
+//! monomorphizes it (and the structured Level-3, Householder and
+//! Cholesky kernels built on it) at [`C64`]/[`C32`], and the
+//! single-precision real path at `f32` — each type behind its own
+//! runtime-dispatched microkernel table in [`super::simd`].
 //!
 //! ## Conjugation lives in the pack, not the loop
 //!
@@ -36,9 +37,9 @@
 //! packed once per cache block that revisits it (`A` once per `jc`
 //! panel, `B` once), `C` is read+written once per rank-`KC` update —
 //! weighted by `T::BYTES`. This is the same model the `f64` counters
-//! have used since the packed engine landed, now shared by the complex
-//! wrappers so arithmetic-intensity reports stay comparable between
-//! the real and complex columns.
+//! have used since the packed engine landed, shared by every element
+//! type so arithmetic-intensity reports stay comparable between the
+//! real and complex columns.
 
 use super::simd::{MicroKernel, SimdScalar};
 use super::{Op, KC};
@@ -46,12 +47,14 @@ use crate::contract;
 use crate::flops::{add, add_bytes, Level};
 use rayon::prelude::*;
 use std::cell::RefCell;
-use tseig_matrix::{Scalar, C32, C64};
+use tseig_matrix::{ComplexScalar, Scalar, C32, C64};
 
 /// Element type the packed engine can drive end to end: a [`Scalar`]
-/// plus the two per-type singletons the generic code cannot own — the
-/// default register tile and the per-thread pack-buffer pair.
-pub trait GemmScalar: SimdScalar {
+/// with the [`ComplexScalar`] component surface (which the Householder,
+/// QR and Cholesky kernels built on the engine use), plus the two
+/// per-type singletons the generic code cannot own — the default
+/// register tile and the per-thread pack-buffer pair.
+pub trait GemmScalar: SimdScalar + ComplexScalar {
     /// The microkernel the public entry points dispatch to: the type's
     /// runtime-selected SIMD tile.
     fn kernel() -> &'static MicroKernel<Self>;
@@ -209,7 +212,7 @@ impl GemmScalar for C32 {
 
 /// Stored dimensions `(rows, cols)` of the operand behind `op(X)` when
 /// `op(X)` is `rows_of_op x cols_of_op`.
-fn op_dims(op: Op, rows_of_op: usize, cols_of_op: usize) -> (usize, usize) {
+pub(crate) fn op_dims(op: Op, rows_of_op: usize, cols_of_op: usize) -> (usize, usize) {
     match op {
         Op::No => (rows_of_op, cols_of_op),
         Op::Trans | Op::ConjTrans => (cols_of_op, rows_of_op),
@@ -220,7 +223,7 @@ fn op_dims(op: Op, rows_of_op: usize, cols_of_op: usize) -> (usize, usize) {
 /// (mirror of the `f64` contract in [`super`], on the [`Op`]
 /// vocabulary).
 #[allow(clippy::too_many_arguments)]
-fn gemm_contract<T: Scalar>(
+pub(crate) fn gemm_contract<T: Scalar>(
     kernel: &str,
     opa: Op,
     opb: Op,
@@ -392,13 +395,13 @@ pub fn gemm_par<T: GemmScalar>(
     );
 }
 
-/// Accumulate-only packed nest: `C += alpha op(A) op(B)` with no
-/// scaling, no contracts and no counters — the building block for
-/// blocked structured kernels (`zher2k`/`zhemm` wrappers) that do their
-/// own accounting at the entry point, exactly as the `f64` `syr2k`/
-/// `symm` family uses its private `gemm_into`.
+/// Naive triple-loop `gemm` — the **test oracle and bench baseline**
+/// the packed engine is differential-tested and speedup-measured
+/// against. Not called by any solver. Byte accounting keeps the
+/// streamed model its unblocked access pattern actually has (`A`/`B`
+/// read once, `C` read and written once).
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_into<T: GemmScalar>(
+pub fn zgemm_oracle<T: Scalar>(
     opa: Op,
     opb: Op,
     m: usize,
@@ -409,27 +412,35 @@ pub fn gemm_into<T: GemmScalar>(
     lda: usize,
     b: &[T],
     ldb: usize,
+    beta: T,
     c: &mut [T],
     ldc: usize,
 ) {
+    add(Level::L3, T::MULADD_FLOPS * (m * n * k) as u64);
+    add_bytes(Level::L3, T::BYTES * (m * k + k * n + 2 * m * n) as u64);
+    scale_c(beta, m, n, c, ldc);
     if alpha == T::ZERO || m == 0 || n == 0 || k == 0 {
         return;
     }
-    gemm_into_with(
-        T::kernel(),
-        opa,
-        opb,
-        m,
-        n,
-        k,
-        alpha,
-        a,
-        lda,
-        b,
-        ldb,
-        c,
-        ldc,
-    );
+    let at = |i: usize, p: usize| match opa {
+        Op::No => a[i + p * lda],
+        Op::Trans => a[p + i * lda],
+        Op::ConjTrans => a[p + i * lda].conj(),
+    };
+    let bt = |p: usize, j: usize| match opb {
+        Op::No => b[p + j * ldb],
+        Op::Trans => b[j + p * ldb],
+        Op::ConjTrans => b[j + p * ldb].conj(),
+    };
+    for j in 0..n {
+        for i in 0..m {
+            let mut s = T::ZERO;
+            for p in 0..k {
+                s += at(i, p) * bt(p, j);
+            }
+            c[i + j * ldc] += alpha * s;
+        }
+    }
 }
 
 /// The two-way parallel split over the packed nest: no contracts, no
@@ -778,44 +789,6 @@ mod tests {
     use super::*;
     use tseig_matrix::c64;
 
-    /// Naive `op(A) op(B)` oracle over all nine op combinations.
-    #[allow(clippy::too_many_arguments)]
-    fn gemm_oracle<T: Scalar>(
-        opa: Op,
-        opb: Op,
-        m: usize,
-        n: usize,
-        k: usize,
-        alpha: T,
-        a: &[T],
-        lda: usize,
-        b: &[T],
-        ldb: usize,
-        beta: T,
-        c: &mut [T],
-        ldc: usize,
-    ) {
-        let at = |i: usize, p: usize| match opa {
-            Op::No => a[i + p * lda],
-            Op::Trans => a[p + i * lda],
-            Op::ConjTrans => a[p + i * lda].conj(),
-        };
-        let bt = |p: usize, j: usize| match opb {
-            Op::No => b[p + j * ldb],
-            Op::Trans => b[j + p * ldb],
-            Op::ConjTrans => b[j + p * ldb].conj(),
-        };
-        for j in 0..n {
-            for i in 0..m {
-                let mut acc = T::ZERO;
-                for p in 0..k {
-                    acc += at(i, p) * bt(p, j);
-                }
-                c[i + j * ldc] = beta * c[i + j * ldc] + alpha * acc;
-            }
-        }
-    }
-
     fn cval(i: usize) -> C64 {
         c64((i % 13) as f64 - 6.0, ((i * 7) % 11) as f64 - 5.0)
     }
@@ -830,19 +803,22 @@ mod tests {
         let beta = c64(0.75, 0.25);
         for opa in [Op::No, Op::Trans, Op::ConjTrans] {
             for opb in [Op::No, Op::Trans, Op::ConjTrans] {
-                let mut c: Vec<C64> = (0..ldc * n).map(|i| cval(i + 11)).collect();
-                let mut want = c.clone();
-                gemm(
-                    opa, opb, m, n, k, alpha, &a, lda, &b, ldb, beta, &mut c, ldc,
-                );
-                gemm_oracle(
+                let c0: Vec<C64> = (0..ldc * n).map(|i| cval(i + 11)).collect();
+                let mut want = c0.clone();
+                zgemm_oracle(
                     opa, opb, m, n, k, alpha, &a, lda, &b, ldb, beta, &mut want, ldc,
                 );
-                for (i, (&got, &w)) in c.iter().zip(&want).enumerate() {
-                    assert!(
-                        (got - w).abs() <= 1e-10 * (1.0 + w.abs()),
-                        "{opa:?}/{opb:?} idx {i}: {got:?} vs {w:?}"
+                for entry in [gemm::<C64>, gemm_par::<C64>] {
+                    let mut c = c0.clone();
+                    entry(
+                        opa, opb, m, n, k, alpha, &a, lda, &b, ldb, beta, &mut c, ldc,
                     );
+                    for (i, (&got, &w)) in c.iter().zip(&want).enumerate() {
+                        assert!(
+                            (got - w).abs() <= 1e-10 * (1.0 + w.abs()),
+                            "{opa:?}/{opb:?} idx {i}: {got:?} vs {w:?}"
+                        );
+                    }
                 }
             }
         }

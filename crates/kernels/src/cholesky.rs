@@ -1,69 +1,80 @@
-//! Cholesky factorization and triangular solves.
+//! Cholesky factorization and triangular solves, generic over the four
+//! element types.
 //!
-//! Substrate for the *generalized* symmetric eigenproblem
+//! Substrate for the *generalized* symmetric (Hermitian) eigenproblem
 //! `A x = lambda B x` (the setting the two-stage idea was first invented
 //! for — Grimes & Simon's out-of-core solvers, paper §2): factor
-//! `B = L L^T`, transform `C = L^-1 A L^-T`, solve the standard problem,
-//! back-substitute the eigenvectors.
+//! `B = L L^H`, transform `C = L^-1 A L^-H`, solve the standard problem,
+//! back-substitute the eigenvectors. On the real types `L^H` is `L^T`
+//! and every conjugation below is the identity.
+//!
+//! The kernels take LAPACK-style `(slice, ld)` operands; [`potrf_lower`],
+//! [`trsm_left_lower`], [`trsm_right_lower_trans`] and [`sygst`] are the
+//! same kernels on an `f64` [`Matrix`].
 
+use crate::blas3::engine::GemmScalar;
 use crate::blas3::{syrk_lower, Trans};
 use crate::contract;
 use crate::flops::{add, add_bytes, Level};
-use tseig_matrix::{chaos, Error, Matrix, Result};
+use tseig_matrix::{chaos, ComplexScalar, Error, Matrix, Result};
 
-/// Blocked Cholesky factorization of an SPD matrix (lower triangle
-/// referenced and overwritten with `L`). Fails with
-/// [`Error::InvalidArgument`] if a non-positive pivot shows the matrix is
-/// not positive definite.
-pub fn potrf_lower(a: &mut Matrix, nb: usize) -> Result<()> {
-    assert_eq!(a.rows(), a.cols());
-    let n = a.rows();
-    let lda = a.ld();
+/// Block size the generalized drivers factor their `B` with.
+pub const POTRF_NB: usize = 32;
+
+/// Blocked Cholesky factorization `A = L L^H` of the Hermitian positive
+/// definite order-`n` matrix in `a` (lower triangle referenced and
+/// overwritten with `L`, strict upper triangle zeroed, diagonal real).
+/// Fails with [`Error::InvalidArgument`] if a non-positive pivot shows
+/// the matrix is not positive definite.
+pub fn potrf<T: GemmScalar>(n: usize, a: &mut [T], lda: usize, nb: usize) -> Result<()> {
     let nb = nb.max(1);
     if contract::enabled() {
-        contract::require_mat("potrf_lower", "a", a.as_slice(), n, n, lda);
-        contract::require_finite_lower("potrf_lower", "a", a.as_slice(), n, lda);
+        contract::require_mat("potrf", "a", a, n, n, lda);
+        contract::require_finite_lower("potrf", "a", a, n, lda);
     }
     if chaos::fire(chaos::Site::CholBreakdown) {
         return Err(Error::InvalidArgument(
             "matrix not positive definite (pivot -1.000e0 at 0) [chaos]".to_string(),
         ));
     }
-    add(Level::L3, (n * n * n / 3) as u64);
+    add(Level::L3, (T::MULADD_FLOPS / 2) * (n * n * n / 3) as u64);
     // The stored triangle is read and written once per rank-nb update.
-    add_bytes(Level::L3, (n * n) as u64 * n.div_ceil(nb).max(1) as u64 * 8);
+    add_bytes(
+        Level::L3,
+        (n * n) as u64 * n.div_ceil(nb).max(1) as u64 * T::BYTES,
+    );
     let mut j0 = 0;
     while j0 < n {
         let jb = nb.min(n - j0);
         // Diagonal block: unblocked Cholesky.
         for j in j0..j0 + jb {
-            // a[j][j] -= sum_k a[j][k]^2 over this block's prior columns.
-            let mut s = a[(j, j)];
+            // a[j][j] -= sum_k |a[j][k]|^2 over this block's prior columns.
+            let mut s = a[j + j * lda].re();
             for k in j0..j {
-                s -= a[(j, k)] * a[(j, k)];
+                s -= a[j + k * lda].abs2();
             }
             if s <= 0.0 {
                 return Err(Error::InvalidArgument(format!(
                     "matrix not positive definite (pivot {s:.3e} at {j})"
                 )));
             }
-            let ljj = s.sqrt();
-            a[(j, j)] = ljj;
+            let ljj = T::new(s.sqrt(), 0.0);
+            a[j + j * lda] = ljj;
             // Column below the diagonal within the block.
             for i in j + 1..n {
-                let mut v = a[(i, j)];
+                let mut v = a[i + j * lda];
                 for k in j0..j {
-                    v -= a[(i, k)] * a[(j, k)];
+                    v -= a[i + k * lda] * a[j + k * lda].conj();
                 }
-                a[(i, j)] = v / ljj;
+                a[i + j * lda] = v / ljj;
             }
         }
-        // Trailing update: A22 -= L21 L21^T (only for columns beyond the
+        // Trailing update: A22 -= L21 L21^H (only for columns beyond the
         // block; the in-block corrections were done scalar above).
         let r0 = j0 + jb;
         if r0 < n {
             let rows = n - r0;
-            let (head, tail) = a.as_mut_slice().split_at_mut(r0 * lda);
+            let (head, tail) = a.split_at_mut(r0 * lda);
             let l21 = &head[r0 + j0 * lda..];
             syrk_lower(
                 Trans::No,
@@ -81,15 +92,80 @@ pub fn potrf_lower(a: &mut Matrix, nb: usize) -> Result<()> {
     }
     // Zero the strict upper triangle so L can be used densely.
     for j in 0..n {
-        for i in 0..j {
-            a[(i, j)] = 0.0;
-        }
+        a[j * lda..j * lda + j].fill(T::ZERO);
     }
     Ok(())
 }
 
-/// Solve `op(L) X = alpha B` in place (`X` overwrites `B`), `L` lower
-/// triangular non-unit, `B` is `m x n`.
+/// [`potrf`] on a square `f64` [`Matrix`].
+pub fn potrf_lower(a: &mut Matrix, nb: usize) -> Result<()> {
+    assert_eq!(a.rows(), a.cols());
+    let (n, lda) = (a.rows(), a.ld());
+    potrf(n, a.as_mut_slice(), lda, nb)
+}
+
+/// Solve `op(L) X = alpha B` in place (`X` overwrites `B`), `L` the
+/// leading `m x m` lower triangle of `l` (non-unit), `B` `m x n`;
+/// `Trans::Yes` is `L^H`.
+pub fn trsm_left<T: ComplexScalar>(
+    trans: Trans,
+    m: usize,
+    n: usize,
+    alpha: T,
+    l: &[T],
+    ldl: usize,
+    b: &mut [T],
+    ldb: usize,
+) {
+    if contract::enabled() {
+        contract::require_mat("trsm_left", "l", l, m, m, ldl);
+        contract::require_mat("trsm_left", "b", b, m, n, ldb);
+        contract::require_no_alias("trsm_left", "l", l, "b", b);
+        contract::require_finite_lower("trsm_left", "l", l, m, ldl);
+        contract::require_finite_mat("trsm_left", "b", b, m, n, ldb);
+    }
+    add(Level::L3, (T::MULADD_FLOPS / 2) * (m * m * n) as u64);
+    // L's triangle is re-streamed once per B column, B read and written.
+    add_bytes(
+        Level::L3,
+        T::BYTES * ((m * m / 2) as u64 * n.max(1) as u64 + 2 * (m * n) as u64),
+    );
+    for j in 0..n {
+        let col = &mut b[j * ldb..j * ldb + m];
+        if alpha != T::ONE {
+            for v in col.iter_mut() {
+                *v *= alpha;
+            }
+        }
+        match trans {
+            Trans::No => {
+                // Forward substitution.
+                for i in 0..m {
+                    let xi = col[i] / l[i + i * ldl];
+                    col[i] = xi;
+                    if xi != T::ZERO {
+                        for r in i + 1..m {
+                            col[r] -= l[r + i * ldl] * xi;
+                        }
+                    }
+                }
+            }
+            Trans::Yes => {
+                // Backward substitution with L^H (columns of L are rows
+                // of L^H; the axpy direction flips).
+                for i in (0..m).rev() {
+                    let mut s = col[i];
+                    for r in i + 1..m {
+                        s -= l[r + i * ldl].conj() * col[r];
+                    }
+                    col[i] = s / l[i + i * ldl].conj();
+                }
+            }
+        }
+    }
+}
+
+/// [`trsm_left`] with `L` an `f64` [`Matrix`].
 pub fn trsm_left_lower(
     trans: Trans,
     m: usize,
@@ -100,82 +176,40 @@ pub fn trsm_left_lower(
     ldb: usize,
 ) {
     assert!(l.rows() >= m && l.cols() >= m);
-    let lda = l.ld();
-    let ld = l.as_slice();
-    if contract::enabled() {
-        contract::require_mat("trsm_left_lower", "l", ld, m, m, lda);
-        contract::require_mat("trsm_left_lower", "b", b, m, n, ldb);
-        contract::require_no_alias("trsm_left_lower", "l", ld, "b", b);
-        contract::require_finite_lower("trsm_left_lower", "l", ld, m, lda);
-        contract::require_finite_mat("trsm_left_lower", "b", b, m, n, ldb);
-    }
-    add(Level::L3, (m * m * n) as u64);
-    // L's triangle is re-streamed once per B column, B read and written.
-    add_bytes(
-        Level::L3,
-        8 * ((m * m / 2) as u64 * n.max(1) as u64 + 2 * (m * n) as u64),
-    );
-    for j in 0..n {
-        let col = &mut b[j * ldb..j * ldb + m];
-        if alpha != 1.0 {
-            for v in col.iter_mut() {
-                *v *= alpha;
-            }
-        }
-        match trans {
-            Trans::No => {
-                // Forward substitution.
-                for i in 0..m {
-                    let xi = col[i] / ld[i + i * lda];
-                    col[i] = xi;
-                    if xi != 0.0 {
-                        for r in i + 1..m {
-                            col[r] -= ld[r + i * lda] * xi;
-                        }
-                    }
-                }
-            }
-            Trans::Yes => {
-                // Backward substitution with L^T (columns of L are rows
-                // of L^T; the axpy direction flips).
-                for i in (0..m).rev() {
-                    let mut s = col[i];
-                    for r in i + 1..m {
-                        s -= ld[r + i * lda] * col[r];
-                    }
-                    col[i] = s / ld[i + i * lda];
-                }
-            }
-        }
-    }
+    trsm_left(trans, m, n, alpha, l.as_slice(), l.ld(), b, ldb);
 }
 
-/// Solve `X L^T = B` in place (`X` overwrites `B`), `L` lower triangular
-/// non-unit, `B` is `m x n` with `n == order(L)`.
-pub fn trsm_right_lower_trans(m: usize, n: usize, l: &Matrix, b: &mut [f64], ldb: usize) {
-    assert!(l.rows() >= n && l.cols() >= n);
-    let lda = l.ld();
-    let ld = l.as_slice();
+/// Solve `X L^H = B` in place (`X` overwrites `B`), `L` the leading
+/// `n x n` lower triangle of `l` (non-unit), `B` `m x n`.
+pub fn trsm_right<T: ComplexScalar>(
+    m: usize,
+    n: usize,
+    l: &[T],
+    ldl: usize,
+    b: &mut [T],
+    ldb: usize,
+) {
     if contract::enabled() {
-        contract::require_mat("trsm_right_lower_trans", "l", ld, n, n, lda);
-        contract::require_mat("trsm_right_lower_trans", "b", b, m, n, ldb);
-        contract::require_no_alias("trsm_right_lower_trans", "l", ld, "b", b);
-        contract::require_finite_lower("trsm_right_lower_trans", "l", ld, n, lda);
-        contract::require_finite_mat("trsm_right_lower_trans", "b", b, m, n, ldb);
+        contract::require_mat("trsm_right", "l", l, n, n, ldl);
+        contract::require_mat("trsm_right", "b", b, m, n, ldb);
+        contract::require_no_alias("trsm_right", "l", l, "b", b);
+        contract::require_finite_lower("trsm_right", "l", l, n, ldl);
+        contract::require_finite_mat("trsm_right", "b", b, m, n, ldb);
     }
-    add(Level::L3, (m * n * n) as u64);
+    add(Level::L3, (T::MULADD_FLOPS / 2) * (m * n * n) as u64);
     // Each column j of B re-reads columns 0..j (X so far) plus L's row j.
     add_bytes(
         Level::L3,
-        8 * ((m * n) as u64 * n.div_ceil(2).max(1) as u64 + (n * n / 2) as u64),
+        T::BYTES * ((m * n) as u64 * n.div_ceil(2).max(1) as u64 + (n * n / 2) as u64),
     );
-    // (X L^T)[:, j] = sum_{k <= j} X[:, k] * L[j, k]  =>  forward over j.
+    // (X L^H)[:, j] = sum_{k <= j} X[:, k] * conj(L[j, k])  =>  forward
+    // over j.
     for j in 0..n {
-        let ljj = ld[j + j * lda];
-        // col_j = (b_j - sum_{k<j} x_k * L[j,k]) / L[j,j]
+        let ljj = l[j + j * ldl].conj();
+        // col_j = (b_j - sum_{k<j} x_k * conj(L[j,k])) / conj(L[j,j])
         for k in 0..j {
-            let ljk = ld[j + k * lda];
-            if ljk == 0.0 {
+            let ljk = l[j + k * ldl].conj();
+            if ljk == T::ZERO {
                 continue;
             }
             let (xk, xj) = split_two(b, k, j, ldb, m);
@@ -184,77 +218,94 @@ pub fn trsm_right_lower_trans(m: usize, n: usize, l: &Matrix, b: &mut [f64], ldb
             }
         }
         for v in b[j * ldb..j * ldb + m].iter_mut() {
-            *v /= ljj;
+            *v = *v / ljj;
         }
     }
 }
 
+/// [`trsm_right`] with `L` an `f64` [`Matrix`]: solves `X L^T = B`.
+pub fn trsm_right_lower_trans(m: usize, n: usize, l: &Matrix, b: &mut [f64], ldb: usize) {
+    assert!(l.rows() >= n && l.cols() >= n);
+    trsm_right(m, n, l.as_slice(), l.ld(), b, ldb);
+}
+
 /// Disjoint mutable views of columns `k < j`.
-fn split_two(b: &mut [f64], k: usize, j: usize, ldb: usize, m: usize) -> (&[f64], &mut [f64]) {
+fn split_two<T>(b: &mut [T], k: usize, j: usize, ldb: usize, m: usize) -> (&[T], &mut [T]) {
     debug_assert!(k < j);
     let (head, tail) = b.split_at_mut(j * ldb);
     (&head[k * ldb..k * ldb + m], &mut tail[..m])
 }
 
-/// Transform the generalized problem to standard form
-/// (`dsygst` ITYPE=1): given `A` symmetric (full storage) and the
-/// Cholesky factor `L` of `B`, return `C = L^-1 A L^-T` (full symmetric
-/// storage).
+/// Transform the generalized problem to standard form in place
+/// (`dsygst`/`zhegst` ITYPE=1): `a` holds the full Hermitian `A` (both
+/// triangles) on entry and `C = L^-1 A L^-H` on return, made exactly
+/// Hermitian (the two one-sided solves leave it so only to rounding);
+/// `l` is the Cholesky factor of `B`.
+pub fn hegst<T: ComplexScalar>(n: usize, a: &mut [T], lda: usize, l: &[T], ldl: usize) {
+    if contract::enabled() {
+        contract::require_mat("hegst", "a", a, n, n, lda);
+        contract::require_mat("hegst", "l", l, n, n, ldl);
+        contract::require_finite_mat("hegst", "a", a, n, n, lda);
+        contract::require_finite_lower("hegst", "l", l, n, ldl);
+    }
+    // X = L^-1 A, then C = X L^-H.
+    trsm_left(Trans::No, n, n, T::ONE, l, ldl, a, lda);
+    trsm_right(n, n, l, ldl, a, lda);
+    for j in 0..n {
+        for i in j + 1..n {
+            let v = (a[i + j * lda] + a[j + i * lda].conj()).scale(0.5);
+            a[i + j * lda] = v;
+            a[j + i * lda] = v.conj();
+        }
+        a[j + j * lda] = T::new(a[j + j * lda].re(), 0.0);
+    }
+}
+
+/// [`hegst`] on `f64` [`Matrix`] operands: given `A` symmetric (lower
+/// triangle referenced) and the Cholesky factor `L` of `B`, return
+/// `C = L^-1 A L^-T` (full symmetric storage).
 pub fn sygst(a: &Matrix, l: &Matrix) -> Matrix {
     let n = a.rows();
     assert_eq!(a.cols(), n);
-    if contract::enabled() {
-        contract::require_mat("sygst", "a", a.as_slice(), n, n, a.ld());
-        contract::require_mat("sygst", "l", l.as_slice(), n, n, l.ld());
-        contract::require_finite_lower("sygst", "a", a.as_slice(), n, a.ld());
-        contract::require_finite_lower("sygst", "l", l.as_slice(), n, l.ld());
-    }
     let mut c = a.clone();
     c.symmetrize_from_lower();
-    // X = L^-1 A
-    {
-        let ldc = c.ld();
-        trsm_left_lower(Trans::No, n, n, 1.0, l, c.as_mut_slice(), ldc);
-    }
-    // C = X L^-T
-    {
-        let ldc = c.ld();
-        trsm_right_lower_trans(n, n, l, c.as_mut_slice(), ldc);
-    }
-    // Enforce exact symmetry lost to rounding.
-    for j in 0..n {
-        for i in j + 1..n {
-            let v = 0.5 * (c[(i, j)] + c[(j, i)]);
-            c[(i, j)] = v;
-            c[(j, i)] = v;
-        }
-    }
+    let ldc = c.ld();
+    hegst(n, c.as_mut_slice(), ldc, l.as_slice(), l.ld());
     c
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tseig_matrix::gen;
+    use crate::testutil::{hpd, rand_hermitian, rand_mat};
+    use tseig_matrix::{CMatrixG, C64};
 
-    fn spd(n: usize, seed: u64) -> Matrix {
-        // G G^T + n I is comfortably positive definite.
-        let g = gen::random_symmetric(n, seed);
-        let mut a = g.multiply(&g.transpose()).unwrap();
-        for i in 0..n {
-            a[(i, i)] += n as f64;
+    /// `L` of a seeded positive definite matrix of order `n`.
+    fn factor<T: GemmScalar>(n: usize, nb: usize, seed: u64) -> (CMatrixG<T>, CMatrixG<T>) {
+        let b = hpd::<T>(n, seed);
+        let mut l = b.clone();
+        potrf(n, l.as_mut_slice(), n, nb).unwrap();
+        (b, l)
+    }
+
+    fn check_reconstructs<T: GemmScalar>(n: usize, nb: usize, tol: f64) {
+        let (b, l) = factor::<T>(n, nb, n as u64);
+        // L is lower triangular with a real positive diagonal.
+        for j in 0..n {
+            assert!(l[(j, j)].re() > 0.0 && l[(j, j)].im() == 0.0);
+            assert!((0..j).all(|i| l[(i, j)] == T::ZERO));
         }
-        a
+        let llh = l.multiply(&l.adjoint());
+        assert!(llh.max_diff(&b) < tol * n as f64, "n={n} nb={nb}");
     }
 
     #[test]
     fn cholesky_reconstructs() {
         for (n, nb) in [(10, 4), (25, 8), (17, 32)] {
-            let a = spd(n, n as u64);
-            let mut l = a.clone();
-            potrf_lower(&mut l, nb).unwrap();
-            let llt = l.multiply(&l.transpose()).unwrap();
-            assert!(llt.approx_eq(&a, 1e-9 * (n as f64)), "n={n} nb={nb}");
+            check_reconstructs::<f64>(n, nb, 1e-9);
+        }
+        for (n, nb) in [(12, 1), (12, 5), (12, 32)] {
+            check_reconstructs::<C64>(n, nb, 1e-12);
         }
     }
 
@@ -263,53 +314,58 @@ mod tests {
         let mut a = Matrix::identity(3);
         a[(1, 1)] = -1.0;
         assert!(potrf_lower(&mut a, 2).is_err());
+        let mut b = CMatrixG::<C64>::identity(5);
+        b[(3, 3)] = C64::new(-1.0, 0.0);
+        assert!(potrf(5, b.as_mut_slice(), 5, 2).is_err());
+    }
+
+    fn check_trsm_left<T: GemmScalar>(n: usize) {
+        let (_, l) = factor::<T>(n, 4, 3);
+        let x0 = rand_hermitian::<T>(n, 4);
+        // B = op(L) X0 ; solve op(L) X = B ; expect X == X0.
+        for (trans, op_l) in [(Trans::No, l.clone()), (Trans::Yes, l.adjoint())] {
+            let mut b = op_l.multiply(&x0);
+            trsm_left(trans, n, n, T::ONE, l.as_slice(), n, b.as_mut_slice(), n);
+            assert!(b.max_diff(&x0) < 1e-9, "{trans:?}");
+        }
     }
 
     #[test]
     fn trsm_left_solves() {
-        let n = 12;
-        let a = spd(n, 3);
-        let mut l = a.clone();
-        potrf_lower(&mut l, 4).unwrap();
-        let x0 = gen::random_symmetric(n, 4);
-        // B = L X0 ; solve L X = B ; expect X == X0.
-        let mut b = l.multiply(&x0).unwrap();
-        let ldb = b.ld();
-        trsm_left_lower(Trans::No, n, n, 1.0, &l, b.as_mut_slice(), ldb);
-        assert!(b.approx_eq(&x0, 1e-9));
-        // Transposed: B = L^T X0.
-        let mut b = l.transpose().multiply(&x0).unwrap();
-        trsm_left_lower(Trans::Yes, n, n, 1.0, &l, b.as_mut_slice(), ldb);
-        assert!(b.approx_eq(&x0, 1e-9));
+        check_trsm_left::<f64>(12);
+        check_trsm_left::<C64>(12);
+    }
+
+    fn check_trsm_right<T: GemmScalar>(n: usize) {
+        let (_, l) = factor::<T>(n, 3, 5);
+        let x0 = rand_mat::<T>(n, n, 6);
+        // B = X0 L^H ; solve X L^H = B.
+        let mut b = x0.multiply(&l.adjoint());
+        trsm_right(n, n, l.as_slice(), n, b.as_mut_slice(), n);
+        assert!(b.max_diff(&x0) < 1e-9);
     }
 
     #[test]
     fn trsm_right_solves() {
-        let n = 10;
-        let a = spd(n, 5);
-        let mut l = a.clone();
-        potrf_lower(&mut l, 3).unwrap();
-        let x0 = gen::random_symmetric(n, 6);
-        // B = X0 L^T ; solve X L^T = B.
-        let mut b = x0.multiply(&l.transpose()).unwrap();
-        let ldb = b.ld();
-        trsm_right_lower_trans(n, n, &l, b.as_mut_slice(), ldb);
-        assert!(b.approx_eq(&x0, 1e-9));
+        check_trsm_right::<f64>(10);
+        check_trsm_right::<C64>(10);
+    }
+
+    fn check_hegst<T: GemmScalar>(n: usize) {
+        // C = L^-1 A L^-H has the same eigenvalues as the pencil (A, B):
+        // L C L^H == A, and C is exactly Hermitian.
+        let (_, l) = factor::<T>(n, 4, 7);
+        let a = rand_hermitian::<T>(n, 8);
+        let mut c = a.clone();
+        hegst(n, c.as_mut_slice(), n, l.as_slice(), n);
+        assert_eq!(c, c.adjoint());
+        let recon = l.multiply(&c).multiply(&l.adjoint());
+        assert!(recon.max_diff(&a) < 1e-8 * n as f64);
     }
 
     #[test]
     fn sygst_transform_is_similar() {
-        // C = L^-1 A L^-T has the same eigenvalues as the pencil (A, B).
-        let n = 14;
-        let b = spd(n, 7);
-        let a = gen::random_symmetric(n, 8);
-        let mut l = b.clone();
-        potrf_lower(&mut l, 4).unwrap();
-        let c = sygst(&a, &l);
-        // Verify L C L^T == A.
-        let recon = l.multiply(&c).unwrap().multiply(&l.transpose()).unwrap();
-        let mut a_full = a.clone();
-        a_full.symmetrize_from_lower();
-        assert!(recon.approx_eq(&a_full, 1e-8 * n as f64));
+        check_hegst::<f64>(14);
+        check_hegst::<C64>(14);
     }
 }

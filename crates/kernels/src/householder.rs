@@ -1,20 +1,27 @@
-//! Householder reflector tool-chain: `larfg`, `larf`, `larft`, `larfb`.
+//! Householder reflector tool-chain: `larfg`, `larf`, `larft`, `larfb`,
+//! generic over the four element types.
 //!
-//! Conventions (LAPACK-compatible):
+//! Conventions (LAPACK-compatible, `zlarfg`-style for complex types):
 //!
-//! * A reflector is `H = I - tau * u u^T` with `u = [1, v]^T`; `larfg`
-//!   returns `tau` and overwrites its input with `v` (the part below the
-//!   implicit leading 1).
+//! * A reflector is `H = I - tau u u^H` with `u = [1, v]^T`; `larfg`
+//!   returns a real `beta` and `tau` and overwrites its input with `v`
+//!   (the part below the implicit leading 1). On the real types `u^H`
+//!   is `u^T`, `H` is symmetric and every conjugation below is the
+//!   identity.
 //! * Block reflectors use the compact WY form `H_1 H_2 ... H_k =
-//!   I - V T V^T`, where `V` is unit lower-trapezoidal. Our `larft`/`larfb`
+//!   I - V T V^H`, where `V` is unit lower-trapezoidal. Our `larft`/`larfb`
 //!   take `V` with **explicit** unit diagonal and explicit zeros above it —
 //!   callers materialize that (cheap, `k` is a block size) — because the
 //!   bulge-chasing back-transformation builds `V` blocks (the paper's
 //!   *diamonds*) that never lived inside a factored matrix.
+//! * [`Trans::Yes`] asks for the conjugate transpose `H^H` (the plain
+//!   transpose on the real types).
 
-use crate::blas3::{gemm, Trans};
+use crate::blas3::engine::GemmScalar;
+use crate::blas3::{gemm_t, trmm_upper_left, Op, Trans};
 use crate::contract;
 use crate::flops::{add, add_bytes, Level};
+use tseig_matrix::{ComplexScalar, Scalar};
 
 /// Which side a (block) reflector is applied from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -23,36 +30,46 @@ pub enum Side {
     Right,
 }
 
-/// Generate an elementary reflector for the vector `[alpha, x]`:
-/// on return `H [alpha, x]^T = [beta, 0]^T`, `x` holds `v`, and the
-/// function returns `(beta, tau)`. `tau == 0` means `H == I`.
-pub fn larfg(alpha: f64, x: &mut [f64]) -> (f64, f64) {
+/// Generate an elementary reflector for the vector `[alpha, x]`: on
+/// return `H^H [alpha, x]^T = [beta, 0]^T` with `beta` real, `x` holds
+/// `v`, and the function returns `(beta, tau)`. `tau == 0` means
+/// `H == I`. The norm is the scaled [`nrm2`](crate::blas1::nrm2), so
+/// inputs near the overflow or underflow threshold still produce a
+/// reflector that annihilates the tail.
+pub fn larfg<T: ComplexScalar>(alpha: T, x: &mut [T]) -> (T, T) {
     contract::require_finite_vec("larfg", "x", x, x.len());
     let xnorm = crate::blas1::nrm2(x);
-    if xnorm == 0.0 {
-        return (alpha, 0.0);
+    let (are, aim) = (alpha.re(), alpha.im());
+    if xnorm == 0.0 && aim == 0.0 {
+        return (alpha, T::ZERO);
     }
-    add(Level::L1, 2 * x.len() as u64);
-    add_bytes(Level::L1, 16 * x.len() as u64);
-    let beta = -(alpha.hypot(xnorm)).copysign(alpha);
-    let tau = (beta - alpha) / beta;
-    let inv = 1.0 / (alpha - beta);
+    add(Level::L1, T::MULADD_FLOPS * x.len() as u64);
+    add_bytes(Level::L1, 2 * T::BYTES * x.len() as u64);
+    let norm = if aim == 0.0 {
+        are.hypot(xnorm)
+    } else {
+        are.hypot(aim).hypot(xnorm)
+    };
+    let beta = -norm.copysign(are);
+    let tau = T::new((beta - are) / beta, -aim / beta);
+    let inv = T::ONE / (alpha - T::new(beta, 0.0));
     for v in x.iter_mut() {
         *v *= inv;
     }
-    (beta, tau)
+    (T::new(beta, 0.0), tau)
 }
 
-/// Apply `H = I - tau u u^T` from the left: `C <- H C`, where `u` is the
+/// Apply `H = I - tau u u^H` from the left: `C <- H C`, where `u` is the
 /// **full** reflector vector of length `m` (leading 1 stored explicitly).
-pub fn larf_left(
-    u: &[f64],
-    tau: f64,
+/// Pass `conj(tau)` to apply `H^H`.
+pub fn larf_left<T: Scalar>(
+    u: &[T],
+    tau: T,
     m: usize,
     n: usize,
-    c: &mut [f64],
+    c: &mut [T],
     ldc: usize,
-    work: &mut [f64],
+    work: &mut [T],
 ) {
     if contract::enabled() {
         contract::require_vec("larf_left", "u", u, m);
@@ -61,25 +78,25 @@ pub fn larf_left(
         contract::require_no_alias("larf_left", "u", u, "c", c);
         contract::require_finite_vec("larf_left", "u", u, m);
     }
-    if tau == 0.0 {
+    if tau == T::ZERO {
         return;
     }
-    add(Level::L2, (4 * m * n) as u64);
+    add(Level::L2, 2 * T::MULADD_FLOPS * (m * n) as u64);
     // C read and written once, u/work streamed per column sweep.
-    add_bytes(Level::L2, 8 * (2 * m * n + m + 2 * n) as u64);
-    // work = C^T u
+    add_bytes(Level::L2, T::BYTES * (2 * m * n + m + 2 * n) as u64);
+    // work = C^H u, conjugated: work_j = u^H C(:, j).
     for j in 0..n {
         let col = &c[j * ldc..j * ldc + m];
-        let mut s = 0.0;
+        let mut s = T::ZERO;
         for i in 0..m {
-            s += col[i] * u[i];
+            s += col[i] * u[i].conj();
         }
         work[j] = s;
     }
     // C -= tau u work^T
     for j in 0..n {
         let t = tau * work[j];
-        if t == 0.0 {
+        if t == T::ZERO {
             continue;
         }
         let col = &mut c[j * ldc..j * ldc + m];
@@ -89,15 +106,15 @@ pub fn larf_left(
     }
 }
 
-/// Apply `H = I - tau u u^T` from the right: `C <- C H`, `u` of length `n`.
-pub fn larf_right(
-    u: &[f64],
-    tau: f64,
+/// Apply `H = I - tau u u^H` from the right: `C <- C H`, `u` of length `n`.
+pub fn larf_right<T: Scalar>(
+    u: &[T],
+    tau: T,
     m: usize,
     n: usize,
-    c: &mut [f64],
+    c: &mut [T],
     ldc: usize,
-    work: &mut [f64],
+    work: &mut [T],
 ) {
     if contract::enabled() {
         contract::require_vec("larf_right", "u", u, n);
@@ -106,17 +123,17 @@ pub fn larf_right(
         contract::require_no_alias("larf_right", "u", u, "c", c);
         contract::require_finite_vec("larf_right", "u", u, n);
     }
-    if tau == 0.0 {
+    if tau == T::ZERO {
         return;
     }
-    add(Level::L2, (4 * m * n) as u64);
+    add(Level::L2, 2 * T::MULADD_FLOPS * (m * n) as u64);
     // C read and written once, u/work streamed per column sweep.
-    add_bytes(Level::L2, 8 * (2 * m * n + 2 * m + n) as u64);
+    add_bytes(Level::L2, T::BYTES * (2 * m * n + 2 * m + n) as u64);
     // work = C u
-    work[..m].fill(0.0);
+    work[..m].fill(T::ZERO);
     for j in 0..n {
         let t = u[j];
-        if t == 0.0 {
+        if t == T::ZERO {
             continue;
         }
         let col = &c[j * ldc..j * ldc + m];
@@ -124,10 +141,10 @@ pub fn larf_right(
             work[i] += t * col[i];
         }
     }
-    // C -= tau work u^T
+    // C -= tau work u^H
     for j in 0..n {
-        let t = tau * u[j];
-        if t == 0.0 {
+        let t = tau * u[j].conj();
+        if t == T::ZERO {
             continue;
         }
         let col = &mut c[j * ldc..j * ldc + m];
@@ -137,20 +154,20 @@ pub fn larf_right(
     }
 }
 
-/// Apply `H = I - tau u u^T` two-sided to a symmetric matrix:
-/// `A <- H A H` (order `n`, **full dense** storage, both triangles kept in
-/// sync). Used by the bulge-chasing kernels on small cache-resident
+/// Apply `H = I - tau u u^H` two-sided to a Hermitian matrix:
+/// `A <- H^H A H` (order `n`, **full dense** storage, both triangles kept
+/// in sync). Used by the bulge-chasing kernels on small cache-resident
 /// blocks.
 ///
-/// Uses the symmetric rank-2 form: `w = tau (A u - (tau/2) (u^T A u) u)`,
-/// then `A <- A - u w^T - w u^T`.
-pub fn larf_sym_two_sided(
-    u: &[f64],
-    tau: f64,
+/// Uses the Hermitian rank-2 form: `w = tau (A u - (conj(tau)/2)
+/// (u^H A u) u)`, then `A <- A - u w^H - w u^H`.
+pub fn larf_sym_two_sided<T: ComplexScalar>(
+    u: &[T],
+    tau: T,
     n: usize,
-    a: &mut [f64],
+    a: &mut [T],
     lda: usize,
-    work: &mut [f64],
+    work: &mut [T],
 ) {
     if contract::enabled() {
         contract::require_vec("larf_sym_two_sided", "u", u, n);
@@ -159,17 +176,17 @@ pub fn larf_sym_two_sided(
         contract::require_no_alias("larf_sym_two_sided", "u", u, "a", a);
         contract::require_finite_vec("larf_sym_two_sided", "u", u, n);
     }
-    if tau == 0.0 {
+    if tau == T::ZERO {
         return;
     }
-    add(Level::L2, (4 * n * n) as u64);
+    add(Level::L2, 2 * T::MULADD_FLOPS * (n * n) as u64);
     // A read and written once, u/work streamed per column sweep.
-    add_bytes(Level::L2, 8 * (2 * n * n + 2 * n) as u64);
-    // work = A u  (A is fully stored symmetric here)
-    work[..n].fill(0.0);
+    add_bytes(Level::L2, T::BYTES * (2 * n * n + 2 * n) as u64);
+    // work = A u  (A is fully stored Hermitian here)
+    work[..n].fill(T::ZERO);
     for j in 0..n {
         let t = u[j];
-        if t == 0.0 {
+        if t == T::ZERO {
             continue;
         }
         let col = &a[j * lda..j * lda + n];
@@ -177,13 +194,14 @@ pub fn larf_sym_two_sided(
             work[i] += t * col[i];
         }
     }
-    let uau: f64 = (0..n).map(|i| u[i] * work[i]).sum();
-    let half = 0.5 * tau * uau;
+    // u^H A u is real for Hermitian A; its imaginary part is rounding.
+    let uau: f64 = (0..n).map(|i| (u[i].conj() * work[i]).re()).sum();
+    let half = tau.conj().scale(0.5).scale(uau);
     for i in 0..n {
         work[i] = tau * (work[i] - half * u[i]);
     }
     for j in 0..n {
-        let (wj, uj) = (work[j], u[j]);
+        let (wj, uj) = (work[j].conj(), u[j].conj());
         let col = &mut a[j * lda..j * lda + n];
         for i in 0..n {
             col[i] -= u[i] * wj + work[i] * uj;
@@ -192,13 +210,21 @@ pub fn larf_sym_two_sided(
 }
 
 /// Form the upper-triangular block-reflector factor `T` (forward,
-/// column-wise) such that `H_1 ... H_k = I - V T V^T`.
+/// column-wise) such that `H_1 ... H_k = I - V T V^H`.
 ///
 /// `V` is `m x k` with explicit unit diagonal and zeros above; `tau[i]`
 /// belongs to column `i`. `T` (`k x k`, `ldt >= k`) is fully written:
 /// entries below the diagonal are set to zero so `T` can be fed to
 /// general (non-triangular) multiplies.
-pub fn larft(m: usize, k: usize, v: &[f64], ldv: usize, tau: &[f64], t: &mut [f64], ldt: usize) {
+pub fn larft<T: Scalar>(
+    m: usize,
+    k: usize,
+    v: &[T],
+    ldv: usize,
+    tau: &[T],
+    t: &mut [T],
+    ldt: usize,
+) {
     if contract::enabled() {
         contract::require_mat("larft", "v", v, m, k, ldv);
         contract::require_vec("larft", "tau", tau, k);
@@ -207,34 +233,34 @@ pub fn larft(m: usize, k: usize, v: &[f64], ldv: usize, tau: &[f64], t: &mut [f6
         contract::require_finite_mat("larft", "v", v, m, k, ldv);
         contract::require_finite_vec("larft", "tau", tau, k);
     }
-    add(Level::L3, (m * k * k) as u64);
+    add(Level::L3, (T::MULADD_FLOPS / 2) * (m * k * k) as u64);
     // V streamed once per column pair, T is k x k and cache-resident.
-    add_bytes(Level::L3, 8 * (m * k + 2 * k * k) as u64);
+    add_bytes(Level::L3, T::BYTES * (m * k + 2 * k * k) as u64);
     for i in 0..k {
         // Zero below-diagonal part of column i.
         for l in i + 1..k {
-            t[l + i * ldt] = 0.0;
+            t[l + i * ldt] = T::ZERO;
         }
-        if tau[i] == 0.0 {
-            t[i + i * ldt] = 0.0;
+        if tau[i] == T::ZERO {
+            t[i + i * ldt] = T::ZERO;
             for l in 0..i {
-                t[l + i * ldt] = 0.0;
+                t[l + i * ldt] = T::ZERO;
             }
             continue;
         }
-        // w = V(:, 0..i)^T * V(:, i)
+        // w = V(:, 0..i)^H * V(:, i)
         for l in 0..i {
             let vl = &v[l * ldv..l * ldv + m];
             let vi = &v[i * ldv..i * ldv + m];
-            let mut s = 0.0;
+            let mut s = T::ZERO;
             for r in 0..m {
-                s += vl[r] * vi[r];
+                s += vl[r].conj() * vi[r];
             }
             t[l + i * ldt] = -tau[i] * s;
         }
         // T(0..i, i) = T(0..i, 0..i) * w  (in place, top-down).
         for l in 0..i {
-            let mut s = 0.0;
+            let mut s = T::ZERO;
             for q in l..i {
                 s += t[l + q * ldt] * t[q + i * ldt];
             }
@@ -244,7 +270,7 @@ pub fn larft(m: usize, k: usize, v: &[f64], ldv: usize, tau: &[f64], t: &mut [f6
     }
 }
 
-/// Apply a block reflector `H = I - V T V^T` (or `H^T`) to `C`.
+/// Apply a block reflector `H = I - V T V^H` (or `H^H`) to `C`.
 ///
 /// * `side == Left`:  `C (m x n) <- op(H) C`, `V` is `m x k`.
 /// * `side == Right`: `C (m x n) <- C op(H)`, `V` is `n x k`.
@@ -253,24 +279,24 @@ pub fn larft(m: usize, k: usize, v: &[f64], ldv: usize, tau: &[f64], t: &mut [f6
 /// docs); `T` is the `k x k` factor from [`larft`] with a clean lower
 /// triangle.
 #[allow(clippy::too_many_arguments)]
-pub fn larfb(
+pub fn larfb<T: GemmScalar>(
     side: Side,
     trans: Trans,
     m: usize,
     n: usize,
     k: usize,
-    v: &[f64],
+    v: &[T],
     ldv: usize,
-    t: &[f64],
+    t: &[T],
     ldt: usize,
-    c: &mut [f64],
+    c: &mut [T],
     ldc: usize,
 ) {
     let wlen = match side {
         Side::Left => k * n,
         Side::Right => m * k,
     };
-    let mut work = vec![0.0f64; 2 * wlen];
+    let mut work = vec![T::ZERO; 2 * wlen];
     larfb_with_work(side, trans, m, n, k, v, ldv, t, ldt, c, ldc, &mut work);
 }
 
@@ -279,19 +305,19 @@ pub fn larfb(
 /// of thousands of small block reflectors; reusing the workspace keeps
 /// the allocator out of the inner loop.
 #[allow(clippy::too_many_arguments)]
-pub fn larfb_with_work(
+pub fn larfb_with_work<T: GemmScalar>(
     side: Side,
     trans: Trans,
     m: usize,
     n: usize,
     k: usize,
-    v: &[f64],
+    v: &[T],
     ldv: usize,
-    t: &[f64],
+    t: &[T],
     ldt: usize,
-    c: &mut [f64],
+    c: &mut [T],
     ldc: usize,
-    work: &mut [f64],
+    work: &mut [T],
 ) {
     if contract::enabled() {
         let vrows = match side {
@@ -313,77 +339,54 @@ pub fn larfb_with_work(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let topt = trans;
+    let (one, zero) = (T::ONE, T::ZERO);
+    let kern = T::kernel();
+    let vh = Op::of::<T>(Trans::Yes);
     match side {
         Side::Left => {
-            // W = V^T C  (k x n); W <- op(T) W (triangular); C -= V W.
+            // W = V^H C  (k x n); W <- op(T) W (triangular); C -= V W.
             let w = &mut work[..k * n];
-            gemm(
-                Trans::Yes,
-                Trans::No,
-                k,
-                n,
-                m,
-                1.0,
-                v,
-                ldv,
-                c,
-                ldc,
-                0.0,
-                w,
-                k,
-            );
-            crate::blas3::trmm_upper_left(topt, k, n, 1.0, t, ldt, w, k);
-            gemm(
-                Trans::No,
-                Trans::No,
+            gemm_t(kern, vh, Op::No, k, n, m, one, v, ldv, c, ldc, zero, w, k);
+            trmm_upper_left(trans, k, n, one, t, ldt, w, k);
+            gemm_t(
+                kern,
+                Op::No,
+                Op::No,
                 m,
                 n,
                 k,
-                -1.0,
+                -one,
                 v,
                 ldv,
                 w,
                 k,
-                1.0,
+                one,
                 c,
                 ldc,
             );
         }
         Side::Right => {
-            // W = C V (m x k); W <- W op(T); C -= W V^T.
+            // W = C V (m x k); W <- W op(T); C -= W V^H.
             let (w, w2) = work[..2 * m * k].split_at_mut(m * k);
-            gemm(
-                Trans::No,
-                Trans::No,
+            gemm_t(
+                kern,
+                Op::No,
+                Op::No,
                 m,
                 k,
                 n,
-                1.0,
+                one,
                 c,
                 ldc,
                 v,
                 ldv,
-                0.0,
+                zero,
                 w,
                 m,
             );
-            gemm(Trans::No, topt, m, k, k, 1.0, w, m, t, ldt, 0.0, w2, m);
-            gemm(
-                Trans::No,
-                Trans::Yes,
-                m,
-                n,
-                k,
-                -1.0,
-                w2,
-                m,
-                v,
-                ldv,
-                1.0,
-                c,
-                ldc,
-            );
+            let topt = Op::of::<T>(trans);
+            gemm_t(kern, Op::No, topt, m, k, k, one, w, m, t, ldt, zero, w2, m);
+            gemm_t(kern, Op::No, vh, m, n, k, -one, w2, m, v, ldv, one, c, ldc);
         }
     }
 }
@@ -391,44 +394,78 @@ pub fn larfb_with_work(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tseig_matrix::Matrix;
+    use crate::testutil::{rand_hermitian, rand_mat, rand_vec};
+    use tseig_matrix::{c64, CMatrixG, C64};
 
-    fn rand_vec(n: usize, seed: u64) -> Vec<f64> {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect()
-    }
-
-    fn rand_mat(m: usize, n: usize, seed: u64) -> Matrix {
-        Matrix::from_col_major(m, n, rand_vec(m * n, seed)).unwrap()
-    }
-
-    /// Dense H = I - tau u u^T.
-    fn dense_h(u: &[f64], tau: f64) -> Matrix {
+    /// Dense H = I - tau u u^H.
+    fn dense_h<T: ComplexScalar>(u: &[T], tau: T) -> CMatrixG<T> {
         let n = u.len();
-        Matrix::from_fn(n, n, |i, j| {
-            (if i == j { 1.0 } else { 0.0 }) - tau * u[i] * u[j]
+        CMatrixG::from_fn(n, n, |i, j| {
+            let id = if i == j { T::ONE } else { T::ZERO };
+            id - tau * u[i] * u[j].conj()
         })
+    }
+
+    /// `[1, v]` from a reflector tail.
+    fn full_u<T: ComplexScalar>(v: &[T]) -> Vec<T> {
+        let mut u = vec![T::ONE];
+        u.extend_from_slice(v);
+        u
+    }
+
+    /// `larfg` on `[alpha, x0]`: `H^H [alpha, x0]` must be `[beta, 0..]`
+    /// with `beta` real and `|beta| = ||[alpha, x0]||`, all to within
+    /// `tol * ||[alpha, x0]||`. Returns `tau`.
+    fn check_annihilates<T: ComplexScalar>(alpha: T, x0: &[T], tol: f64) -> T {
+        let mut x = x0.to_vec();
+        let (beta, tau) = larfg(alpha, &mut x);
+        let y: Vec<T> = std::iter::once(alpha).chain(x0.iter().copied()).collect();
+        let norm = crate::blas1::nrm2(&y);
+        let hh = dense_h(&full_u(&x), tau).adjoint();
+        let mut resid = vec![T::ZERO; y.len()];
+        for (i, r) in resid.iter_mut().enumerate() {
+            let mut s = T::ZERO;
+            for (j, &yj) in y.iter().enumerate() {
+                s += hh[(i, j)] * yj;
+            }
+            *r = s - if i == 0 { beta } else { T::ZERO };
+        }
+        assert_eq!(beta.im(), 0.0, "beta must be real");
+        assert!(
+            crate::blas1::nrm2(&resid) <= tol * norm,
+            "H^H x != beta e1: {:e} vs {:e}",
+            crate::blas1::nrm2(&resid),
+            norm
+        );
+        assert!((ComplexScalar::abs(beta) - norm).abs() <= tol * norm);
+        tau
     }
 
     #[test]
     fn larfg_annihilates() {
-        let mut x = vec![3.0, 4.0];
-        let alpha = 0.0;
-        let (beta, tau) = larfg(alpha, &mut x);
-        // Apply H to the original vector [alpha, x]: expect [beta, 0, 0].
-        let u = [1.0, x[0], x[1]];
-        let h = dense_h(&u, tau);
-        let orig = [0.0, 3.0, 4.0];
-        let mut out = [0.0; 3];
-        for i in 0..3 {
-            out[i] = (0..3).map(|j| h[(i, j)] * orig[j]).sum();
+        check_annihilates(0.0, &[3.0, 4.0], 1e-14 / 5.0);
+        check_annihilates(
+            c64(0.3, -0.7),
+            &[c64(1.0, 0.5), c64(-0.2, 0.8)],
+            1e-13 / 1.5,
+        );
+    }
+
+    #[test]
+    fn larfg_extreme_scales_annihilate() {
+        // Near the overflow and underflow thresholds the norm must be
+        // the scaled one: an unscaled sum of squares overflows to inf
+        // (tau = NaN) or underflows to zero (tau = 0, nothing
+        // annihilated).
+        for s in [1e200, 1e-200] {
+            for tau in [
+                check_annihilates(s, &[s], 8.0 * f64::EPSILON),
+                check_annihilates(c64(s, 0.0), &[c64(s, 0.0)], 8.0 * f64::EPSILON).re,
+                check_annihilates(c64(s, -s), &[c64(0.5 * s, s)], 8.0 * f64::EPSILON).re,
+            ] {
+                assert!(tau.is_finite() && tau != 0.0, "scale {s:e}: tau {tau}");
+            }
         }
-        assert!((out[0] - beta).abs() < 1e-14);
-        assert!(out[1].abs() < 1e-14 && out[2].abs() < 1e-14);
-        // |beta| = ||[alpha, x]||_2 = 5.
-        assert!((beta.abs() - 5.0).abs() < 1e-14);
     }
 
     #[test]
@@ -437,65 +474,84 @@ mod tests {
         let (beta, tau) = larfg(7.5, &mut x);
         assert_eq!(tau, 0.0);
         assert_eq!(beta, 7.5);
+        let mut x = vec![C64::ZERO; 2];
+        let (beta, tau) = larfg(c64(7.5, 0.0), &mut x);
+        assert_eq!((beta, tau), (c64(7.5, 0.0), C64::ZERO));
+        // A complex alpha still needs a reflector to make beta real.
+        let tau = check_annihilates(c64(3.0, 4.0), &[C64::ZERO], 1e-15);
+        assert_ne!(tau, C64::ZERO);
+    }
+
+    /// `H H^H = I` (for a real reflector also `H^2 = I`).
+    fn check_unitary<T: ComplexScalar>(alpha: T, len: usize, seed: u64, tol: f64) {
+        let mut x = rand_vec::<T>(len, seed);
+        let (_, tau) = larfg(alpha, &mut x);
+        let h = dense_h(&full_u(&x), tau);
+        let hh = h.multiply(&h.adjoint());
+        assert!(
+            hh.max_diff(&CMatrixG::identity(len + 1)) < tol,
+            "H H^H != I"
+        );
     }
 
     #[test]
     fn reflector_is_orthogonal_involution() {
-        let mut x = rand_vec(5, 1);
-        let (_, tau) = larfg(0.7, &mut x);
-        let mut u = vec![1.0];
-        u.extend_from_slice(&x);
+        check_unitary(0.7, 5, 1, 1e-13);
+        check_unitary(c64(1.0, 0.2), 3, 1, 1e-13);
+    }
+
+    fn check_larf<T: ComplexScalar>(m: usize, n: usize, seed: u64) {
+        let c0 = rand_mat::<T>(m, n, seed);
+        let mut x = rand_vec::<T>(m - 1, seed + 1);
+        let (_, tau) = larfg(T::new(0.3, -0.4), &mut x);
+        let u = full_u(&x);
         let h = dense_h(&u, tau);
-        let hh = h.multiply(&h).unwrap();
-        assert!(hh.approx_eq(&Matrix::identity(6), 1e-13), "H^2 != I");
+        let mut work = vec![T::ZERO; m.max(n)];
+
+        let mut c = c0.clone();
+        larf_left(&u, tau, m, n, c.as_mut_slice(), m, &mut work);
+        assert!(c.max_diff(&h.multiply(&c0)) < 1e-13);
+
+        // From the right, on the n x m adjoint, with u of length m.
+        let c0h = c0.adjoint();
+        let mut cr = c0h.clone();
+        larf_right(&u, tau, n, m, cr.as_mut_slice(), n, &mut work);
+        assert!(cr.max_diff(&c0h.multiply(&h)) < 1e-13);
     }
 
     #[test]
     fn larf_left_right_match_dense() {
-        let m = 6;
-        let n = 4;
-        let c0 = rand_mat(m, n, 2);
-        let mut x = rand_vec(m - 1, 3);
-        let (_, tau) = larfg(0.3, &mut x);
-        let mut u = vec![1.0];
-        u.extend_from_slice(&x);
+        check_larf::<f64>(6, 4, 2);
+        check_larf::<C64>(5, 4, 9);
+    }
+
+    fn check_two_sided<T: ComplexScalar>(n: usize, seed: u64) {
+        let a0 = rand_hermitian::<T>(n, seed);
+        let mut a = a0.clone();
+        let mut x = rand_vec::<T>(n - 1, seed + 1);
+        let (_, tau) = larfg(T::new(-0.2, 0.1), &mut x);
+        let u = full_u(&x);
         let h = dense_h(&u, tau);
-
-        let mut c = c0.clone();
-        let mut work = vec![0.0; m.max(n)];
-        larf_left(&u, tau, m, n, c.as_mut_slice(), m, &mut work);
-        assert!(c.approx_eq(&h.multiply(&c0).unwrap(), 1e-13));
-
-        let c0t = c0.transpose(); // n x m, apply from right with u of length m
-        let mut cr = c0t.clone();
-        larf_right(&u, tau, n, m, cr.as_mut_slice(), n, &mut work);
-        assert!(cr.approx_eq(&c0t.multiply(&h).unwrap(), 1e-13));
+        let mut work = vec![T::ZERO; n];
+        larf_sym_two_sided(&u, tau, n, a.as_mut_slice(), n, &mut work);
+        let want = h.adjoint().multiply(&a0).multiply(&h);
+        assert!(a.max_diff(&want) < 1e-12);
     }
 
     #[test]
     fn two_sided_matches_h_a_h() {
-        let n = 5;
-        let mut a = tseig_matrix::gen::random_symmetric(n, 4);
-        let a0 = a.clone();
-        let mut x = rand_vec(n - 1, 5);
-        let (_, tau) = larfg(-0.2, &mut x);
-        let mut u = vec![1.0];
-        u.extend_from_slice(&x);
-        let h = dense_h(&u, tau);
-        let mut work = vec![0.0; n];
-        larf_sym_two_sided(&u, tau, n, a.as_mut_slice(), n, &mut work);
-        let want = h.multiply(&a0).unwrap().multiply(&h).unwrap();
-        assert!(a.approx_eq(&want, 1e-12));
+        check_two_sided::<f64>(5, 4);
+        check_two_sided::<C64>(7, 4);
     }
 
     /// Build k random reflectors in explicit-V form plus their taus.
-    fn random_v_tau(m: usize, k: usize, seed: u64) -> (Matrix, Vec<f64>) {
-        let mut v = Matrix::zeros(m, k);
+    fn random_v_tau<T: ComplexScalar>(m: usize, k: usize, seed: u64) -> (CMatrixG<T>, Vec<T>) {
+        let mut v = CMatrixG::zeros(m, k);
         let mut taus = Vec::with_capacity(k);
         for i in 0..k {
-            let mut x = rand_vec(m - i - 1, seed + i as u64);
-            let (_, tau) = larfg(0.5, &mut x);
-            v[(i, i)] = 1.0;
+            let mut x = rand_vec::<T>(m - i - 1, seed + i as u64);
+            let (_, tau) = larfg(T::new(0.5, 0.1), &mut x);
+            v[(i, i)] = T::ONE;
             for (r, &val) in x.iter().enumerate() {
                 v[(i + 1 + r, i)] = val;
             }
@@ -504,130 +560,87 @@ mod tests {
         (v, taus)
     }
 
-    fn dense_block_h(v: &Matrix, taus: &[f64]) -> Matrix {
-        // H = H_1 H_2 ... H_k as dense product.
+    /// H = H_1 H_2 ... H_k as a dense product.
+    fn dense_block_h<T: ComplexScalar>(v: &CMatrixG<T>, taus: &[T]) -> CMatrixG<T> {
         let m = v.rows();
-        let mut h = Matrix::identity(m);
-        for i in 0..taus.len() {
-            let u: Vec<f64> = (0..m).map(|r| v[(r, i)]).collect();
-            let hi = dense_h(&u, taus[i]);
-            h = h.multiply(&hi).unwrap();
+        let mut h = CMatrixG::identity(m);
+        for (i, &tau) in taus.iter().enumerate() {
+            let u: Vec<T> = (0..m).map(|r| v[(r, i)]).collect();
+            h = h.multiply(&dense_h(&u, tau));
         }
         h
     }
 
-    #[test]
-    fn larft_compact_wy_identity() {
-        let m = 8;
-        let k = 3;
-        let (v, taus) = random_v_tau(m, k, 10);
-        let mut t = vec![0.0; k * k];
+    fn check_larft<T: ComplexScalar>(m: usize, k: usize, seed: u64) {
+        let (v, taus) = random_v_tau::<T>(m, k, seed);
+        let mut t = vec![T::ONE; k * k];
         larft(m, k, v.as_slice(), m, &taus, &mut t, k);
-        // I - V T V^T must equal H_1 H_2 H_3.
-        let tmat = Matrix::from_col_major(k, k, t).unwrap();
-        let vt = v.transpose();
-        let vtv = v.multiply(&tmat).unwrap().multiply(&vt).unwrap();
-        let mut want = dense_block_h(&v, &taus);
-        // I - vtv
-        let mut got = Matrix::identity(m);
-        for j in 0..m {
-            for i in 0..m {
-                got[(i, j)] -= vtv[(i, j)];
+        // I - V T V^H must equal H_1 H_2 H_3.
+        let tmat = CMatrixG::from_fn(k, k, |i, j| t[i + j * k]);
+        let vtv = v.multiply(&tmat).multiply(&v.adjoint());
+        let got = CMatrixG::from_fn(m, m, |i, j| {
+            let id = if i == j { T::ONE } else { T::ZERO };
+            id - vtv[(i, j)]
+        });
+        assert!(
+            got.max_diff(&dense_block_h(&v, &taus)) < 1e-13,
+            "compact WY mismatch"
+        );
+        // Lower triangle of T is clean.
+        for j in 0..k {
+            for i in j + 1..k {
+                assert_eq!(t[i + j * k], T::ZERO);
             }
         }
-        assert!(got.approx_eq(&want, 1e-13), "compact WY mismatch");
-        // Lower triangle of T is clean.
-        let tm = got; // reuse binding to silence lint
-        let _ = tm;
-        want = Matrix::identity(m);
-        let _ = want;
+    }
+
+    #[test]
+    fn larft_compact_wy_identity() {
+        check_larft::<f64>(8, 3, 10);
+        check_larft::<C64>(7, 3, 10);
+    }
+
+    /// `larfb` against the dense block reflector, both transposes:
+    /// `Left` is `op(H) C`, `Right` is `C op(H)`.
+    fn check_larfb<T: GemmScalar>(side: Side, m: usize, n: usize, k: usize, seed: u64) {
+        let vrows = if side == Side::Left { m } else { n };
+        let (v, taus) = random_v_tau::<T>(vrows, k, seed);
+        let mut t = vec![T::ZERO; k * k];
+        larft(vrows, k, v.as_slice(), vrows, &taus, &mut t, k);
+        let h = dense_block_h(&v, &taus);
+        let c0 = rand_mat::<T>(m, n, seed + 1);
+        for (trans, op_h) in [(Trans::No, h.clone()), (Trans::Yes, h.adjoint())] {
+            let mut c = c0.clone();
+            larfb(
+                side,
+                trans,
+                m,
+                n,
+                k,
+                v.as_slice(),
+                vrows,
+                &t,
+                k,
+                c.as_mut_slice(),
+                m,
+            );
+            let want = match side {
+                Side::Left => op_h.multiply(&c0),
+                Side::Right => c0.multiply(&op_h),
+            };
+            assert!(c.max_diff(&want) < 1e-12, "{side:?} {trans:?}");
+        }
     }
 
     #[test]
     fn larfb_left_both_trans() {
-        let m = 9;
-        let n = 5;
-        let k = 4;
-        let (v, taus) = random_v_tau(m, k, 20);
-        let mut t = vec![0.0; k * k];
-        larft(m, k, v.as_slice(), m, &taus, &mut t, k);
-        let h = dense_block_h(&v, &taus);
-        let c0 = rand_mat(m, n, 21);
-
-        let mut c = c0.clone();
-        larfb(
-            Side::Left,
-            Trans::No,
-            m,
-            n,
-            k,
-            v.as_slice(),
-            m,
-            &t,
-            k,
-            c.as_mut_slice(),
-            m,
-        );
-        assert!(c.approx_eq(&h.multiply(&c0).unwrap(), 1e-12));
-
-        let mut c = c0.clone();
-        larfb(
-            Side::Left,
-            Trans::Yes,
-            m,
-            n,
-            k,
-            v.as_slice(),
-            m,
-            &t,
-            k,
-            c.as_mut_slice(),
-            m,
-        );
-        assert!(c.approx_eq(&h.transpose().multiply(&c0).unwrap(), 1e-12));
+        check_larfb::<f64>(Side::Left, 9, 5, 4, 20);
+        check_larfb::<C64>(Side::Left, 9, 5, 4, 20);
     }
 
     #[test]
     fn larfb_right_both_trans() {
-        let m = 5;
-        let n = 9;
-        let k = 3;
-        let (v, taus) = random_v_tau(n, k, 30);
-        let mut t = vec![0.0; k * k];
-        larft(n, k, v.as_slice(), n, &taus, &mut t, k);
-        let h = dense_block_h(&v, &taus);
-        let c0 = rand_mat(m, n, 31);
-
-        let mut c = c0.clone();
-        larfb(
-            Side::Right,
-            Trans::No,
-            m,
-            n,
-            k,
-            v.as_slice(),
-            n,
-            &t,
-            k,
-            c.as_mut_slice(),
-            m,
-        );
-        assert!(c.approx_eq(&c0.multiply(&h).unwrap(), 1e-12));
-
-        let mut c = c0.clone();
-        larfb(
-            Side::Right,
-            Trans::Yes,
-            m,
-            n,
-            k,
-            v.as_slice(),
-            n,
-            &t,
-            k,
-            c.as_mut_slice(),
-            m,
-        );
-        assert!(c.approx_eq(&c0.multiply(&h.transpose()).unwrap(), 1e-12));
+        check_larfb::<f64>(Side::Right, 5, 9, 3, 30);
+        check_larfb::<C64>(Side::Right, 5, 9, 3, 30);
     }
 }

@@ -12,6 +12,8 @@
 //! * **Householder tool-chain** ([`householder`], [`qr`]) — `larfg`,
 //!   `larf`, `larft`, `larfb`, blocked QR: the building blocks of both
 //!   reduction stages and of the back-transformation.
+//! * **Cholesky tool-chain** ([`cholesky`]) — `potrf`, `trsm`, `hegst`:
+//!   the reduction of a generalized problem to standard form.
 //! * **Flop accounting** ([`flops`]) — relaxed atomic counters, split by
 //!   BLAS level, used to *measure* the complexity columns of the paper's
 //!   Table 1 instead of trusting the formulas.
@@ -24,7 +26,11 @@
 //!   independent of everything above, that tests compare against.
 //!
 //! All kernels follow LAPACK conventions: column-major storage passed as
-//! `(&[f64], ld)` pairs, lower-triangular symmetric storage.
+//! `(&[T], ld)` pairs, lower-triangular symmetric (Hermitian) storage.
+//! The Level-3, Householder, QR and Cholesky kernels are generic over
+//! the four element types (`f32`, `f64`, `C32`, `C64`): each conjugation
+//! is written in and is the identity on the real types, so the real and
+//! the Hermitian pipelines run one copy of every kernel.
 
 // BLAS-style entry points pass every dimension/stride explicitly; the
 // argument counts are the interface, not an accident.
@@ -40,5 +46,7 @@ pub mod householder;
 pub mod qr;
 pub mod reference;
 pub mod scaling;
+#[cfg(test)]
+mod testutil;
 
 pub use blas3::Trans;

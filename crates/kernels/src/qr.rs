@@ -9,7 +9,7 @@ use crate::blas3::Trans;
 use crate::contract;
 use crate::householder::{larfb_with_work, larfg, larft, Side};
 use tseig_matrix::workspace::MemReq;
-use tseig_matrix::Matrix;
+use tseig_matrix::{ComplexScalar, Matrix};
 
 /// Reusable workspace for [`geqrf_ws`]: one buffer per scratch object the
 /// allocating entry points create per call. After the first call at a
@@ -67,10 +67,11 @@ pub fn geqrf_req(m: usize, n: usize, nb: usize) -> MemReq {
         .and(MemReq::f64s(2 * nb * n)) // larfb work
 }
 
-/// Unblocked QR (LAPACK `geqr2`): on return the upper triangle of `a`
-/// holds `R`, the strict lower triangle holds the reflector tails `v`, and
-/// `tau[j]` the scalar factors.
-pub fn geqr2(m: usize, n: usize, a: &mut [f64], lda: usize, tau: &mut [f64]) {
+/// Unblocked QR (LAPACK `geqr2`/`zgeqr2`): on return the upper triangle
+/// of `a` holds `R` (with a real diagonal), the strict lower triangle
+/// holds the reflector tails `v`, and `tau[j]` the scalar factors, so
+/// `A = H_1 ... H_k R`.
+pub fn geqr2<T: ComplexScalar>(m: usize, n: usize, a: &mut [T], lda: usize, tau: &mut [T]) {
     let mut work = Vec::new();
     let mut u = Vec::new();
     geqr2_ws(m, n, a, lda, tau, &mut work, &mut u);
@@ -79,14 +80,14 @@ pub fn geqr2(m: usize, n: usize, a: &mut [f64], lda: usize, tau: &mut [f64]) {
 /// [`geqr2`] with caller-owned scratch: `work` and `u` are resized (not
 /// reallocated, once warm) to `n` and `m` elements. Identical arithmetic
 /// in identical order, so results are bitwise-equal to [`geqr2`].
-pub fn geqr2_ws(
+pub fn geqr2_ws<T: ComplexScalar>(
     m: usize,
     n: usize,
-    a: &mut [f64],
+    a: &mut [T],
     lda: usize,
-    tau: &mut [f64],
-    work: &mut Vec<f64>,
-    u: &mut Vec<f64>,
+    tau: &mut [T],
+    work: &mut Vec<T>,
+    u: &mut Vec<T>,
 ) {
     if contract::enabled() {
         contract::require_mat("geqr2", "a", a, m, n, lda);
@@ -95,12 +96,11 @@ pub fn geqr2_ws(
     }
     let k = m.min(n);
     work.clear();
-    work.resize(n, 0.0);
+    work.resize(n, T::ZERO);
     u.clear();
-    u.resize(m, 0.0);
+    u.resize(m, T::ZERO);
     for j in 0..k {
         // Generate reflector for column j, rows j..m.
-        let alpha = a[j + j * lda];
         let (beta, t) = {
             let col = &mut a[j * lda..j * lda + m];
             let (head, tail) = col.split_at_mut(j + 1);
@@ -108,12 +108,12 @@ pub fn geqr2_ws(
         };
         a[j + j * lda] = beta;
         tau[j] = t;
-        if t == 0.0 || j + 1 == n {
+        if t == T::ZERO || j + 1 == n {
             continue;
         }
-        // Materialize u = [1, v] and apply to the trailing columns.
+        // Materialize u = [1, v] and apply H^H to the trailing columns.
         let mlen = m - j;
-        u[0] = 1.0;
+        u[0] = T::ONE;
         for r in 1..mlen {
             u[r] = a[j + r + j * lda];
         }
@@ -121,14 +121,13 @@ pub fn geqr2_ws(
         // Flops and bytes are accounted inside larf_left.
         crate::householder::larf_left(
             &u[..mlen],
-            t,
+            t.conj(),
             mlen,
             ncols,
             &mut a[j + (j + 1) * lda..],
             lda,
             work,
         );
-        let _ = alpha;
     }
 }
 
@@ -271,7 +270,7 @@ pub fn orgqr(m: usize, k: usize, a: &[f64], lda: usize, tau: &[f64]) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tseig_matrix::norms;
+    use tseig_matrix::{norms, CMatrixG, C64};
 
     fn rand_mat(m: usize, n: usize, seed: u64) -> Matrix {
         use rand::rngs::StdRng;
@@ -310,9 +309,45 @@ mod tests {
         assert!(norms::orthogonality(&q) < 100.0, "Q not orthogonal");
     }
 
+    /// Unblocked `geqr2` at any element type: `Q R = A` with `Q`
+    /// materialized by applying the reflectors to `I` in reverse, and
+    /// `Q` unitary.
+    fn check_geqr2<T: ComplexScalar>(m: usize, n: usize, seed: u64) {
+        let a0 = crate::testutil::rand_mat::<T>(m, n, seed);
+        let mut a = a0.clone();
+        let mut tau = vec![T::ZERO; m.min(n)];
+        geqr2(m, n, a.as_mut_slice(), m, &mut tau);
+        let mut q = CMatrixG::<T>::identity(m);
+        let mut u = vec![T::ZERO; m];
+        let mut work = vec![T::ZERO; m];
+        for j in (0..m.min(n)).rev() {
+            let rows = m - j;
+            u[0] = T::ONE;
+            for r in 1..rows {
+                u[r] = a[(j + r, j)];
+            }
+            crate::householder::larf_left(
+                &u[..rows],
+                tau[j],
+                rows,
+                m,
+                &mut q.as_mut_slice()[j..],
+                m,
+                &mut work,
+            );
+        }
+        let r = CMatrixG::from_fn(m, n, |i, j| if i <= j { a[(i, j)] } else { T::ZERO });
+        assert!(q.multiply(&r).max_diff(&a0) < 1e-12, "QR != A");
+        assert!(q.multiply(&q.adjoint()).max_diff(&CMatrixG::identity(m)) < 1e-12);
+        // R has a real diagonal.
+        assert!((0..m.min(n)).all(|i| a[(i, i)].im() == 0.0));
+    }
+
     #[test]
     fn qr_square_unblocked_equivalent() {
         check_qr(6, 6, 1, 1);
+        check_geqr2::<f64>(8, 5, 11);
+        check_geqr2::<C64>(8, 5, 11);
     }
 
     #[test]

@@ -18,10 +18,10 @@
 //!    what certifies the conjugation-in-packing fold.
 
 use proptest::prelude::*;
-use tseig_kernels::blas3::engine::{gemm, gemm_with_kernel, GemmScalar};
+use tseig_kernels::blas3::engine::{gemm, gemm_par, gemm_with_kernel, zgemm_oracle, GemmScalar};
 use tseig_kernels::blas3::simd::SimdScalar;
 use tseig_kernels::blas3::Op;
-use tseig_matrix::{C32, C64};
+use tseig_matrix::{c64, C32, C64};
 
 /// Exact bit-pattern equality per element type (plain `==` would let
 /// `-0.0 == 0.0` and NaN mismatches slip through).
@@ -454,6 +454,76 @@ proptest! {
                     "f32 engine off the f64 oracle at ({i},{j}): got={got:e} want={want:e} \
                      tol={tol:e} (opa={opa:?} opb={opb:?} m={m} n={n} k={k})"
                 );
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The parallel packed C64 engine against the naive triple-loop oracle.
+// ---------------------------------------------------------------------
+
+/// Deterministic pseudo-random complex value from an index mix.
+fn cval(seed: u64, i: usize) -> C64 {
+    let mut x = seed
+        .wrapping_mul(0x9e3779b97f4a7c15)
+        .wrapping_add(i as u64)
+        .wrapping_mul(0xbf58476d1ce4e5b9);
+    x ^= x >> 31;
+    let re = ((x >> 11) as f64 / (1u64 << 53) as f64) - 0.5;
+    let im = (((x.wrapping_mul(0x94d049bb133111eb)) >> 11) as f64 / (1u64 << 53) as f64) - 0.5;
+    c64(re, im)
+}
+
+fn cmat(rows: usize, ld: usize, cols: usize, seed: u64) -> Vec<C64> {
+    let _ = rows;
+    (0..ld * cols).map(|i| cval(seed, i)).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
+
+    /// Packed complex GEMM against the naive triple-loop oracle on
+    /// ragged shapes, all four conj-op combos, `k` straddling the
+    /// packed engine's `KC = 256` so multiple depth panels (and the
+    /// `beta`-after-first-panel path) are exercised, with padded `ld`s.
+    #[test]
+    fn packed_zgemm_matches_oracle_ragged(
+        m in 1usize..40,
+        n in 1usize..24,
+        k in 200usize..320,
+        pad in 0usize..3,
+        seed in 0u64..1000,
+    ) {
+        for (opa, opb) in [
+            (Op::No, Op::No),
+            (Op::No, Op::ConjTrans),
+            (Op::ConjTrans, Op::No),
+            (Op::ConjTrans, Op::ConjTrans),
+        ] {
+            let (ar, ac) = match opa { Op::No => (m, k), _ => (k, m) };
+            let (br, bc) = match opb { Op::No => (k, n), _ => (n, k) };
+            let (lda, ldb, ldc) = (ar + pad, br + pad, m + pad);
+            let a = cmat(ar, lda, ac, seed);
+            let b = cmat(br, ldb, bc, seed ^ 0x55);
+            let c0 = cmat(m, ldc, n, seed ^ 0xaa);
+            let alpha = cval(seed ^ 0x77, 1);
+            let beta = cval(seed ^ 0x77, 2);
+
+            let mut packed = c0.clone();
+            gemm_par(opa, opb, m, n, k, alpha, &a, lda, &b, ldb, beta, &mut packed, ldc);
+            let mut naive = c0.clone();
+            zgemm_oracle(opa, opb, m, n, k, alpha, &a, lda, &b, ldb, beta, &mut naive, ldc);
+
+            let scale = k as f64;
+            for j in 0..n {
+                for i in 0..m {
+                    let d = (packed[i + j * ldc] - naive[i + j * ldc]).abs();
+                    prop_assert!(
+                        d < 1e-12 * scale,
+                        "mismatch at ({i},{j}): {d:e} (opa={opa:?}, opb={opb:?}, m={m}, n={n}, k={k})"
+                    );
+                }
             }
         }
     }

@@ -11,6 +11,10 @@ use tseig_kernels::blas3::{
     gemm, gemm_par, gemm_par_with, gemm_unpacked, symm_lower_left, symm_lower_left_par,
     syr2k_lower, syr2k_lower_par, syrk_lower, trmm_upper_left, Trans,
 };
+use tseig_kernels::cholesky::{hegst, potrf, trsm_left, trsm_right};
+use tseig_kernels::householder::{larf_left, larfb_with_work, Side};
+use tseig_kernels::qr::geqr2;
+use tseig_matrix::{c64, C64};
 
 fn filled(len: usize, seed: u64) -> Vec<f64> {
     use rand::rngs::StdRng;
@@ -19,11 +23,18 @@ fn filled(len: usize, seed: u64) -> Vec<f64> {
     (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect()
 }
 
+/// Complex entries with independent real and imaginary parts.
+fn cfilled(len: usize, seed: u64) -> Vec<C64> {
+    let re = filled(len, seed);
+    let im = filled(len, seed + 1000);
+    re.iter().zip(&im).map(|(&r, &i)| c64(r, i)).collect()
+}
+
 /// Carve an aliased (read, write) view pair from one buffer, the way a
 /// caller slicing from leaked or raw-parts storage could. The kernels'
 /// alias contract must abort before a single element is dereferenced, so
 /// the overlap is never actually exercised.
-fn aliased_pair(buf: &mut [f64]) -> (&[f64], &mut [f64]) {
+fn aliased_pair<T>(buf: &mut [T]) -> (&[T], &mut [T]) {
     let ptr = buf.as_mut_ptr();
     let len = buf.len();
     // SAFETY: both views cover one live allocation; the contract under
@@ -239,12 +250,154 @@ fn trmm_rejects_aliased_t_and_b() {
 }
 
 // ---------------------------------------------------------------------
+// The generic entry points at C64: the same contracts guard the complex
+// instances.
+// ---------------------------------------------------------------------
+
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "contracts compile out in release")]
+#[should_panic(expected = "leading dimension")]
+fn larf_left_rejects_small_ldc_c64() {
+    let u = cfilled(4, 1);
+    let mut c = cfilled(16, 2);
+    let mut work = vec![C64::ZERO; 4];
+    larf_left(&u, C64::ONE, 4, 4, &mut c, 3, &mut work);
+}
+
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "contracts compile out in release")]
+#[should_panic(expected = "leading dimension")]
+fn larfb_rejects_small_ldv_c64() {
+    let (v, t) = (cfilled(8, 1), cfilled(4, 2));
+    let mut c = cfilled(12, 3);
+    let mut work = vec![C64::ZERO; 12];
+    larfb_with_work(
+        Side::Left,
+        Trans::No,
+        4,
+        3,
+        2,
+        &v,
+        3,
+        &t,
+        2,
+        &mut c,
+        4,
+        &mut work,
+    );
+}
+
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "contracts compile out in release")]
+#[should_panic(expected = "leading dimension")]
+fn geqr2_rejects_small_lda_c64() {
+    let mut a = cfilled(12, 1);
+    let mut tau = vec![C64::ZERO; 3];
+    geqr2(4, 3, &mut a, 3, &mut tau);
+}
+
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "contracts compile out in release")]
+#[should_panic(expected = "leading dimension")]
+fn potrf_rejects_small_lda_c64() {
+    let mut a = cfilled(16, 1);
+    let _ = potrf(4, &mut a, 3, 2);
+}
+
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "contracts compile out in release")]
+#[should_panic(expected = "slice too short")]
+fn trsm_left_rejects_short_b_c64() {
+    let l = cfilled(16, 1);
+    let mut b = cfilled(7, 2); // 4 x 2 with ldb 4 needs 8
+    trsm_left(Trans::Yes, 4, 2, C64::ONE, &l, 4, &mut b, 4);
+}
+
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "contracts compile out in release")]
+#[should_panic(expected = "leading dimension")]
+fn hegst_rejects_small_ldl_c64() {
+    let mut a = cfilled(16, 1);
+    let l = cfilled(16, 2);
+    hegst(4, &mut a, 4, &l, 3);
+}
+
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "contracts compile out in release")]
+#[should_panic(expected = "leading dimension")]
+fn syr2k_rejects_small_ldb_c64() {
+    let (a, b) = (cfilled(8, 1), cfilled(8, 2));
+    let mut c = cfilled(16, 3);
+    syr2k_lower(4, 2, 1.0, &a, 4, &b, 3, 0.0, &mut c, 4);
+}
+
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "contracts compile out in release")]
+#[should_panic(expected = "slice too short")]
+fn symm_par_rejects_short_b_c64() {
+    let a = cfilled(16, 1);
+    let b = cfilled(7, 2);
+    let mut c = cfilled(8, 3);
+    symm_lower_left_par(4, 2, C64::ONE, &a, 4, &b, 4, C64::ZERO, &mut c, 4);
+}
+
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "contracts compile out in release")]
+#[should_panic(expected = "leading dimension")]
+fn trmm_rejects_small_ldt_c64() {
+    let t = cfilled(16, 1);
+    let mut b = cfilled(16, 2);
+    trmm_upper_left(Trans::Yes, 4, 4, C64::ONE, &t, 3, &mut b, 4);
+}
+
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "contracts compile out in release")]
+#[should_panic(expected = "overlaps output")]
+fn larf_left_rejects_aliased_u_and_c_c64() {
+    let mut buf = cfilled(16, 1);
+    let (u, c) = aliased_pair(&mut buf);
+    let mut work = vec![C64::ZERO; 4];
+    larf_left(u, C64::ONE, 4, 4, c, 4, &mut work);
+}
+
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "contracts compile out in release")]
+#[should_panic(expected = "overlaps output")]
+fn larfb_rejects_aliased_v_and_c_c64() {
+    let t = cfilled(4, 1);
+    let mut buf = cfilled(16, 2);
+    let (v, c) = aliased_pair(&mut buf);
+    let mut work = vec![C64::ZERO; 12];
+    larfb_with_work(Side::Left, Trans::No, 4, 3, 2, v, 4, &t, 2, c, 4, &mut work);
+}
+
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "contracts compile out in release")]
+#[should_panic(expected = "overlaps output")]
+fn trsm_right_rejects_aliased_l_and_b_c64() {
+    let mut buf = cfilled(16, 1);
+    let (l, b) = aliased_pair(&mut buf);
+    trsm_right(4, 4, l, 4, b, 4);
+}
+
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "contracts compile out in release")]
+#[should_panic(expected = "overlaps output")]
+fn symm_rejects_aliased_b_and_c_c64() {
+    let a = cfilled(16, 1);
+    let mut buf = cfilled(16, 2);
+    let (b, c) = aliased_pair(&mut buf);
+    symm_lower_left(4, 2, C64::ONE, &a, 4, b, 4, C64::ZERO, c, 4);
+}
+
+// ---------------------------------------------------------------------
 // `paranoid`: NaN/Inf input poison detection, scoped to the read set.
 // ---------------------------------------------------------------------
 
 #[cfg(feature = "paranoid")]
 mod paranoid {
     use super::*;
+    use tseig_kernels::householder::{larfg, larft};
 
     #[test]
     #[cfg_attr(not(debug_assertions), ignore = "contracts compile out in release")]
@@ -313,6 +466,45 @@ mod paranoid {
         t[4] = f64::NAN; // (0, 1): inside the upper read set
         let mut b = vec![0.0; 16];
         trmm_upper_left(Trans::No, 4, 4, 1.0, &t, 4, &mut b, 4);
+    }
+
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "contracts compile out in release")]
+    #[should_panic(expected = "non-finite input poison")]
+    fn larfg_catches_nan_imaginary_part_c64() {
+        let mut x = cfilled(4, 1);
+        x[2] = c64(0.5, f64::NAN);
+        larfg(C64::ONE, &mut x);
+    }
+
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "contracts compile out in release")]
+    #[should_panic(expected = "non-finite input poison")]
+    fn larft_catches_inf_in_tau_c64() {
+        let v = cfilled(8, 1);
+        let mut tau = cfilled(2, 2);
+        tau[1] = c64(f64::INFINITY, 0.0);
+        let mut t = vec![C64::ZERO; 4];
+        larft(4, 2, &v, 4, &tau, &mut t, 2);
+    }
+
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "contracts compile out in release")]
+    #[should_panic(expected = "non-finite input poison")]
+    fn potrf_catches_nan_in_lower_triangle_c64() {
+        let mut a = cfilled(16, 1);
+        a[3] = c64(f64::NAN, 0.0); // (3, 0): strictly lower
+        let _ = potrf(4, &mut a, 4, 2);
+    }
+
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "contracts compile out in release")]
+    #[should_panic(expected = "non-finite input poison")]
+    fn trsm_right_catches_nan_in_b_c64() {
+        let l = cfilled(16, 1);
+        let mut b = cfilled(16, 2);
+        b[9] = c64(0.0, f64::NAN);
+        trsm_right(4, 4, &l, 4, &mut b, 4);
     }
 }
 

@@ -13,6 +13,20 @@ use crate::{Ctrl, Result};
 use std::fmt;
 use std::sync::Mutex;
 
+/// Scaled-measure acceptance bound of opt-in verification, shared by
+/// every driver: the workspace convention (see [`crate::norms`]) is
+/// that backward error and orthogonality measures of order 1–100 are
+/// excellent and anything above ~1e3 indicates a bug.
+pub const VERIFY_BOUND: f64 = 1e3;
+
+/// Diagonal-shift escalations a generalized driver tries after a
+/// Cholesky breakdown of the pencil's `B` before giving up. The shift
+/// starts at `||B|| n eps` and grows by 100x per attempt, so only
+/// near-semidefinite `B` (a pivot lost to rounding or a slightly
+/// indefinite assembly) is rescued — a genuinely indefinite matrix
+/// still fails with the original breakdown error.
+pub const MAX_SHIFT_ATTEMPTS: usize = 3;
+
 /// A failure the fallback ladder absorbed.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Recovery {

@@ -10,11 +10,14 @@
 //! for the Hermitian one — and every driver runs on the same
 //! monomorphized engine.
 //!
-//! [`ComplexScalar`] is the extra surface the Hermitian pipeline needs
-//! beyond the engine: component accessors, magnitudes and scaling, all
-//! routed through `f64` so the pipeline's control logic (Householder
-//! norms, phase extraction, verification bounds) is written once and is
-//! *more* accurate than the component precision at `C32`.
+//! [`ComplexScalar`] is the extra surface the Householder, QR and
+//! Cholesky kernels and the Hermitian pipeline need beyond the engine:
+//! component accessors, magnitudes and scaling, all routed through
+//! `f64` so the scalar control logic (Householder norms, phase
+//! extraction, verification bounds) is written once and is *more*
+//! accurate than the component precision at `C32`. The real types
+//! implement it too, as complex numbers with a zero imaginary part, so
+//! one generic kernel serves all four types.
 //!
 //! ## Determinism contract
 //!
@@ -205,11 +208,17 @@ impl Scalar for C32 {
     }
 }
 
-/// The surface the Hermitian pipeline needs beyond [`Scalar`]: component
+/// The surface the generic kernels need beyond [`Scalar`]: component
 /// access, magnitudes and real scaling, all `f64`-valued. `C32` widens
-/// its components on read and rounds on write, so the pipeline's scalar
+/// its components on read and rounds on write, so the scalar
 /// bookkeeping (reflector norms, phases, verification) runs in `f64` for
 /// both precisions and only the O(n³) BLAS-3 traffic is narrow.
+///
+/// `f64` and `f32` implement it as the complex numbers with a zero
+/// imaginary part: `im()` is `0`, `new` drops its imaginary argument,
+/// and every method is the plain real operation (for `f64` the exact
+/// op the real-only kernels always issued), so a generic kernel
+/// monomorphized at `f64` keeps every bit.
 pub trait ComplexScalar: Scalar + Div<Output = Self> {
     /// Machine epsilon of the *component* type, as `f64`; verification
     /// and convergence bounds scale with this.
@@ -232,6 +241,89 @@ pub trait ComplexScalar: Scalar + Div<Output = Self> {
     fn scale(self, s: f64) -> Self;
     /// `self * other.conj()`.
     fn mul_conj(self, other: Self) -> Self;
+}
+
+impl ComplexScalar for f64 {
+    const EPS: f64 = f64::EPSILON;
+    const TAG: &'static str = "f64";
+
+    #[inline(always)]
+    fn new(re: f64, _im: f64) -> Self {
+        re
+    }
+
+    #[inline(always)]
+    fn re(self) -> f64 {
+        self
+    }
+
+    #[inline(always)]
+    fn im(self) -> f64 {
+        0.0
+    }
+
+    #[inline(always)]
+    fn abs(self) -> f64 {
+        f64::abs(self)
+    }
+
+    #[inline(always)]
+    fn abs2(self) -> f64 {
+        self * self
+    }
+
+    #[inline(always)]
+    fn scale(self, s: f64) -> Self {
+        self * s
+    }
+
+    #[inline(always)]
+    fn mul_conj(self, other: Self) -> Self {
+        self * other
+    }
+}
+
+impl ComplexScalar for f32 {
+    const EPS: f64 = f32::EPSILON as f64;
+    const TAG: &'static str = "f32";
+
+    #[inline(always)]
+    fn new(re: f64, _im: f64) -> Self {
+        // tidy: allow(lossy-cast) -- rounding to f32 is this method's contract
+        re as f32
+    }
+
+    #[inline(always)]
+    fn re(self) -> f64 {
+        self as f64
+    }
+
+    #[inline(always)]
+    fn im(self) -> f64 {
+        0.0
+    }
+
+    #[inline(always)]
+    fn abs(self) -> f64 {
+        (self as f64).abs()
+    }
+
+    #[inline(always)]
+    fn abs2(self) -> f64 {
+        let x = self as f64;
+        x * x
+    }
+
+    #[inline(always)]
+    fn scale(self, s: f64) -> Self {
+        // tidy: allow(lossy-cast) -- product rounds back to f32
+        (self as f64 * s) as f32
+    }
+
+    #[inline(always)]
+    fn mul_conj(self, other: Self) -> Self {
+        self * other
+    }
 }
 
 impl ComplexScalar for C64 {
@@ -381,6 +473,20 @@ mod tests {
         let w = <C64 as ComplexScalar>::new(3.0, 4.0);
         assert_eq!(ComplexScalar::abs(w), 5.0);
         assert_eq!(w.scale(2.0), c64(6.0, 8.0));
+    }
+
+    #[test]
+    fn reals_are_complex_with_zero_imaginary_part() {
+        let x = <f64 as ComplexScalar>::new(-2.5, 7.0);
+        assert_eq!(x, -2.5);
+        assert_eq!((x.re(), x.im()), (-2.5, 0.0));
+        assert_eq!(ComplexScalar::abs2(x), 6.25);
+        assert_eq!(x.scale(2.0), -5.0);
+        assert_eq!(x.mul_conj(3.0), -7.5);
+        let y = <f32 as ComplexScalar>::new(1.5, 1.0);
+        assert_eq!((y.re(), y.im()), (1.5, 0.0));
+        assert_eq!(<f32 as ComplexScalar>::EPS, f32::EPSILON as f64);
+        assert_eq!(<f64 as ComplexScalar>::TAG, "f64");
     }
 
     #[test]

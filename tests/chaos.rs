@@ -380,7 +380,11 @@ fn watchdog_cancels_a_stalled_worker_and_counts_the_rescue() {
 fn stalled_request_exceeds_its_deadline_and_siblings_stay_bitwise_clean() {
     let inputs: Vec<Matrix> = (0..4).map(|s| gen::random_symmetric(24, 210 + s)).collect();
     let eigen = SymmetricEigen::new().nb(4).method(Method::Qr);
-    let baseline: Vec<_> = inputs.iter().map(|a| eigen.solve(a).unwrap()).collect();
+    // The baseline runs under an empty plan: outside the lock it could
+    // consume a fault another test armed.
+    let baseline: Vec<_> = with_plan(Plan::new(), || {
+        inputs.iter().map(|a| eigen.solve(a).unwrap()).collect()
+    });
     let budget = std::time::Duration::from_millis(50);
     let plan = Plan::new().with(Site::Stall { ticks: 60_000 }, 1);
     let (results, _) = with_plan(plan, || {
