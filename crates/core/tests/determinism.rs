@@ -100,3 +100,40 @@ fn standard_and_generalized_solves_are_pinned() {
         "standard / generalized solve bits"
     );
 }
+
+#[test]
+fn default_block_solve_is_pinned_for_every_scheduler() {
+    // The default `nb = 48` groups 24 sweeps per diamond, so the
+    // back-transform's triangular kernels run at the in-pipeline size
+    // (the pin above, at `nb = 8`, only builds 4-wide diamonds). Recorded
+    // before those kernels were vectorized over columns. The threaded
+    // stage 1 splits its parallel kernels by the process-wide thread
+    // budget (`RAYON_NUM_THREADS`, else the CPU count), so the pins are
+    // for a budget of two: under any other budget the test reruns itself
+    // in a child process that has it.
+    const NAME: &str = "default_block_solve_is_pinned_for_every_scheduler";
+    if rayon::current_num_threads() != 2 {
+        let status = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", NAME, "--test-threads=1"])
+            .env("RAYON_NUM_THREADS", "2")
+            .status()
+            .unwrap();
+        assert!(status.success(), "{NAME} failed under a thread budget of 2");
+        return;
+    }
+    let a = gen::random_symmetric(300, 44);
+    for (scheduler, want) in [
+        (Scheduler::Serial, 0xaa43_8615_4be8_7c8f),
+        (Scheduler::Static(2), 0x56cb_f647_bb50_777b),
+    ] {
+        let r = SymmetricEigen::new()
+            .scheduler(scheduler)
+            .solve(&a)
+            .unwrap();
+        assert_eq!(
+            result_hash(&r),
+            want,
+            "{scheduler:?}: default-nb solve bits"
+        );
+    }
+}

@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use tseig_kernels::blas3::{
     gemm, gemm_par, gemm_par_with, gemm_unpacked, symm_lower_left, symm_lower_left_par,
-    syr2k_lower, syr2k_lower_par, syrk_lower, trmm_upper_left, Trans,
+    syr2k_lower, syr2k_lower_par, syrk_lower, trmm_unit_lower_left, trmm_upper_left, Trans,
 };
 use tseig_kernels::cholesky::{hegst, potrf, trsm_left, trsm_right};
 use tseig_kernels::householder::{larf_left, larfb_with_work, Side};
@@ -206,6 +206,24 @@ fn trmm_rejects_small_ldt() {
     trmm_upper_left(Trans::No, 4, 4, 1.0, &t, 3, &mut b, 4);
 }
 
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "contracts compile out in release")]
+#[should_panic(expected = "leading dimension")]
+fn trmm_unit_lower_rejects_small_ldl() {
+    let l = filled(16, 1);
+    let mut b = vec![0.0; 16];
+    trmm_unit_lower_left(Trans::No, 4, 4, &l, 3, &mut b, 4);
+}
+
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "contracts compile out in release")]
+#[should_panic(expected = "slice too short")]
+fn trmm_unit_lower_rejects_short_b() {
+    let l = filled(16, 1);
+    let mut b = vec![0.0; 15]; // 4 x 4 with ldb 4 needs 16
+    trmm_unit_lower_left(Trans::Yes, 4, 4, &l, 4, &mut b, 4);
+}
+
 // ---------------------------------------------------------------------
 // Aliased in/out operands.
 // ---------------------------------------------------------------------
@@ -247,6 +265,15 @@ fn trmm_rejects_aliased_t_and_b() {
     let mut buf = filled(16, 1);
     let (t, b) = aliased_pair(&mut buf);
     trmm_upper_left(Trans::No, 4, 4, 1.0, t, 4, b, 4);
+}
+
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "contracts compile out in release")]
+#[should_panic(expected = "overlaps output")]
+fn trmm_unit_lower_rejects_aliased_l_and_b() {
+    let mut buf = filled(16, 1);
+    let (l, b) = aliased_pair(&mut buf);
+    trmm_unit_lower_left(Trans::No, 4, 4, l, 4, b, 4);
 }
 
 // ---------------------------------------------------------------------
@@ -555,6 +582,10 @@ proptest! {
         let t = filled(ldt * k, seed + 6);
         let mut rhs2 = filled((k + sb) * n, seed + 7);
         trmm_upper_left(Trans::Yes, k, n, 1.0, &t, ldt, &mut rhs2, k + sb);
+        prop_assert!(rhs2.iter().all(|v| v.is_finite()));
+
+        // trmm_unit_lower_left: B (k x n) = L (k x k, unit lower) B.
+        trmm_unit_lower_left(Trans::No, k, n, &t, ldt, &mut rhs2, k + sb);
         prop_assert!(rhs2.iter().all(|v| v.is_finite()));
     }
 }

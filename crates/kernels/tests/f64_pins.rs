@@ -6,11 +6,16 @@
 //! expected hashes were recorded before these kernels became generic
 //! over the element type; a refactor that changes a single output bit,
 //! the operation order behind it, or one counter charge fails here.
+//! The `trmm_unit_lower_left` cases were recorded before that kernel and
+//! `trmm_upper_left`'s diagonal-block kernel were vectorized over
+//! columns, and hold that rewrite to the scalar loops' bits.
 //!
 //! The counters are process-global, so everything runs inside one
 //! `#[test]`: no other test in this binary can charge them concurrently.
 
-use tseig_kernels::blas3::{symm_lower_left, syr2k_lower, syrk_lower, trmm_upper_left, Trans};
+use tseig_kernels::blas3::{
+    symm_lower_left, syr2k_lower, syrk_lower, trmm_unit_lower_left, trmm_upper_left, Trans,
+};
 use tseig_kernels::cholesky::{potrf_lower, sygst, trsm_left_lower, trsm_right_lower_trans};
 use tseig_kernels::flops;
 use tseig_kernels::householder::{
@@ -380,6 +385,47 @@ fn cases() -> Vec<(&'static str, u64)> {
         ));
     }
 
+    // trmm_unit_lower_left: both transposes, diamond-sized and wider
+    // `k` (past the 64-row blocks), ragged `n`, padded leading
+    // dimensions. Every input column carries -0.0 in its first and last
+    // row, so the kernel's choice of which rows receive an added sum
+    // (and with it the sign of a zero) is pinned as well. Each call
+    // hashes its own counter deltas.
+    for trans in [Trans::No, Trans::Yes] {
+        for k in [1usize, 2, 7, 24, 64, 65, 100] {
+            let (ldl, ldb) = (k + 3, k + 2);
+            let mut l = rng.vec(ldl * k);
+            for j in 0..k {
+                for i in 0..=j {
+                    l[i + j * ldl] = f64::NAN; // never read: on or above the diagonal
+                }
+            }
+            let inputs: Vec<(usize, Vec<f64>)> = [0usize, 1, 13, 128]
+                .into_iter()
+                .map(|n| {
+                    let mut b = rng.vec(ldb * n);
+                    for j in 0..n {
+                        b[j * ldb] = -0.0;
+                        b[k - 1 + j * ldb] = -0.0;
+                    }
+                    (n, b)
+                })
+                .collect();
+            out.push((
+                "trmm_unit_lower_left",
+                pin(|h| {
+                    for (n, mut b) in inputs {
+                        let call = pin(|h| {
+                            trmm_unit_lower_left(trans, k, n, &l, ldl, &mut b, ldb);
+                            h.f64s(&b);
+                        });
+                        h.word(call);
+                    }
+                }),
+            ));
+        }
+    }
+
     out
 }
 
@@ -433,6 +479,20 @@ fn f64_kernel_bits_and_counters_are_pinned() {
         ("syr2k_lower", 0x19a62397d57b706b),
         ("symm_lower_left", 0x145cae0809466eb0),
         ("symm_lower_left", 0x35cf7843f49b2bf8),
+        ("trmm_unit_lower_left", 0xe9c67feb92ebf6fe),
+        ("trmm_unit_lower_left", 0xc706370c3339103e),
+        ("trmm_unit_lower_left", 0x1a53879181a791f1),
+        ("trmm_unit_lower_left", 0x72250f2c155e70cc),
+        ("trmm_unit_lower_left", 0x106280f4db971173),
+        ("trmm_unit_lower_left", 0x2848cbf51d0536d3),
+        ("trmm_unit_lower_left", 0x0c6316ffe8c42f50),
+        ("trmm_unit_lower_left", 0xe84b5d5f37364908),
+        ("trmm_unit_lower_left", 0x690626ac83132aeb),
+        ("trmm_unit_lower_left", 0x9cad0bc6b1aac39d),
+        ("trmm_unit_lower_left", 0x63a703ee64a9af82),
+        ("trmm_unit_lower_left", 0xfd2c9546406e1b5f),
+        ("trmm_unit_lower_left", 0xfbed467cbcf436c9),
+        ("trmm_unit_lower_left", 0xc81e43120cc3108a),
     ];
     let listing: String = got
         .iter()
