@@ -103,7 +103,8 @@ impl SymmetricEigen {
     }
 
     /// Sweeps grouped per diamond block in the `Q2` application
-    /// (`0` = `nb`, the paper's choice).
+    /// (`0` = `nb / 2`, at least 1: the half-band grouping measured best
+    /// here; the paper groups `nb`).
     pub fn ell(mut self, ell: usize) -> Self {
         self.ell = ell;
         self

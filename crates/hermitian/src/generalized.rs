@@ -236,8 +236,11 @@ pub fn b_orthogonality<T: ComplexScalar>(b: &CMatrixG<T>, x: &CMatrixG<T>) -> f6
     if b.cols() != x.rows() {
         return f64::INFINITY;
     }
-    let g = x.adjoint().multiply(&b.multiply(x));
     let k = x.cols();
+    if k == 0 {
+        return 0.0; // an empty basis is trivially B-orthonormal (and 0/0 is NaN)
+    }
+    let g = x.adjoint().multiply(&b.multiply(x));
     let mut worst = 0.0f64;
     for j in 0..k {
         for i in 0..k {
@@ -368,6 +371,23 @@ mod tests {
         .unwrap();
         let rep = r.diagnostics.verify.expect("verify requested");
         assert!(rep.residual < 1000.0 && rep.orthogonality < 1000.0);
+    }
+
+    #[test]
+    fn order_zero_pencil_passes_full_verification() {
+        // An empty basis measures 0, not 0/0 = NaN.
+        let empty = CMatrix::zeros(0, 0);
+        let r = solve_generalized(
+            &empty,
+            &empty,
+            &HermitianEigen::new().verify(VerifyLevel::Full),
+        )
+        .unwrap();
+        assert!(r.eigenvalues.is_empty());
+        let rep = r.diagnostics.verify.expect("verify requested");
+        assert_eq!((rep.residual, rep.orthogonality), (0.0, 0.0));
+        assert_eq!(b_orthogonality(&empty, &empty), 0.0);
+        assert_eq!(crate::validate::unitary_error(&empty), 0.0);
     }
 
     #[test]

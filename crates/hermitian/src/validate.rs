@@ -128,8 +128,11 @@ pub fn hermitian_residual<T: ComplexScalar>(
 
 /// `||Z^H Z - I||_max / (n eps)` with the element type's `eps`.
 pub fn unitary_error<T: ComplexScalar>(z: &CMatrixG<T>) -> f64 {
-    let g = z.adjoint().multiply(z);
     let k = z.cols();
+    if k == 0 {
+        return 0.0; // an empty basis is trivially unitary (and 0/0 is NaN)
+    }
+    let g = z.adjoint().multiply(z);
     let mut worst = 0.0f64;
     for j in 0..k {
         for i in 0..k {

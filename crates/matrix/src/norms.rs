@@ -72,6 +72,9 @@ pub fn eigen_residual(a: &Matrix, lambda: &[f64], z: &Matrix) -> f64 {
 pub fn orthogonality(z: &Matrix) -> f64 {
     let n = z.rows();
     let k = z.cols();
+    if k == 0 {
+        return 0.0; // an empty basis is trivially orthonormal (and 0/0 is NaN)
+    }
     let mut max = 0.0f64;
     for j in 0..k {
         for i in 0..=j {
@@ -126,6 +129,12 @@ mod tests {
         let z = Matrix::identity(n);
         let lambda = [1.0, 1.0, 1.0, 2.0]; // last one is wrong
         assert!(eigen_residual(&a, &lambda, &z) > 1e10);
+    }
+
+    #[test]
+    fn empty_basis_is_orthonormal() {
+        assert_eq!(orthogonality(&Matrix::zeros(0, 0)), 0.0);
+        assert_eq!(orthogonality(&Matrix::zeros(5, 0)), 0.0);
     }
 
     #[test]
