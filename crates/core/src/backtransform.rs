@@ -37,9 +37,14 @@
 //! C_body -= B W                   packed GEMM
 //! ```
 //!
-//! and the two rectangular products — all the O(nb) x cols x O(nb)
-//! flops — run through the SIMD-dispatched packed microkernel
-//! (`kernels::blas3::simd`) instead of scalar dot/axpy loops.
+//! The two rectangular products — the O(nb) x cols x O(nb) flops of the
+//! body — run through the SIMD-dispatched packed microkernel
+//! (`kernels::blas3::simd`). The three `k x k` triangular products
+//! (`trmm_unit_lower_left` both ways, `trmm_upper_left` for `T W`) are
+//! column-vectorized: 16 columns of `W` at a time are transposed into a
+//! stack tile and four rows accumulate in registers, each sum in the
+//! scalar loop's order, so they are several times faster than a
+//! row-at-a-time loop and bit-identical to it.
 //!
 //! ## Applying `Q1`, and the fused single pass
 //!
