@@ -20,20 +20,19 @@ use tseig_bench::{default_nb, workload};
 use tseig_core::backtransform::{apply_q, apply_q1, apply_q2};
 
 /// Hermitian counterpart: fused one-pass `D + Q2 + Q1` against the
-/// unfused trio, through the same packed complex engine. `n` is kept
-/// moderate (the complex chase setup is Level-2 and dominates the bench
-/// wall-time); at this size the working set still fits L3, so parity —
-/// not a win — is the expected (and asserted-by-eye) outcome; the case
-/// exists to track the complex fused path over time.
+/// unfused trio, through the same shared pass and packed complex engine.
+/// `n` is kept moderate (the complex chase setup is Level-2 and
+/// dominates the bench wall-time); at this size the working set still
+/// fits L3, so parity — not a win — is the expected (and
+/// asserted-by-eye) outcome; the case exists to track the complex fused
+/// path over time.
 fn backtransform_hermitian(c: &mut Criterion) {
-    use tseig_hermitian::backtransform::{
-        apply_phases, apply_q as zapply_q, apply_q1 as zapply_q1, apply_q2 as zapply_q2,
-    };
+    use tseig_kernels::backtransform as bt;
     let n = 768;
     let nb = 24;
     let ell = (nb / 2).max(1);
     let a = tseig_hermitian::validate::rand_hermitian(n, 0xC1);
-    let bf = tseig_hermitian::stage1::he2hb(&a, nb);
+    let bf = tseig_hermitian::stage1::he2hb_with(&a, nb, &tseig_matrix::Ctrl::NONE).unwrap();
     let chase = tseig_hermitian::stage2::reduce(bf.band.clone(), nb);
     let e = tseig_matrix::CMatrix::identity(n);
 
@@ -42,16 +41,17 @@ fn backtransform_hermitian(c: &mut Criterion) {
     g.bench_function(BenchmarkId::new("unfused_d_q2_q1", n), |b| {
         b.iter(|| {
             let mut z = e.clone();
-            apply_phases(&chase.phases, &mut z);
-            zapply_q2(&chase.v2, &mut z, ell, 0);
-            zapply_q1(&bf.panels, &mut z, 0);
+            bt::scale_rows(&chase.phases, z.as_mut_slice(), n);
+            bt::apply_q(chase.v2.sweeps(), &[], z.as_mut_slice(), n, ell, 0);
+            bt::apply_q(&[], &bf.panels, z.as_mut_slice(), n, ell, 0);
             z
         })
     });
     g.bench_function(BenchmarkId::new("fused_apply_q", n), |b| {
         b.iter(|| {
             let mut z = e.clone();
-            zapply_q(&chase.v2, &bf.panels, Some(&chase.phases), &mut z, ell, 0);
+            let phases = Some(&chase.phases[..]);
+            tseig_hermitian::backtransform::apply_q(&chase.v2, &bf.panels, phases, &mut z, ell, 0);
             z
         })
     });

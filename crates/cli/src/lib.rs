@@ -805,29 +805,43 @@ fn push_outcome(
 /// Occurrences of the quoted key text that are not followed by `:` —
 /// e.g. an `"id"` value that happens to spell a key name — are skipped.
 fn json_value<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    let rest = key_occurrences(line, key).next()?;
+    if let Some(r) = rest.strip_prefix('"') {
+        r.find('"').map(|e| &r[..e])
+    } else if let Some(r) = rest.strip_prefix('[') {
+        r.find(']').map(|e| &r[..e])
+    } else {
+        let end = rest.find([',', '}']).unwrap_or(rest.len());
+        Some(rest[..end].trim())
+    }
+}
+
+/// The text after each `"key":` of a flat JSON object, in line order
+/// (quoted key text not followed by `:` is a value, not the key).
+fn key_occurrences<'a>(line: &'a str, key: &str) -> impl Iterator<Item = &'a str> {
     let needle = format!("\"{key}\"");
     let mut from = 0;
-    while let Some(pos) = line[from..].find(&needle) {
-        let at = from + pos + needle.len();
-        match line[at..].trim_start().strip_prefix(':') {
-            None => {
-                from = at;
-                continue;
-            }
-            Some(rest) => {
-                let rest = rest.trim_start();
-                return if let Some(r) = rest.strip_prefix('"') {
-                    r.find('"').map(|e| &r[..e])
-                } else if let Some(r) = rest.strip_prefix('[') {
-                    r.find(']').map(|e| &r[..e])
-                } else {
-                    let end = rest.find([',', '}']).unwrap_or(rest.len());
-                    Some(rest[..end].trim())
-                };
+    std::iter::from_fn(move || {
+        while let Some(pos) = line[from..].find(&needle) {
+            let at = from + pos + needle.len();
+            from = at;
+            if let Some(rest) = line[at..].trim_start().strip_prefix(':') {
+                return Some(rest.trim_start());
             }
         }
+        None
+    })
+}
+
+/// Fail a request line that repeats one of the request keys: a flat
+/// extractor would silently pick the first copy.
+fn reject_duplicate_keys(line: &str) -> Result<(), String> {
+    for key in ["id", "scalar", "n", "m", "data", "a", "b"] {
+        if key_occurrences(line, key).nth(1).is_some() {
+            return Err(format!("duplicate key \"{key}\""));
+        }
     }
-    None
+    Ok(())
 }
 
 /// One parsed batch request: a real symmetric matrix (f64 compute — f32
@@ -860,6 +874,7 @@ fn parse_batch_line(
         .unwrap_or(Ok(default_scalar));
     let tag_or_default = *tag.as_ref().unwrap_or(&default_scalar);
     let req = (|| -> Result<BatchRequest, String> {
+        reject_duplicate_keys(line)?;
         let tag = tag?;
         let n: usize = json_value(line, "n")
             .ok_or("missing \"n\"")?
@@ -898,19 +913,18 @@ enum GenRequest {
 }
 
 /// Parse a comma-separated float array (the inside of a JSON `[...]`).
+/// The empty array is valid; an empty element (`[1,,2]`, `[1,2,]`) is
+/// not.
 fn parse_floats(data: &str) -> Result<Vec<f64>, String> {
-    let mut vals = Vec::new();
-    for tok in data.split(',') {
-        let tok = tok.trim();
-        if tok.is_empty() {
-            continue;
-        }
-        vals.push(
-            tok.parse::<f64>()
-                .map_err(|_| format!("bad number {tok:?}"))?,
-        );
+    if data.trim().is_empty() {
+        return Ok(Vec::new());
     }
-    Ok(vals)
+    data.split(',')
+        .map(|tok| match tok.trim() {
+            "" => Err("empty array element".to_string()),
+            tok => tok.parse().map_err(|_| format!("bad number {tok:?}")),
+        })
+        .collect()
 }
 
 /// Read the dense order-`n` matrix of element type `tag` stored under
@@ -956,6 +970,7 @@ fn parse_gen_line(
         .unwrap_or(Ok(default_scalar));
     let tag_or_default = *tag.as_ref().unwrap_or(&default_scalar);
     let req = (|| -> Result<GenRequest, String> {
+        reject_duplicate_keys(line)?;
         let tag = tag?;
         let n: usize = json_value(line, "n")
             .ok_or("missing \"n\"")?
@@ -1012,6 +1027,7 @@ fn parse_svd_line(
         .unwrap_or(Ok(default_scalar));
     let tag_or_default = *tag.as_ref().unwrap_or(&default_scalar);
     let req = (|| -> Result<Matrix, String> {
+        reject_duplicate_keys(line)?;
         let tag = tag?;
         if matches!(tag, ScalarTag::C32 | ScalarTag::C64) {
             return Err("--kind svd supports real scalars only (f32|f64)".to_string());
@@ -1775,6 +1791,91 @@ mod tests {
         }
         assert!(lines[2].contains("\"id\": \"cplx\"") && lines[2].contains("\"ok\": false"));
         assert!(lines[2].contains("real scalars only"), "{}", lines[2]);
+    }
+
+    #[test]
+    fn empty_array_elements_fail_their_line() {
+        // An empty element (inside or trailing) is a parse error, not a
+        // skipped entry: each of these would otherwise solve as the 2x2
+        // [[2,1],[1,3]]. The empty array stays valid for n = 0.
+        let eig = r#"{"id": "inner", "n": 2, "data": [2,,1,1,3]}
+{"id": "trailing", "n": 2, "data": [2,1,1,3,]}
+{"id": "lead", "n": 2, "data": [,2,1,1,3]}
+{"id": "empty", "n": 0, "data": []}
+{"id": "ok", "n": 2, "data": [2,1,1,3]}
+"#;
+        let lines = batch_in_memory("batch mem.jsonl -o out.jsonl --nb 4", eig);
+        assert_eq!(lines.len(), 5);
+        for line in &lines[..3] {
+            assert!(line.contains("\"ok\": false"), "{line}");
+            assert!(line.contains("\"error_kind\": \"parse\""), "{line}");
+            assert!(line.contains("empty array element"), "{line}");
+        }
+        assert!(lines[3].contains("\"ok\": true"), "{}", lines[3]);
+        assert!(lines[4].contains("\"ok\": true"), "{}", lines[4]);
+
+        let gen = r#"{"id": "a", "n": 1, "a": [2,], "b": [1]}
+{"id": "b", "n": 1, "a": [2], "b": [,1]}
+"#;
+        let lines = batch_in_memory("batch mem.jsonl -o out.jsonl --kind gen --nb 4", gen);
+        for line in &lines {
+            assert!(line.contains("\"error_kind\": \"parse\""), "{line}");
+            assert!(line.contains("empty array element"), "{line}");
+        }
+        let svd = "{\"id\": \"s\", \"m\": 2, \"n\": 1, \"data\": [1,,2]}\n";
+        let lines = batch_in_memory("batch mem.jsonl -o out.jsonl --kind svd", svd);
+        assert!(
+            lines[0].contains("\"error_kind\": \"parse\""),
+            "{}",
+            lines[0]
+        );
+        assert!(lines[0].contains("empty array element"), "{}", lines[0]);
+    }
+
+    #[test]
+    fn duplicate_keys_fail_their_line() {
+        // The flat extractor returns the first copy of a key, so a
+        // repeated key must fail the line instead of solving n = 2.
+        let eig = r#"{"id": "dup_n", "n": 2, "n": 3, "data": [2,1,1,3]}
+{"id": "x", "id": "y", "n": 1, "data": [1]}
+{"id": "dup_data", "n": 1, "data": [1], "data": [2]}
+{"id": "dup_scalar", "scalar": "f64", "scalar": "f32", "n": 1, "data": [1]}
+{"id": "n", "n": 1, "data": [4]}
+"#;
+        let lines = batch_in_memory("batch mem.jsonl -o out.jsonl --nb 4", eig);
+        assert_eq!(lines.len(), 5);
+        for (line, key) in lines.iter().zip(["n", "id", "data", "scalar"]) {
+            assert!(line.contains("\"error_kind\": \"parse\""), "{line}");
+            assert!(line.contains(&format!("duplicate key '{key}'")), "{line}");
+        }
+        // A value that spells a key name is not a second key.
+        assert!(lines[4].contains("\"id\": \"n\"") && lines[4].contains("\"ok\": true"));
+
+        for (kind, line, key) in [
+            ("gen", "{\"n\": 1, \"a\": [2], \"b\": [1], \"a\": [3]}", "a"),
+            ("gen", "{\"n\": 1, \"a\": [2], \"b\": [1], \"b\": [1]}", "b"),
+            ("svd", "{\"m\": 1, \"m\": 2, \"n\": 1, \"data\": [1]}", "m"),
+        ] {
+            let lines =
+                batch_in_memory(&format!("batch mem.jsonl -o out.jsonl --kind {kind}"), line);
+            assert!(
+                lines[0].contains("\"error_kind\": \"parse\""),
+                "{}",
+                lines[0]
+            );
+            assert!(
+                lines[0].contains(&format!("duplicate key '{key}'")),
+                "{}",
+                lines[0]
+            );
+        }
+        let (id, _, req) = parse_gen_line(
+            "{\"id\": \"b\", \"n\": 1, \"a\": [2], \"b\": [1]}",
+            0,
+            ScalarTag::F64,
+        );
+        assert_eq!(id, "b");
+        assert!(req.is_ok());
     }
 
     #[test]

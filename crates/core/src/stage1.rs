@@ -1,39 +1,30 @@
 //! Stage 1: dense to symmetric band reduction (`sy2sb`).
 //!
-//! Bischof–Lang SBR-style block reduction. For each panel `k` (columns
-//! `j0..j0+nb`), the sub-panel below the band — rows `r0 = j0+nb .. n` —
-//! is QR-factorized; the resulting block reflector `Q_k = I - V T V^T` is
-//! applied to both sides of the trailing symmetric submatrix through the
-//! symmetric rank-2k form
-//!
-//! ```text
-//! W = A V T,   M = V^T W,   X = W - 1/2 V (T^T M),
-//! A <- A - V X^T - X V^T              (syr2k)
-//! ```
-//!
-//! Everything is Level-3 (`gemm`/`symm`/`syr2k`, all rayon-parallel): the
-//! compute-bound recasting that motivates the whole two-stage design.
-//! `V` and `T` are retained per panel for the back-transformation
-//! (`Q1` application, paper Fig. 3a).
+//! The panel loop — Bischof–Lang SBR-style QR panels and the symmetric
+//! rank-2k two-sided update, all Level-3 — is the element-generic
+//! [`tseig_kernels::stage1::reduce_ws`], shared with the Hermitian
+//! pipeline. This module is its `f64` entry point: it runs the loop on a
+//! dense working copy and extracts the band into [`SymBandMatrix`]
+//! storage (with the workspace diagonals the bulge chase needs). `V` and
+//! `T` are retained per panel for the back-transformation (`Q1`
+//! application, paper Fig. 3a).
 
-use tseig_kernels::blas3::{
-    gemm, gemm_par, symm_lower_left, symm_lower_left_par, syr2k_lower, syr2k_lower_par, Trans,
-};
 use tseig_kernels::contract;
-use tseig_kernels::qr::{extract_v_t_into, geqrf_req, geqrf_ws, QrWs};
-use tseig_matrix::workspace::{reset_f64s, MemReq};
+use tseig_kernels::householder::BlockReflector;
+use tseig_kernels::qr::geqrf_req;
+use tseig_kernels::stage1::reduce_ws;
+use tseig_matrix::workspace::MemReq;
 use tseig_matrix::{Ctrl, Matrix, SymBandMatrix};
 
 /// One panel's block reflector: `Q_k = I - V T V^T` acting on rows
-/// `r0..n`.
-pub struct Q1Panel {
-    /// First global row the reflector touches.
-    pub r0: usize,
-    /// `(n - r0) x kb` reflector block, explicit unit diagonal.
-    pub v: Matrix,
-    /// `kb x kb` upper-triangular factor (clean lower triangle).
-    pub t: Vec<f64>,
-}
+/// `r0..n` (`V` is `(n - r0) x kb` with explicit unit diagonal, `T` is
+/// `kb x kb` upper triangular with a clean lower triangle).
+pub type Q1Panel = BlockReflector<f64>;
+
+/// Reusable scratch of the stage-1 reduction (panel QR workspace plus
+/// the intermediates of the rank-2k update); retains capacity across
+/// panels and solves.
+pub type Stage1Ws = tseig_kernels::stage1::Stage1Ws<f64>;
 
 /// Result of the stage-1 reduction.
 pub struct BandForm {
@@ -54,7 +45,7 @@ impl BandForm {
             + self
                 .panels
                 .iter()
-                .map(|p| p.v.capacity_bytes() + p.t.capacity() * std::mem::size_of::<f64>())
+                .map(Q1Panel::capacity_bytes)
                 .sum::<usize>()
     }
 }
@@ -67,33 +58,6 @@ impl Default for BandForm {
             panels: Vec::new(),
             nb: 0,
         }
-    }
-}
-
-/// Reusable scratch of the stage-1 reduction: panel QR workspace plus the
-/// four intermediates of the symmetric rank-2k update. All buffers retain
-/// capacity across panels and solves.
-#[derive(Default)]
-pub struct Stage1Ws {
-    tau: Vec<f64>,
-    qr: QrWs,
-    vt: Matrix,
-    w: Matrix,
-    mm: Vec<f64>,
-    tm: Vec<f64>,
-}
-
-impl Stage1Ws {
-    pub fn new() -> Self {
-        Stage1Ws::default()
-    }
-
-    /// Retained capacity in bytes (footprint tests).
-    pub fn capacity_bytes(&self) -> usize {
-        (self.tau.capacity() + self.mm.capacity() + self.tm.capacity()) * std::mem::size_of::<f64>()
-            + self.qr.capacity_bytes()
-            + self.vt.capacity_bytes()
-            + self.w.capacity_bytes()
     }
 }
 
@@ -134,11 +98,7 @@ pub fn sy2sb_out_req(n: usize, nb: usize) -> MemReq {
 /// QR (defaults to `nb` when 0).
 pub fn sy2sb(a: &Matrix, nb: usize, ib: usize) -> BandForm {
     let mut work = Matrix::zeros(0, 0);
-    let mut out = BandForm {
-        band: SymBandMatrix::zeros(0, 0, 0),
-        panels: Vec::new(),
-        nb: 0,
-    };
+    let mut out = BandForm::default();
     let mut ws = Stage1Ws::new();
     // An inert control never fails a checkpoint.
     let _ = sy2sb_ws(a, nb, ib, true, &mut work, &mut out, &mut ws, &Ctrl::NONE);
@@ -171,178 +131,22 @@ pub fn sy2sb_ws(
         contract::require_finite_lower("sy2sb", "a", a.as_slice(), n, a.ld());
     }
     let nb = nb.max(1);
-    let ib = if ib == 0 { nb } else { ib };
     work.copy_from(a);
     let lda = work.ld();
-    let mut npanels = 0usize;
-
-    let mut j0 = 0usize;
-    while j0 + nb < n {
-        ctrl.checkpoint()?;
-        let r0 = j0 + nb;
-        let m = n - r0; // rows of the sub-panel
-        let kb = nb.min(m); // reflector count of this panel
-                            // QR-factorize the sub-panel A[r0.., j0..j0+nb] in place.
-        reset_f64s(&mut ws.tau, kb);
-        {
-            let panel = &mut work.as_mut_slice()[r0 + j0 * lda..];
-            geqrf_ws(m, nb, panel, lda, &mut ws.tau, ib, &mut ws.qr);
-        }
-        // Extract the clean V and T into the (reused) panel slot.
-        if out.panels.len() <= npanels {
-            out.panels.push(Q1Panel {
-                r0,
-                v: Matrix::zeros(0, 0),
-                t: Vec::new(), // tidy: allow(plan-no-alloc) -- empty placeholder; the pool grows only while the plan is cold
-            });
-        }
-        let p = &mut out.panels[npanels];
-        p.r0 = r0;
-        {
-            let panel = &work.as_slice()[r0 + j0 * lda..];
-            extract_v_t_into(panel, lda, m, kb, &ws.tau, &mut p.v, &mut p.t);
-        }
-        npanels += 1;
-        // Zero the annihilated part of the panel in A (below the R
-        // factor) so the band extraction below sees the true band; R
-        // itself (the new band block) stays.
-        for jj in 0..nb {
-            for i in (r0 + jj + 1).min(n)..n {
-                work[(i, j0 + jj)] = 0.0;
-            }
-        }
-        // Two-sided trailing update A2 <- Q^T A2 Q on A[r0.., r0..].
-        let p = &out.panels[npanels - 1];
-        two_sided_update(work, r0, &p.v, &p.t, parallel, ws);
-        j0 += nb;
-    }
-
-    out.panels.truncate(npanels);
+    reduce_ws(
+        n,
+        work.as_mut_slice(),
+        lda,
+        nb,
+        ib,
+        parallel,
+        &mut out.panels,
+        ws,
+        ctrl,
+    )?;
     out.band.refill_from_dense_lower(work, nb, nb);
     out.nb = nb;
     Ok(())
-}
-
-/// `A2 <- (I - V T V^T)^T A2 (I - V T V^T)` for the trailing symmetric
-/// block starting at `r0`, via the symmetric rank-2k form.
-fn two_sided_update(
-    a: &mut Matrix,
-    r0: usize,
-    v: &Matrix,
-    t: &[f64],
-    parallel: bool,
-    ws: &mut Stage1Ws,
-) {
-    let n = a.rows();
-    let lda = a.ld();
-    let m = n - r0;
-    let kb = v.cols();
-    if m == 0 || kb == 0 {
-        return;
-    }
-    // X1 = V T  (m x kb)
-    let vt = &mut ws.vt;
-    vt.reset_to(m, kb);
-    let gemm_big = if parallel { gemm_par } else { gemm };
-    gemm_big(
-        Trans::No,
-        Trans::No,
-        m,
-        kb,
-        kb,
-        1.0,
-        v.as_slice(),
-        m,
-        t,
-        kb,
-        0.0,
-        vt.as_mut_slice(),
-        m,
-    );
-    // W = A2 * X1 (symmetric multiply, lower storage)
-    let w = &mut ws.w;
-    w.reset_to(m, kb);
-    {
-        let a2 = &a.as_slice()[r0 + r0 * lda..];
-        let symm = if parallel {
-            symm_lower_left_par
-        } else {
-            symm_lower_left
-        };
-        symm(
-            m,
-            kb,
-            1.0,
-            a2,
-            lda,
-            vt.as_slice(),
-            m,
-            0.0,
-            w.as_mut_slice(),
-            m,
-        );
-    }
-    // M = V^T W (kb x kb)
-    reset_f64s(&mut ws.mm, kb * kb);
-    gemm(
-        Trans::Yes,
-        Trans::No,
-        kb,
-        kb,
-        m,
-        1.0,
-        v.as_slice(),
-        m,
-        w.as_slice(),
-        m,
-        0.0,
-        &mut ws.mm,
-        kb,
-    );
-    // TM = T^T M
-    reset_f64s(&mut ws.tm, kb * kb);
-    gemm(
-        Trans::Yes,
-        Trans::No,
-        kb,
-        kb,
-        kb,
-        1.0,
-        t,
-        kb,
-        &ws.mm,
-        kb,
-        0.0,
-        &mut ws.tm,
-        kb,
-    );
-    // X = W - 1/2 V TM (accumulated in place: W doubles as X)
-    let x = &mut ws.w;
-    gemm_big(
-        Trans::No,
-        Trans::No,
-        m,
-        kb,
-        kb,
-        -0.5,
-        v.as_slice(),
-        m,
-        &ws.tm,
-        kb,
-        1.0,
-        x.as_mut_slice(),
-        m,
-    );
-    // A2 -= V X^T + X V^T
-    {
-        let a2 = &mut a.as_mut_slice()[r0 + r0 * lda..];
-        let syr2k = if parallel {
-            syr2k_lower_par
-        } else {
-            syr2k_lower
-        };
-        syr2k(m, kb, -1.0, v.as_slice(), m, x.as_slice(), m, 1.0, a2, lda);
-    }
 }
 
 #[cfg(test)]
@@ -357,14 +161,14 @@ mod tests {
         // gives Q = Q_0 Q_1 ... Q_K.
         for p in &bf.panels {
             let m = n - p.r0;
-            let kb = p.v.cols();
+            let kb = p.k;
             tseig_kernels::householder::larfb(
                 tseig_kernels::householder::Side::Right,
                 tseig_kernels::Trans::No,
                 n,
                 m,
                 kb,
-                p.v.as_slice(),
+                &p.v,
                 m,
                 &p.t,
                 kb,

@@ -231,11 +231,13 @@ impl HermitianEigen {
                         .into(),
                 ));
             };
-            // Complexify, then the fused one-pass D + Q2 + Q1 chain.
+            // Complexify with the phase fold `D` applied on the way,
+            // then the fused one-pass Q2 + Q1 chain.
+            let d = &chase.phases;
             let mut z = CMatrixG::from_fn(e_real.rows(), e_real.cols(), |i, j| {
-                T::new(e_real[(i, j)], 0.0)
+                T::new(e_real[(i, j)], 0.0) * d[i]
             });
-            apply_q(&chase.v2, &bf.panels, Some(&chase.phases), &mut z, ell, 0);
+            apply_q(&chase.v2, &bf.panels, None, &mut z, ell, 0);
             timings.backtransform = t3.elapsed();
             Some(z)
         } else {

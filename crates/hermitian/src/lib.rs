@@ -4,8 +4,9 @@
 //! The paper's algorithm is stated for "symmetric (or hermitian)"
 //! matrices; this crate carries the complex case end to end:
 //!
-//! 1. [`stage1::he2hb`] — dense Hermitian → Hermitian band, blocked
-//!    complex Householder panels and the `her2k`-form two-sided update,
+//! 1. [`stage1::he2hb_with`] — dense Hermitian → Hermitian band, through
+//!    the element-generic panel loop of `tseig_kernels::stage1` (complex
+//!    Householder panels and the `her2k`-form two-sided update),
 //! 2. [`stage2::reduce`] — band → tridiagonal bulge chasing with the same
 //!    three kernels in complex arithmetic; every sub-diagonal produced by
 //!    an elimination is *real* by `larfg`'s convention,
@@ -13,8 +14,12 @@
 //!    by a unitary diagonal `D` (LAPACK `zhetrd` convention), so the
 //!    tridiagonal eigensolve happens entirely in **real** arithmetic via
 //!    `tseig-tridiag`,
-//! 4. [`backtransform`] — `Z = Q1 Q2 D E`, diamond-blocked exactly like
-//!    the real pipeline.
+//! 4. [`backtransform`] — `Z = Q1 Q2 D E`: `D` is folded in while `E` is
+//!    complexified, then the diamond-blocked fused pass of
+//!    `tseig_kernels::backtransform` — the one the real pipeline runs.
+//!
+//! Stages 1 and 4 are thin entry points over code shared with the real
+//! pipeline; the chase storage and the driver are still this crate's own.
 //!
 //! Entry point: [`driver::HermitianEigen`]. Validation helpers (complex
 //! residual/orthogonality, a real `2n x 2n` embedding oracle) live in

@@ -58,12 +58,10 @@ impl<T: ComplexScalar> V2SetC<T> {
         self.nb
     }
 
-    pub fn sweep_count(&self) -> usize {
-        self.sweeps.len()
-    }
-
-    pub fn sweep(&self, s: usize) -> &[ReflectorC<T>] {
-        &self.sweeps[s]
+    /// Every sweep's reflectors, in chase order (the back-transform's
+    /// input).
+    pub fn sweeps(&self) -> &[Vec<ReflectorC<T>>] {
+        &self.sweeps
     }
 
     /// Total count of non-trivial generated reflectors (diagnostics).
@@ -396,7 +394,7 @@ pub fn phase_fold<T: ComplexScalar>(a: &CMatrixG<T>) -> (SymTridiagonal, Vec<T>)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stage1::he2hb;
+    use crate::stage1::he2hb_with;
     use crate::validate::{rand_hermitian, real_embedding_eigenvalues};
     use tseig_matrix::{c64, norms, CMatrix};
 
@@ -442,8 +440,8 @@ mod tests {
         // Build Q2 = H_1 H_2 ... (chase order) densely.
         let mut q2 = CMatrix::identity(n);
         let mut work = vec![C64::ZERO; n];
-        for s in (0..r.v2.sweep_count()).rev() {
-            for (start, tau, v) in r.v2.sweep(s).iter().rev() {
+        for s in (0..r.v2.sweeps().len()).rev() {
+            for (start, tau, v) in r.v2.sweeps()[s].iter().rev() {
                 let ldq = q2.ld();
                 larf_left(
                     v,
@@ -491,8 +489,12 @@ mod tests {
             );
             assert_eq!(r.phases, serial.phases, "{sched:?} phases");
             assert_eq!(r.v2.reflector_count(), serial.v2.reflector_count());
-            for s in 0..serial.v2.sweep_count() {
-                assert_eq!(r.v2.sweep(s), serial.v2.sweep(s), "{sched:?} sweep {s}");
+            for s in 0..serial.v2.sweeps().len() {
+                assert_eq!(
+                    r.v2.sweeps()[s],
+                    serial.v2.sweeps()[s],
+                    "{sched:?} sweep {s}"
+                );
             }
         }
     }
@@ -537,10 +539,29 @@ mod tests {
     }
 
     #[test]
+    fn measured_flops_include_worker_threads() {
+        // `flops::measure` counts the calling thread's charges plus those
+        // of workers that entered its scope. The scheduled chase charges
+        // on worker threads, so it must measure exactly what its serial
+        // run measures. (The panel-parallel back-transform half of this
+        // check runs in `tseig_kernels::backtransform` at all four
+        // element types.)
+        let (n, b) = (40, 4);
+        let band = banded_hermitian(n, b, 74);
+        let (_, want) = flops::measure(|| reduce_with(band.clone(), b, &Ctrl::NONE).unwrap());
+        assert!(want.total() > 0);
+        for sched in [Scheduler::Static(2), Scheduler::Dynamic(2)] {
+            let (_, got) =
+                flops::measure(|| reduce_scheduled(band.clone(), b, sched, &Ctrl::NONE).unwrap());
+            assert_eq!(got, want, "{sched:?}");
+        }
+    }
+
+    #[test]
     fn full_pipeline_spectrum() {
         let n = 18;
         let a = rand_hermitian(n, 64);
-        let bf = he2hb(&a, 4);
+        let bf = he2hb_with(&a, 4, &Ctrl::NONE).unwrap();
         let want = real_embedding_eigenvalues(&a);
         let r = reduce(bf.band.clone(), 4);
         let got = tseig_tridiag::sturm::bisect_eigenvalues(&r.tridiagonal, 0, n).unwrap();

@@ -121,30 +121,31 @@ const MC: usize = 256;
 /// Column-block reference size used by the byte-traffic model.
 const NC: usize = 1024;
 
-/// `C <- alpha op(A) op(B) + beta C`.
+/// `C <- alpha op(A) op(B) + beta C`, at any element type
+/// ([`Trans::Yes`] is the conjugate transpose, see [`Op::of`]).
 ///
 /// `op(A)` is `m x k`, `op(B)` is `k x n`, `C` is `m x n`; all column-major
 /// with the given leading dimensions.
 #[allow(clippy::too_many_arguments)]
-pub fn gemm(
+pub fn gemm<T: GemmScalar>(
     transa: Trans,
     transb: Trans,
     m: usize,
     n: usize,
     k: usize,
-    alpha: f64,
-    a: &[f64],
+    alpha: T,
+    a: &[T],
     lda: usize,
-    b: &[f64],
+    b: &[T],
     ldb: usize,
-    beta: f64,
-    c: &mut [f64],
+    beta: T,
+    c: &mut [T],
     ldc: usize,
 ) {
-    gemm_with_kernel(
-        simd::selected(),
-        transa,
-        transb,
+    gemm_t(
+        T::kernel(),
+        Op::of::<T>(transa),
+        Op::of::<T>(transb),
         m,
         n,
         k,
@@ -276,19 +277,19 @@ fn gemm_into<T: GemmScalar>(
 /// kernel for small problems where the fork/join overhead would
 /// dominate.
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_par(
+pub fn gemm_par<T: GemmScalar>(
     transa: Trans,
     transb: Trans,
     m: usize,
     n: usize,
     k: usize,
-    alpha: f64,
-    a: &[f64],
+    alpha: T,
+    a: &[T],
     lda: usize,
-    b: &[f64],
+    b: &[T],
     ldb: usize,
-    beta: f64,
-    c: &mut [f64],
+    beta: T,
+    c: &mut [T],
     ldc: usize,
 ) {
     let work = m.saturating_mul(n).saturating_mul(k);
@@ -306,27 +307,27 @@ pub fn gemm_par(
 /// exercise the panel arithmetic of both parallel splits deterministically
 /// regardless of the machine's thread count.
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_par_with(
+pub fn gemm_par_with<T: GemmScalar>(
     threads: usize,
     transa: Trans,
     transb: Trans,
     m: usize,
     n: usize,
     k: usize,
-    alpha: f64,
-    a: &[f64],
+    alpha: T,
+    a: &[T],
     lda: usize,
-    b: &[f64],
+    b: &[T],
     ldb: usize,
-    beta: f64,
-    c: &mut [f64],
+    beta: T,
+    c: &mut [T],
     ldc: usize,
 ) {
-    let (opa, opb) = (transa.into(), transb.into());
+    let (opa, opb) = (Op::of::<T>(transa), Op::of::<T>(transb));
     engine::gemm_contract("gemm_par", opa, opb, m, n, k, a, lda, b, ldb, c, ldc);
-    add(Level::L3, (2 * m * n * k) as u64);
-    add_bytes(Level::L3, engine::packed_bytes::<f64>(NC, m, n, k));
-    if alpha == 0.0 || k == 0 {
+    add(Level::L3, T::MULADD_FLOPS * (m * n * k) as u64);
+    add_bytes(Level::L3, engine::packed_bytes::<T>(NC, m, n, k));
+    if alpha == T::ZERO || k == 0 {
         engine::scale_c(beta, m, n, c, ldc);
         return;
     }
@@ -337,7 +338,7 @@ pub fn gemm_par_with(
     // accumulators) is element-type independent and lives once in the
     // generic engine.
     engine::par_nest(
-        simd::selected(),
+        T::kernel(),
         threads,
         opa,
         opb,

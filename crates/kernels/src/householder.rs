@@ -391,6 +391,32 @@ pub fn larfb_with_work<T: GemmScalar>(
     }
 }
 
+/// A stored block reflector `H = I - V T V^H` acting on rows
+/// `r0 .. r0 + rows` of the matrix it is applied to: a stage-1 panel
+/// (`V` unit lower trapezoidal) or a back-transform diamond (`V` a
+/// parallelogram whose top `k x k` block is unit lower triangular).
+/// `V` is `rows x k` column-major with `ld = rows`, its unit diagonal
+/// and the zeros above it explicit; `T` is `k x k` upper triangular with
+/// a clean lower part ([`larft`]).
+#[derive(Clone, Debug, Default)]
+pub struct BlockReflector<T> {
+    /// First row the reflector touches.
+    pub r0: usize,
+    /// Row count of `V`.
+    pub rows: usize,
+    /// Column count of `V` (the number of elementary reflectors).
+    pub k: usize,
+    pub v: Vec<T>,
+    pub t: Vec<T>,
+}
+
+impl<T> BlockReflector<T> {
+    /// Bytes of heap capacity retained by `V` and `T`.
+    pub fn capacity_bytes(&self) -> usize {
+        (self.v.capacity() + self.t.capacity()) * std::mem::size_of::<T>()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

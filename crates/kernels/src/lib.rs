@@ -12,6 +12,11 @@
 //! * **Householder tool-chain** ([`householder`], [`qr`]) — `larfg`,
 //!   `larf`, `larft`, `larfb`, blocked QR: the building blocks of both
 //!   reduction stages and of the back-transformation.
+//! * **The two Level-3 layers of the two-stage pipeline** ([`stage1`],
+//!   [`backtransform`]) — the blocked band reduction and the
+//!   diamond-blocked back-transformation, written once for all four
+//!   element types; `tseig-core` and `tseig-hermitian` are thin entry
+//!   points over them.
 //! * **Cholesky tool-chain** ([`cholesky`]) — `potrf`, `trsm`, `hegst`:
 //!   the reduction of a generalized problem to standard form.
 //! * **Flop accounting** ([`flops`]) — relaxed atomic counters, split by
@@ -36,6 +41,7 @@
 // argument counts are the interface, not an accident.
 #![allow(clippy::too_many_arguments)]
 
+pub mod backtransform;
 pub mod blas1;
 pub mod blas2;
 pub mod blas3;
@@ -46,6 +52,7 @@ pub mod householder;
 pub mod qr;
 pub mod reference;
 pub mod scaling;
+pub mod stage1;
 #[cfg(test)]
 mod testutil;
 

@@ -5,54 +5,46 @@
 //! materializes `Q` explicitly and exists mainly so tests can verify
 //! orthogonality directly.
 
+use crate::blas3::engine::GemmScalar;
 use crate::blas3::Trans;
 use crate::contract;
 use crate::householder::{larfb_with_work, larfg, larft, Side};
-use tseig_matrix::workspace::MemReq;
-use tseig_matrix::{ComplexScalar, Matrix};
+use tseig_matrix::workspace::{reset_zeroed, MemReq};
+use tseig_matrix::{ComplexScalar, Matrix, Scalar};
 
 /// Reusable workspace for [`geqrf_ws`]: one buffer per scratch object the
 /// allocating entry points create per call. After the first call at a
 /// given shape the capacities are warm and subsequent calls never touch
 /// the allocator.
-#[derive(Debug)]
-pub struct QrWs {
+#[derive(Debug, Default)]
+pub struct QrWs<T> {
     /// `geqr2` row workspace (length `n` of the current panel).
-    pub work: Vec<f64>,
+    pub work: Vec<T>,
     /// `geqr2` reflector head buffer (length `m`).
-    pub u: Vec<f64>,
-    /// Explicit-V panel of the blocked update.
-    pub v: Matrix,
+    pub u: Vec<T>,
+    /// Explicit-V panel of the blocked update (column-major, `ld` = its
+    /// row count).
+    pub v: Vec<T>,
     /// `T` factor of the blocked update (`kk x kk`, column-major).
-    pub t: Vec<f64>,
+    pub t: Vec<T>,
     /// `larfb` workspace (`2 * k * n` for a left application).
-    pub larfb: Vec<f64>,
+    pub larfb: Vec<T>,
 }
 
-impl Default for QrWs {
-    fn default() -> QrWs {
-        QrWs::new()
-    }
-}
-
-impl QrWs {
+impl<T: Default> QrWs<T> {
     /// Fresh, empty workspace (buffers grow on first use).
-    pub fn new() -> QrWs {
-        QrWs {
-            work: Vec::new(),
-            u: Vec::new(),
-            v: Matrix::zeros(0, 0),
-            t: Vec::new(),
-            larfb: Vec::new(),
-        }
+    pub fn new() -> QrWs<T> {
+        QrWs::default()
     }
 
     /// Bytes of heap capacity currently retained.
     pub fn capacity_bytes(&self) -> usize {
-        use std::mem::size_of;
-        (self.work.capacity() + self.u.capacity() + self.t.capacity() + self.larfb.capacity())
-            * size_of::<f64>()
-            + self.v.capacity_bytes()
+        (self.work.capacity()
+            + self.u.capacity()
+            + self.v.capacity()
+            + self.t.capacity()
+            + self.larfb.capacity())
+            * std::mem::size_of::<T>()
     }
 }
 
@@ -133,7 +125,7 @@ pub fn geqr2_ws<T: ComplexScalar>(
 
 /// Blocked QR (LAPACK `geqrf`): panel `geqr2` + `larft`/`larfb` trailing
 /// update with block size `nb`.
-pub fn geqrf(m: usize, n: usize, a: &mut [f64], lda: usize, tau: &mut [f64], nb: usize) {
+pub fn geqrf<T: GemmScalar>(m: usize, n: usize, a: &mut [T], lda: usize, tau: &mut [T], nb: usize) {
     let mut ws = QrWs::new();
     geqrf_ws(m, n, a, lda, tau, nb, &mut ws);
 }
@@ -142,14 +134,14 @@ pub fn geqrf(m: usize, n: usize, a: &mut [f64], lda: usize, tau: &mut [f64], nb:
 /// arithmetic in identical order, so results are bitwise-equal to
 /// [`geqrf`]; the stage-1 planned path calls this with the plan's warm
 /// workspace so repeated panels never allocate.
-pub fn geqrf_ws(
+pub fn geqrf_ws<T: GemmScalar>(
     m: usize,
     n: usize,
-    a: &mut [f64],
+    a: &mut [T],
     lda: usize,
-    tau: &mut [f64],
+    tau: &mut [T],
     nb: usize,
-    ws: &mut QrWs,
+    ws: &mut QrWs<T>,
 ) {
     if contract::enabled() {
         contract::require_mat("geqrf", "a", a, m, n, lda);
@@ -181,17 +173,17 @@ pub fn geqrf_ws(
             // Build clean V and T for the panel, then update the trailing
             // matrix with a blocked reflector.
             let QrWs { v, t, larfb, .. } = ws;
-            extract_v_t_into(&a[j + j * lda..], lda, m - j, jb, &tau[j..j + jb], v, t);
+            extract_v_t_vec(&a[j + j * lda..], lda, m - j, jb, &tau[j..j + jb], v, t);
             let wlen = 2 * jb * (n - j - jb);
             larfb.clear();
-            larfb.resize(wlen, 0.0);
+            larfb.resize(wlen, T::ZERO);
             larfb_with_work(
                 Side::Left,
                 Trans::Yes,
                 m - j,
                 n - j - jb,
                 jb,
-                v.as_slice(),
+                v,
                 m - j,
                 t,
                 jb,
@@ -206,16 +198,8 @@ pub fn geqrf_ws(
 
 /// Copy the reflectors of a factored panel (`geqr2` layout, `mm x kk`)
 /// into an explicit-V matrix (unit diagonal, zeros above) and compute its
-/// `T` factor. Returns `(V, T)` with `T` stored column-major `kk x kk`.
-pub fn extract_v_t(a: &[f64], lda: usize, mm: usize, kk: usize, tau: &[f64]) -> (Matrix, Vec<f64>) {
-    let mut v = Matrix::zeros(0, 0);
-    let mut t = Vec::new();
-    extract_v_t_into(a, lda, mm, kk, tau, &mut v, &mut t);
-    (v, t)
-}
-
-/// [`extract_v_t`] into caller-owned storage, resizing in place (no
-/// allocation once the buffers are warm).
+/// `T` factor (column-major `kk x kk`), resizing the caller's storage in
+/// place (no allocation once the buffers are warm).
 pub fn extract_v_t_into(
     a: &[f64],
     lda: usize,
@@ -226,15 +210,44 @@ pub fn extract_v_t_into(
     t: &mut Vec<f64>,
 ) {
     v.reset_to(mm, kk);
+    v_t_from_panel(a, lda, mm, kk, tau, v.as_mut_slice(), t);
+}
+
+/// [`extract_v_t_into`] at any element type, with `V` as a flat
+/// column-major `mm x kk` buffer (`ld = mm`).
+pub fn extract_v_t_vec<T: Scalar>(
+    a: &[T],
+    lda: usize,
+    mm: usize,
+    kk: usize,
+    tau: &[T],
+    v: &mut Vec<T>,
+    t: &mut Vec<T>,
+) {
+    reset_zeroed(v, mm * kk);
+    v_t_from_panel(a, lda, mm, kk, tau, v, t);
+}
+
+/// Fill the zeroed `mm x kk` buffer `v` with the explicit-V form of a
+/// factored panel and write its `T` factor.
+fn v_t_from_panel<T: Scalar>(
+    a: &[T],
+    lda: usize,
+    mm: usize,
+    kk: usize,
+    tau: &[T],
+    v: &mut [T],
+    t: &mut Vec<T>,
+) {
     for col in 0..kk {
-        v[(col, col)] = 1.0;
+        v[col + col * mm] = T::ONE;
         for r in col + 1..mm {
-            v[(r, col)] = a[r + col * lda];
+            v[r + col * mm] = a[r + col * lda];
         }
     }
     t.clear();
-    t.resize(kk * kk, 0.0);
-    larft(mm, kk, v.as_slice(), mm, tau, t, kk);
+    t.resize(kk * kk, T::ZERO);
+    larft(mm, kk, v, mm, tau, t, kk);
 }
 
 /// Form the leading `m x m` orthogonal factor `Q = H_1 ... H_k`

@@ -89,9 +89,14 @@ impl MemReq {
 /// within the advertised `*_req` bounds instead of doubling past them).
 /// Contents are bit-identical to a fresh `vec![0.0; len]`.
 pub fn reset_f64s(buf: &mut Vec<f64>, len: usize) {
+    reset_zeroed(buf, len);
+}
+
+/// [`reset_f64s`] at any element type.
+pub fn reset_zeroed<T: crate::Scalar>(buf: &mut Vec<T>, len: usize) {
     buf.clear();
     buf.reserve_exact(len);
-    buf.resize(len, 0.0);
+    buf.resize(len, T::ZERO);
 }
 
 #[cfg(test)]

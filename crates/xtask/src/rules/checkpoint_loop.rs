@@ -20,11 +20,14 @@
 use crate::source::SourceFile;
 use crate::Diag;
 
-/// The driver/stage layer: files owning the long-running solver loops.
+/// The driver/stage layer: files owning the long-running solver loops
+/// (including the stage-1 and back-transform panel loops the pipelines
+/// share from `kernels`).
 pub fn applies_to(rel_path: &str) -> bool {
     let in_solver_crate = [
         "crates/core/src/",
         "crates/hermitian/src/",
+        "crates/kernels/src/",
         "crates/svd/src/",
         "crates/tridiag/src/",
     ]
@@ -167,6 +170,22 @@ mod tests {
         let d = run("crates/core/src/stage2.rs", src);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].line, 6);
+    }
+
+    #[test]
+    fn shared_panel_loops_in_kernels_are_checked() {
+        let src = "fn reduce(n: usize) {\n    let mut j0 = 0;\n    while j0 < n {\n        j0 += 8;\n    }\n}\n";
+        for path in [
+            "crates/kernels/src/stage1.rs",
+            "crates/kernels/src/backtransform.rs",
+        ] {
+            let d = run(path, src);
+            assert_eq!(d.len(), 1, "{path}");
+            assert_eq!((d[0].line, d[0].rule), (3, "checkpoint-loop"));
+        }
+        // The kernel files proper stay out of scope.
+        assert!(run("crates/kernels/src/qr.rs", src).is_empty());
+        assert!(run("crates/kernels/src/blas3.rs", src).is_empty());
     }
 
     #[test]
