@@ -281,8 +281,10 @@ impl SymmetricEigen {
         // Stage 1: dense -> band, into the plan's working copy and band
         // form. The serial scheduler gets the strictly serial BLAS-3
         // variants (the allocation-free path); the scheduled ones keep
-        // the rayon variants. Both orders of reduction are identical
-        // (the parallel split is over independent output columns).
+        // the rayon variants. The threaded variants give the same bits
+        // under any thread budget and any SIMD path (every output element
+        // is summed by one worker in a fixed order), but not the same
+        // bits as the serial ones.
         let t0 = Instant::now();
         stage1::sy2sb_ws(
             input,
