@@ -5,8 +5,8 @@
 //! eigensolver needs: `join`, `current_num_threads`, and eager parallel
 //! iterators over ranges, vectors, slice windows and mutable slice
 //! chunks. Work is distributed dynamically: worker threads pull items
-//! off a shared queue, so unequal per-item cost (trapezoidal column
-//! chunks, ragged tails) still balances.
+//! off a shared queue, so unequal per-item cost (triangular column
+//! panels, ragged tails) still balances.
 //!
 //! A global thread budget (`RAYON_NUM_THREADS` or the machine's
 //! available parallelism) bounds the *total* number of live workers
