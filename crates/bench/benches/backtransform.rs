@@ -33,7 +33,7 @@ fn backtransform_hermitian(c: &mut Criterion) {
     let ell = (nb / 2).max(1);
     let a = tseig_hermitian::validate::rand_hermitian(n, 0xC1);
     let bf = tseig_hermitian::stage1::he2hb_with(&a, nb, &tseig_matrix::Ctrl::NONE).unwrap();
-    let chase = tseig_hermitian::stage2::reduce(bf.band.clone(), nb);
+    let chase = tseig_hermitian::stage2::reduce(bf.band.clone());
     let e = tseig_matrix::CMatrix::identity(n);
 
     let mut g = c.benchmark_group("backtransform_hermitian");

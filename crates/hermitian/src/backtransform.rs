@@ -11,7 +11,7 @@
 //! before the shared pass.
 
 use crate::stage1::Q1PanelC;
-use crate::stage2::V2SetC;
+use crate::stage2::V2Set;
 use tseig_kernels::backtransform as bt;
 use tseig_kernels::blas3::engine::GemmScalar;
 use tseig_matrix::{CMatrixG, ComplexScalar, C32, C64};
@@ -34,7 +34,7 @@ impl HermScalar for C32 {}
 /// sequence and the reverse `Q1` chain run while the panel is
 /// cache-resident, parallel over the panels.
 pub fn apply_q<T: HermScalar>(
-    v2: &V2SetC<T>,
+    v2: &V2Set<T>,
     panels: &[Q1PanelC<T>],
     phases: Option<&[T]>,
     e: &mut CMatrixG<T>,

@@ -202,11 +202,11 @@ impl HermitianEigen {
 
         // Stage 2 with the serial-path fallback on scheduled failure.
         let t1 = Instant::now();
+        // The scheduled arm consumes a copy of the band so the serial
+        // fallback still has the stage-1 band to start from.
         let scheduled = (self.scheduler != Scheduler::Serial)
             .then(|| reduce_scheduled(bf.band.clone(), self.nb, self.scheduler, &self.ctrl));
-        let chase = rec.or_serial(&self.ctrl, scheduled, || {
-            reduce_with(bf.band.clone(), self.nb, &self.ctrl)
-        })?;
+        let chase = rec.or_serial(&self.ctrl, scheduled, || reduce_with(bf.band, &self.ctrl))?;
         timings.stage2 = t1.elapsed();
         timings.reduction = timings.stage1 + timings.stage2;
 

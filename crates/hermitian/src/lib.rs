@@ -4,12 +4,14 @@
 //! The paper's algorithm is stated for "symmetric (or hermitian)"
 //! matrices; this crate carries the complex case end to end:
 //!
-//! 1. [`stage1::he2hb_with`] — dense Hermitian → Hermitian band, through
-//!    the element-generic panel loop of `tseig_kernels::stage1` (complex
+//! 1. [`stage1::he2hb_with`] — dense Hermitian → Hermitian band storage
+//!    (`SymBandMatrix<T>`, the real pipeline's), through the
+//!    element-generic panel loop of `tseig_kernels::stage1` (complex
 //!    Householder panels and the `her2k`-form two-sided update),
-//! 2. [`stage2::reduce`] — band → tridiagonal bulge chasing with the same
-//!    three kernels in complex arithmetic; every sub-diagonal produced by
-//!    an elimination is *real* by `larfg`'s convention,
+//! 2. [`stage2::reduce`] — band → tridiagonal bulge chasing with the
+//!    element-generic chase of `tseig_kernels::stage2`, the three kernels
+//!    the real pipeline runs; every sub-diagonal produced by an
+//!    elimination is *real* by `larfg`'s convention,
 //! 3. phase folding — any residual complex off-diagonals are rotated real
 //!    by a unitary diagonal `D` (LAPACK `zhetrd` convention), so the
 //!    tridiagonal eigensolve happens entirely in **real** arithmetic via
@@ -18,8 +20,8 @@
 //!    complexified, then the diamond-blocked fused pass of
 //!    `tseig_kernels::backtransform` — the one the real pipeline runs.
 //!
-//! Stages 1 and 4 are thin entry points over code shared with the real
-//! pipeline; the chase storage and the driver are still this crate's own.
+//! Stages 1, 2 and 4 are thin entry points over code shared with the real
+//! pipeline; the driver is still this crate's own.
 //!
 //! Entry point: [`driver::HermitianEigen`]. Validation helpers (complex
 //! residual/orthogonality, a real `2n x 2n` embedding oracle) live in

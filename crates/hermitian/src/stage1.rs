@@ -3,22 +3,24 @@
 //! The panel loop — complex QR panels and the `her2k`-form two-sided
 //! update — is the element-generic
 //! [`tseig_kernels::stage1::reduce_ws`] the real pipeline runs too.
-//! This module is its complex entry point: the band is kept as a dense
-//! Hermitian matrix with entries zeroed outside the band (complex band
-//! storage would mirror `SymBandMatrix`; dense keeps this crate compact
-//! while stage 2 still only touches band-window blocks).
+//! This module is its complex entry point: it runs the loop on a dense
+//! working copy and extracts the band into the same [`SymBandMatrix`]
+//! storage the real pipeline uses (with the `nb` workspace diagonals the
+//! bulge chase needs).
 
 use tseig_kernels::blas3::engine::GemmScalar;
 use tseig_kernels::householder::BlockReflector;
 use tseig_kernels::stage1::{reduce_ws, Stage1Ws};
-use tseig_matrix::{CMatrixG, ComplexScalar, Ctrl, C64};
+use tseig_matrix::{CMatrixG, ComplexScalar, Ctrl, SymBandMatrix, C64};
 
 /// One panel's block reflector `I - V T V^H`, acting on rows `r0..n`.
 pub type Q1PanelC<T = C64> = BlockReflector<T>;
 
 /// Result of the Hermitian band reduction.
 pub struct BandFormC<T: ComplexScalar = C64> {
-    pub band: CMatrixG<T>,
+    /// The Hermitian band matrix `B` (lower band storage, real diagonal,
+    /// `nb` extra workspace diagonals ready for the bulge chase).
+    pub band: SymBandMatrix<T>,
     pub panels: Vec<Q1PanelC<T>>,
     pub nb: usize,
 }
@@ -35,13 +37,13 @@ pub fn he2hb_with<T: ComplexScalar + GemmScalar>(
     assert_eq!(a.rows(), a.cols());
     let n = a.rows();
     let nb = nb.max(1);
-    let mut band = a.clone();
-    let lda = band.ld();
+    let mut work = a.clone();
+    let lda = work.ld();
     let mut panels = Vec::new();
     let mut ws = Stage1Ws::new();
     reduce_ws(
         n,
-        band.as_mut_slice(),
+        work.as_mut_slice(),
         lda,
         nb,
         0,
@@ -51,7 +53,8 @@ pub fn he2hb_with<T: ComplexScalar + GemmScalar>(
         ctrl,
     )?;
     // The reduction leaves the band (zero below it) in the lower
-    // triangle only; mirror it to make the matrix exactly Hermitian.
-    band.hermitize_from_lower();
+    // triangle, which is all the band storage keeps.
+    let mut band = SymBandMatrix::default();
+    band.refill_from_lower(n, work.as_slice(), lda, nb, nb);
     Ok(BandFormC { band, panels, nb })
 }

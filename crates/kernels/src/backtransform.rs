@@ -392,18 +392,10 @@ pub fn scale_rows<T: Scalar>(d: &[T], e: &mut [T], ldc: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{band_form, chase_sweeps, rand_hermitian, rand_mat, tol, unitary_error};
-    use tseig_matrix::{CMatrixG, ComplexScalar, C32, C64};
-
-    /// Run `check` at all four element types.
-    macro_rules! at_every_type {
-        ($check:ident) => {
-            $check::<f64>();
-            $check::<f32>();
-            $check::<C64>();
-            $check::<C32>();
-        };
-    }
+    use crate::testutil::{
+        at_every_type, band_form, chase_sweeps, rand_hermitian, rand_mat, tol, unitary_error,
+    };
+    use tseig_matrix::{CMatrixG, ComplexScalar};
 
     fn diamond_matches_naive_at<T: GemmScalar>() {
         for (n, b, seed) in [(14, 3, 70), (20, 4, 71)] {

@@ -12,11 +12,11 @@
 //! * **Householder tool-chain** ([`householder`], [`qr`]) — `larfg`,
 //!   `larf`, `larft`, `larfb`, blocked QR: the building blocks of both
 //!   reduction stages and of the back-transformation.
-//! * **The two Level-3 layers of the two-stage pipeline** ([`stage1`],
-//!   [`backtransform`]) — the blocked band reduction and the
-//!   diamond-blocked back-transformation, written once for all four
-//!   element types; `tseig-core` and `tseig-hermitian` are thin entry
-//!   points over them.
+//! * **The three layers of the two-stage pipeline** ([`stage1`],
+//!   [`stage2`], [`backtransform`]) — the blocked band reduction, the
+//!   bulge chase on band storage and the diamond-blocked
+//!   back-transformation, written once for all four element types;
+//!   `tseig-core` and `tseig-hermitian` are thin entry points over them.
 //! * **Cholesky tool-chain** ([`cholesky`]) — `potrf`, `trsm`, `hegst`:
 //!   the reduction of a generalized problem to standard form.
 //! * **Flop accounting** ([`flops`]) — relaxed atomic counters, split by
@@ -53,6 +53,7 @@ pub mod qr;
 pub mod reference;
 pub mod scaling;
 pub mod stage1;
+pub mod stage2;
 #[cfg(test)]
 mod testutil;
 

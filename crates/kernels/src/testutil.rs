@@ -8,6 +8,17 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tseig_matrix::{CMatrixG, ComplexScalar};
 
+/// Run the generic check `$check::<T>()` at all four element types.
+macro_rules! at_every_type {
+    ($check:ident) => {
+        $check::<f64>();
+        $check::<f32>();
+        $check::<tseig_matrix::C64>();
+        $check::<tseig_matrix::C32>();
+    };
+}
+pub(crate) use at_every_type;
+
 /// `n` seeded entries.
 pub fn rand_vec<T: ComplexScalar>(n: usize, seed: u64) -> Vec<T> {
     let mut rng = StdRng::seed_from_u64(seed);

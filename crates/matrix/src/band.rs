@@ -1,4 +1,5 @@
-//! Symmetric band storage (lower), with workspace sub-diagonals for bulges.
+//! Symmetric (Hermitian) band storage (lower), with workspace
+//! sub-diagonals for bulges.
 //!
 //! The bulge-chasing stage of the two-stage algorithm works on a symmetric
 //! band matrix of semi-bandwidth `b = nb`. While a bulge is being chased it
@@ -8,14 +9,17 @@
 //! `j <= i <= j + b + extra`) lives at `ab[(i - j) + j * ldab]`.
 //!
 //! Only the lower triangle is stored; `get`/`set` transparently apply the
-//! symmetry `A(i, j) == A(j, i)`.
+//! Hermitian symmetry `A(i, j) == conj(A(j, i))`, which is plain symmetry
+//! for the real element types.
 
 use crate::dense::Matrix;
+use crate::scalar::ComplexScalar;
 use crate::tridiagonal::SymTridiagonal;
 
-/// Symmetric matrix in lower band storage with workspace rows.
+/// Symmetric (Hermitian) matrix in lower band storage with workspace
+/// rows, at any of the four element types.
 #[derive(Clone, Debug, PartialEq)]
-pub struct SymBandMatrix {
+pub struct SymBandMatrix<T = f64> {
     n: usize,
     /// Semi-bandwidth of the *logical* band (number of sub-diagonals that
     /// hold matrix data when no bulge is in flight).
@@ -23,41 +27,27 @@ pub struct SymBandMatrix {
     /// Extra sub-diagonals kept as bulge workspace.
     extra: usize,
     /// `ldab x n` column-major buffer, `ldab = bandwidth + extra + 1`.
-    ab: Vec<f64>,
+    ab: Vec<T>,
 }
 
-impl Default for SymBandMatrix {
+impl<T: ComplexScalar> Default for SymBandMatrix<T> {
     /// The empty order-0 band matrix.
     fn default() -> Self {
         SymBandMatrix::zeros(0, 0, 0)
     }
 }
 
-impl SymBandMatrix {
-    /// Zero-filled symmetric band matrix of order `n`, semi-bandwidth
-    /// `bandwidth`, with `extra` workspace sub-diagonals.
+impl<T: ComplexScalar> SymBandMatrix<T> {
+    /// Zero-filled band matrix of order `n`, semi-bandwidth `bandwidth`,
+    /// with `extra` workspace sub-diagonals.
     pub fn zeros(n: usize, bandwidth: usize, extra: usize) -> Self {
         let ldab = bandwidth + extra + 1;
         SymBandMatrix {
             n,
             bandwidth,
             extra,
-            ab: vec![0.0; ldab * n],
+            ab: vec![T::ZERO; ldab * n],
         }
-    }
-
-    /// Extract the lower band of a dense symmetric matrix (only the lower
-    /// triangle of `a` is referenced).
-    pub fn from_dense_lower(a: &Matrix, bandwidth: usize, extra: usize) -> Self {
-        assert_eq!(a.rows(), a.cols());
-        let n = a.rows();
-        let mut b = SymBandMatrix::zeros(n, bandwidth, extra);
-        for j in 0..n {
-            for i in j..(j + bandwidth + 1).min(n) {
-                b.set(i, j, a[(i, j)]);
-            }
-        }
-        b
     }
 
     /// Order of the matrix.
@@ -84,29 +74,27 @@ impl SymBandMatrix {
         self.bandwidth + self.extra + 1
     }
 
-    /// `true` iff `(i, j)` (lower triangle) is inside the stored diagonals.
+    /// Read `A(i, j)`; an upper-triangle read returns the conjugate of the
+    /// stored mirror, and elements outside the stored band read as zero.
     #[inline]
-    pub fn in_store(&self, i: usize, j: usize) -> bool {
-        i >= j && i < self.n && i - j <= self.bandwidth + self.extra
-    }
-
-    /// Read `A(i, j)`; symmetry is applied, and elements outside the stored
-    /// band read as zero.
-    #[inline]
-    pub fn get(&self, i: usize, j: usize) -> f64 {
-        let (i, j) = if i >= j { (i, j) } else { (j, i) };
-        if i - j <= self.bandwidth + self.extra {
-            self.ab[(i - j) + j * self.ldab()]
+    pub fn get(&self, i: usize, j: usize) -> T {
+        let (r, c) = if i >= j { (i, j) } else { (j, i) };
+        if r - c > self.bandwidth + self.extra {
+            return T::ZERO;
+        }
+        let v = self.ab[(r - c) + c * self.ldab()];
+        if i >= j {
+            v
         } else {
-            0.0
+            v.conj()
         }
     }
 
-    /// Write `A(i, j)` (and implicitly `A(j, i)`). Panics outside the
-    /// stored diagonals.
+    /// Write `A(i, j)` (and implicitly `A(j, i) = conj(A(i, j))`). Panics
+    /// outside the stored diagonals.
     #[inline]
-    pub fn set(&mut self, i: usize, j: usize, v: f64) {
-        let (i, j) = if i >= j { (i, j) } else { (j, i) };
+    pub fn set(&mut self, i: usize, j: usize, v: T) {
+        let (i, j, v) = if i >= j { (i, j, v) } else { (j, i, v.conj()) };
         assert!(
             i - j <= self.bandwidth + self.extra && i < self.n,
             "write outside stored band: ({i},{j}), bw {} extra {}",
@@ -120,7 +108,7 @@ impl SymBandMatrix {
     /// Stored part of column `j`: `A(j..=min(j+bw+extra, n-1), j)`,
     /// starting at the diagonal element.
     #[inline]
-    pub fn col(&self, j: usize) -> &[f64] {
+    pub fn col(&self, j: usize) -> &[T] {
         let ldab = self.ldab();
         let len = (self.n - j).min(ldab);
         &self.ab[j * ldab..j * ldab + len]
@@ -128,7 +116,7 @@ impl SymBandMatrix {
 
     /// Mutable stored part of column `j`.
     #[inline]
-    pub fn col_mut(&mut self, j: usize) -> &mut [f64] {
+    pub fn col_mut(&mut self, j: usize) -> &mut [T] {
         let ldab = self.ldab();
         let len = (self.n - j).min(ldab);
         &mut self.ab[j * ldab..j * ldab + len]
@@ -136,14 +124,69 @@ impl SymBandMatrix {
 
     /// Raw band buffer (column-major, `ldab x n`).
     #[inline]
-    pub fn as_slice(&self) -> &[f64] {
+    pub fn as_slice(&self) -> &[T] {
         &self.ab
     }
 
     /// Raw band buffer, mutable.
     #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+    pub fn as_mut_slice(&mut self) -> &mut [T] {
         &mut self.ab
+    }
+
+    /// Reset in place to the lower band of the order-`n` Hermitian matrix
+    /// held column-major in `a` (leading dimension `lda`; only its lower
+    /// triangle is referenced, and the diagonal's imaginary part is
+    /// dropped), reusing the buffer. The shape `(n, bandwidth, extra)`
+    /// may change; once the buffer capacity covers the largest shape
+    /// seen, this is allocation-free.
+    pub fn refill_from_lower(
+        &mut self,
+        n: usize,
+        a: &[T],
+        lda: usize,
+        bandwidth: usize,
+        extra: usize,
+    ) {
+        let ldab = bandwidth + extra + 1;
+        self.n = n;
+        self.bandwidth = bandwidth;
+        self.extra = extra;
+        self.ab.clear();
+        self.ab.reserve_exact(ldab * n);
+        self.ab.resize(ldab * n, T::ZERO);
+        for j in 0..n {
+            let len = (n - j).min(bandwidth + 1);
+            let src = &a[j + j * lda..j + j * lda + len];
+            let dst = &mut self.ab[j * ldab..j * ldab + len];
+            dst.copy_from_slice(src);
+            dst[0] = T::new(dst[0].re(), 0.0);
+        }
+    }
+
+    /// Overwrite `self` with a copy of `other`, reusing the buffer
+    /// (allocation-free once capacity covers `other`'s buffer).
+    pub fn copy_from(&mut self, other: &SymBandMatrix<T>) {
+        self.n = other.n;
+        self.bandwidth = other.bandwidth;
+        self.extra = other.extra;
+        self.ab.clear();
+        self.ab.extend_from_slice(&other.ab);
+    }
+
+    /// Bytes of heap capacity retained by the band buffer.
+    pub fn capacity_bytes(&self) -> usize {
+        self.ab.capacity() * std::mem::size_of::<T>()
+    }
+}
+
+impl SymBandMatrix {
+    /// Extract the lower band of a dense symmetric matrix (only the lower
+    /// triangle of `a` is referenced).
+    pub fn from_dense_lower(a: &Matrix, bandwidth: usize, extra: usize) -> Self {
+        let mut b = SymBandMatrix::default();
+        b.refill_from_dense_lower(a, bandwidth, extra);
+        b
     }
 
     /// Expand to a dense symmetric [`Matrix`] (both triangles filled).
@@ -163,16 +206,15 @@ impl SymBandMatrix {
     /// stored diagonals. Valid once the bulge chase has driven the band to
     /// tridiagonal form.
     pub fn to_tridiagonal(&self) -> SymTridiagonal {
-        let d: Vec<f64> = (0..self.n).map(|j| self.get(j, j)).collect();
-        let e: Vec<f64> = (0..self.n.saturating_sub(1))
-            .map(|j| self.get(j + 1, j))
-            .collect();
-        SymTridiagonal::new(d, e)
+        let mut t = SymTridiagonal::new(Vec::new(), Vec::new());
+        t.reset_to(self.n);
+        let (d, e) = t.parts_mut();
+        self.to_tridiagonal_into(d, e);
+        t
     }
 
     /// [`Self::to_tridiagonal`] into caller-owned storage: `d` must have
     /// length `n` and `e` length `n - 1` (or both empty for `n == 0`).
-    /// Writes the same values as `to_tridiagonal` without allocating.
     pub fn to_tridiagonal_into(&self, d: &mut [f64], e: &mut [f64]) {
         assert_eq!(d.len(), self.n);
         assert_eq!(e.len(), self.n.saturating_sub(1));
@@ -185,39 +227,11 @@ impl SymBandMatrix {
     }
 
     /// Reset in place to the lower band of the dense symmetric `a`,
-    /// reusing the buffer. The shape `(n, bandwidth, extra)` may change;
-    /// once the buffer capacity covers the largest shape seen, this is
-    /// allocation-free. Same values as [`Self::from_dense_lower`].
+    /// reusing the buffer (see [`Self::refill_from_lower`]). Same values
+    /// as [`Self::from_dense_lower`].
     pub fn refill_from_dense_lower(&mut self, a: &Matrix, bandwidth: usize, extra: usize) {
         assert_eq!(a.rows(), a.cols());
-        let n = a.rows();
-        let ldab = bandwidth + extra + 1;
-        self.n = n;
-        self.bandwidth = bandwidth;
-        self.extra = extra;
-        self.ab.clear();
-        self.ab.reserve_exact(ldab * n);
-        self.ab.resize(ldab * n, 0.0);
-        for j in 0..n {
-            for i in j..(j + bandwidth + 1).min(n) {
-                self.set(i, j, a[(i, j)]);
-            }
-        }
-    }
-
-    /// Overwrite `self` with a copy of `other`, reusing the buffer
-    /// (allocation-free once capacity covers `other`'s buffer).
-    pub fn copy_from(&mut self, other: &SymBandMatrix) {
-        self.n = other.n;
-        self.bandwidth = other.bandwidth;
-        self.extra = other.extra;
-        self.ab.clear();
-        self.ab.extend_from_slice(&other.ab);
-    }
-
-    /// Bytes of heap capacity retained by the band buffer.
-    pub fn capacity_bytes(&self) -> usize {
-        self.ab.capacity() * std::mem::size_of::<f64>()
+        self.refill_from_lower(a.rows(), a.as_slice(), a.ld(), bandwidth, extra);
     }
 
     /// Largest absolute value found strictly below sub-diagonal `k`

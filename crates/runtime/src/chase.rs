@@ -1,9 +1,10 @@
 //! The bulge-chase executor shared by every stage-2 frontend.
 //!
-//! All three chases in the workspace — the real symmetric band chase, its
-//! Hermitian twin, and the band-bidiagonal SVD chase — run the same task
-//! set: sweep `s` starts with a head task `(s, 0)` and pushes its bulge
-//! down the band with chase steps `(s, k >= 1)`. Each task touches one
+//! Every chase in the workspace — the symmetric/Hermitian band chase
+//! (one element-generic kernel set, driven by a real and a Hermitian
+//! frontend) and the band-bidiagonal SVD chase — runs the same task set:
+//! sweep `s` starts with a head task `(s, 0)` and pushes its bulge down
+//! the band with chase steps `(s, k >= 1)`. Each task touches one
 //! contiguous diagonal-index interval of the band plus reflector slots,
 //! so the whole scheduling side is written once here (the paper's QUARK
 //! model, §3: the runtime is shared, a stage supplies only its kernels and
@@ -39,6 +40,15 @@ use std::sync::Arc;
 pub const BAND_SPACE: u32 = 0;
 /// Region space of reflector slots, one point per `(sweep, step)`.
 pub const SLOT_SPACE: u32 = 1;
+
+/// Report a touch of the band's diagonal-index span `[lo, hi]` to the
+/// debug-build shadow checker, as a write when `write`. The band
+/// frontends hand this to the element-generic chase kernels of
+/// `tseig-kernels`, which report every band block through it.
+pub fn touch_band(lo: usize, hi: usize, write: bool) {
+    let access = if write { Access::Write } else { Access::Read };
+    crate::shadow::touch(BAND_SPACE, lo as u64, hi as u64 + 1, access);
+}
 
 /// How the chase's task graph is executed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]

@@ -15,7 +15,7 @@
 //! | `lossy-cast`        | no `as u32`/`as i32`/`as f32` in library code |
 //! | `plan-no-alloc`     | `*_ws`/`*_into`/`*_planned` fns reuse workspaces, never mint buffers |
 //! | `pure-req`          | `*_req` sizing fns are pure arithmetic (no alloc/I-O/env/clock) |
-//! | `task-storage`      | task-body files reach storage only through shadow-reported accessors |
+//! | `task-storage`      | task-body and touch-reporting files reach storage only through shadow-reported accessors |
 //! | `shim-deps`         | `shims/*` stay std-only |
 //!
 //! A rule can be waived on one line with a

@@ -21,8 +21,8 @@ use crate::source::SourceFile;
 use crate::Diag;
 
 /// The driver/stage layer: files owning the long-running solver loops
-/// (including the stage-1 and back-transform panel loops the pipelines
-/// share from `kernels`).
+/// (including the stage-1 panel loop, the stage-2 sweep loop and the
+/// back-transform panel loop the pipelines share from `kernels`).
 pub fn applies_to(rel_path: &str) -> bool {
     let in_solver_crate = [
         "crates/core/src/",
@@ -177,6 +177,7 @@ mod tests {
         let src = "fn reduce(n: usize) {\n    let mut j0 = 0;\n    while j0 < n {\n        j0 += 8;\n    }\n}\n";
         for path in [
             "crates/kernels/src/stage1.rs",
+            "crates/kernels/src/stage2.rs",
             "crates/kernels/src/backtransform.rs",
         ] {
             let d = run(path, src);

@@ -4,10 +4,11 @@
 //! under-declared task footprints if the code that actually reaches
 //! matrix storage reports the ranges it touches. This rule guards that
 //! instrumentation structurally: in any file that defines a task body
-//! (contains `fn run_task`), every non-test function that reaches
-//! storage — slab slices, element accessors, or tuple-indexed matrix
-//! entries — must also contain a shadow report (`shadow::touch` or the
-//! local `touch_band(` wrapper).
+//! (contains `fn run_task`) or reports band touches (calls
+//! `touch_band(` — the shared chase kernels the task bodies call), every
+//! non-test function that reaches storage — slab slices, element
+//! accessors, or tuple-indexed matrix entries — must also contain a
+//! shadow report (`shadow::touch` or a `touch_band(` call).
 //!
 //! Main-thread code that legitimately runs outside any task (whole-band
 //! contracts, post-processing) carries a
@@ -22,12 +23,13 @@ const STORAGE_TOKENS: &[&str] = &[".as_slice(", ".as_mut_slice(", ".get(", ".set
 /// Tokens that report a touch to the shadow checker.
 const REPORT_TOKENS: &[&str] = &["shadow::touch", "touch_band("];
 
-/// Does this file define task bodies? The rule only applies there —
-/// generic storage code elsewhere has no footprint to honour.
-fn defines_task_bodies(file: &SourceFile) -> bool {
+/// Does this file define task bodies, or report band touches for them?
+/// The rule only applies there — generic storage code elsewhere has no
+/// footprint to honour.
+fn runs_in_tasks(file: &SourceFile) -> bool {
     file.lines
         .iter()
-        .any(|l| !l.in_test && l.code.contains("fn run_task"))
+        .any(|l| !l.in_test && (l.code.contains("fn run_task") || l.code.contains("touch_band(")))
 }
 
 /// Does `body` index storage with a `[(row, col)]`-style tuple? Plain
@@ -45,7 +47,7 @@ fn has_tuple_indexing(body: &str) -> bool {
 }
 
 pub fn check(file: &SourceFile, diags: &mut Vec<Diag>) {
-    if !file.rel_path.starts_with("crates/") || !defines_task_bodies(file) {
+    if !file.rel_path.starts_with("crates/") || !runs_in_tasks(file) {
         return;
     }
     for (header_line, body) in fn_spans(file) {
@@ -121,6 +123,16 @@ mod tests {
             "{TASK_FILE_PRELUDE}// tidy: allow(task-storage) -- main-thread post-processing\nfn fold(a: &M) -> f64 {{\n    a[(0, 0)]\n}}\n"
         );
         assert!(run("crates/core/src/stage2.rs", &src).is_empty());
+    }
+
+    #[test]
+    fn shared_chase_kernels_are_checked() {
+        // No task body here: the file is in scope because its kernels
+        // report band touches, so an unreported storage access fails.
+        let src = "fn window(b: &B, touch_band: &impl Fn(usize, usize, bool)) {\n    touch_band(0, 1, false);\n    b.as_slice();\n}\nfn peek(b: &B) -> f64 {\n    b.get(0, 1)\n}\n";
+        let d = run("crates/kernels/src/stage2.rs", src);
+        assert_eq!(d.len(), 1);
+        assert_eq!((d[0].line, d[0].rule), (5, "task-storage"));
     }
 
     #[test]
