@@ -1,13 +1,16 @@
 //! Library backing the `tseig` binary (kept as a lib so the argument
 //! parsing and command logic are unit-testable).
 
+use std::fmt::Write as _;
 use std::io::{BufRead, Write};
 use std::time::Duration;
-use tseig_core::{BatchDriver, BatchSummary, ScalarTag, Scheduler, SymmetricEigen, VerifyLevel};
-use tseig_hermitian::HermitianEigen;
+use tseig_core::{
+    solve_generalized_with_plan, BatchDriver, BatchSummary, GenPlan, ScalarTag, Scheduler,
+    SolvePlan, SymmetricEigen, TwoStageResult, VerifyLevel,
+};
+use tseig_hermitian::{HermitianEigen, HermitianResult};
 use tseig_matrix::{
-    io as mmio, norms, CMatrix, CMatrixG, ComplexScalar, Ctrl, Deadline, Error, Matrix, MemBudget,
-    C32,
+    io as mmio, norms, CMatrix, CMatrixG, ComplexScalar, Ctrl, Error, Matrix, MemBudget, C32, C64,
 };
 use tseig_tridiag::{EigenRange, Method};
 
@@ -404,30 +407,82 @@ pub fn run<R: BufRead, W: Write>(
             scalar,
             governor,
         } => {
-            let input = open(path)?;
             let t0 = std::time::Instant::now();
-            let (lines, mut summary) = match kind {
-                BatchKind::Eig => batch_eig(
-                    input, *nb, *method, *scheduler, *threads, *vectors, *scalar, *governor,
-                )?,
-                BatchKind::Svd => batch_svd(
-                    input, *nb, *scheduler, *threads, *vectors, *scalar, *governor,
-                )?,
-                BatchKind::Gen => batch_gen(
-                    input, *nb, *method, *scheduler, *threads, *vectors, *scalar, *governor,
-                )?,
+            let mut lines = Vec::new();
+            for (k, line) in open(path)?.lines().enumerate() {
+                let line = line.map_err(|e| e.to_string())?;
+                if !line.trim().is_empty() {
+                    lines.push((k, line));
+                }
+            }
+            let eigen = SymmetricEigen::new()
+                .nb(*nb)
+                .method(*method)
+                .scheduler(*scheduler)
+                .vectors(*vectors);
+            let herm = HermitianEigen::new()
+                .nb(*nb)
+                .method(*method)
+                .scheduler(*scheduler)
+                .vectors(*vectors);
+            let driver =
+                governed_driver(BatchDriver::new(eigen.clone()).threads(*threads), *governor);
+            let default = *scalar;
+            let (done, events) = match kind {
+                BatchKind::Eig => driver.pool_map(
+                    &lines,
+                    SolvePlan::new,
+                    |(_, l)| parse_batch_line(l, default, |n| driver.admit(n)),
+                    |req, plan, ctrl| solve_eig(req, plan, ctrl, &eigen, &herm),
+                    |l, r| finish_eig(l, default, r),
+                ),
+                BatchKind::Gen => driver.pool_map(
+                    &lines,
+                    GenPlan::new,
+                    |(_, l)| parse_gen_line(l, default, |n| driver.admit(n)),
+                    |req, plan, ctrl| solve_gen(req, plan, ctrl, &eigen, &herm),
+                    |l, r| finish_eig(l, default, r),
+                ),
+                BatchKind::Svd => {
+                    let gesvd = tseig_svd::GeSvd::new()
+                        .nb((*nb).max(2))
+                        .scheduler(*scheduler)
+                        .vectors(*vectors);
+                    let admit = |m, n| match governor.mem_budget {
+                        Some(b) => MemBudget::bytes(b).admit(gesvd.plan_req(m, n).total_bytes()),
+                        None => Ok(()),
+                    };
+                    driver.pool_map(
+                        &lines,
+                        tseig_svd::SvdPlan::new,
+                        |(_, l)| parse_svd_line(l, default, admit),
+                        |(a, transposed), plan, ctrl| {
+                            let svd = gesvd.clone().ctrl(ctrl.clone()).solve_with_plan(&a, plan)?;
+                            Ok((svd, transposed))
+                        },
+                        |l, r| finish_svd(l, default, *vectors, r),
+                    )
+                }
             };
+            let mut summary = BatchSummary::default().with_events(events);
+            for d in &done {
+                summary.record(d.tag, d.outcome.map_err(|_| ()));
+                if d.outcome == Err("deadline_exceeded") {
+                    summary.deadline_exceeded += 1;
+                }
+            }
+            let lines = done.into_iter().map(|d| d.text);
             let wall = t0.elapsed();
             summary.wall = wall;
             match out {
                 Some(p) => {
                     let mut w = create(p)?;
-                    for l in &lines {
+                    for l in lines {
                         writeln!(w, "{l}").map_err(|e| e.to_string())?;
                     }
                 }
                 None => {
-                    for l in &lines {
+                    for l in lines {
                         println!("{l}");
                     }
                 }
@@ -497,31 +552,16 @@ pub fn run<R: BufRead, W: Write>(
     }
 }
 
-/// Parallel columns out of one JSONL batch parse: ids, scalar tags, and
-/// the per-line request-or-error slots.
-type ParsedBatch<Q> = (Vec<String>, Vec<ScalarTag>, Vec<Result<Q, String>>);
+/// One `tseig batch` input line: its 0-based line number (the default
+/// id) and its text.
+type Line = (usize, String);
 
-/// Parse the JSONL stream for one batch run: `parse` maps a line to
-/// `(id, tag, request-or-error)`, collecting the three columns so a
-/// malformed line becomes a failed slot, never a batch abort.
-fn read_requests<R: BufRead, Q>(
-    input: R,
-    mut parse: impl FnMut(&str, usize) -> (String, ScalarTag, Result<Q, String>),
-) -> Result<ParsedBatch<Q>, String> {
-    let mut ids = Vec::new();
-    let mut tags = Vec::new();
-    let mut requests = Vec::new();
-    for (k, line) in input.lines().enumerate() {
-        let line = line.map_err(|e| e.to_string())?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (id, tag, req) = parse(&line, k);
-        ids.push(id);
-        tags.push(tag);
-        requests.push(req);
-    }
-    Ok((ids, tags, requests))
+/// One finished output line and what the summary counts of it.
+struct Done {
+    text: String,
+    tag: ScalarTag,
+    /// `Ok(clean)`, or the failure's `error_kind`.
+    outcome: Result<bool, &'static str>,
 }
 
 /// Apply the governance knobs to a [`BatchDriver`].
@@ -539,209 +579,6 @@ fn governed_driver(driver: BatchDriver, gov: BatchGovernor) -> BatchDriver {
     driver
 }
 
-/// The Hermitian driver for one request under the governance knobs
-/// (complex requests solve sequentially, so only the per-request
-/// deadline applies; the pool watchdog never sees them).
-fn governed_herm(herm: &HermitianEigen, gov: BatchGovernor) -> HermitianEigen {
-    match gov.deadline_ms {
-        Some(ms) => herm
-            .clone()
-            .ctrl(Ctrl::new().with_deadline(Deadline::new(Duration::from_millis(ms)))),
-        None => herm.clone(),
-    }
-}
-
-/// `--kind eig`: standard symmetric/Hermitian eigenproblems. Real
-/// requests (f64, plus f32 after the parse-time rounding) go through the
-/// shared worker pool; complex ones solve one at a time through the
-/// Hermitian pipeline.
-#[allow(clippy::too_many_arguments)]
-fn batch_eig<R: BufRead>(
-    input: R,
-    nb: usize,
-    method: Method,
-    scheduler: Scheduler,
-    threads: usize,
-    vectors: bool,
-    scalar: ScalarTag,
-    gov: BatchGovernor,
-) -> Result<(Vec<String>, BatchSummary), String> {
-    let (ids, tags, requests) = read_requests(input, |line, k| parse_batch_line(line, k, scalar))?;
-    let mats: Vec<Matrix> = requests
-        .iter()
-        .filter_map(|r| match r {
-            Ok(BatchRequest::Real(m)) => Some(m.clone()),
-            _ => None,
-        })
-        .collect();
-    let eigen = SymmetricEigen::new()
-        .nb(nb)
-        .method(method)
-        .scheduler(scheduler)
-        .vectors(vectors);
-    let herm = herm_options(nb, method, scheduler, vectors);
-    let (solved, events) =
-        governed_driver(BatchDriver::new(eigen).threads(threads), gov).solve_all_governed(&mats);
-    // Merge solver results back into request order, solving the complex
-    // requests in place and tallying everything by type.
-    let mut summary = BatchSummary::default().with_events(events);
-    let mut solved_it = solved.into_iter();
-    let mut lines: Vec<String> = Vec::with_capacity(requests.len());
-    for ((id, tag), req) in ids.iter().zip(&tags).zip(&requests) {
-        let outcome: Result<SolvedLine, LineError> = match req {
-            Err(e) => Err(LineError::parse(e.clone())),
-            Ok(BatchRequest::Real(_)) => solved_it
-                .next()
-                .expect("one result per parsed real request")
-                .map(|r| SolvedLine::real(&r))
-                .map_err(|e| LineError::of(&e)),
-            Ok(BatchRequest::C64(a)) => governed_herm(&herm, gov)
-                .solve(a)
-                .map(|r| SolvedLine::complex(&r))
-                .map_err(|e| LineError::of(&e)),
-            Ok(BatchRequest::C32(a)) => governed_herm(&herm, gov)
-                .solve(a)
-                .map(|r| SolvedLine::complex(&r))
-                .map_err(|e| LineError::of(&e)),
-        };
-        push_outcome(&mut lines, &mut summary, id, *tag, vectors, outcome);
-    }
-    Ok((lines, summary))
-}
-
-/// `--kind gen`: generalized pencils `A x = lambda B x`. Real pencils
-/// stream through `BatchDriver::solve_all_generalized`'s worker pool
-/// (per-worker `GenPlan` reuse); complex ones solve through the
-/// Hermitian-definite driver.
-#[allow(clippy::too_many_arguments)]
-fn batch_gen<R: BufRead>(
-    input: R,
-    nb: usize,
-    method: Method,
-    scheduler: Scheduler,
-    threads: usize,
-    vectors: bool,
-    scalar: ScalarTag,
-    gov: BatchGovernor,
-) -> Result<(Vec<String>, BatchSummary), String> {
-    let (ids, tags, requests) = read_requests(input, |line, k| parse_gen_line(line, k, scalar))?;
-    let pencils: Vec<(Matrix, Matrix)> = requests
-        .iter()
-        .filter_map(|r| match r {
-            Ok(GenRequest::Real(a, b)) => Some((a.clone(), b.clone())),
-            _ => None,
-        })
-        .collect();
-    let eigen = SymmetricEigen::new()
-        .nb(nb)
-        .method(method)
-        .scheduler(scheduler)
-        .vectors(vectors);
-    let herm = herm_options(nb, method, scheduler, vectors);
-    let (solved, events) = governed_driver(BatchDriver::new(eigen).threads(threads), gov)
-        .solve_all_generalized_governed(&pencils);
-    let mut summary = BatchSummary::default().with_events(events);
-    let mut solved_it = solved.into_iter();
-    let mut lines: Vec<String> = Vec::with_capacity(requests.len());
-    for ((id, tag), req) in ids.iter().zip(&tags).zip(&requests) {
-        let outcome: Result<SolvedLine, LineError> = match req {
-            Err(e) => Err(LineError::parse(e.clone())),
-            Ok(GenRequest::Real(..)) => solved_it
-                .next()
-                .expect("one result per parsed real pencil")
-                .map(|r| SolvedLine::real(&r))
-                .map_err(|e| LineError::of(&e)),
-            Ok(GenRequest::C64(a, b)) => {
-                tseig_hermitian::generalized::solve_generalized(a, b, &governed_herm(&herm, gov))
-                    .map(|r| SolvedLine::complex(&r))
-                    .map_err(|e| LineError::of(&e))
-            }
-            Ok(GenRequest::C32(a, b)) => {
-                tseig_hermitian::generalized::solve_generalized(a, b, &governed_herm(&herm, gov))
-                    .map(|r| SolvedLine::complex(&r))
-                    .map_err(|e| LineError::of(&e))
-            }
-        };
-        push_outcome(&mut lines, &mut summary, id, *tag, vectors, outcome);
-    }
-    Ok((lines, summary))
-}
-
-/// `--kind svd`: thin SVDs through `SvdBatch`'s worker pool. Real-only;
-/// wide inputs factor the transpose with `u`/`v` swapped back.
-#[allow(clippy::too_many_arguments)]
-fn batch_svd<R: BufRead>(
-    input: R,
-    nb: usize,
-    scheduler: Scheduler,
-    threads: usize,
-    vectors: bool,
-    scalar: ScalarTag,
-    gov: BatchGovernor,
-) -> Result<(Vec<String>, BatchSummary), String> {
-    let (ids, tags, requests) = read_requests(input, |line, k| parse_svd_line(line, k, scalar))?;
-    // Tall-or-square working copies, remembering which were transposed.
-    let mut transposed = Vec::with_capacity(requests.len());
-    let mats: Vec<Matrix> = requests
-        .iter()
-        .filter_map(|r| match r {
-            Ok(m) => {
-                let t = m.rows() < m.cols();
-                transposed.push(t);
-                Some(if t { m.transpose() } else { m.clone() })
-            }
-            _ => None,
-        })
-        .collect();
-    let driver = tseig_svd::GeSvd::new()
-        .nb(nb.max(2))
-        .scheduler(scheduler)
-        .vectors(vectors);
-    let mut batch = tseig_svd::SvdBatch::new(driver).threads(threads);
-    if let Some(ms) = gov.deadline_ms {
-        batch = batch.deadline(Duration::from_millis(ms));
-    }
-    if let Some(b) = gov.mem_budget {
-        batch = batch.mem_budget(MemBudget::bytes(b));
-    }
-    let solved = batch.solve_all(&mats);
-    let mut summary = BatchSummary::default();
-    let mut solved_it = solved.into_iter().zip(transposed);
-    let mut lines: Vec<String> = Vec::with_capacity(requests.len());
-    for ((id, tag), req) in ids.iter().zip(&tags).zip(&requests) {
-        let outcome: Result<(tseig_svd::Svd, bool), LineError> = match req {
-            Err(e) => Err(LineError::parse(e.clone())),
-            Ok(_) => {
-                let (r, t) = solved_it.next().expect("one result per parsed request");
-                r.map(|svd| (svd, t)).map_err(|e| LineError::of(&e))
-            }
-        };
-        match outcome {
-            Ok((svd, t)) => {
-                summary.record(*tag, Ok(!svd.diagnostics.degraded));
-                lines.push(svd_ok_line(id, *tag, &svd, t, vectors));
-            }
-            Err(e) => {
-                summary.record(*tag, Err(()));
-                if e.is_deadline() {
-                    summary.deadline_exceeded += 1;
-                }
-                lines.push(batch_error_line(id, *tag, &e));
-            }
-        }
-    }
-    Ok((lines, summary))
-}
-
-/// The Hermitian builder mirroring one batch's eig/gen configuration.
-fn herm_options(nb: usize, method: Method, scheduler: Scheduler, vectors: bool) -> HermitianEigen {
-    HermitianEigen::new()
-        .nb(nb)
-        .method(method)
-        .scheduler(scheduler)
-        .vectors(vectors)
-}
-
 /// One request's failure as it lands in the JSONL output: the message
 /// plus a machine-readable kind so a caller can distinguish governance
 /// aborts (deadline, budget, cancel) from numerical failures without
@@ -751,14 +588,16 @@ struct LineError {
     msg: String,
 }
 
-impl LineError {
+impl From<String> for LineError {
     /// A malformed input line (never reached a solver).
-    fn parse(msg: String) -> LineError {
+    fn from(msg: String) -> LineError {
         LineError { kind: "parse", msg }
     }
+}
 
-    /// Classify a solver error.
-    fn of(e: &Error) -> LineError {
+impl From<Error> for LineError {
+    /// Classify a solver, admission or governance error.
+    fn from(e: Error) -> LineError {
         let kind = match e {
             Error::Cancelled => "cancelled",
             Error::DeadlineExceeded { .. } => "deadline_exceeded",
@@ -770,44 +609,24 @@ impl LineError {
             msg: e.to_string(),
         }
     }
-
-    fn is_deadline(&self) -> bool {
-        self.kind == "deadline_exceeded"
-    }
-}
-
-/// Fold one solved/failed request into its output line and the summary.
-fn push_outcome(
-    lines: &mut Vec<String>,
-    summary: &mut BatchSummary,
-    id: &str,
-    tag: ScalarTag,
-    vectors: bool,
-    outcome: Result<SolvedLine, LineError>,
-) {
-    match outcome {
-        Ok(r) => {
-            summary.record(tag, Ok(!r.degraded));
-            lines.push(batch_ok_line(id, tag, &r, vectors));
-        }
-        Err(e) => {
-            summary.record(tag, Err(()));
-            if e.is_deadline() {
-                summary.deadline_exceeded += 1;
-            }
-            lines.push(batch_error_line(id, tag, &e));
-        }
-    }
 }
 
 /// Extract the raw value text following `"key":` in a flat JSON object
-/// (no nested objects; string values must not contain escaped quotes).
+/// (no nested objects). A string value ends at the first quote no
+/// backslash escapes, and comes back with its escapes as written.
 /// Occurrences of the quoted key text that are not followed by `:` —
 /// e.g. an `"id"` value that happens to spell a key name — are skipped.
 fn json_value<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     let rest = key_occurrences(line, key).next()?;
     if let Some(r) = rest.strip_prefix('"') {
-        r.find('"').map(|e| &r[..e])
+        let mut escaped = false;
+        r.bytes()
+            .position(|c| {
+                let close = c == b'"' && !escaped;
+                escaped = c == b'\\' && !escaped;
+                close
+            })
+            .map(|e| &r[..e])
     } else if let Some(r) = rest.strip_prefix('[') {
         r.find(']').map(|e| &r[..e])
     } else {
@@ -844,6 +663,31 @@ fn reject_duplicate_keys(line: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// The element type of one line: its `"scalar"` key, else the
+/// `--scalar` default.
+fn line_scalar(line: &str, default: ScalarTag) -> Result<ScalarTag, String> {
+    match json_value(line, "scalar") {
+        Some(s) => ScalarTag::parse(s).ok_or_else(|| format!("bad \"scalar\" {s:?}")),
+        None => Ok(default),
+    }
+}
+
+/// An optional dimension key (`"n"`, `"m"`).
+fn read_dim(line: &str, key: &str) -> Result<Option<usize>, String> {
+    json_value(line, key)
+        .map(|v| v.parse().map_err(|_| format!("bad \"{key}\"")))
+        .transpose()
+}
+
+/// The required order `"n"`.
+fn read_n(line: &str) -> Result<usize, String> {
+    read_dim(line, "n")?.ok_or_else(|| "missing \"n\"".to_string())
+}
+
+fn is_complex(tag: ScalarTag) -> bool {
+    matches!(tag, ScalarTag::C32 | ScalarTag::C64)
+}
+
 /// One parsed batch request: a real symmetric matrix (f64 compute — f32
 /// requests round their entries at parse time) or a complex Hermitian
 /// one at either width.
@@ -852,55 +696,6 @@ enum BatchRequest {
     Real(Matrix),
     C64(CMatrix),
     C32(CMatrixG<C32>),
-}
-
-/// Parse one batch request line:
-/// `{"id": ..., "scalar": ..., "n": N, "data": [...]}`.
-/// `id` is optional (defaults to the 0-based line number), as is
-/// `scalar` (defaults to the `--scalar` flag). The matrix is dense
-/// column-major: `n * n` entries for real types, `2 * n * n` interleaved
-/// re,im for complex ones. Returns the id and element type alongside the
-/// matrix or a description of what is wrong with the line.
-fn parse_batch_line(
-    line: &str,
-    lineno: usize,
-    default_scalar: ScalarTag,
-) -> (String, ScalarTag, Result<BatchRequest, String>) {
-    let id = json_value(line, "id")
-        .map(String::from)
-        .unwrap_or_else(|| lineno.to_string());
-    let tag = json_value(line, "scalar")
-        .map(|s| ScalarTag::parse(s).ok_or_else(|| format!("bad \"scalar\" {s:?}")))
-        .unwrap_or(Ok(default_scalar));
-    let tag_or_default = *tag.as_ref().unwrap_or(&default_scalar);
-    let req = (|| -> Result<BatchRequest, String> {
-        reject_duplicate_keys(line)?;
-        let tag = tag?;
-        let n: usize = json_value(line, "n")
-            .ok_or("missing \"n\"")?
-            .parse()
-            .map_err(|_| "bad \"n\"".to_string())?;
-        let vals = read_entries(line, "data", n, tag)?;
-        Ok(match tag {
-            // f32 is I/O precision: entries round through f32, the
-            // solve itself runs the f64 pipeline.
-            ScalarTag::F32 => {
-                BatchRequest::Real(Matrix::from_fn(n, n, |i, j| vals[i + j * n] as f32 as f64))
-            }
-            ScalarTag::F64 => BatchRequest::Real(Matrix::from_fn(n, n, |i, j| vals[i + j * n])),
-            ScalarTag::C64 => BatchRequest::C64(CMatrix::from_fn(n, n, |i, j| {
-                let p = 2 * (i + j * n);
-                ComplexScalar::new(vals[p], vals[p + 1])
-            })),
-            // C32::new rounds both components to f32; the whole solve
-            // then runs at 32-bit precision.
-            ScalarTag::C32 => BatchRequest::C32(CMatrixG::<C32>::from_fn(n, n, |i, j| {
-                let p = 2 * (i + j * n);
-                ComplexScalar::new(vals[p], vals[p + 1])
-            })),
-        })
-    })();
-    (id, tag_or_default, req)
 }
 
 /// One parsed generalized request: a `(A, B)` pencil at any of the four
@@ -912,40 +707,143 @@ enum GenRequest {
     C32(CMatrixG<C32>, CMatrixG<C32>),
 }
 
-/// Parse a comma-separated float array (the inside of a JSON `[...]`).
-/// The empty array is valid; an empty element (`[1,,2]`, `[1,2,]`) is
-/// not.
-fn parse_floats(data: &str) -> Result<Vec<f64>, String> {
-    if data.trim().is_empty() {
-        return Ok(Vec::new());
-    }
-    data.split(',')
-        .map(|tok| match tok.trim() {
-            "" => Err("empty array element".to_string()),
-            tok => tok.parse().map_err(|_| format!("bad number {tok:?}")),
-        })
-        .collect()
-}
-
-/// Read the dense order-`n` matrix of element type `tag` stored under
-/// `key`: `n * n` entries, or `2 * n * n` interleaved re,im for complex
-/// types. The count is computed with checked arithmetic and nothing sized
-/// from `n` is allocated: the entries are parsed as they appear in the
-/// line and only then compared with the count, so a line claiming a huge
-/// `n` fails alone instead of aborting the batch on an allocation.
-fn read_entries(line: &str, key: &str, n: usize, tag: ScalarTag) -> Result<Vec<f64>, String> {
-    let complex = matches!(tag, ScalarTag::C32 | ScalarTag::C64);
+/// What every eig and gen line is checked for before any entry is
+/// parsed: no repeated key, a known element type, an order `n`, and an
+/// entry count per matrix (`n * n`, or `2 * n * n` interleaved re,im for
+/// complex types) computed with checked arithmetic, so a line claiming a
+/// huge `n` fails alone. A real request's `n` must then pass `admit`;
+/// complex requests are not admitted (there is no Hermitian plan to
+/// size).
+fn request_shape(
+    line: &str,
+    default_scalar: ScalarTag,
+    admit: impl Fn(usize) -> tseig_matrix::Result<()>,
+) -> Result<(ScalarTag, usize, usize), LineError> {
+    reject_duplicate_keys(line)?;
+    let tag = line_scalar(line, default_scalar)?;
+    let n = read_n(line)?;
     let expect = n
         .checked_mul(n)
-        .and_then(|nn| nn.checked_mul(if complex { 2 } else { 1 }))
+        .and_then(|nn| nn.checked_mul(if is_complex(tag) { 2 } else { 1 }))
         .ok_or_else(|| format!("\"n\" = {n} is too large: the entry count overflows"))?;
-    let vals = parse_floats(json_value(line, key).ok_or(format!("missing \"{key}\""))?)
-        .map_err(|e| format!("{e} in \"{key}\""))?;
+    if !is_complex(tag) {
+        admit(n)?;
+    }
+    Ok((tag, n, expect))
+}
+
+/// Parse one `--kind eig` request line:
+/// `{"id": ..., "scalar": ..., "n": N, "data": [...]}`.
+/// `id` is optional (defaults to the 0-based line number), as is
+/// `scalar` (defaults to the `--scalar` flag). The matrix is dense
+/// column-major, and is parsed only once [`request_shape`] passes.
+fn parse_batch_line(
+    line: &str,
+    default_scalar: ScalarTag,
+    admit: impl Fn(usize) -> tseig_matrix::Result<()>,
+) -> Result<BatchRequest, LineError> {
+    let (tag, n, expect) = request_shape(line, default_scalar, admit)?;
+    let vals = read_entries(line, "data", expect, tag)?;
+    Ok(match tag {
+        ScalarTag::F32 | ScalarTag::F64 => BatchRequest::Real(real_matrix(n, n, vals, tag)?),
+        ScalarTag::C64 => BatchRequest::C64(complex_matrix(n, &vals)),
+        ScalarTag::C32 => BatchRequest::C32(complex_matrix(n, &vals)),
+    })
+}
+
+/// Parse one `--kind gen` request line:
+/// `{"id": ..., "scalar": ..., "n": N, "a": [...], "b": [...]}`.
+/// Both matrices are dense column-major, and are parsed only once
+/// [`request_shape`] passes.
+fn parse_gen_line(
+    line: &str,
+    default_scalar: ScalarTag,
+    admit: impl Fn(usize) -> tseig_matrix::Result<()>,
+) -> Result<GenRequest, LineError> {
+    let (tag, n, expect) = request_shape(line, default_scalar, admit)?;
+    let av = read_entries(line, "a", expect, tag)?;
+    let bv = read_entries(line, "b", expect, tag)?;
+    Ok(match tag {
+        ScalarTag::F32 | ScalarTag::F64 => {
+            GenRequest::Real(real_matrix(n, n, av, tag)?, real_matrix(n, n, bv, tag)?)
+        }
+        ScalarTag::C64 => GenRequest::C64(complex_matrix(n, &av), complex_matrix(n, &bv)),
+        ScalarTag::C32 => GenRequest::C32(complex_matrix(n, &av), complex_matrix(n, &bv)),
+    })
+}
+
+/// Parse one `--kind svd` request line:
+/// `{"id": ..., "scalar": ..., "m": M, "n": N, "data": [...]}`.
+/// `m` defaults to `n` (square); the matrix is dense column-major with
+/// `m * n` entries. Real-only — complex tags fail the line alone. The
+/// shape passes `admit` (rows, cols of the tall-or-square working
+/// matrix) before the data array is parsed. Returns that working matrix
+/// and whether it is the input's transpose.
+fn parse_svd_line(
+    line: &str,
+    default_scalar: ScalarTag,
+    admit: impl Fn(usize, usize) -> tseig_matrix::Result<()>,
+) -> Result<(Matrix, bool), LineError> {
+    reject_duplicate_keys(line)?;
+    let tag = line_scalar(line, default_scalar)?;
+    if is_complex(tag) {
+        return Err("--kind svd supports real scalars only (f32|f64)"
+            .to_string()
+            .into());
+    }
+    let n = read_n(line)?;
+    let m = read_dim(line, "m")?.unwrap_or(n);
+    let expect = m
+        .checked_mul(n)
+        .ok_or_else(|| format!("\"m\" x \"n\" = {m} x {n} overflows the entry count"))?;
+    admit(m.max(n), m.min(n))?;
+    let data = json_value(line, "data").ok_or_else(|| "missing \"data\"".to_string())?;
+    let vals = parse_floats(data, expect).map_err(|e| format!("{e} in \"data\""))?;
+    if vals.len() != expect {
+        return Err(format!(
+            "\"data\" holds {} entries, expected m*n = {expect}",
+            vals.len()
+        )
+        .into());
+    }
+    let a = real_matrix(m, n, vals, tag)?;
+    Ok(if m < n {
+        (a.transpose(), true)
+    } else {
+        (a, false)
+    })
+}
+
+/// Parse a comma-separated float array (the inside of a JSON `[...]`)
+/// that should hold `expect` entries. The empty array is valid; an
+/// empty element (`[1,,2]`, `[1,2,]`) is not. Capacity is reserved for
+/// `expect` entries but never more than the text can hold (an entry
+/// takes at least two bytes with its comma), so a line claiming a huge
+/// count allocates nothing sized from it.
+fn parse_floats(data: &str, expect: usize) -> Result<Vec<f64>, String> {
+    let mut vals = Vec::with_capacity(expect.min(data.len() / 2 + 1));
+    if data.trim().is_empty() {
+        return Ok(vals);
+    }
+    for tok in data.split(',') {
+        match tok.trim() {
+            "" => return Err("empty array element".to_string()),
+            tok => vals.push(tok.parse().map_err(|_| format!("bad number {tok:?}"))?),
+        }
+    }
+    Ok(vals)
+}
+
+/// Read the `expect` entries of element type `tag` stored under `key`;
+/// the count is compared once the entries are parsed.
+fn read_entries(line: &str, key: &str, expect: usize, tag: ScalarTag) -> Result<Vec<f64>, String> {
+    let data = json_value(line, key).ok_or(format!("missing \"{key}\""))?;
+    let vals = parse_floats(data, expect).map_err(|e| format!("{e} in \"{key}\""))?;
     if vals.len() != expect {
         return Err(format!(
             "\"{key}\" holds {} entries, expected {} = {} for scalar {}",
             vals.len(),
-            if complex { "2*n*n" } else { "n*n" },
+            if is_complex(tag) { "2*n*n" } else { "n*n" },
             expect,
             tag.name(),
         ));
@@ -953,128 +851,124 @@ fn read_entries(line: &str, key: &str, n: usize, tag: ScalarTag) -> Result<Vec<f
     Ok(vals)
 }
 
-/// Parse one `--kind gen` request line:
-/// `{"id": ..., "scalar": ..., "n": N, "a": [...], "b": [...]}`.
-/// Both matrices are dense column-major, `n * n` entries each for real
-/// types and `2 * n * n` interleaved re,im for complex ones.
-fn parse_gen_line(
-    line: &str,
-    lineno: usize,
-    default_scalar: ScalarTag,
-) -> (String, ScalarTag, Result<GenRequest, String>) {
-    let id = json_value(line, "id")
-        .map(String::from)
-        .unwrap_or_else(|| lineno.to_string());
-    let tag = json_value(line, "scalar")
-        .map(|s| ScalarTag::parse(s).ok_or_else(|| format!("bad \"scalar\" {s:?}")))
-        .unwrap_or(Ok(default_scalar));
-    let tag_or_default = *tag.as_ref().unwrap_or(&default_scalar);
-    let req = (|| -> Result<GenRequest, String> {
-        reject_duplicate_keys(line)?;
-        let tag = tag?;
-        let n: usize = json_value(line, "n")
-            .ok_or("missing \"n\"")?
-            .parse()
-            .map_err(|_| "bad \"n\"".to_string())?;
-        let av = read_entries(line, "a", n, tag)?;
-        let bv = read_entries(line, "b", n, tag)?;
-        Ok(match tag {
-            ScalarTag::F32 => GenRequest::Real(
-                Matrix::from_fn(n, n, |i, j| av[i + j * n] as f32 as f64),
-                Matrix::from_fn(n, n, |i, j| bv[i + j * n] as f32 as f64),
-            ),
-            ScalarTag::F64 => GenRequest::Real(
-                Matrix::from_fn(n, n, |i, j| av[i + j * n]),
-                Matrix::from_fn(n, n, |i, j| bv[i + j * n]),
-            ),
-            ScalarTag::C64 => {
-                let build = |v: &[f64]| {
-                    CMatrix::from_fn(n, n, |i, j| {
-                        let p = 2 * (i + j * n);
-                        ComplexScalar::new(v[p], v[p + 1])
-                    })
-                };
-                GenRequest::C64(build(&av), build(&bv))
-            }
-            ScalarTag::C32 => {
-                let build = |v: &[f64]| {
-                    CMatrixG::<C32>::from_fn(n, n, |i, j| {
-                        let p = 2 * (i + j * n);
-                        ComplexScalar::new(v[p], v[p + 1])
-                    })
-                };
-                GenRequest::C32(build(&av), build(&bv))
-            }
-        })
-    })();
-    (id, tag_or_default, req)
-}
-
-/// Parse one `--kind svd` request line:
-/// `{"id": ..., "scalar": ..., "m": M, "n": N, "data": [...]}`.
-/// `m` defaults to `n` (square); the matrix is dense column-major with
-/// `m * n` entries. Real-only — complex tags fail the line alone.
-fn parse_svd_line(
-    line: &str,
-    lineno: usize,
-    default_scalar: ScalarTag,
-) -> (String, ScalarTag, Result<Matrix, String>) {
-    let id = json_value(line, "id")
-        .map(String::from)
-        .unwrap_or_else(|| lineno.to_string());
-    let tag = json_value(line, "scalar")
-        .map(|s| ScalarTag::parse(s).ok_or_else(|| format!("bad \"scalar\" {s:?}")))
-        .unwrap_or(Ok(default_scalar));
-    let tag_or_default = *tag.as_ref().unwrap_or(&default_scalar);
-    let req = (|| -> Result<Matrix, String> {
-        reject_duplicate_keys(line)?;
-        let tag = tag?;
-        if matches!(tag, ScalarTag::C32 | ScalarTag::C64) {
-            return Err("--kind svd supports real scalars only (f32|f64)".to_string());
-        }
-        let n: usize = json_value(line, "n")
-            .ok_or("missing \"n\"")?
-            .parse()
-            .map_err(|_| "bad \"n\"".to_string())?;
-        let m: usize = match json_value(line, "m") {
-            Some(v) => v.parse().map_err(|_| "bad \"m\"".to_string())?,
-            None => n,
-        };
-        let expect = m
-            .checked_mul(n)
-            .ok_or_else(|| format!("\"m\" x \"n\" = {m} x {n} overflows the entry count"))?;
-        let vals = parse_floats(json_value(line, "data").ok_or("missing \"data\"")?)
-            .map_err(|e| format!("{e} in \"data\""))?;
-        if vals.len() != expect {
-            return Err(format!(
-                "\"data\" holds {} entries, expected m*n = {expect}",
-                vals.len(),
-            ));
-        }
-        Ok(if tag == ScalarTag::F32 {
-            Matrix::from_fn(m, n, |i, j| vals[i + j * m] as f32 as f64)
-        } else {
-            Matrix::from_fn(m, n, |i, j| vals[i + j * m])
-        })
-    })();
-    (id, tag_or_default, req)
-}
-
-fn svd_ok_line(
-    id: &str,
+/// The real `rows x cols` matrix over column-major `vals`. f32 is I/O
+/// precision: its entries round through f32, and the solve itself runs
+/// the f64 pipeline.
+fn real_matrix(
+    rows: usize,
+    cols: usize,
+    mut vals: Vec<f64>,
     tag: ScalarTag,
-    svd: &tseig_svd::Svd,
-    transposed: bool,
+) -> tseig_matrix::Result<Matrix> {
+    if tag == ScalarTag::F32 {
+        for v in &mut vals {
+            *v = *v as f32 as f64;
+        }
+    }
+    Matrix::from_col_major(rows, cols, vals)
+}
+
+/// The order-`n` complex matrix over column-major interleaved re,im
+/// `vals`. `C32::new` rounds both components, and a c32 solve then runs
+/// at 32-bit precision throughout.
+fn complex_matrix<T: ComplexScalar>(n: usize, vals: &[f64]) -> CMatrixG<T> {
+    CMatrixG::from_fn(n, n, |i, j| {
+        let p = 2 * (i + j * n);
+        T::new(vals[p], vals[p + 1])
+    })
+}
+
+/// A solved eig or gen request, from whichever pipeline its element
+/// type runs.
+enum Solved {
+    Real(TwoStageResult),
+    C64(HermitianResult<C64>),
+    C32(HermitianResult<C32>),
+}
+
+/// Solve one `--kind eig` request under the pool's `ctrl`: a real one
+/// in the worker's plan, a complex one through the Hermitian pipeline.
+fn solve_eig(
+    req: BatchRequest,
+    plan: &mut SolvePlan,
+    ctrl: &Ctrl,
+    eigen: &SymmetricEigen,
+    herm: &HermitianEigen,
+) -> Result<Solved, LineError> {
+    let herm = || herm.clone().ctrl(ctrl.clone());
+    Ok(match req {
+        BatchRequest::Real(a) => {
+            eigen.clone().ctrl(ctrl.clone()).solve_into(&a, plan)?;
+            Solved::Real(plan.take_result())
+        }
+        BatchRequest::C64(a) => Solved::C64(herm().solve(&a)?),
+        BatchRequest::C32(a) => Solved::C32(herm().solve(&a)?),
+    })
+}
+
+/// Solve one `--kind gen` pencil under the pool's `ctrl`: a real one in
+/// the worker's plan, a complex one through the Hermitian-definite
+/// driver.
+fn solve_gen(
+    req: GenRequest,
+    plan: &mut GenPlan,
+    ctrl: &Ctrl,
+    eigen: &SymmetricEigen,
+    herm: &HermitianEigen,
+) -> Result<Solved, LineError> {
+    use tseig_hermitian::generalized::solve_generalized;
+    let herm = || herm.clone().ctrl(ctrl.clone());
+    Ok(match req {
+        GenRequest::Real(a, b) => Solved::Real(solve_generalized_with_plan(
+            &a,
+            &b,
+            &eigen.clone().ctrl(ctrl.clone()),
+            plan,
+        )?),
+        GenRequest::C64(a, b) => Solved::C64(solve_generalized(&a, &b, &herm())?),
+        GenRequest::C32(a, b) => Solved::C32(solve_generalized(&a, &b, &herm())?),
+    })
+}
+
+/// The output line of one eig or gen request.
+fn finish_eig(line: &Line, default: ScalarTag, r: Result<Solved, LineError>) -> Done {
+    let tag = line_scalar(&line.1, default).unwrap_or(default);
+    let ok = r.map(|solved| match &solved {
+        Solved::Real(x) => eig_line(
+            line,
+            tag,
+            x.diagnostics.degraded,
+            &x.eigenvalues,
+            x.eigenvectors.as_ref().map(Matrix::as_slice),
+        ),
+        Solved::C64(x) => eig_line(
+            line,
+            tag,
+            x.diagnostics.degraded,
+            &x.eigenvalues,
+            x.eigenvectors.as_ref().map(CMatrixG::as_slice),
+        ),
+        Solved::C32(x) => eig_line(
+            line,
+            tag,
+            x.diagnostics.degraded,
+            &x.eigenvalues,
+            x.eigenvectors.as_ref().map(CMatrixG::as_slice),
+        ),
+    });
+    finished(line, tag, ok)
+}
+
+/// The output line of one `--kind svd` request.
+fn finish_svd(
+    line: &Line,
+    default: ScalarTag,
     vectors: bool,
-) -> String {
-    let mut s = format!(
-        "{{\"id\": \"{id}\", \"scalar\": \"{}\", \"ok\": true, \"degraded\": {}, \"singular_values\": [",
-        tag.name(),
-        svd.diagnostics.degraded
-    );
-    push_json_floats(&mut s, &svd.s);
-    s.push(']');
-    if vectors {
+    r: Result<(tseig_svd::Svd, bool), LineError>,
+) -> Done {
+    let tag = line_scalar(&line.1, default).unwrap_or(default);
+    let ok = r.map(|(svd, transposed)| {
+        let degraded = svd.diagnostics.degraded;
         // A transposed (wide) request factored A^T = U S V^T, so the
         // input's left vectors are the factorization's right ones.
         let (u, v) = if transposed {
@@ -1082,75 +976,104 @@ fn svd_ok_line(
         } else {
             (&svd.u, &svd.v)
         };
-        s.push_str(", \"u\": [");
-        push_json_floats(&mut s, u.as_slice());
-        s.push_str("], \"v\": [");
-        push_json_floats(&mut s, v.as_slice());
-        s.push(']');
+        let uv = if vectors {
+            u.as_slice().len() + v.as_slice().len()
+        } else {
+            0
+        };
+        let mut s = line_start(line, tag, true, svd.s.len() + uv);
+        let _ = write!(s, ", \"degraded\": {degraded}");
+        push_json_floats(&mut s, "singular_values", svd.s.iter().copied());
+        if vectors {
+            push_json_floats(&mut s, "u", u.as_slice().iter().copied());
+            push_json_floats(&mut s, "v", v.as_slice().iter().copied());
+        }
+        s.push('}');
+        (degraded, s)
+    });
+    finished(line, tag, ok)
+}
+
+/// A finished line from its `(degraded, text)` ok line or its failure.
+fn finished(line: &Line, tag: ScalarTag, r: Result<(bool, String), LineError>) -> Done {
+    match r {
+        Ok((degraded, text)) => Done {
+            text,
+            tag,
+            outcome: Ok(!degraded),
+        },
+        Err(e) => Done {
+            text: error_line(line, tag, &e),
+            tag,
+            outcome: Err(e.kind),
+        },
     }
-    s.push('}');
+}
+
+/// `{"id": "<id>", "scalar": "<tag>", "ok": <ok>`, with room reserved
+/// for `floats` more values so the line is written without regrowing.
+fn line_start(line: &Line, tag: ScalarTag, ok: bool, floats: usize) -> String {
+    let (k, text) = line;
+    let id = json_value(text, "id");
+    // One `{:.17e}` value and its comma take at most 26 bytes.
+    let mut s = String::with_capacity(128 + id.map_or(20, str::len) + 26 * floats);
+    s.push_str("{\"id\": \"");
+    match id {
+        Some(id) => s.push_str(id),
+        None => {
+            let _ = write!(s, "{k}");
+        }
+    }
+    let _ = write!(s, "\", \"scalar\": \"{}\", \"ok\": {ok}", tag.name());
     s
 }
 
-fn push_json_floats(out: &mut String, vals: &[f64]) {
-    for (k, v) in vals.iter().enumerate() {
+/// The ok line of an eig or gen result: its eigenvalues, then its
+/// eigenvectors when solved for (column-major; complex entries as
+/// interleaved re,im).
+fn eig_line<T: ComplexScalar>(
+    line: &Line,
+    tag: ScalarTag,
+    degraded: bool,
+    values: &[f64],
+    vectors: Option<&[T]>,
+) -> (bool, String) {
+    let per = if T::IS_COMPLEX { 2 } else { 1 };
+    let mut s = line_start(
+        line,
+        tag,
+        true,
+        values.len() + vectors.map_or(0, |z| per * z.len()),
+    );
+    let _ = write!(s, ", \"degraded\": {degraded}");
+    push_json_floats(&mut s, "eigenvalues", values.iter().copied());
+    match vectors {
+        Some(z) if T::IS_COMPLEX => push_json_floats(
+            &mut s,
+            "eigenvectors",
+            z.iter().flat_map(|v| [v.re(), v.im()]),
+        ),
+        Some(z) => push_json_floats(&mut s, "eigenvectors", z.iter().map(|v| v.re())),
+        None => {}
+    }
+    s.push('}');
+    (degraded, s)
+}
+
+/// Append `, "key": [v0,v1,...]`, each value as `{:.17e}` written in
+/// place.
+fn push_json_floats(out: &mut String, key: &str, vals: impl IntoIterator<Item = f64>) {
+    let _ = write!(out, ", \"{key}\": [");
+    for (k, v) in vals.into_iter().enumerate() {
         if k > 0 {
             out.push(',');
         }
-        out.push_str(&format!("{v:.17e}"));
+        let _ = write!(out, "{v:.17e}");
     }
+    out.push(']');
 }
 
-/// A solved request flattened to what the output line needs, whatever
-/// pipeline produced it: eigenvalues are always f64, vector data is
-/// column-major (real) or column-major interleaved re,im (complex).
-struct SolvedLine {
-    degraded: bool,
-    eigenvalues: Vec<f64>,
-    vectors: Option<Vec<f64>>,
-}
-
-impl SolvedLine {
-    fn real(r: &tseig_core::TwoStageResult) -> SolvedLine {
-        SolvedLine {
-            degraded: r.diagnostics.degraded,
-            eigenvalues: r.eigenvalues.clone(),
-            vectors: r.eigenvectors.as_ref().map(|z| z.as_slice().to_vec()),
-        }
-    }
-
-    fn complex<T: ComplexScalar>(r: &tseig_hermitian::HermitianResult<T>) -> SolvedLine {
-        SolvedLine {
-            degraded: r.diagnostics.degraded,
-            eigenvalues: r.eigenvalues.clone(),
-            vectors: r
-                .eigenvectors
-                .as_ref()
-                .map(|z| z.as_slice().iter().flat_map(|v| [v.re(), v.im()]).collect()),
-        }
-    }
-}
-
-fn batch_ok_line(id: &str, tag: ScalarTag, r: &SolvedLine, vectors: bool) -> String {
-    let mut s = format!(
-        "{{\"id\": \"{id}\", \"scalar\": \"{}\", \"ok\": true, \"degraded\": {}, \"eigenvalues\": [",
-        tag.name(),
-        r.degraded
-    );
-    push_json_floats(&mut s, &r.eigenvalues);
-    s.push(']');
-    if vectors {
-        if let Some(z) = r.vectors.as_ref() {
-            s.push_str(", \"eigenvectors\": [");
-            push_json_floats(&mut s, z);
-            s.push(']');
-        }
-    }
-    s.push('}');
-    s
-}
-
-fn batch_error_line(id: &str, tag: ScalarTag, err: &LineError) -> String {
+fn error_line(line: &Line, tag: ScalarTag, err: &LineError) -> String {
     // The error text goes into a JSON string: strip the characters that
     // could break framing rather than implement a full escaper.
     let clean: String = err
@@ -1163,11 +1086,13 @@ fn batch_error_line(id: &str, tag: ScalarTag, err: &LineError) -> String {
             c => c,
         })
         .collect();
-    format!(
-        "{{\"id\": \"{id}\", \"scalar\": \"{}\", \"ok\": false, \"error_kind\": \"{}\", \"error\": \"{clean}\"}}",
-        tag.name(),
-        err.kind,
-    )
+    let mut s = line_start(line, tag, false, 0);
+    let _ = write!(
+        s,
+        ", \"error_kind\": \"{}\", \"error\": \"{clean}\"}}",
+        err.kind
+    );
+    s
 }
 
 #[cfg(test)]
@@ -1176,6 +1101,37 @@ mod tests {
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
+    }
+
+    /// The id and element type a line's output echoes (`lineno` stands
+    /// in for a missing id), and the request or parse error, unadmitted.
+    fn parse_eig(
+        line: &str,
+        lineno: usize,
+        scalar: ScalarTag,
+    ) -> (String, ScalarTag, Result<BatchRequest, String>) {
+        let id = json_value(line, "id").map_or_else(|| lineno.to_string(), String::from);
+        let tag = line_scalar(line, scalar).unwrap_or(scalar);
+        (
+            id,
+            tag,
+            parse_batch_line(line, scalar, |_| Ok(())).map_err(|e| e.msg),
+        )
+    }
+
+    /// [`parse_eig`] for a `--kind gen` line.
+    fn parse_gen(
+        line: &str,
+        lineno: usize,
+        scalar: ScalarTag,
+    ) -> (String, ScalarTag, Result<GenRequest, String>) {
+        let id = json_value(line, "id").map_or_else(|| lineno.to_string(), String::from);
+        let tag = line_scalar(line, scalar).unwrap_or(scalar);
+        (
+            id,
+            tag,
+            parse_gen_line(line, scalar, |_| Ok(())).map_err(|e| e.msg),
+        )
     }
 
     #[test]
@@ -1432,7 +1388,7 @@ mod tests {
 
     #[test]
     fn batch_line_roundtrip() {
-        let (id, tag, m) = parse_batch_line(
+        let (id, tag, m) = parse_eig(
             "{\"id\": \"r7\", \"n\": 2, \"data\": [2.0, 1.0, 1.0, 2.0]}",
             0,
             ScalarTag::F64,
@@ -1443,10 +1399,10 @@ mod tests {
             _ => panic!("wrong request kind"),
         }
         // Missing id falls back to the line number; bad payloads report.
-        let (id, _, m) = parse_batch_line("{\"n\": 2, \"data\": [1.0]}", 4, ScalarTag::F64);
+        let (id, _, m) = parse_eig("{\"n\": 2, \"data\": [1.0]}", 4, ScalarTag::F64);
         assert_eq!(id, "4");
         assert!(m.unwrap_err().contains("expected n*n"));
-        let (_, _, m) = parse_batch_line("{\"data\": [1.0]}", 0, ScalarTag::F64);
+        let (_, _, m) = parse_eig("{\"data\": [1.0]}", 0, ScalarTag::F64);
         assert!(m.unwrap_err().contains("missing"));
     }
 
@@ -1456,7 +1412,7 @@ mod tests {
         // 2*n*n interleaved re,im.
         let line = "{\"id\": \"z\", \"scalar\": \"c64\", \"n\": 2, \
                     \"data\": [2.0,0.0, 0.0,1.0, 0.0,-1.0, 2.0,0.0]}";
-        let (id, tag, m) = parse_batch_line(line, 0, ScalarTag::F64);
+        let (id, tag, m) = parse_eig(line, 0, ScalarTag::F64);
         assert_eq!((id.as_str(), tag), ("z", ScalarTag::C64));
         match m.unwrap() {
             BatchRequest::C64(a) => {
@@ -1466,7 +1422,7 @@ mod tests {
             _ => panic!("wrong request kind"),
         }
         // A real-length payload under a complex tag is rejected.
-        let (_, tag, m) = parse_batch_line(
+        let (_, tag, m) = parse_eig(
             "{\"n\": 2, \"data\": [2.0, 1.0, 1.0, 2.0]}",
             0,
             ScalarTag::C32,
@@ -1474,14 +1430,14 @@ mod tests {
         assert_eq!(tag, ScalarTag::C32);
         assert!(m.unwrap_err().contains("expected 2*n*n"));
         // f32 rounds entries at parse time (I/O precision).
-        let (_, tag, m) = parse_batch_line("{\"n\": 1, \"data\": [0.1]}", 0, ScalarTag::F32);
+        let (_, tag, m) = parse_eig("{\"n\": 1, \"data\": [0.1]}", 0, ScalarTag::F32);
         assert_eq!(tag, ScalarTag::F32);
         match m.unwrap() {
             BatchRequest::Real(a) => assert_eq!(a[(0, 0)], 0.1f32 as f64),
             _ => panic!("wrong request kind"),
         }
         // Unknown per-line scalar fails the line alone.
-        let (_, _, m) = parse_batch_line(
+        let (_, _, m) = parse_eig(
             "{\"scalar\": \"f16\", \"n\": 1, \"data\": [1.0]}",
             0,
             ScalarTag::F64,
@@ -1869,7 +1825,7 @@ mod tests {
                 lines[0]
             );
         }
-        let (id, _, req) = parse_gen_line(
+        let (id, _, req) = parse_gen(
             "{\"id\": \"b\", \"n\": 1, \"a\": [2], \"b\": [1]}",
             0,
             ScalarTag::F64,
@@ -1881,7 +1837,7 @@ mod tests {
     #[test]
     fn gen_line_parsing() {
         // Ids spelling key names must not confuse the flat extractor.
-        let (id, tag, req) = parse_gen_line(
+        let (id, tag, req) = parse_gen(
             "{\"id\": \"a\", \"n\": 1, \"a\": [2.0], \"b\": [1.0]}",
             0,
             ScalarTag::F64,
@@ -1894,11 +1850,160 @@ mod tests {
             }
             _ => panic!("wrong request kind"),
         }
-        let (_, _, req) = parse_gen_line("{\"n\": 2, \"a\": [1.0]}", 0, ScalarTag::F64);
+        let (_, _, req) = parse_gen("{\"n\": 2, \"a\": [1.0]}", 0, ScalarTag::F64);
         let e = req.unwrap_err();
         assert!(e.contains("\"a\"") && e.contains("expected n*n"), "{e}");
-        let (_, _, req) = parse_gen_line("{\"n\": 1, \"a\": [1.0]}", 0, ScalarTag::F64);
+        let (_, _, req) = parse_gen("{\"n\": 1, \"a\": [1.0]}", 0, ScalarTag::F64);
         assert!(req.unwrap_err().contains("missing \"b\""));
+    }
+
+    #[test]
+    fn escaped_quote_in_id_stays_valid_json() {
+        // The id ends at the first unescaped quote and is echoed with its
+        // escape as written; the sibling line still solves.
+        let jsonl = r#"{"id": "a\"b", "n": 1, "data": [2.0]}
+{"id": "c", "n": 1, "data": [3.0]}
+"#;
+        let lines = batch_in_memory("batch mem.jsonl -o out.jsonl", jsonl);
+        assert_eq!(lines.len(), 2);
+        assert!(
+            lines[0].contains(r#""id": "a\"b", "scalar""#),
+            "{}",
+            lines[0]
+        );
+        assert!(lines[0].contains("\"ok\": true"), "{}", lines[0]);
+        assert!(lines[1].contains("\"id\": \"c\"") && lines[1].contains("\"ok\": true"));
+    }
+
+    #[test]
+    fn admission_runs_before_the_data_array_is_parsed() {
+        // An over-budget real request fails admission on its declared
+        // shape, so its malformed data array is never read; a complex
+        // request has no plan to size and reports the parse error.
+        let eig = r#"{"id": "big", "n": 64, "data": [1,,2]}
+{"id": "zbig", "scalar": "c64", "n": 64, "data": [1,,2]}
+{"id": "ok", "n": 1, "data": [2]}
+"#;
+        let lines = batch_in_memory("batch mem.jsonl -o out.jsonl --mem-budget 4096", eig);
+        assert!(
+            lines[0].contains("\"error_kind\": \"budget_exceeded\""),
+            "{}",
+            lines[0]
+        );
+        assert!(
+            lines[1].contains("\"error_kind\": \"parse\""),
+            "{}",
+            lines[1]
+        );
+        assert!(lines[2].contains("\"ok\": true"), "{}", lines[2]);
+        for (kind, line) in [
+            ("gen", r#"{"id": "big", "n": 64, "a": [1,,2], "b": []}"#),
+            ("svd", r#"{"id": "big", "m": 64, "n": 64, "data": [1,,2]}"#),
+        ] {
+            let argv = format!("batch mem.jsonl -o out.jsonl --kind {kind} --mem-budget 4096");
+            let lines = batch_in_memory(&argv, line);
+            assert!(
+                lines[0].contains("\"error_kind\": \"budget_exceeded\""),
+                "{kind}: {}",
+                lines[0]
+            );
+        }
+    }
+
+    /// A JSONL array of the order-`n` test matrix of element type `tag`:
+    /// symmetric (Hermitian) with a dominant diagonal, shifted by `seed`.
+    fn test_matrix(n: usize, tag: &str, seed: usize) -> String {
+        let mut v = Vec::new();
+        for j in 0..n {
+            for i in 0..n {
+                let re = (1 + (i + j + seed) % 5) as f64 + if i == j { n as f64 } else { 0.0 };
+                v.push(format!("{re}"));
+                if tag.starts_with('c') {
+                    v.push(format!("{}", (i as f64 - j as f64) * 0.25));
+                }
+            }
+        }
+        v.join(",")
+    }
+
+    #[test]
+    fn batch_output_is_independent_of_worker_count() {
+        let m = test_matrix;
+        let eig = format!(
+            "{{\"id\": \"d\", \"scalar\": \"f64\", \"n\": 6, \"data\": [{}]}}\n\
+             {{\"id\": \"s\", \"scalar\": \"f32\", \"n\": 5, \"data\": [{}]}}\n\
+             {{\"id\": \"z\", \"scalar\": \"c64\", \"n\": 7, \"data\": [{}]}}\n\
+             {{\"id\": \"bad\", \"n\": 3, \"data\": [1.0]}}\n\
+             {{\"id\": \"c\", \"scalar\": \"c32\", \"n\": 6, \"data\": [{}]}}\n\
+             {{\"n\": 9, \"data\": [{}]}}\n",
+            m(6, "f64", 0),
+            m(5, "f32", 1),
+            m(7, "c64", 2),
+            m(6, "c32", 3),
+            m(9, "f64", 4),
+        );
+        let gen = format!(
+            "{{\"id\": \"r\", \"n\": 5, \"a\": [{}], \"b\": [{}]}}\n\
+             {{\"id\": \"z\", \"scalar\": \"c64\", \"n\": 4, \"a\": [{}], \"b\": [{}]}}\n\
+             {{\"id\": \"indef\", \"n\": 2, \"a\": [2, 1, 1, 2], \"b\": [-1, 0, 0, 1]}}\n\
+             {{\"id\": \"c\", \"scalar\": \"c32\", \"n\": 5, \"a\": [{}], \"b\": [{}]}}\n",
+            m(5, "f64", 5),
+            m(5, "f64", 6),
+            m(4, "c64", 7),
+            m(4, "c64", 8),
+            m(5, "c32", 9),
+            m(5, "c32", 10),
+        );
+        let svd = format!(
+            "{{\"id\": \"sq\", \"n\": 6, \"data\": [{}]}}\n\
+             {{\"id\": \"wide\", \"m\": 2, \"n\": 3, \"data\": [3, 0, 0, 4, 1, 1]}}\n\
+             {{\"id\": \"tall\", \"scalar\": \"f32\", \"m\": 3, \"n\": 2, \"data\": [3, 0, 1, 0, 4, 1]}}\n",
+            m(6, "f64", 11),
+        );
+        let runs = |argv: &str, jsonl: &str| -> Vec<Vec<String>> {
+            [1, 2, 3]
+                .iter()
+                .map(|t| {
+                    let argv = format!("batch mem.jsonl -o out.jsonl --nb 4 --threads {t} {argv}");
+                    batch_in_memory(&argv, jsonl)
+                })
+                .collect()
+        };
+        for (argv, jsonl, ids) in [
+            ("--vectors", &eig, &["d", "s", "z", "bad", "c", "5"][..]),
+            ("--kind gen --vectors", &gen, &["r", "z", "indef", "c"][..]),
+            ("--kind svd --vectors", &svd, &["sq", "wide", "tall"][..]),
+        ] {
+            let runs = runs(argv, jsonl);
+            for (line, id) in runs[0].iter().zip(ids) {
+                assert!(line.starts_with(&format!("{{\"id\": \"{id}\"")), "{line}");
+            }
+            assert_eq!(runs[0].len(), ids.len(), "{argv}");
+            assert_eq!(runs[0], runs[1], "{argv}: 1 vs 2 workers");
+            assert_eq!(runs[0], runs[2], "{argv}: 1 vs 3 workers");
+        }
+        // Under a zero deadline every well-formed line runs out of budget
+        // at its first checkpoint and the malformed one still reports its
+        // parse error: the deadline never sees the parse. The message of
+        // a deadline error carries the elapsed time, so compare the line
+        // up to it.
+        let head = |line: &String| line.split(", \"error\":").next().map(String::from);
+        let runs = runs("--vectors --deadline-ms 0", &eig);
+        for run in &runs {
+            for (line, id) in run.iter().zip(["d", "s", "z", "bad", "c", "5"]) {
+                let kind = if id == "bad" {
+                    "parse"
+                } else {
+                    "deadline_exceeded"
+                };
+                assert!(
+                    line.contains(&format!("\"error_kind\": \"{kind}\"")),
+                    "{line}"
+                );
+            }
+            let heads: Vec<_> = run.iter().map(head).collect();
+            assert_eq!(heads, runs[0].iter().map(head).collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -145,16 +145,15 @@ impl BatchDriver {
         &self,
         inputs: &[Matrix],
     ) -> (Vec<Result<TwoStageResult>>, PoolEvents) {
-        pool_map(
-            self.worker_count(inputs.len()),
+        self.pool_map(
             inputs,
-            &self.governance(),
             SolvePlan::new,
-            |a| self.admit(a.rows()),
+            |a| self.admit(a.rows()).map(|()| a),
             |a, plan, ctrl| {
-                let eigen = self.eigen.clone().ctrl(ctrl.clone());
-                solve_one(&eigen, a, plan)
+                self.eigen.clone().ctrl(ctrl.clone()).solve_into(a, plan)?;
+                Ok(plan.take_result())
             },
+            |_, r| r,
         )
     }
 
@@ -176,17 +175,171 @@ impl BatchDriver {
         &self,
         inputs: &[(Matrix, Matrix)],
     ) -> (Vec<Result<TwoStageResult>>, PoolEvents) {
-        pool_map(
-            self.worker_count(inputs.len()),
+        self.pool_map(
             inputs,
-            &self.governance(),
             GenPlan::new,
-            |(a, _)| self.admit(a.rows()),
+            |p| self.admit(p.0.rows()).map(|()| p),
             |(a, b), plan, ctrl| {
-                let eigen = self.eigen.clone().ctrl(ctrl.clone());
-                solve_one_gen(&eigen, a, b, plan)
+                solve_generalized_with_plan(a, b, &self.eigen.clone().ctrl(ctrl.clone()), plan)
             },
+            |_, r| r,
         )
+    }
+
+    /// The worker pool behind every batch entry point, open to any job,
+    /// plan and output type. Workers claim jobs in order from an atomic
+    /// counter, each owning one plan (`new_plan`) for its whole stream;
+    /// `outputs[i]` belongs to `jobs[i]` whatever the completion order.
+    /// Every job runs three phases on the worker that claims it:
+    ///
+    /// - `prepare` parses and admits the job. It runs before the
+    ///   request's [`Ctrl`] exists, so it is outside the deadline and
+    ///   the watchdog window.
+    /// - `solve` runs under the request's [`Ctrl`]: a fresh token, the
+    ///   effective deadline `min(per-request, batch remaining)` and the
+    ///   worker's heartbeat. It is the only phase governance sees.
+    /// - `finish` turns the job and its result into the output and
+    ///   never fails.
+    ///
+    /// A panic in `prepare` or `solve` fails its own job with
+    /// [`Error::Runtime`]. A worker whose solve panicked rebuilds its
+    /// plan at once; one whose request the watchdog cancelled
+    /// quarantines the plan (an unwound or wedged solve may have left it
+    /// half-written) and rebuilds it before its next solve, and
+    /// completing that solve counts as a rescue.
+    pub fn pool_map<'a, J, Q, P, R, E, O>(
+        &self,
+        jobs: &'a [J],
+        new_plan: impl Fn() -> P + Sync,
+        prepare: impl Fn(&'a J) -> std::result::Result<Q, E> + Sync,
+        solve: impl Fn(Q, &mut P, &Ctrl) -> std::result::Result<R, E> + Sync,
+        finish: impl Fn(&'a J, std::result::Result<R, E>) -> O + Sync,
+    ) -> (Vec<O>, PoolEvents)
+    where
+        J: Sync,
+        E: From<Error>,
+        O: Send,
+    {
+        let workers = self.worker_count(jobs.len());
+        let gov = self.governance();
+        let prepare_job = |j: &'a J| {
+            catch_unwind(AssertUnwindSafe(|| prepare(j)))
+                .unwrap_or_else(|p| Err(panic_error("request preparation", p).into()))
+        };
+        let solve_job = |q: Q, plan: &mut P, ctrl: &Ctrl| {
+            catch_unwind(AssertUnwindSafe(|| solve(q, plan, ctrl))).unwrap_or_else(|p| {
+                *plan = new_plan();
+                Err(panic_error("solver", p).into())
+            })
+        };
+        if workers <= 1 && !gov.armed() {
+            let mut plan = new_plan();
+            let outputs = jobs
+                .iter()
+                .map(|j| {
+                    finish(
+                        j,
+                        prepare_job(j).and_then(|q| solve_job(q, &mut plan, &Ctrl::NONE)),
+                    )
+                })
+                .collect();
+            return (outputs, PoolEvents::default());
+        }
+        let next = AtomicUsize::new(0);
+        let slots: Vec<Mutex<Option<O>>> = (0..jobs.len()).map(|_| Mutex::new(None)).collect();
+        let views: Vec<WorkerView> = (0..workers).map(|_| WorkerView::new()).collect();
+        let done = AtomicBool::new(false);
+        let stuck = AtomicUsize::new(0);
+        let rescues = AtomicUsize::new(0);
+        let flops = tseig_kernels::flops::scope();
+        std::thread::scope(|s| {
+            // Shadow everything the `move` closures need as references:
+            // scoped threads may only borrow locals declared before the
+            // scope, and loop/map locals (`view`, `interval`) force `move`.
+            let (next, slots, rescues_ref, gov, new_plan, prepare_job, solve_job, finish, flops) = (
+                &next,
+                &slots,
+                &rescues,
+                &gov,
+                &new_plan,
+                &prepare_job,
+                &solve_job,
+                &finish,
+                &flops,
+            );
+            let handles: Vec<_> = views
+                .iter()
+                .map(|view| {
+                    s.spawn(move || {
+                        let _charged = flops.enter();
+                        let mut plan = new_plan();
+                        let mut generation = 0u64;
+                        let mut quarantined = false;
+                        // tidy: allow(checkpoint-loop) -- governance runs per claim (prepare + request_ctrl); the solve polls its own ctrl
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= jobs.len() {
+                                break;
+                            }
+                            let r = prepare_job(&jobs[i]).and_then(|q| {
+                                let (ctrl, token) = gov.request_ctrl(&view.hb)?;
+                                if quarantined {
+                                    plan = new_plan();
+                                }
+                                generation += 1;
+                                view.set(Some((generation, token.clone())));
+                                let r = solve_job(q, &mut plan, &ctrl);
+                                view.set(None);
+                                // A cancelled token here can only be the
+                                // watchdog's doing (nobody else holds it):
+                                // the solve unwound mid-phase, so the plan
+                                // is suspect until rebuilt.
+                                if token.is_cancelled() {
+                                    quarantined = true;
+                                } else if quarantined && r.is_ok() {
+                                    quarantined = false;
+                                    rescues_ref.fetch_add(1, Ordering::Relaxed);
+                                }
+                                r
+                            });
+                            let out = finish(&jobs[i], r);
+                            *slots[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(out);
+                        }
+                    })
+                })
+                .collect();
+            let (views_ref, done_ref, stuck_ref) = (&views, &done, &stuck);
+            let wd = gov.watchdog.map(|interval| {
+                s.spawn(move || watchdog_loop(views_ref, interval, done_ref, stuck_ref))
+            });
+            for h in handles {
+                let _ = h.join();
+            }
+            done.store(true, Ordering::Release);
+            if let Some(h) = wd {
+                let _ = h.join();
+            }
+        });
+        let outputs = slots
+            .into_iter()
+            .zip(jobs)
+            .map(|(m, j)| {
+                // Every claimed index writes its slot before the scope
+                // ends; an empty slot means the worker died mid-claim.
+                m.into_inner()
+                    .unwrap_or_else(|p| p.into_inner())
+                    .unwrap_or_else(|| {
+                        let e =
+                            Error::Runtime("worker exited before writing its result slot".into());
+                        finish(j, Err(e.into()))
+                    })
+            })
+            .collect();
+        let events = PoolEvents {
+            stuck: stuck.load(Ordering::Relaxed),
+            rescues: rescues.load(Ordering::Relaxed),
+        };
+        (outputs, events)
     }
 }
 
@@ -322,161 +475,13 @@ fn watchdog_loop(views: &[WorkerView], interval: Duration, done: &AtomicBool, st
     }
 }
 
-/// Shared worker-pool skeleton: `workers` threads claim job indices from
-/// an atomic counter, each thread owning one plan of type `P` for its
-/// whole stream. Results land in their input slots regardless of
-/// completion order.
-///
-/// Governance hooks run per claim: `admit` rejects a request before its
-/// plan grows, each request gets a fresh [`Ctrl`] (token + effective
-/// deadline + the worker's heartbeat), and an optional watchdog thread
-/// cancels requests whose heartbeat stops advancing. A worker whose
-/// request was watchdog-cancelled quarantines its plan — an unwound or
-/// wedged solve may have left it half-written — and rebuilds before the
-/// next claim; completing that next request counts as a rescue.
-fn pool_map<J: Sync, P, R: Send>(
-    workers: usize,
-    jobs: &[J],
-    gov: &Governance,
-    new_plan: impl Fn() -> P + Sync,
-    admit: impl Fn(&J) -> Result<()> + Sync,
-    solve: impl Fn(&J, &mut P, &Ctrl) -> Result<R> + Sync,
-) -> (Vec<Result<R>>, PoolEvents) {
-    if workers <= 1 && !gov.armed() {
-        let mut plan = new_plan();
-        let results = jobs
-            .iter()
-            .map(|j| admit(j).and_then(|()| solve(j, &mut plan, &Ctrl::NONE)))
-            .collect();
-        return (results, PoolEvents::default());
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<R>>>> = (0..jobs.len()).map(|_| Mutex::new(None)).collect();
-    let views: Vec<WorkerView> = (0..workers).map(|_| WorkerView::new()).collect();
-    let done = AtomicBool::new(false);
-    let stuck = AtomicUsize::new(0);
-    let rescues = AtomicUsize::new(0);
-    let flops = tseig_kernels::flops::scope();
-    std::thread::scope(|s| {
-        // Shadow everything the `move` closures need as references:
-        // scoped threads may only borrow locals declared before the
-        // scope, and loop/map locals (`view`, `interval`) force `move`.
-        let (next, slots, rescues_ref, new_plan, admit, solve, flops) =
-            (&next, &slots, &rescues, &new_plan, &admit, &solve, &flops);
-        let handles: Vec<_> = views
-            .iter()
-            .map(|view| {
-                s.spawn(move || {
-                    let _charged = flops.enter();
-                    let mut plan = new_plan();
-                    let mut generation = 0u64;
-                    let mut quarantined = false;
-                    // tidy: allow(checkpoint-loop) -- governance runs per claim (admit + request_ctrl); the solve polls its own ctrl
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= jobs.len() {
-                            break;
-                        }
-                        let r = (|| {
-                            admit(&jobs[i])?;
-                            let (ctrl, token) = gov.request_ctrl(&view.hb)?;
-                            if quarantined {
-                                plan = new_plan();
-                            }
-                            generation += 1;
-                            view.set(Some((generation, token.clone())));
-                            let r = solve(&jobs[i], &mut plan, &ctrl);
-                            view.set(None);
-                            // A cancelled token here can only be the
-                            // watchdog's doing (nobody else holds it):
-                            // the solve unwound mid-phase, so the plan
-                            // is suspect until rebuilt.
-                            if token.is_cancelled() {
-                                quarantined = true;
-                            } else if quarantined && r.is_ok() {
-                                quarantined = false;
-                                rescues_ref.fetch_add(1, Ordering::Relaxed);
-                            }
-                            r
-                        })();
-                        *slots[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(r);
-                    }
-                })
-            })
-            .collect();
-        let (views_ref, done_ref, stuck_ref) = (&views, &done, &stuck);
-        let wd = gov.watchdog.map(|interval| {
-            s.spawn(move || watchdog_loop(views_ref, interval, done_ref, stuck_ref))
-        });
-        for h in handles {
-            let _ = h.join();
-        }
-        done.store(true, Ordering::Release);
-        if let Some(h) = wd {
-            let _ = h.join();
-        }
-    });
-    let results = slots
-        .into_iter()
-        .map(|m| {
-            // Every claimed index writes its slot before the scope
-            // ends; an empty slot means the worker died mid-claim.
-            m.into_inner()
-                .unwrap_or_else(|p| p.into_inner())
-                .unwrap_or_else(|| {
-                    Err(Error::Runtime(
-                        "worker exited before writing its result slot".to_string(),
-                    ))
-                })
-        })
-        .collect();
-    let events = PoolEvents {
-        stuck: stuck.load(Ordering::Relaxed),
-        rescues: rescues.load(Ordering::Relaxed),
-    };
-    (results, events)
-}
-
-/// One request, with failure isolation: a panicking kernel is caught and
-/// reported as [`Error::Runtime`], and the worker's plan — which may
-/// hold partially-written state after an unwind — is rebuilt.
-fn solve_one(eigen: &SymmetricEigen, a: &Matrix, plan: &mut SolvePlan) -> Result<TwoStageResult> {
-    match catch_unwind(AssertUnwindSafe(|| eigen.solve_into(a, plan))) {
-        Ok(Ok(())) => Ok(plan.take_result()),
-        Ok(Err(e)) => Err(e),
-        Err(payload) => {
-            *plan = SolvePlan::new();
-            Err(panic_error(payload))
-        }
-    }
-}
-
-/// One generalized request with the same panic isolation; the plan —
-/// including the inner standard plan — is rebuilt after an unwind.
-fn solve_one_gen(
-    eigen: &SymmetricEigen,
-    a: &Matrix,
-    b: &Matrix,
-    plan: &mut GenPlan,
-) -> Result<TwoStageResult> {
-    match catch_unwind(AssertUnwindSafe(|| {
-        solve_generalized_with_plan(a, b, eigen, plan)
-    })) {
-        Ok(r) => r,
-        Err(payload) => {
-            *plan = GenPlan::new();
-            Err(panic_error(payload))
-        }
-    }
-}
-
-fn panic_error(payload: Box<dyn std::any::Any + Send>) -> Error {
+fn panic_error(phase: &str, payload: Box<dyn std::any::Any + Send>) -> Error {
     let msg = payload
         .downcast_ref::<&str>()
         .map(|s| s.to_string())
         .or_else(|| payload.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "non-string panic payload".into());
-    Error::Runtime(format!("solver panicked: {msg}"))
+    Error::Runtime(format!("{phase} panicked: {msg}"))
 }
 
 /// Scalar element type of one batch request — the `--scalar` axis of
