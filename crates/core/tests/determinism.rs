@@ -82,9 +82,9 @@ fn result_hash(r: &TwoStageResult) -> u64 {
 
 #[test]
 fn standard_and_generalized_solves_are_pinned() {
-    // Recorded before the Householder, QR and Cholesky kernels became
-    // generic over the element type: the f64 instances must keep every
-    // bit.
+    // Recorded when the back-transform's diamonds moved to the fused
+    // diamond kernel (one FMA chain per element); the f64 instances of
+    // the generic Householder, QR and Cholesky kernels keep every bit.
     let eigen = SymmetricEigen::new().nb(8);
     let a = gen::random_symmetric(70, 41);
     let standard = eigen.solve(&a).unwrap();
@@ -96,7 +96,7 @@ fn standard_and_generalized_solves_are_pinned() {
     let pencil = tseig_core::solve_generalized(&gen::random_symmetric(50, 43), &b, &eigen).unwrap();
     assert_eq!(
         (result_hash(&standard), result_hash(&pencil)),
-        (0x5b4c_1557_e481_ed2b, 0x53a7_629b_5bbb_3d28),
+        (0x7dd7_67b7_3d5b_09f4, 0xd826_6a63_0218_6ce8),
         "standard / generalized solve bits"
     );
 }
@@ -104,19 +104,18 @@ fn standard_and_generalized_solves_are_pinned() {
 #[test]
 fn default_block_solve_is_pinned_for_every_scheduler() {
     // The default `nb = 48` groups 24 sweeps per diamond, so the
-    // back-transform's triangular kernels run at the in-pipeline size
-    // (the pin above, at `nb = 8`, only builds 4-wide diamonds). Recorded
-    // before those kernels were vectorized over columns. The threaded
+    // back-transform's diamond kernel runs at the in-pipeline size (the
+    // pin above, at `nb = 8`, only builds 4-wide diamonds). The threaded
     // stage 1 sums every output element on one worker in a fixed order,
-    // so the `Static(2)` pin holds under any thread budget
+    // and the diamond kernel computes every element as one fixed-order
+    // FMA chain, so the `Static(2)` pin holds under any thread budget
     // (`RAYON_NUM_THREADS`) and any SIMD path; it differs from the serial
-    // pin. The `Static(2)` value was recorded when the threaded `symm`
-    // moved to fixed row blocks, with the residual and orthogonality
-    // checked below.
+    // pin. Both values were recorded when the diamonds moved to the fused
+    // kernel, with the residual and orthogonality checked below.
     let a = gen::random_symmetric(300, 44);
     for (scheduler, want) in [
-        (Scheduler::Serial, 0xaa43_8615_4be8_7c8f),
-        (Scheduler::Static(2), 0x5751_ed92_470e_6406),
+        (Scheduler::Serial, 0x471c_96a0_b15a_7071),
+        (Scheduler::Static(2), 0xdf9c_d0b9_0891_d362),
     ] {
         let r = SymmetricEigen::new()
             .scheduler(scheduler)

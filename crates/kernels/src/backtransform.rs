@@ -25,29 +25,30 @@
 //! So `E <- Q2 E` is: for sweep-blocks from last to first, for `k`
 //! ascending, `E <- (I - V_k T_k V_k^H) E` on the diamond's row range.
 //!
-//! ## The diamond kernel — microkernel GEMM on the parallelogram split
+//! ## The diamond kernel — one fused pass per column block
 //!
 //! A diamond's `V` is a parallelogram: column `c` is supported on local
-//! rows `c..c+len_c`, so the top `k x k` block `L` is **unit lower
-//! triangular** and the body `B` (rows `k..h`) is rectangular. The
-//! application `C <- (I - V T V^H) C` therefore splits into
+//! rows `c .. c + band` (clipped to the height `h`), so its top `k x k`
+//! block is unit lower triangular and a triangle of zeros sits below
+//! its last rows. Each diamond is applied by one call of the fused
+//! kernel [`blas3::diamond_left`], which for every register block of
+//! panel columns
 //!
 //! ```text
-//! W  = L^H C_top + B^H C_body     triangular (zero-free) + packed GEMM
-//! W <- T W                        small trmm
-//! C_top  -= L W                   triangular (zero-free)
-//! C_body -= B W                   packed GEMM
+//! W  = V^H C       accumulated in registers over V's rows (rows of V^H
+//!                  transposed once per diamond into a stack tile)
+//! W <- T W         in registers, T's column segments against W
+//! C -= V W         in row blocks, V's column segments against W
 //! ```
 //!
-//! so no padded zero of `V` is ever multiplied. The two rectangular
-//! products — the O(nb) x cols x O(nb) flops of the body — run through
-//! the SIMD-dispatched packed microkernel (`blas3::simd`). The three
-//! `k x k` triangular products (`trmm_unit_lower_left` both ways,
-//! `trmm_upper_left` for `T W`) are column-vectorized: 16 columns of `W`
-//! at a time are transposed into a stack tile and four rows accumulate
-//! in registers, each sum in the scalar loop's order, so they are
-//! several times faster than a row-at-a-time loop and bit-identical to
-//! it.
+//! with each output element one fixed-order FMA chain, so the bits are
+//! the same on every SIMD path, thread budget and panel width. Nothing
+//! is packed or transposed besides that tile, and the index ranges skip
+//! every vector of a register block that holds only `V`'s stored zeros
+//! (a vector at a triangle's edge still multiplies its zeros). The kernel charges a diamond's
+//! structured counts (three `k x k` triangular products and two GEMMs
+//! over the `(h - k) x k` body), so the counted flops do not depend on
+//! how it runs.
 //!
 //! ## Applying `Q1`, and the fused single pass
 //!
@@ -58,18 +59,19 @@
 //! `Q1` chain while it is cache-resident — one pass over the `n x k`
 //! eigenvector matrix instead of two, and no barrier between the `Q2`
 //! and `Q1` stages. Either half may be empty, which gives the unfused
-//! `Q2`-only and `Q1`-only applications. [`apply_q`] runs the panels on
-//! rayon, each with its own scratch; [`apply_q_ws`] runs them in a plain
-//! loop through a plan's retained storage, polling the request control
-//! once per panel. Both run the same per-panel body, so their results
-//! are bit-identical.
+//! `Q2`-only and `Q1`-only applications. [`apply_q`] builds the diamonds
+//! and runs the panels on rayon, each panel with its own scratch;
+//! [`apply_q_ws`] builds them and runs the panels in plain loops through
+//! a plan's retained storage, polling the request control once per
+//! panel. Both build each diamond the same way and run the same
+//! per-panel body, so their results are bit-identical.
 //!
 //! The reflectors of `Q2` come in as the chase's sweep list
 //! (`sweeps[s][k] = (start row, tau, v)`, `v[0] == 1`), which both the
 //! real and the Hermitian chase hand out.
 
 use crate::blas3::engine::GemmScalar;
-use crate::blas3::{gemm, trmm_unit_lower_left, trmm_upper_left, Trans};
+use crate::blas3::{self, Trans};
 use crate::flops;
 use crate::householder::{larf_left, larfb_with_work, larft, BlockReflector, Side};
 use rayon::prelude::*;
@@ -91,13 +93,11 @@ pub type Reflector<T> = (usize, T, Vec<T>);
 
 /// Retained storage of the planned back-transformation: the diamond
 /// sequence (rebuilt in place each solve — its values depend on the
-/// reflectors, but its shape only on `(n, nb, ell)`), the member/`tau`
-/// build scratch, and the per-panel apply scratch.
+/// reflectors, but its shape only on `(n, nb, ell)`), the `tau` build
+/// scratch, and the per-panel apply scratch.
 #[derive(Default)]
 pub struct BtPlan<T> {
     diamonds: Vec<BlockReflector<T>>,
-    /// Sweep indices of the diamond currently being gathered.
-    members: Vec<usize>,
     tau: Vec<T>,
     scratch: Vec<T>,
 }
@@ -108,68 +108,87 @@ impl<T: Default> BtPlan<T> {
     }
 
     /// Retained capacity in bytes (footprint tests): the diamond `V`/`T`
-    /// payloads, `tau`, the apply scratch and the member index scratch.
+    /// payloads, `tau` and the apply scratch.
     pub fn capacity_bytes(&self) -> usize {
         let diamonds: usize = self.diamonds.iter().map(|d| d.capacity_bytes()).sum();
-        diamonds
-            + (self.tau.capacity() + self.scratch.capacity()) * std::mem::size_of::<T>()
-            + self.members.capacity() * std::mem::size_of::<usize>()
+        diamonds + (self.tau.capacity() + self.scratch.capacity()) * std::mem::size_of::<T>()
     }
 }
 
-/// Build the diamond sequence for `E <- Q2 E` in *application order*
-/// (sweep-blocks descending, depth ascending within each block) into
-/// `plan`'s retained storage: diamond slots, member scratch and `tau`
-/// buffers are reused by index, so a warmed-up plan rebuilds without
-/// heap allocation.
-fn build_diamonds_ws<T: Scalar>(sweeps: &[Vec<Reflector<T>>], ell: usize, plan: &mut BtPlan<T>) {
+/// The diamonds of `E <- Q2 E` in *application order* (sweep-blocks
+/// descending, depth ascending within each block), each as the sweep
+/// range `s0 .. s1` and the depth `k` of its members; a `(block, depth)`
+/// pair without a stored reflector yields nothing.
+fn diamond_specs<T>(
+    sweeps: &[Vec<Reflector<T>>],
+    ell: usize,
+) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
     let ell = ell.max(1);
     let nsweeps = sweeps.len();
-    let mut nd = 0usize;
-    let nblocks = nsweeps.div_ceil(ell);
-    for blk in (0..nblocks).rev() {
-        let s0 = blk * ell;
-        let s1 = (s0 + ell).min(nsweeps); // exclusive
+    (0..nsweeps.div_ceil(ell)).rev().flat_map(move |blk| {
+        let (s0, s1) = (blk * ell, (blk * ell + ell).min(nsweeps));
         let max_depth = sweeps[s0..s1].iter().map(Vec::len).max().unwrap_or(0);
-        for k in 0..max_depth {
-            // Gather the reflectors (s, k) for s in s0..s1 that exist.
-            plan.members.clear();
-            plan.members
-                .extend((s0..s1).filter(|&s| sweeps[s].get(k).is_some_and(|r| !r.2.is_empty())));
-            if plan.members.is_empty() {
-                continue;
-            }
-            let member = |i: usize| -> &Reflector<T> { &sweeps[plan.members[i]][k] };
-            // Diamond geometry: reflector of sweep s starts at
-            // s + 1 + k*nb; sweeps ascend, so starts ascend one by one.
-            let r0 = member(0).0;
-            let rend = (0..plan.members.len())
-                .map(|i| {
-                    let r = member(i);
-                    r.0 + r.2.len()
-                })
-                .max()
-                .unwrap_or(r0);
-            let height = rend - r0;
-            let kb = plan.members.len();
-            if plan.diamonds.len() <= nd {
-                plan.diamonds.push(BlockReflector::default());
-            }
-            reset_zeroed(&mut plan.tau, kb);
-            let d = &mut plan.diamonds[nd];
-            (d.r0, d.rows, d.k) = (r0, height, kb);
-            reset_zeroed(&mut d.v, height * kb);
-            for col in 0..kb {
-                let r = member(col);
-                let off = r.0 - r0;
-                debug_assert_eq!(off, col, "diamond columns shift one row per sweep");
-                d.v[off + col * height..][..r.2.len()].copy_from_slice(&r.2);
-                plan.tau[col] = r.1;
-            }
-            reset_zeroed(&mut d.t, kb * kb);
-            larft(height, kb, &d.v, height, &plan.tau, &mut d.t, kb);
-            nd += 1;
+        (0..max_depth)
+            .map(move |k| (s0, s1, k))
+            .filter(move |&(s0, s1, k)| members(sweeps, s0, s1, k).next().is_some())
+    })
+}
+
+/// The stored reflectors `(s, k)` of sweeps `s0 .. s1`, ascending.
+fn members<T>(
+    sweeps: &[Vec<Reflector<T>>],
+    s0: usize,
+    s1: usize,
+    k: usize,
+) -> impl Iterator<Item = &Reflector<T>> + '_ {
+    sweeps[s0..s1]
+        .iter()
+        .filter_map(move |sw| sw.get(k).filter(|r| !r.2.is_empty()))
+}
+
+/// Build one diamond (sweeps `s0 .. s1` at depth `k`) into `d`, reusing
+/// its storage and the `tau` scratch: gather the members' vectors into
+/// the parallelogram `V` and form `T` with `larft`.
+fn build_diamond<T: Scalar>(
+    sweeps: &[Vec<Reflector<T>>],
+    (s0, s1, k): (usize, usize, usize),
+    d: &mut BlockReflector<T>,
+    tau: &mut Vec<T>,
+) {
+    // Diamond geometry: reflector of sweep s starts at s + 1 + k*nb;
+    // sweeps ascend, so starts ascend one by one.
+    let r0 = members(sweeps, s0, s1, k).next().map_or(0, |r| r.0);
+    let (mut kb, mut rend, mut band) = (0, r0, 0);
+    for r in members(sweeps, s0, s1, k) {
+        kb += 1;
+        rend = rend.max(r.0 + r.2.len());
+        band = band.max(r.2.len());
+    }
+    let height = rend - r0;
+    (d.r0, d.rows, d.k, d.band) = (r0, height, kb, band);
+    reset_zeroed(tau, kb);
+    reset_zeroed(&mut d.v, height * kb);
+    for (col, r) in members(sweeps, s0, s1, k).enumerate() {
+        let off = r.0 - r0;
+        debug_assert_eq!(off, col, "diamond columns shift one row per sweep");
+        d.v[off + col * height..][..r.2.len()].copy_from_slice(&r.2);
+        tau[col] = r.1;
+    }
+    reset_zeroed(&mut d.t, kb * kb);
+    larft(height, kb, &d.v, height, tau, &mut d.t, kb);
+}
+
+/// Build the diamond sequence into `plan`'s retained storage: diamond
+/// slots and the `tau` buffer are reused by index, so a warmed-up plan
+/// rebuilds without heap allocation.
+fn build_diamonds_ws<T: Scalar>(sweeps: &[Vec<Reflector<T>>], ell: usize, plan: &mut BtPlan<T>) {
+    let mut nd = 0usize;
+    for spec in diamond_specs(sweeps, ell) {
+        if plan.diamonds.len() <= nd {
+            plan.diamonds.push(BlockReflector::default());
         }
+        build_diamond(sweeps, spec, &mut plan.diamonds[nd], &mut plan.tau);
+        nd += 1;
     }
     plan.diamonds.truncate(nd);
 }
@@ -184,20 +203,21 @@ fn panel_width<T>(panel_cols: usize) -> usize {
     }
 }
 
-/// Workspace length one panel of `cols` columns needs: two `k x cols`
-/// diamond blocks or the `2 * kb * cols` `larfb` workspace, whichever
-/// is larger.
+/// Workspace length one panel of `cols` columns needs: the `k x cols`
+/// block `W` of the widest diamond or the `2 * kb * cols` `larfb`
+/// workspace, whichever is larger.
 fn scratch_len<T>(diamonds: &[BlockReflector<T>], q1: &[BlockReflector<T>], cols: usize) -> usize {
-    let k = diamonds.iter().chain(q1).map(|r| r.k).max().unwrap_or(0);
-    2 * k * cols
+    let kd = diamonds.iter().map(|d| d.k).max().unwrap_or(0);
+    let kq = q1.iter().map(|p| p.k).max().unwrap_or(0);
+    kd.max(2 * kq) * cols
 }
 
 /// Fused back-transformation `E <- Q1 Q2 E`, parallel over column panels
-/// of `E` (`ldc` rows, column-major), each panel with its own scratch.
-/// `sweeps` are the chase's reflectors (empty for `Q1` only), `q1` the
-/// stage-1 panels (empty for `Q2` only); `ell` is the number of sweeps
-/// grouped per diamond, `panel_cols` the column-panel width (0 picks
-/// [`default_panel_cols`]).
+/// of `E` (`ldc` rows, column-major), each panel with its own scratch;
+/// the diamonds are built over the pool first. `sweeps` are the chase's
+/// reflectors (empty for `Q1` only), `q1` the stage-1 panels (empty for
+/// `Q2` only); `ell` is the number of sweeps grouped per diamond,
+/// `panel_cols` the column-panel width (0 picks [`default_panel_cols`]).
 pub fn apply_q<T: GemmScalar>(
     sweeps: &[Vec<Reflector<T>>],
     q1: &[BlockReflector<T>],
@@ -206,27 +226,35 @@ pub fn apply_q<T: GemmScalar>(
     ell: usize,
     panel_cols: usize,
 ) {
-    let mut plan = BtPlan::new();
-    build_diamonds_ws(sweeps, ell, &mut plan);
-    let diamonds = &plan.diamonds[..];
+    let scope = flops::scope();
+    let specs: Vec<_> = diamond_specs(sweeps, ell).collect();
+    let diamonds: Vec<BlockReflector<T>> = specs
+        .into_par_iter()
+        .map(|spec| {
+            let _charged = scope.enter();
+            let mut d = BlockReflector::default();
+            build_diamond(sweeps, spec, &mut d, &mut Vec::new());
+            d
+        })
+        .collect();
     if e.is_empty() || (diamonds.is_empty() && q1.is_empty()) {
         return;
     }
     let pc = panel_width::<T>(panel_cols);
-    let need = scratch_len(diamonds, q1, pc.min(e.len() / ldc));
-    let scope = flops::scope();
+    let need = scratch_len(&diamonds, q1, pc.min(e.len() / ldc));
     e.par_chunks_mut(pc * ldc).for_each(|panel| {
         let _charged = scope.enter();
         let mut work = vec![T::ZERO; need];
-        apply_panel(diamonds, q1, panel, ldc, &mut work);
+        apply_panel(&diamonds, q1, panel, ldc, &mut work);
     });
 }
 
-/// Planned [`apply_q`]: the same panels in a serial loop through
-/// `plan`'s retained diamond storage and scratch — allocation-free once
-/// the plan has warmed up to the problem shape, and bit-identical to
-/// [`apply_q`]. Polls `ctrl` once per panel; an armed cancel or expired
-/// deadline aborts between panels with the structured error.
+/// Planned [`apply_q`]: the same diamonds and panels in serial loops
+/// through `plan`'s retained diamond storage and scratch —
+/// allocation-free once the plan has warmed up to the problem shape, and
+/// bit-identical to [`apply_q`]. Polls `ctrl` once per panel; an armed
+/// cancel or expired deadline aborts between panels with the structured
+/// error.
 #[allow(clippy::too_many_arguments)]
 pub fn apply_q_ws<T: GemmScalar>(
     sweeps: &[Vec<Reflector<T>>],
@@ -257,8 +285,9 @@ pub fn apply_q_ws<T: GemmScalar>(
     Ok(())
 }
 
-/// The per-panel body of both loops: every diamond (the `Q2` sequence),
-/// then the reverse `Q1` chain, on one cache-resident column panel.
+/// The per-panel body of both loops: every diamond (the `Q2` sequence)
+/// through the fused diamond kernel, then the reverse `Q1` chain, on one
+/// cache-resident column panel.
 fn apply_panel<T: GemmScalar>(
     diamonds: &[BlockReflector<T>],
     q1: &[BlockReflector<T>],
@@ -268,7 +297,10 @@ fn apply_panel<T: GemmScalar>(
 ) {
     let cols = panel.len() / ldc;
     for d in diamonds {
-        apply_diamond(d, panel, ldc, cols, work);
+        let (k, h) = (d.k, d.rows);
+        let c = &mut panel[d.r0..];
+        let w = &mut work[..k * cols];
+        blas3::diamond_left(k, h, d.band, &d.v, h, &d.t, k, c, ldc, cols, w);
     }
     for p in q1.iter().rev() {
         larfb_with_work(
@@ -285,77 +317,6 @@ fn apply_panel<T: GemmScalar>(
             ldc,
             &mut work[..2 * p.k * cols],
         );
-    }
-}
-
-/// Apply one diamond `C <- (I - V T V^H) C` through the packed
-/// microkernel on the parallelogram split (see the module docs): the
-/// unit-lower-triangular top `L` of `V` goes through the zero-free
-/// `trmm_unit_lower_left`, the rectangular body `B` through two packed
-/// `gemm`s that carry all the Level-3 flops. `work` provides at least
-/// `2 * k * cols` scratch.
-fn apply_diamond<T: GemmScalar>(
-    d: &BlockReflector<T>,
-    panel: &mut [T],
-    ldc: usize,
-    cols: usize,
-    work: &mut [T],
-) {
-    let (k, h) = (d.k, d.rows);
-    let body = h - k;
-    let (vdata, one) = (&d.v[..], T::ONE);
-    let (w, w2) = work[..2 * k * cols].split_at_mut(k * cols);
-    // W = L^H C_top: copy the top rows, then the triangular product.
-    for j in 0..cols {
-        w[j * k..(j + 1) * k].copy_from_slice(&panel[d.r0 + j * ldc..][..k]);
-    }
-    trmm_unit_lower_left(Trans::Yes, k, cols, vdata, h, w, k);
-    // W += B^H C_body: packed-GEMM over the parallelogram body.
-    if body > 0 {
-        gemm(
-            Trans::Yes,
-            Trans::No,
-            k,
-            cols,
-            body,
-            one,
-            &vdata[k..],
-            h,
-            &panel[d.r0 + k..],
-            ldc,
-            one,
-            w,
-            k,
-        );
-    }
-    // W <- T W (T upper triangular with clean lower part).
-    trmm_upper_left(Trans::No, k, cols, one, &d.t, k, w, k);
-    // C_body -= B W.
-    if body > 0 {
-        gemm(
-            Trans::No,
-            Trans::No,
-            body,
-            cols,
-            k,
-            -one,
-            &vdata[k..],
-            h,
-            w,
-            k,
-            one,
-            &mut panel[d.r0 + k..],
-            ldc,
-        );
-    }
-    // C_top -= L W via the second scratch block.
-    w2.copy_from_slice(w);
-    trmm_unit_lower_left(Trans::No, k, cols, vdata, h, w2, k);
-    for j in 0..cols {
-        let cseg = &mut panel[d.r0 + j * ldc..][..k];
-        for (c, &x) in cseg.iter_mut().zip(&w2[j * k..(j + 1) * k]) {
-            *c -= x;
-        }
     }
 }
 
@@ -392,10 +353,92 @@ pub fn scale_rows<T: Scalar>(d: &[T], e: &mut [T], ldc: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blas3::simd::MicroKernel;
     use crate::testutil::{
         at_every_type, band_form, chase_sweeps, rand_hermitian, rand_mat, tol, unitary_error,
     };
     use tseig_matrix::{CMatrixG, ComplexScalar};
+
+    /// `(n, nb, ell)` shapes for the diamond kernel. At (80, 12, 24)
+    /// every full sweep-block builds 24-wide diamonds and the last one (6
+    /// sweeps) narrower ones; (70, 40, 30) spans several register blocks
+    /// at every type; (150, 110, 24) builds diamonds taller than the
+    /// kernel's 128-row stack tile. All of them end in bottom-edge
+    /// diamonds whose reflectors are cut short by the matrix order.
+    const KERNEL_SHAPES: [(usize, usize, usize); 3] = [(80, 12, 24), (70, 40, 30), (150, 110, 24)];
+    /// Column counts: one column, both sides of the 8-column register
+    /// block, and a full default panel.
+    const KERNEL_COLS: [usize; 5] = [1, 7, 8, 9, 128];
+
+    fn kernel_diamonds<T: GemmScalar>(n: usize, nb: usize, ell: usize) -> BtPlan<T> {
+        let mut plan = BtPlan::new();
+        build_diamonds_ws(&chase_sweeps::<T>(n, nb, n as u64), ell, &mut plan);
+        plan
+    }
+
+    fn diamond_kernel_matches_naive_at<T: GemmScalar>() {
+        for (n, nb, ell) in KERNEL_SHAPES {
+            let ds = kernel_diamonds::<T>(n, nb, ell).diamonds;
+            assert!(ds.iter().any(|d| d.k == ell), "no full diamond at {n}/{nb}");
+            assert!(
+                ds.iter().any(|d| d.k < ell),
+                "no narrow diamond at {n}/{nb}"
+            );
+            let short = |d: &BlockReflector<T>| d.rows < d.k - 1 + d.band;
+            assert!(ds.iter().any(short), "no bottom-edge diamond at {n}/{nb}");
+            let sweeps = chase_sweeps::<T>(n, nb, n as u64);
+            for cols in KERNEL_COLS {
+                let e0 = rand_mat::<T>(n, cols, (n + cols) as u64);
+                let mut naive = e0.clone();
+                apply_naive(&sweeps, naive.as_mut_slice(), n);
+                let mut fast = e0.clone();
+                apply_q(&sweeps, &[], fast.as_mut_slice(), n, ell, 0);
+                assert!(
+                    fast.max_diff(&naive) < tol::<T>(1e-11),
+                    "{}: diamond kernel != naive (n={n}, nb={nb}, ell={ell}, cols={cols})",
+                    T::TAG
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn diamond_kernel_matches_naive() {
+        at_every_type!(diamond_kernel_matches_naive_at);
+    }
+
+    fn diamond_kernel_bits_agree_on_every_path_at<T: GemmScalar>() {
+        for (n, nb, ell) in KERNEL_SHAPES {
+            let plan = kernel_diamonds::<T>(n, nb, ell);
+            for cols in KERNEL_COLS {
+                let e0 = rand_mat::<T>(n, cols, (2 * n + cols) as u64);
+                let run = |kern: &MicroKernel<T>| {
+                    let mut e = e0.clone();
+                    let mut work = vec![T::ZERO; ell * cols];
+                    for d in &plan.diamonds {
+                        let (k, h) = (d.k, d.rows);
+                        let c = &mut e.as_mut_slice()[d.r0..];
+                        let w = &mut work[..k * cols];
+                        blas3::diamond_left_with(
+                            kern, k, h, d.band, &d.v, h, &d.t, k, c, n, cols, w,
+                        );
+                    }
+                    bits(&e)
+                };
+                // The scalar body, always last, is the reference.
+                let paths = T::available();
+                let want = run(paths[paths.len() - 1]);
+                for kern in paths {
+                    assert_eq!(run(kern), want, "{} {} cols={cols}", T::TAG, kern.name);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn diamond_kernel_bits_agree_on_every_path() {
+        at_every_type!(diamond_kernel_bits_agree_on_every_path_at);
+    }
 
     fn diamond_matches_naive_at<T: GemmScalar>() {
         for (n, b, seed) in [(14, 3, 70), (20, 4, 71)] {
@@ -531,15 +574,25 @@ mod tests {
         let sweeps = chase_sweeps::<T>(n, b, 96);
         let e0 = rand_mat::<T>(n, 29, 97);
         let mut plan = BtPlan::new();
-        for pc in [1usize, 4, 0] {
+        // Every panel width gives the same bits too: columns are
+        // independent all the way through the diamond kernel.
+        let mut want = None;
+        for pc in [1usize, 5, 8, 0] {
             let mut par = e0.clone();
             apply_q(&sweeps, &panels, par.as_mut_slice(), n, 4, pc);
+            let par = bits(&par);
+            assert_eq!(
+                want.get_or_insert_with(|| par.clone()),
+                &par,
+                "{} pc={pc}",
+                T::TAG
+            );
             // A cold plan, then the same plan warm.
             for _ in 0..2 {
                 let mut ser = e0.clone();
                 let e = ser.as_mut_slice();
                 apply_q_ws(&sweeps, &panels, e, n, 4, pc, &mut plan, &Ctrl::NONE).unwrap();
-                assert_eq!(bits(&ser), bits(&par), "{} pc={pc}", T::TAG);
+                assert_eq!(bits(&ser), par, "{} pc={pc}", T::TAG);
             }
         }
     }

@@ -1378,11 +1378,11 @@ fn trmm_diag<T: Scalar>(
 /// the strictly-lower entries of `l` are read) and `B` `k x n`;
 /// `Trans::Yes` is `L^H`.
 ///
-/// This is the triangular-top kernel of the diamond back-transformation:
-/// the top `k x k` block of a parallelogram `V` is exactly unit lower
-/// triangular, so `V^T C` / `V W` split into this (zero-free) triangular
-/// product plus a rectangular `gemm` on the body. The product runs
-/// through the column-vectorized `tri_apply`: `b_i += sum_{p < i}
+/// The top `k x k` block of a diamond's parallelogram `V` is exactly
+/// unit lower triangular; the back-transform applies whole diamonds
+/// through [`diamond_left`], and this kernel stays as the zero-free
+/// triangular product on its own. It runs through the column-vectorized
+/// `tri_apply`: `b_i += sum_{p < i}
 /// L(i,p) b_p` (row 0 untouched) or `b_i += sum_{p > i} conj(L(p,i))
 /// b_p`, each sum ascending from zero.
 pub fn trmm_unit_lower_left<T: Scalar>(
@@ -1431,6 +1431,83 @@ pub fn trmm_unit_lower_left<T: Scalar>(
             |_, old, s| old + s,
         ),
     }
+}
+
+/// Apply one diamond block reflector of the back-transform from the
+/// left: `C <- (I - V T V^H) C`, `C` the `h x n` block at leading
+/// dimension `ldc`, through the dispatched fused kernel (see
+/// [`simd::DiamondFn`] for the layout of `V` and `T`). `work` holds at
+/// least `k * n` elements.
+///
+/// One pass per block of columns: `W = V^H C` accumulated in
+/// registers, `T W`, then `C -= V (T W)` in row blocks — no packing, no
+/// transposes of `C`, and each output element one fixed-order FMA
+/// chain, so every dispatch path gives the same bits. It charges a
+/// diamond's structured counts, whatever zeros it skips or multiplies:
+/// three `k x k` triangular products and, when `h > k`, two GEMMs over
+/// the `(h - k) x k` body — the terms the pinned back-transform flop
+/// totals are made of.
+#[allow(clippy::too_many_arguments)]
+pub fn diamond_left<T: GemmScalar>(
+    k: usize,
+    h: usize,
+    band: usize,
+    v: &[T],
+    ldv: usize,
+    t: &[T],
+    ldt: usize,
+    c: &mut [T],
+    ldc: usize,
+    n: usize,
+    work: &mut [T],
+) {
+    diamond_left_with(T::kernel(), k, h, band, v, ldv, t, ldt, c, ldc, n, work);
+}
+
+/// [`diamond_left`] through an explicit dispatch path (differential
+/// tests run every entry of [`simd::SimdScalar::available`]).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn diamond_left_with<T: GemmScalar>(
+    kern: &MicroKernel<T>,
+    k: usize,
+    h: usize,
+    band: usize,
+    v: &[T],
+    ldv: usize,
+    t: &[T],
+    ldt: usize,
+    c: &mut [T],
+    ldc: usize,
+    n: usize,
+    work: &mut [T],
+) {
+    if contract::enabled() {
+        contract::require_mat("diamond_left", "v", v, h, k, ldv);
+        contract::require_mat("diamond_left", "t", t, k, k, ldt);
+        contract::require_mat("diamond_left", "c", c, h, n, ldc);
+        contract::require_vec("diamond_left", "work", work, k * n);
+        contract::require_no_alias("diamond_left", "v", v, "c", c);
+        contract::require_no_alias("diamond_left", "t", t, "c", c);
+        assert!(
+            h >= k && (k == 0 || band >= 1),
+            "diamond_left: a parallelogram needs h >= k and band >= 1 (h = {h}, k = {k}, band = {band})"
+        );
+    }
+    let tri = (T::MULADD_FLOPS / 2) * (n * k * k) as u64;
+    add(Level::L3, 3 * tri);
+    add_bytes(
+        Level::L3,
+        3 * T::BYTES * ((k * k / 2) as u64 + 2 * (k * n) as u64),
+    );
+    let body = h.saturating_sub(k);
+    if body > 0 {
+        add(Level::L3, 2 * T::MULADD_FLOPS * (body * n * k) as u64);
+        add_bytes(
+            Level::L3,
+            engine::packed_bytes::<T>(NC, k, n, body) + engine::packed_bytes::<T>(NC, body, n, k),
+        );
+    }
+    kern.run_diamond(k, h, band, v, ldv, t, ldt, c, ldc, n, work);
 }
 
 /// Columns of the right-hand side one [`tri_apply`] pass transposes into

@@ -16,6 +16,10 @@
 //! Cache blocking (`mc`/`nc`) is derived per tile shape and element
 //! size in [`super::blocking`]; `KC` is shared by everything.
 //!
+//! Each descriptor also carries the same ISA's body of the fused
+//! diamond kernel of the back-transform ([`DiamondFn`], section "Diamond
+//! kernel" below), so one dispatch choice covers both.
+//!
 //! **Dispatch** happens once per element type, at the first
 //! `gemm`-family call: the `TSEIG_SIMD` environment variable (`avx512`
 //! / `avx2` / `scalar`) is honored when the requested ISA is available,
@@ -55,6 +59,8 @@
 //! and `tests/complex_dispatch.rs` pin all of this down.
 
 use super::blocking::BlockingParams;
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::*;
 use std::sync::OnceLock;
 use tseig_matrix::{c32, c64, Scalar, C32, C64};
 
@@ -94,6 +100,8 @@ pub struct MicroKernel<T: 'static = f64> {
     /// Column-block size of the packed `B` panel (an L3 slice).
     pub nc: usize,
     func: MicroFn<T>,
+    /// The fused diamond kernel of the same ISA (see "Diamond kernel").
+    diamond: DiamondFn<T>,
 }
 
 impl<T: 'static> MicroKernel<T> {
@@ -105,6 +113,7 @@ impl<T: 'static> MicroKernel<T> {
         mc: usize,
         nc: usize,
         func: MicroFn<T>,
+        diamond: DiamondFn<T>,
     ) -> Self {
         MicroKernel {
             name,
@@ -113,6 +122,7 @@ impl<T: 'static> MicroKernel<T> {
             mc,
             nc,
             func,
+            diamond,
         }
     }
 
@@ -120,7 +130,12 @@ impl<T: 'static> MicroKernel<T> {
     /// [`BlockingParams`] derivation — the tile shape and the blocking
     /// come from the same place and cannot drift apart. Every static in
     /// this module's dispatch tables is built this way.
-    pub const fn from_blocking(name: &'static str, b: BlockingParams, func: MicroFn<T>) -> Self {
+    pub const fn from_blocking(
+        name: &'static str,
+        b: BlockingParams,
+        func: MicroFn<T>,
+        diamond: DiamondFn<T>,
+    ) -> Self {
         MicroKernel {
             name,
             mr: b.mr,
@@ -128,6 +143,7 @@ impl<T: 'static> MicroKernel<T> {
             mc: b.mc,
             nc: b.nc,
             func,
+            diamond,
         }
     }
 
@@ -147,6 +163,26 @@ impl<T: 'static> MicroKernel<T> {
     ) {
         (self.func)(kc, alpha, ap, bp, c, ldc, mr_eff, nr_eff)
     }
+
+    /// Run this ISA's diamond kernel (see [`DiamondFn`]).
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run_diamond(
+        &self,
+        k: usize,
+        h: usize,
+        band: usize,
+        v: &[T],
+        ldv: usize,
+        t: &[T],
+        ldt: usize,
+        c: &mut [T],
+        ldc: usize,
+        n: usize,
+        work: &mut [T],
+    ) {
+        (self.diamond)(k, h, band, v, ldv, t, ldt, c, ldc, n, work)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -160,6 +196,7 @@ pub static SCALAR: MicroKernel = MicroKernel::from_blocking(
     "scalar",
     BlockingParams::for_scalar::<f64>(16, 4),
     mk_scalar,
+    diamond_scalar_f64,
 );
 
 /// AVX2+FMA `f64` tile.
@@ -168,6 +205,7 @@ pub static AVX2: MicroKernel = MicroKernel::from_blocking(
     "avx2",
     BlockingParams::for_scalar::<f64>(4, 12),
     mk_avx2_entry,
+    diamond_avx2_f64,
 );
 
 /// AVX-512F `f64` tile.
@@ -176,6 +214,7 @@ pub static AVX512: MicroKernel = MicroKernel::from_blocking(
     "avx512",
     BlockingParams::for_scalar::<f64>(24, 8),
     mk_avx512_entry,
+    diamond_avx512_f64,
 );
 
 /// Portable `f32` fallback tile (same shape as the `f64` one; the
@@ -184,6 +223,7 @@ pub static SCALAR_F32: MicroKernel<f32> = MicroKernel::from_blocking(
     "scalar",
     BlockingParams::for_scalar::<f32>(16, 4),
     mk_scalar_f32,
+    diamond_scalar_f32,
 );
 
 /// AVX2+FMA `f32` tile: the 4x12 `f64` tile at 8 lanes per ymm.
@@ -192,6 +232,7 @@ pub static AVX2_F32: MicroKernel<f32> = MicroKernel::from_blocking(
     "avx2",
     BlockingParams::for_scalar::<f32>(8, 12),
     mk_avx2_f32_entry,
+    diamond_avx2_f32,
 );
 
 /// AVX-512F `f32` tile: the 24x8 `f64` tile at 16 lanes per zmm.
@@ -200,6 +241,7 @@ pub static AVX512_F32: MicroKernel<f32> = MicroKernel::from_blocking(
     "avx512",
     BlockingParams::for_scalar::<f32>(48, 8),
     mk_avx512_f32_entry,
+    diamond_avx512_f32,
 );
 
 /// Portable `C64` tile: the dual-accumulator chains on scalar
@@ -209,6 +251,7 @@ pub static SCALAR_C64: MicroKernel<C64> = MicroKernel::from_blocking(
     "scalar",
     BlockingParams::for_scalar::<C64>(8, 4),
     mk_scalar_c64,
+    diamond_scalar_c64,
 );
 
 /// AVX2+FMA `C64` tile: 2 complex per ymm, 6 columns — 12 accumulator
@@ -219,6 +262,7 @@ pub static AVX2_C64: MicroKernel<C64> = MicroKernel::from_blocking(
     "avx2",
     BlockingParams::for_scalar::<C64>(2, 6),
     mk_avx2_c64_entry,
+    diamond_avx2_c64,
 );
 
 /// AVX-512F `C64` tile: 8 complex rows (2 zmm) x 4 columns — 16
@@ -229,6 +273,7 @@ pub static AVX512_C64: MicroKernel<C64> = MicroKernel::from_blocking(
     "avx512",
     BlockingParams::for_scalar::<C64>(8, 4),
     mk_avx512_c64_entry,
+    diamond_avx512_c64,
 );
 
 /// Portable `C32` tile: same shape as the `C64` one at `f32` components.
@@ -236,6 +281,7 @@ pub static SCALAR_C32: MicroKernel<C32> = MicroKernel::from_blocking(
     "scalar",
     BlockingParams::for_scalar::<C32>(8, 4),
     mk_scalar_c32,
+    diamond_scalar_c32,
 );
 
 /// AVX2+FMA `C32` tile: the `C64` 2x6 shape at twice the lane count.
@@ -244,6 +290,7 @@ pub static AVX2_C32: MicroKernel<C32> = MicroKernel::from_blocking(
     "avx2",
     BlockingParams::for_scalar::<C32>(4, 6),
     mk_avx2_c32_entry,
+    diamond_avx2_c32,
 );
 
 /// AVX-512F `C32` tile: the `C64` 8x4 shape at twice the lane count.
@@ -252,6 +299,7 @@ pub static AVX512_C32: MicroKernel<C32> = MicroKernel::from_blocking(
     "avx512",
     BlockingParams::for_scalar::<C32>(16, 4),
     mk_avx512_c32_entry,
+    diamond_avx512_c32,
 );
 
 /// Every `f64` kernel this machine can execute, best first. Tests and
@@ -1278,6 +1326,819 @@ unsafe fn mk_avx2_c32_4x6(
         combine_c32(&s1, &s2, MR, alpha, c, ldc, mr_eff, nr_eff);
     }
 }
+
+// ---------------------------------------------------------------------------
+// Diamond kernel
+// ---------------------------------------------------------------------------
+
+/// Signature of the fused diamond kernel of the back-transform: `C <- (I
+/// - V T V^H) C` for one diamond block reflector, `C` the `h x n` block
+/// at leading dimension `ldc`. `V` is `h x k` (leading dimension `ldv`):
+/// column `p` holds its reflector on rows `p .. min(p + band, h)`, the
+/// unit diagonal stored, and zeros on every other row — the
+/// parallelogram the diamond builder lays out. `T` is the `k x k` upper
+/// triangular factor (leading dimension `ldt`; its strictly lower part
+/// is never read). `work` holds at least `k * n` elements.
+pub type DiamondFn<T = f64> = fn(
+    k: usize,
+    h: usize,
+    band: usize,
+    v: &[T],
+    ldv: usize,
+    t: &[T],
+    ldt: usize,
+    c: &mut [T],
+    ldc: usize,
+    n: usize,
+    work: &mut [T],
+);
+
+/// Rows of `V` one pass of [`diamond_body`] transposes into its stack
+/// tile; a taller diamond is transposed again for every column block.
+const DIAMOND_TILE_ROWS: usize = 128;
+
+/// A vector of [`Lanes::N`] components: the unit [`diamond_body`] is
+/// written over, so one loop nest serves every ISA and element type.
+/// Complex elements are interleaved `(re, im)` component pairs.
+///
+/// # Safety
+///
+/// Every method executes the implementing type's ISA, so it may only run
+/// where that ISA is available (the portable [`Port`] needs none).
+trait Lanes: Copy {
+    /// Component type (`f64` or `f32`).
+    type F: Copy + Default + std::ops::Neg<Output = Self::F>;
+    /// Components per vector.
+    const N: usize;
+    /// # Safety: see [`Lanes`].
+    unsafe fn splat(x: Self::F) -> Self;
+    /// # Safety: see [`Lanes`]; `p` is readable for `N` components.
+    unsafe fn load(p: *const Self::F) -> Self;
+    /// # Safety: see [`Lanes`]; `p` is writable for `N` components.
+    unsafe fn store(self, p: *mut Self::F);
+    /// The first `m < N` components at `p`, zeros in the other lanes.
+    /// # Safety: see [`Lanes`]; `p` is readable for `m` components.
+    unsafe fn load_part(p: *const Self::F, m: usize) -> Self;
+    /// Store the first `m < N` components at `p`.
+    /// # Safety: see [`Lanes`]; `p` is writable for `m` components.
+    unsafe fn store_part(self, p: *mut Self::F, m: usize);
+    /// `self * b + c` with one rounding. # Safety: see [`Lanes`].
+    unsafe fn fmadd(self, b: Self, c: Self) -> Self;
+    /// # Safety: see [`Lanes`].
+    unsafe fn sub(self, b: Self) -> Self;
+    /// Even lanes `self - b`, odd lanes `self + b`: the complex combine
+    /// `(s1.re - s2.re, s1.im + s2.im)`. # Safety: see [`Lanes`].
+    unsafe fn addsub(self, b: Self) -> Self;
+    /// Swap every `(re, im)` pair. # Safety: see [`Lanes`].
+    unsafe fn swap_pairs(self) -> Self;
+}
+
+/// [`Lanes`] for one `std::arch` vector type, from its intrinsics.
+macro_rules! simd_lanes {
+    ($v:ty, $f:ty, $n:expr, $splat:ident, $load:ident, $store:ident, $fmadd:ident, $sub:ident,
+     |$a:ident, $b:ident| $addsub:expr, |$x:ident| $swap:expr,
+     |$lp:ident, $lm:ident| $load_part:expr, |$sx:ident, $sp:ident, $sm:ident| $store_part:expr) => {
+        #[cfg(target_arch = "x86_64")]
+        impl Lanes for $v {
+            type F = $f;
+            const N: usize = $n;
+            /// # Safety: see [`Lanes`].
+            #[inline(always)]
+            unsafe fn splat(x: $f) -> Self {
+                $splat(x)
+            }
+            /// # Safety: see [`Lanes::load`].
+            #[inline(always)]
+            unsafe fn load(p: *const $f) -> Self {
+                $load(p)
+            }
+            /// # Safety: see [`Lanes::store`].
+            #[inline(always)]
+            unsafe fn store(self, p: *mut $f) {
+                $store(p, self)
+            }
+            /// # Safety: see [`Lanes::load_part`].
+            #[inline(always)]
+            unsafe fn load_part($lp: *const $f, $lm: usize) -> Self {
+                $load_part
+            }
+            /// # Safety: see [`Lanes::store_part`].
+            #[inline(always)]
+            unsafe fn store_part(self, $sp: *mut $f, $sm: usize) {
+                let $sx = self;
+                $store_part
+            }
+            /// # Safety: see [`Lanes`].
+            #[inline(always)]
+            unsafe fn fmadd(self, b: Self, c: Self) -> Self {
+                $fmadd(self, b, c)
+            }
+            /// # Safety: see [`Lanes`].
+            #[inline(always)]
+            unsafe fn sub(self, b: Self) -> Self {
+                $sub(self, b)
+            }
+            /// # Safety: see [`Lanes`].
+            #[inline(always)]
+            unsafe fn addsub(self, b: Self) -> Self {
+                let ($a, $b) = (self, b);
+                $addsub
+            }
+            /// # Safety: see [`Lanes`].
+            #[inline(always)]
+            unsafe fn swap_pairs(self) -> Self {
+                let $x = self;
+                $swap
+            }
+        }
+    };
+}
+
+// Partial loads and stores are masked: a masked-off lane is neither
+// read nor written, so they never touch memory past `m`.
+simd_lanes!(
+    __m512d,
+    f64,
+    8,
+    _mm512_set1_pd,
+    _mm512_loadu_pd,
+    _mm512_storeu_pd,
+    _mm512_fmadd_pd,
+    _mm512_sub_pd,
+    |a, b| _mm512_mask_sub_pd(_mm512_add_pd(a, b), 0x55, a, b),
+    |x| _mm512_permute_pd::<0x55>(x),
+    |p, m| _mm512_maskz_loadu_pd(((1u32 << m) - 1) as __mmask8, p),
+    |x, p, m| _mm512_mask_storeu_pd(p, ((1u32 << m) - 1) as __mmask8, x)
+);
+simd_lanes!(
+    __m512,
+    f32,
+    16,
+    _mm512_set1_ps,
+    _mm512_loadu_ps,
+    _mm512_storeu_ps,
+    _mm512_fmadd_ps,
+    _mm512_sub_ps,
+    |a, b| _mm512_mask_sub_ps(_mm512_add_ps(a, b), 0x5555, a, b),
+    |x| _mm512_permute_ps::<0xB1>(x),
+    |p, m| _mm512_maskz_loadu_ps(((1u32 << m) - 1) as __mmask16, p),
+    |x, p, m| _mm512_mask_storeu_ps(p, ((1u32 << m) - 1) as __mmask16, x)
+);
+simd_lanes!(
+    __m256d,
+    f64,
+    4,
+    _mm256_set1_pd,
+    _mm256_loadu_pd,
+    _mm256_storeu_pd,
+    _mm256_fmadd_pd,
+    _mm256_sub_pd,
+    |a, b| _mm256_addsub_pd(a, b),
+    |x| _mm256_permute_pd::<0b0101>(x),
+    |p, m| _mm256_maskload_pd(p, mask_epi64(m)),
+    |x, p, m| _mm256_maskstore_pd(p, mask_epi64(m), x)
+);
+simd_lanes!(
+    __m256,
+    f32,
+    8,
+    _mm256_set1_ps,
+    _mm256_loadu_ps,
+    _mm256_storeu_ps,
+    _mm256_fmadd_ps,
+    _mm256_sub_ps,
+    |a, b| _mm256_addsub_ps(a, b),
+    |x| _mm256_permute_ps::<0xB1>(x),
+    |p, m| _mm256_maskload_ps(p, mask_epi32(m)),
+    |x, p, m| _mm256_maskstore_ps(p, mask_epi32(m), x)
+);
+
+/// AVX2 lane mask of the first `m` of four 64-bit lanes.
+///
+/// # Safety
+///
+/// AVX2 is available.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn mask_epi64(m: usize) -> __m256i {
+    let m = i64::try_from(m).unwrap_or(i64::MAX);
+    _mm256_cmpgt_epi64(_mm256_set1_epi64x(m), _mm256_setr_epi64x(0, 1, 2, 3))
+}
+
+/// AVX2 lane mask of the first `m` of eight 32-bit lanes.
+///
+/// # Safety
+///
+/// AVX2 is available.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn mask_epi32(m: usize) -> __m256i {
+    let idx = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    _mm256_cmpgt_epi32(_mm256_set1_epi32(i32::try_from(m).unwrap_or(i32::MAX)), idx)
+}
+
+/// Portable lanes: a plain array, every operation lane by lane with the
+/// component type's `mul_add`, `-` and `+` — the scalar body of every
+/// element type, bit for bit the same arithmetic as the SIMD lanes.
+#[derive(Clone, Copy)]
+struct Port<F, const N: usize>([F; N]);
+
+/// [`Lanes`] for [`Port`] at one component type.
+macro_rules! port_lanes {
+    ($f:ty, $n:expr) => {
+        impl Lanes for Port<$f, $n> {
+            type F = $f;
+            const N: usize = $n;
+            /// # Safety: none.
+            #[inline(always)]
+            unsafe fn splat(x: $f) -> Self {
+                Port([x; $n])
+            }
+            /// # Safety: see [`Lanes::load`].
+            #[inline(always)]
+            unsafe fn load(p: *const $f) -> Self {
+                Port(p.cast::<[$f; $n]>().read_unaligned())
+            }
+            /// # Safety: see [`Lanes::store`].
+            #[inline(always)]
+            unsafe fn store(self, p: *mut $f) {
+                p.cast::<[$f; $n]>().write_unaligned(self.0)
+            }
+            /// # Safety: see [`Lanes::load_part`].
+            #[inline(always)]
+            unsafe fn load_part(p: *const $f, m: usize) -> Self {
+                let mut x = [<$f>::default(); $n];
+                std::ptr::copy_nonoverlapping(p, x.as_mut_ptr(), m);
+                Port(x)
+            }
+            /// # Safety: see [`Lanes::store_part`].
+            #[inline(always)]
+            unsafe fn store_part(self, p: *mut $f, m: usize) {
+                std::ptr::copy_nonoverlapping(self.0.as_ptr(), p, m);
+            }
+            /// # Safety: none.
+            #[inline(always)]
+            unsafe fn fmadd(self, b: Self, c: Self) -> Self {
+                let mut r = c.0;
+                for (i, ri) in r.iter_mut().enumerate() {
+                    *ri = self.0[i].mul_add(b.0[i], *ri);
+                }
+                Port(r)
+            }
+            /// # Safety: none.
+            #[inline(always)]
+            unsafe fn sub(self, b: Self) -> Self {
+                let mut r = self.0;
+                for (ri, bi) in r.iter_mut().zip(b.0) {
+                    *ri -= bi;
+                }
+                Port(r)
+            }
+            /// # Safety: none.
+            #[inline(always)]
+            unsafe fn addsub(self, b: Self) -> Self {
+                let lane = |i: usize| {
+                    if i % 2 == 0 {
+                        self.0[i] - b.0[i]
+                    } else {
+                        self.0[i] + b.0[i]
+                    }
+                };
+                Port(std::array::from_fn(lane))
+            }
+            /// # Safety: none.
+            #[inline(always)]
+            unsafe fn swap_pairs(self) -> Self {
+                Port(std::array::from_fn(|i| self.0[i ^ 1]))
+            }
+        }
+    };
+}
+
+port_lanes!(f64, 4);
+port_lanes!(f32, 8);
+
+/// Load the first `m` components at `p`, zeros in the other lanes.
+///
+/// # Safety
+///
+/// [`Lanes`] ISA; `p` readable for `m.min(N)` components.
+#[inline(always)]
+unsafe fn load_n<V: Lanes>(p: *const V::F, m: usize) -> V {
+    if m >= V::N {
+        V::load(p)
+    } else {
+        V::load_part(p, m)
+    }
+}
+
+/// Store the first `m` components of `x` at `p`.
+///
+/// # Safety
+///
+/// [`Lanes`] ISA; `p` writable for `m.min(N)` components.
+#[inline(always)]
+unsafe fn store_n<V: Lanes>(x: V, p: *mut V::F, m: usize) {
+    if m >= V::N {
+        x.store(p)
+    } else {
+        x.store_part(p, m)
+    }
+}
+
+/// Vectors `QLO .. QHI` of a `KV`-vector block of `valid` consecutive
+/// elements at `p` (`E` components each), zero-filled past `valid`; the
+/// other vectors are left zero and never read.
+///
+/// # Safety
+///
+/// [`Lanes`] ISA; `p` readable for `valid.min(QHI * N / E)` elements.
+#[inline(always)]
+unsafe fn load_block<
+    V: Lanes,
+    const E: usize,
+    const KV: usize,
+    const QLO: usize,
+    const QHI: usize,
+>(
+    p: *const V::F,
+    valid: usize,
+) -> [V; KV] {
+    let lanes = V::N / E;
+    let mut x = [V::splat(V::F::default()); KV];
+    for (q, xq) in x.iter_mut().enumerate().take(QHI).skip(QLO) {
+        let m = valid.saturating_sub(q * lanes).min(lanes);
+        if m > 0 {
+            *xq = load_n(p.add(q * V::N), m * E);
+        }
+    }
+    x
+}
+
+/// Write one accumulator column of a register block to `valid`
+/// consecutive elements at `p`: the chains combined (complex: `s1 ∓ s2`
+/// by lane), then stored, or subtracted from what `p` holds when `sub`.
+///
+/// # Safety
+///
+/// [`Lanes`] ISA; `p` readable and writable for `valid.min(KV * N / E)`
+/// elements.
+#[inline(always)]
+unsafe fn put_block<V: Lanes, const E: usize, const KV: usize>(
+    s1: &[V; KV],
+    s2: &[V; KV],
+    p: *mut V::F,
+    valid: usize,
+    sub: bool,
+) {
+    let lanes = V::N / E;
+    for q in 0..KV {
+        let m = valid.saturating_sub(q * lanes).min(lanes) * E;
+        if m == 0 {
+            break;
+        }
+        let s = if E == 2 { s1[q].addsub(s2[q]) } else { s1[q] };
+        let dst = p.add(q * V::N);
+        let x = if sub { load_n::<V>(dst, m).sub(s) } else { s };
+        store_n(x, dst, m);
+    }
+}
+
+/// The accumulators of a `KV`-vector by `NR`-column register block: one
+/// chain per element, two for complex elements (the GEMM's dual-chain
+/// contract).
+struct Acc<V, const KV: usize, const NR: usize> {
+    s1: [[V; KV]; NR],
+    s2: [[V; KV]; NR],
+}
+
+impl<V: Lanes, const KV: usize, const NR: usize> Acc<V, KV, NR> {
+    /// All chains at `+0`.
+    ///
+    /// # Safety
+    ///
+    /// [`Lanes`] ISA.
+    #[inline(always)]
+    unsafe fn zero() -> Self {
+        let z = [[V::splat(V::F::default()); KV]; NR];
+        Acc { s1: z, s2: z }
+    }
+
+    /// One step of the chains of vectors `QLO .. QHI`: `s1[j] += a *
+    /// b_j.re`, and for complex elements also `s2[j] += swap(a) *
+    /// b_j.im`, where `b(j)` points at element `b_j`.
+    ///
+    /// # Safety
+    ///
+    /// [`Lanes`] ISA; every `b(j)` readable for `E` components.
+    #[inline(always)]
+    unsafe fn step<const E: usize, const QLO: usize, const QHI: usize>(
+        &mut self,
+        a: &[V; KV],
+        b: impl Fn(usize) -> *const V::F,
+    ) {
+        let sw: [V; KV] = std::array::from_fn(|q| if E == 2 { a[q].swap_pairs() } else { a[q] });
+        let live = QLO..QHI.min(KV);
+        for jj in 0..NR {
+            let p = b(jj);
+            let br = V::splat(*p);
+            for (s, x) in self.s1[jj][live.clone()].iter_mut().zip(&a[live.clone()]) {
+                *s = x.fmadd(br, *s);
+            }
+            if E == 2 {
+                let bi = V::splat(*p.add(1));
+                for (s, x) in self.s2[jj][live.clone()].iter_mut().zip(&sw[live.clone()]) {
+                    *s = x.fmadd(bi, *s);
+                }
+            }
+        }
+    }
+}
+
+/// The rows of `lo .. hi` on which exactly vectors `QLO .. QHI` of a
+/// register block are active, vector `q` being active on `st[q] ..
+/// en[q]` (both nondecreasing in `q`, so every row's active vectors are
+/// a range); empty when `QHI > KV`.
+#[inline(always)]
+fn span<const KV: usize, const QLO: usize, const QHI: usize>(
+    st: &[usize; KV],
+    en: &[usize; KV],
+    lo: usize,
+    hi: usize,
+) -> (usize, usize) {
+    if QHI > KV {
+        return (lo, lo);
+    }
+    let a = st[QHI - 1]
+        .max(if QLO == 0 { lo } else { en[QLO - 1] })
+        .max(lo);
+    let b = st
+        .get(QHI)
+        .copied()
+        .unwrap_or(usize::MAX)
+        .min(en[QLO])
+        .min(hi);
+    (a, b.max(a))
+}
+
+/// Run `$f::<generics.., QLO, QHI>(.., a, b, ..)` over every span of
+/// `lo .. hi` (`KV <= 3`), with the span's active vectors as const
+/// generics so only their accumulators are touched. Both ends of the
+/// active range only grow with the row, so the spans in this fixed
+/// order ascend: every chain still steps in ascending order.
+macro_rules! each_span {
+    ($st:expr, $en:expr, $lo:expr, $hi:expr, $kv:ident, |$a:ident, $b:ident| $f:ident::<$($g:ident),*>($($arg:expr),* $(,)?)) => {{
+        each_span!(@one 0, 1, $st, $en, $lo, $hi, $kv, $a, $b, $f, [$($g),*], [$($arg),*]);
+        each_span!(@one 0, 2, $st, $en, $lo, $hi, $kv, $a, $b, $f, [$($g),*], [$($arg),*]);
+        each_span!(@one 0, 3, $st, $en, $lo, $hi, $kv, $a, $b, $f, [$($g),*], [$($arg),*]);
+        each_span!(@one 1, 2, $st, $en, $lo, $hi, $kv, $a, $b, $f, [$($g),*], [$($arg),*]);
+        each_span!(@one 1, 3, $st, $en, $lo, $hi, $kv, $a, $b, $f, [$($g),*], [$($arg),*]);
+        each_span!(@one 2, 3, $st, $en, $lo, $hi, $kv, $a, $b, $f, [$($g),*], [$($arg),*]);
+    }};
+    (@one $qlo:literal, $qhi:literal, $st:expr, $en:expr, $lo:expr, $hi:expr, $kv:ident, $a:ident, $b:ident, $f:ident, [$($g:ident),*], [$($arg:expr),*]) => {
+        let ($a, $b) = span::<$kv, $qlo, $qhi>(&$st, &$en, $lo, $hi);
+        if $a < $b {
+            $f::<$($g),*, $qlo, $qhi>($($arg),*);
+        }
+    };
+}
+
+/// Step 1 over rows `a .. b` of `V^H`, tile row `i - t0` holding row
+/// `i`: every active chain of the column block steps once per row
+/// against the broadcast `C(i, j)`.
+///
+/// # Safety
+///
+/// [`Lanes`] ISA; the tile rows are written; `cols[j]` is column `j` of
+/// `C`, readable on rows `a .. b`.
+#[inline(always)]
+unsafe fn vh_rows<
+    V: Lanes,
+    const E: usize,
+    const KV: usize,
+    const NR: usize,
+    const QLO: usize,
+    const QHI: usize,
+>(
+    acc: &mut Acc<V, KV, NR>,
+    tile: *const [V; KV],
+    t0: usize,
+    a: usize,
+    b: usize,
+    cols: &[*const V::F; NR],
+) {
+    for i in a..b {
+        acc.step::<E, QLO, QHI>(&*tile.add(i - t0), |jj| cols[jj].add(i * E));
+    }
+}
+
+/// Steps 2 and 3 over columns `a .. b` of `M` (`T` or `V`): every active
+/// chain of the row block steps once per column `p`, against the
+/// column's segment at `m + p * ldm` (its first `valid(p)` elements) and
+/// the broadcast `W(p, j)`.
+///
+/// # Safety
+///
+/// [`Lanes`] ISA; each segment readable for `valid(p)` elements; `w[j]`
+/// is column `j` of `W`, readable on rows `a .. b`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn m_cols<
+    V: Lanes,
+    const E: usize,
+    const KV: usize,
+    const NR: usize,
+    const QLO: usize,
+    const QHI: usize,
+>(
+    acc: &mut Acc<V, KV, NR>,
+    m: *const V::F,
+    ldm: usize,
+    valid: impl Fn(usize) -> usize,
+    a: usize,
+    b: usize,
+    w: &[*mut V::F; NR],
+) {
+    for p in a..b {
+        let x = load_block::<V, E, KV, QLO, QHI>(m.add(p * ldm * E), valid(p));
+        acc.step::<E, QLO, QHI>(&x, |jj| w[jj].add(p * E).cast_const());
+    }
+}
+
+/// Rows `r0 .. r1` of `V^H` restricted to columns `c0 .. c1`, one tile
+/// row of `KV` vectors per row of `V`, zero past `c1`.
+///
+/// # Safety
+///
+/// [`Lanes`] ISA; `tile` writable for `r1 - r0` rows; `v` covers those
+/// rows and columns at `ldv`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn fill_tile<V: Lanes, const E: usize, const KV: usize>(
+    tile: *mut [V; KV],
+    v: *const V::F,
+    ldv: usize,
+    c0: usize,
+    c1: usize,
+    r0: usize,
+    r1: usize,
+) {
+    let lanes = V::N / E;
+    for i in r0..r1 {
+        let row: [V; KV] = std::array::from_fn(|q| {
+            let mut buf = [V::F::default(); 16];
+            for e in 0..lanes {
+                let p = c0 + q * lanes + e;
+                if p < c1 {
+                    let src = v.add((i + p * ldv) * E);
+                    buf[e * E] = *src;
+                    if E == 2 {
+                        buf[e * E + 1] = -*src.add(1);
+                    }
+                }
+            }
+            V::load(buf.as_ptr())
+        });
+        tile.add(i - r0).write(row);
+    }
+}
+
+/// The one loop nest of every [`DiamondFn`] body, `C <- C - V (T (V^H
+/// C))`, over `NR`-column blocks of `C`, with `KV`-vector register
+/// blocks of `KV * N / E` elements:
+///
+/// 1. `W = V^H C` into `w` (`k x n`, leading dimension `k`): per block
+///    of `V`'s columns, rows of `V^H` are transposed once into a stack
+///    tile, and each column block of `C` accumulates its `W` rows in
+///    registers over `V`'s rows, broadcasting `C(i, j)`.
+/// 2. `W <- T W` in place, per column block: `T`'s column segments
+///    against broadcast `W(l, j)`, `l` ascending, row blocks of `W`
+///    ascending so every `W(l, j)` is read before it is overwritten.
+/// 3. `C -= V W`, per row block of `C`: `V`'s column segments against
+///    broadcast `W(p, j)`, `p` ascending.
+///
+/// Every output element is one FMA chain (two for complex elements, the
+/// GEMM's dual-chain contract, combined once at the end) started from
+/// `+0` and run in ascending order over its index range; `C` is
+/// updated by one subtraction at the end. The blockings only decide
+/// which of `V`'s stored zeros (and `T`'s masked lower lanes) join a
+/// chain, never which nonzero terms or in what order — and a zero term
+/// leaves a chain started from `+0` unchanged for finite data — so the
+/// bits do not depend on `KV`, `NR` or the ISA. The index ranges skip
+/// every vector of a register block that holds only zeros ([`span`]):
+/// rows above a vector's first diagonal or below its last column's end
+/// in step 1, `T`'s rows below `l` in step 2, and columns whose support
+/// misses a vector's rows in step 3; a vector at a triangle's edge still
+/// multiplies its zeros.
+///
+/// # Safety
+///
+/// [`Lanes`] ISA; `k, n, band >= 1`, `h >= k`; `v` covers `h x k` at
+/// `ldv >= h`, `t` covers `k x k` at `ldt >= k`, `c` covers `h x n` at
+/// `ldc >= h` and `w` `k * n` elements, all counted in elements of `E`
+/// components; `c` and `w` overlap nothing else.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn diamond_body<V: Lanes, const E: usize, const KV: usize, const NR: usize>(
+    k: usize,
+    h: usize,
+    band: usize,
+    v: *const V::F,
+    ldv: usize,
+    t: *const V::F,
+    ldt: usize,
+    c: *mut V::F,
+    ldc: usize,
+    n: usize,
+    w: *mut V::F,
+) {
+    const { assert!(KV <= 3, "each_span! covers blocks of up to 3 vectors") };
+    let lanes = V::N / E;
+    let cb = KV * lanes;
+    let mut tile_buf = std::mem::MaybeUninit::<[[V; KV]; DIAMOND_TILE_ROWS]>::uninit();
+    let tile = tile_buf.as_mut_ptr().cast::<[V; KV]>();
+    // Step 1: W = V^H C. Vector `q` of a column block covers columns
+    // `c0 + q lanes ..`; its rows run from its first diagonal to the end
+    // of its last column.
+    for c0 in (0..k).step_by(cb) {
+        let c1 = (c0 + cb).min(k);
+        let live = |q: usize| c0 + q * lanes < c1;
+        let st: [usize; KV] =
+            std::array::from_fn(|q| if live(q) { c0 + q * lanes } else { usize::MAX });
+        let en: [usize; KV] = std::array::from_fn(|q| {
+            let last = (c0 + q * lanes + lanes).min(c1) - 1;
+            if live(q) {
+                h.min(last + band)
+            } else {
+                usize::MAX
+            }
+        });
+        let (r0, r1) = (c0, h.min(c1 - 1 + band));
+        let once = r1 - r0 <= DIAMOND_TILE_ROWS;
+        if once {
+            fill_tile::<V, E, KV>(tile, v, ldv, c0, c1, r0, r1);
+        }
+        for j0 in (0..n).step_by(NR) {
+            let jn = NR.min(n - j0);
+            let cols: [*const V::F; NR] =
+                std::array::from_fn(|jj| c.add((j0 + jj.min(jn - 1)) * ldc * E).cast_const());
+            let mut acc = Acc::<V, KV, NR>::zero();
+            for q0 in (r0..r1).step_by(DIAMOND_TILE_ROWS) {
+                let q1 = (q0 + DIAMOND_TILE_ROWS).min(r1);
+                if !once {
+                    fill_tile::<V, E, KV>(tile, v, ldv, c0, c1, q0, q1);
+                }
+                each_span!(st, en, q0, q1, KV, |a, b| vh_rows::<V, E, KV, NR>(
+                    &mut acc, tile, q0, a, b, &cols
+                ));
+            }
+            for jj in 0..jn {
+                let dst = w.add((c0 + (j0 + jj) * k) * E);
+                put_block::<V, E, KV>(&acc.s1[jj], &acc.s2[jj], dst, c1 - c0, false);
+            }
+        }
+    }
+    for j0 in (0..n).step_by(NR) {
+        let jn = NR.min(n - j0);
+        let wcol: [*mut V::F; NR] = std::array::from_fn(|jj| w.add((j0 + jj.min(jn - 1)) * k * E));
+        // Step 2: W <- T W. Vector `q` of a row block joins at `l = c0 +
+        // q lanes`, reading rows `c0 ..= l` of T's column `l`.
+        for c0 in (0..k).step_by(cb) {
+            let c1 = (c0 + cb).min(k);
+            let live = |q: usize| c0 + q * lanes < c1;
+            let st: [usize; KV] =
+                std::array::from_fn(|q| if live(q) { c0 + q * lanes } else { usize::MAX });
+            let en: [usize; KV] = std::array::from_fn(|q| if live(q) { k } else { usize::MAX });
+            let mut acc = Acc::<V, KV, NR>::zero();
+            let tc = t.add(c0 * E);
+            let valid = |l: usize| (l + 1).min(c1) - c0;
+            each_span!(st, en, c0, k, KV, |a, b| m_cols::<V, E, KV, NR>(
+                &mut acc, tc, ldt, valid, a, b, &wcol
+            ));
+            for ((w, s1), s2) in wcol.iter().zip(&acc.s1).zip(&acc.s2).take(jn) {
+                put_block::<V, E, KV>(s1, s2, w.add(c0 * E), c1 - c0, false);
+            }
+        }
+        // Step 3: C -= V W. Vector `q` of a row block covers rows `i0 + q
+        // lanes ..`; the columns whose support meets them run from the
+        // first reaching its top row to the last starting at its bottom.
+        for i0 in (0..h).step_by(cb) {
+            let i1 = (i0 + cb).min(h);
+            let live = |q: usize| i0 + q * lanes < i1;
+            let st: [usize; KV] = std::array::from_fn(|q| {
+                if live(q) {
+                    (i0 + q * lanes + 1).saturating_sub(band)
+                } else {
+                    usize::MAX
+                }
+            });
+            let en: [usize; KV] = std::array::from_fn(|q| {
+                if live(q) {
+                    (i0 + q * lanes + lanes).min(i1).min(k)
+                } else {
+                    usize::MAX
+                }
+            });
+            let mut acc = Acc::<V, KV, NR>::zero();
+            let vi = v.add(i0 * E);
+            let valid = |_: usize| i1 - i0;
+            each_span!(st, en, 0, k, KV, |a, b| m_cols::<V, E, KV, NR>(
+                &mut acc, vi, ldv, valid, a, b, &wcol
+            ));
+            for jj in 0..jn {
+                let dst = c.add((i0 + (j0 + jj) * ldc) * E);
+                put_block::<V, E, KV>(&acc.s1[jj], &acc.s2[jj], dst, i1 - i0, true);
+            }
+        }
+    }
+}
+
+/// A safe [`DiamondFn`] entry over one [`diamond_body`] instance: asserts
+/// every bound the body relies on, then runs it — the portable body
+/// directly, a SIMD body through a nested `unsafe fn` compiled for its
+/// ISA.
+macro_rules! diamond_entry {
+    ($name:ident, $t:ty, $v:ty, $e:expr, $kv:expr, $nr:expr) => {
+        diamond_entry!(@safe #[cfg(all())] $name, $t, diamond_body::<$v, $e, $kv, $nr>, {});
+    };
+    ($feat:literal, $name:ident, $t:ty, $v:ty, $e:expr, $kv:expr, $nr:expr) => {
+        diamond_entry!(@safe #[cfg(target_arch = "x86_64")] $name, $t, body, {
+            /// # Safety
+            ///
+            /// The CPU features this function enables are available;
+            /// the pointer preconditions of [`diamond_body`].
+            #[target_feature(enable = $feat)]
+            #[allow(clippy::too_many_arguments)]
+            unsafe fn body(
+                k: usize,
+                h: usize,
+                band: usize,
+                v: *const <$v as Lanes>::F,
+                ldv: usize,
+                t: *const <$v as Lanes>::F,
+                ldt: usize,
+                c: *mut <$v as Lanes>::F,
+                ldc: usize,
+                n: usize,
+                w: *mut <$v as Lanes>::F,
+            ) {
+                diamond_body::<$v, $e, $kv, $nr>(k, h, band, v, ldv, t, ldt, c, ldc, n, w)
+            }
+        });
+    };
+    (@safe #[$cfg:meta] $name:ident, $t:ty, $body:expr, { $($item:item)* }) => {
+        #[$cfg]
+        #[allow(clippy::too_many_arguments)]
+        fn $name(
+            k: usize,
+            h: usize,
+            band: usize,
+            v: &[$t],
+            ldv: usize,
+            t: &[$t],
+            ldt: usize,
+            c: &mut [$t],
+            ldc: usize,
+            n: usize,
+            work: &mut [$t],
+        ) {
+            $($item)*
+            if k == 0 || n == 0 {
+                return;
+            }
+            assert!(h >= k && band >= 1, "diamond geometry");
+            assert!(ldv >= h && ldt >= k && ldc >= h, "diamond leading dimension");
+            assert!(v.len() >= (k - 1) * ldv + h, "diamond V out of bounds");
+            assert!(t.len() >= (k - 1) * ldt + k, "diamond T out of bounds");
+            assert!(c.len() >= (n - 1) * ldc + h, "diamond C out of bounds");
+            assert!(work.len() >= k * n, "diamond workspace too short");
+            let (v, t) = (v.as_ptr().cast(), t.as_ptr().cast());
+            let (c, w) = (c.as_mut_ptr().cast(), work.as_mut_ptr().cast());
+            // SAFETY: bounds asserted above; `c` and `work` are distinct
+            // `&mut` borrows. A SIMD entry is only reachable through its
+            // descriptor, which `available()` registers once the ISA is
+            // detected.
+            unsafe { $body(k, h, band, v, ldv, t, ldt, c, ldc, n, w) }
+        }
+    };
+}
+
+// Register blocks: `KV` vectors by `NR` columns, chosen so the
+// accumulators, the `KV` operand vectors (and their pair swaps) and the
+// broadcasts fit the register file — the AVX-512 `f64` block is the
+// 24 x 8 GEMM tile.
+diamond_entry!(diamond_scalar_f64, f64, Port<f64, 4>, 1, 3, 4);
+diamond_entry!("avx2,fma", diamond_avx2_f64, f64, __m256d, 1, 3, 4);
+diamond_entry!("avx512f", diamond_avx512_f64, f64, __m512d, 1, 3, 8);
+diamond_entry!(diamond_scalar_f32, f32, Port<f32, 8>, 1, 3, 4);
+diamond_entry!("avx2,fma", diamond_avx2_f32, f32, __m256, 1, 3, 4);
+diamond_entry!("avx512f", diamond_avx512_f32, f32, __m512, 1, 2, 8);
+diamond_entry!(diamond_scalar_c64, C64, Port<f64, 4>, 2, 2, 2);
+diamond_entry!("avx2,fma", diamond_avx2_c64, C64, __m256d, 2, 2, 2);
+diamond_entry!("avx512f", diamond_avx512_c64, C64, __m512d, 2, 2, 4);
+diamond_entry!(diamond_scalar_c32, C32, Port<f32, 8>, 2, 2, 2);
+diamond_entry!("avx2,fma", diamond_avx2_c32, C32, __m256, 2, 2, 2);
+diamond_entry!("avx512f", diamond_avx512_c32, C32, __m512, 2, 2, 4);
 
 // ---------------------------------------------------------------------------
 // FMA peak probe

@@ -406,6 +406,10 @@ pub struct BlockReflector<T> {
     pub rows: usize,
     /// Column count of `V` (the number of elementary reflectors).
     pub k: usize,
+    /// Diamond support width: column `p` of `V` is zero below row
+    /// `p + band` (the back-transform's parallelogram); unused by the
+    /// trapezoidal stage-1 panels.
+    pub band: usize,
     pub v: Vec<T>,
     pub t: Vec<T>,
 }

@@ -8,8 +8,9 @@
 
 use proptest::prelude::*;
 use tseig_kernels::blas3::{
-    gemm, gemm_par, gemm_par_with, gemm_unpacked, symm_lower_left, symm_lower_left_par,
-    syr2k_lower, syr2k_lower_par, syrk_lower, trmm_unit_lower_left, trmm_upper_left, Trans,
+    diamond_left, gemm, gemm_par, gemm_par_with, gemm_unpacked, symm_lower_left,
+    symm_lower_left_par, syr2k_lower, syr2k_lower_par, syrk_lower, trmm_unit_lower_left,
+    trmm_upper_left, Trans,
 };
 use tseig_kernels::cholesky::{hegst, potrf, trsm_left, trsm_right};
 use tseig_kernels::householder::{larf_left, larfb_with_work, Side};
@@ -224,9 +225,51 @@ fn trmm_unit_lower_rejects_short_b() {
     trmm_unit_lower_left(Trans::Yes, 4, 4, &l, 4, &mut b, 4);
 }
 
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "contracts compile out in release")]
+#[should_panic(expected = "leading dimension")]
+fn diamond_left_rejects_small_ldc() {
+    // A 3-reflector diamond of height 5 (band 3): C needs ldc >= 5.
+    let (v, t) = (filled(15, 1), filled(9, 2));
+    let mut c = filled(20, 3);
+    let mut work = vec![0.0; 12];
+    diamond_left(3, 5, 3, &v, 5, &t, 3, &mut c, 4, 4, &mut work);
+}
+
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "contracts compile out in release")]
+#[should_panic(expected = "leading dimension")]
+fn diamond_left_rejects_small_ldv() {
+    let (v, t) = (filled(15, 1), filled(9, 2));
+    let mut c = filled(20, 3);
+    let mut work = vec![0.0; 12];
+    diamond_left(3, 5, 3, &v, 4, &t, 3, &mut c, 5, 4, &mut work);
+}
+
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "contracts compile out in release")]
+#[should_panic(expected = "slice too short")]
+fn diamond_left_rejects_short_work() {
+    let (v, t) = (filled(15, 1), filled(9, 2));
+    let mut c = filled(20, 3);
+    let mut work = vec![0.0; 11]; // k x n = 3 x 4 needs 12
+    diamond_left(3, 5, 3, &v, 5, &t, 3, &mut c, 5, 4, &mut work);
+}
+
 // ---------------------------------------------------------------------
 // Aliased in/out operands.
 // ---------------------------------------------------------------------
+
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "contracts compile out in release")]
+#[should_panic(expected = "overlaps output")]
+fn diamond_left_rejects_aliased_v_and_c() {
+    let t = filled(9, 2);
+    let mut buf = filled(20, 1);
+    let (v, c) = aliased_pair(&mut buf);
+    let mut work = vec![0.0; 12];
+    diamond_left(3, 5, 3, v, 5, &t, 3, c, 5, 4, &mut work);
+}
 
 #[test]
 #[cfg_attr(not(debug_assertions), ignore = "contracts compile out in release")]
@@ -417,6 +460,17 @@ fn symm_rejects_aliased_b_and_c_c64() {
     symm_lower_left(4, 2, C64::ONE, &a, 4, b, 4, C64::ZERO, c, 4);
 }
 
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "contracts compile out in release")]
+#[should_panic(expected = "overlaps output")]
+fn diamond_left_rejects_aliased_t_and_c_c64() {
+    let v = cfilled(15, 1);
+    let mut buf = cfilled(20, 2);
+    let (t, c) = aliased_pair(&mut buf);
+    let mut work = vec![C64::ZERO; 12];
+    diamond_left(3, 5, 3, &v, 5, t, 3, c, 5, 4, &mut work);
+}
+
 // ---------------------------------------------------------------------
 // `paranoid`: NaN/Inf input poison detection, scoped to the read set.
 // ---------------------------------------------------------------------
@@ -587,5 +641,14 @@ proptest! {
         // trmm_unit_lower_left: B (k x n) = L (k x k, unit lower) B.
         trmm_unit_lower_left(Trans::No, k, n, &t, ldt, &mut rhs2, k + sb);
         prop_assert!(rhs2.iter().all(|v| v.is_finite()));
+
+        // diamond_left: C (h x n) -= V T V^T C, V an h x k diamond of
+        // band m.
+        let h = k + m - 1;
+        let v = filled((h + sa) * k, seed + 8);
+        let mut cd = filled((h + sc) * n, seed + 9);
+        let mut work = vec![0.0; k * n];
+        diamond_left(k, h, m, &v, h + sa, &t, ldt, &mut cd, h + sc, n, &mut work);
+        prop_assert!(cd.iter().all(|v| v.is_finite()));
     }
 }

@@ -171,7 +171,7 @@ pub fn solve_with_diag(
             let mut ee = Vec::new();
             match qr_iteration::steqr_ws(&mut d, &mut e, Some(&mut z), &mut ee, ctrl) {
                 Ok(()) => {
-                    let (zsel, vals) = select_columns(&z, &d, lo, hi);
+                    let (zsel, vals) = select_columns(z, &d, lo, hi);
                     Ok(TridiagEigen {
                         eigenvalues: vals,
                         eigenvectors: Some(zsel),
@@ -191,7 +191,7 @@ pub fn solve_with_diag(
         }
         Method::DivideAndConquer => {
             let (vals, z) = dandc::stedc_with(t, rec, ctrl)?;
-            let (zsel, vals) = select_columns(&z, &vals, lo, hi);
+            let (zsel, vals) = select_columns(z, &vals, lo, hi);
             Ok(TridiagEigen {
                 eigenvalues: vals,
                 eigenvectors: Some(zsel),
@@ -300,9 +300,11 @@ pub fn steqr_planned(
     }
 }
 
-fn select_columns(z: &Matrix, vals: &[f64], lo: usize, hi: usize) -> (Matrix, Vec<f64>) {
+/// Columns `lo..hi` of `z` and their eigenvalues; the full range hands
+/// `z` back without a copy.
+fn select_columns(z: Matrix, vals: &[f64], lo: usize, hi: usize) -> (Matrix, Vec<f64>) {
     if lo == 0 && hi == z.cols() {
-        return (z.clone(), vals.to_vec());
+        return (z, vals.to_vec());
     }
     let n = z.rows();
     let k = hi - lo;
