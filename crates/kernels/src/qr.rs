@@ -8,7 +8,7 @@
 use crate::blas3::engine::GemmScalar;
 use crate::blas3::Trans;
 use crate::contract;
-use crate::householder::{larfb_with_work, larfg, larft, Side};
+use crate::householder::{larfb_with_work, larfg, larft, BlockReflector, Side};
 use tseig_matrix::workspace::{reset_zeroed, MemReq};
 use tseig_matrix::{ComplexScalar, Matrix, Scalar};
 
@@ -173,7 +173,8 @@ pub fn geqrf_ws<T: GemmScalar>(
             // Build clean V and T for the panel, then update the trailing
             // matrix with a blocked reflector.
             let QrWs { v, t, larfb, .. } = ws;
-            extract_v_t_vec(&a[j + j * lda..], lda, m - j, jb, &tau[j..j + jb], v, t);
+            let (panel, tau) = (&a[j + j * lda..], &tau[j..j + jb]);
+            v_t_from_panel(panel, lda, Storev::Columns, m - j, jb, tau, v, t);
             let wlen = 2 * jb * (n - j - jb);
             larfb.clear();
             larfb.resize(wlen, T::ZERO);
@@ -196,57 +197,64 @@ pub fn geqrf_ws<T: GemmScalar>(
     }
 }
 
-/// Copy the reflectors of a factored panel (`geqr2` layout, `mm x kk`)
-/// into an explicit-V matrix (unit diagonal, zeros above) and compute its
-/// `T` factor (column-major `kk x kk`), resizing the caller's storage in
-/// place (no allocation once the buffers are warm).
-pub fn extract_v_t_into(
-    a: &[f64],
-    lda: usize,
-    mm: usize,
-    kk: usize,
-    tau: &[f64],
-    v: &mut Matrix,
-    t: &mut Vec<f64>,
-) {
-    v.reset_to(mm, kk);
-    v_t_from_panel(a, lda, mm, kk, tau, v.as_mut_slice(), t);
+/// How a factored panel stores its reflectors (LAPACK's `STOREV`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Storev {
+    /// Down the columns, below the diagonal: `geqrf`, `sytrd` and
+    /// `gebrd`'s left reflectors. Entry `r` of reflector `c` is
+    /// `a[r + c * lda]`.
+    Columns,
+    /// Along the rows, right of the diagonal: `gebrd`'s right
+    /// reflectors. Entry `r` of reflector `c` is `a[c + r * lda]`, taken
+    /// as stored (no conjugation).
+    Rows,
 }
 
-/// [`extract_v_t_into`] at any element type, with `V` as a flat
-/// column-major `mm x kk` buffer (`ld = mm`).
-pub fn extract_v_t_vec<T: Scalar>(
+/// Build reflectors `0 .. kk` of a factored panel into the block
+/// reflector `p` acting on rows `r0 .. r0 + mm`, reusing `p`'s storage:
+/// the explicit `mm x kk` `V` (unit diagonal, zeros above, the stored
+/// entries below) and its `T` factor. No allocation once `p` is warm.
+#[allow(clippy::too_many_arguments)]
+pub fn block_reflector_into<T: Scalar>(
     a: &[T],
     lda: usize,
+    storev: Storev,
+    r0: usize,
+    mm: usize,
+    kk: usize,
+    tau: &[T],
+    p: &mut BlockReflector<T>,
+) {
+    (p.r0, p.rows, p.k) = (r0, mm, kk);
+    v_t_from_panel(a, lda, storev, mm, kk, tau, &mut p.v, &mut p.t);
+}
+
+/// Fill `v` with the explicit-V form of a factored panel (`mm x kk`,
+/// column-major, `ld = mm`) and write its `T` factor (`kk x kk`),
+/// resizing both in place.
+#[allow(clippy::too_many_arguments)]
+fn v_t_from_panel<T: Scalar>(
+    a: &[T],
+    lda: usize,
+    storev: Storev,
     mm: usize,
     kk: usize,
     tau: &[T],
     v: &mut Vec<T>,
     t: &mut Vec<T>,
 ) {
+    let (rs, cs) = match storev {
+        Storev::Columns => (1, lda),
+        Storev::Rows => (lda, 1),
+    };
     reset_zeroed(v, mm * kk);
-    v_t_from_panel(a, lda, mm, kk, tau, v, t);
-}
-
-/// Fill the zeroed `mm x kk` buffer `v` with the explicit-V form of a
-/// factored panel and write its `T` factor.
-fn v_t_from_panel<T: Scalar>(
-    a: &[T],
-    lda: usize,
-    mm: usize,
-    kk: usize,
-    tau: &[T],
-    v: &mut [T],
-    t: &mut Vec<T>,
-) {
     for col in 0..kk {
         v[col + col * mm] = T::ONE;
         for r in col + 1..mm {
-            v[r + col * mm] = a[r + col * lda];
+            v[r + col * mm] = a[r * rs + col * cs];
         }
     }
-    t.clear();
-    t.resize(kk * kk, T::ZERO);
+    reset_zeroed(t, kk * kk);
     larft(mm, kk, v, mm, tau, t, kk);
 }
 

@@ -27,7 +27,7 @@ use crate::blas3::{
     gemm, gemm_par, symm_lower_left, symm_lower_left_par, syr2k_lower, syr2k_lower_par, Trans,
 };
 use crate::householder::BlockReflector;
-use crate::qr::{extract_v_t_vec, geqrf_ws, QrWs};
+use crate::qr::{block_reflector_into, geqrf_ws, QrWs, Storev};
 use tseig_matrix::workspace::reset_zeroed;
 use tseig_matrix::Ctrl;
 
@@ -114,8 +114,8 @@ pub fn reduce_ws<T: GemmScalar>(
         }
         let p = &mut panels[npanels];
         npanels += 1;
-        (p.r0, p.rows, p.k) = (r0, m, kb);
-        extract_v_t_vec(&a[r0 + j0 * lda..], lda, m, kb, &ws.tau, &mut p.v, &mut p.t);
+        let panel = &a[r0 + j0 * lda..];
+        block_reflector_into(panel, lda, Storev::Columns, r0, m, kb, &ws.tau, p);
         // Zero the annihilated part of the panel in A (below the R
         // factor) so the band extraction sees the true band; R itself
         // (the new band block) stays.

@@ -9,13 +9,27 @@
 
 use tseig_kernels::contract;
 use tseig_kernels::householder::{larf_left, larf_right, larfg};
-use tseig_matrix::Matrix;
+use tseig_matrix::{Ctrl, Matrix, Result};
+
+/// `(tauq, taup, d, e)`: the left/right reflector scalars and the
+/// bidiagonal (`d` diagonal, `e` super-diagonal).
+pub type Bidiagonal = (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>);
 
 /// Reduce an `m x n` matrix (`m >= n`) to upper bidiagonal form in
-/// place: `A = Q B P^T`. Returns `(tauq, taup, d, e)` — the left/right
-/// reflector scalars and the bidiagonal (`d` diagonal, `e`
-/// super-diagonal).
-pub fn gebrd(a: &mut Matrix) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>) {
+/// place: `A = Q B P^T`. The left reflector `j` is stored below the
+/// diagonal of column `j`, the right one right of the superdiagonal of
+/// row `j`.
+pub fn gebrd(a: &mut Matrix) -> Bidiagonal {
+    match gebrd_with(a, &Ctrl::NONE) {
+        Ok(r) => r,
+        Err(e) => unreachable!("inert control failed: {e}"),
+    }
+}
+
+/// [`gebrd`] under a request control: polls `ctrl` once per column, so
+/// a cancel or expired deadline aborts the reduction with the
+/// structured error (`a` is then partly reduced).
+pub fn gebrd_with(a: &mut Matrix, ctrl: &Ctrl) -> Result<Bidiagonal> {
     let (m, n) = (a.rows(), a.cols());
     assert!(m >= n, "gebrd expects m >= n (tall)");
     let lda = a.ld();
@@ -31,6 +45,7 @@ pub fn gebrd(a: &mut Matrix) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>) {
     let mut work = vec![0.0f64; m.max(n)];
 
     for j in 0..n {
+        ctrl.checkpoint()?;
         // Left reflector: annihilate column j below the diagonal.
         let rows = m - j;
         let (beta, tq) = {
@@ -85,7 +100,7 @@ pub fn gebrd(a: &mut Matrix) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>) {
             a[(j, j + 1)] = beta_r;
         }
     }
-    (tauq, taup, d, e)
+    Ok((tauq, taup, d, e))
 }
 
 #[cfg(test)]

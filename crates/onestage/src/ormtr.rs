@@ -8,12 +8,19 @@
 
 use crate::sytrd::TridiagFactor;
 use rayon::prelude::*;
-use tseig_kernels::blas3::Trans;
-use tseig_kernels::householder::{larfb, larft, Side};
+use tseig_kernels::backtransform::apply_q;
+use tseig_kernels::flops;
+use tseig_kernels::householder::BlockReflector;
+use tseig_kernels::qr::{block_reflector_into, Storev};
 use tseig_matrix::Matrix;
 
 /// `C <- Q1 C` with `Q1` from [`crate::sytrd::sytrd`]. `C` must have `n`
 /// rows; any number of columns (eigenvector subsets included).
+///
+/// Each block of `nb` reflectors is built once (explicit `V`, `T` from
+/// `larft`), over the pool; the blocks then run in reverse order on
+/// every cache-sized column panel of `C` through the back-transform's
+/// panel loop.
 pub fn ormtr_left(f: &TridiagFactor, c: &mut Matrix) {
     let n = f.a.rows();
     assert_eq!(c.rows(), n, "C must have n rows");
@@ -21,73 +28,23 @@ pub fn ormtr_left(f: &TridiagFactor, c: &mut Matrix) {
         return;
     }
     let nb = f.nb.max(1);
-    let ncols = c.cols();
-    let nrefl = n - 1; // reflectors j = 0..n-1 (trailing ones may be trivial)
-
-    // Column-parallel: each worker applies the whole reflector sequence
-    // to its own panel of C — no inter-thread traffic (same layout the
-    // paper uses for the Q2 application).
-    let threads = rayon::current_num_threads();
-    let jb = ncols.div_ceil(threads.max(1)).max(16).min(ncols);
-    let ldc = c.ld();
-    let scope = tseig_kernels::flops::scope();
-    c.as_mut_slice().par_chunks_mut(jb * ldc).for_each(|panel| {
-        let pcols = panel.len() / ldc + usize::from(panel.len() % ldc != 0);
-        let _charged = scope.enter();
-        apply_panel(f, n, nb, nrefl, panel, ldc, pcols);
-    });
-}
-
-fn apply_panel(
-    f: &TridiagFactor,
-    n: usize,
-    nb: usize,
-    nrefl: usize,
-    c: &mut [f64],
-    ldc: usize,
-    ncols: usize,
-) {
-    // Blocks of reflectors [j0, j0+kb), applied in reverse block order.
+    let nrefl = n - 1; // reflector j acts on rows j+1..n
     let lda = f.a.ld();
-    let nblocks = nrefl.div_ceil(nb);
-    for b in (0..nblocks).rev() {
-        let j0 = b * nb;
-        let kb = nb.min(nrefl - j0);
-        // Reflector j acts on rows j+1..n; the block's V is (n - j0 - 1) x kb
-        // with column l having its unit at local row l.
-        let mrows = n - j0 - 1;
-        let mut v = Matrix::zeros(mrows, kb);
-        for l in 0..kb {
-            let j = j0 + l;
-            v[(l, l)] = 1.0;
-            for r in (j + 2)..n {
-                v[(r - j0 - 1, l)] = f.a.as_slice()[r + j * lda];
-            }
-        }
-        let mut t = vec![0.0f64; kb * kb];
-        larft(
-            mrows,
-            kb,
-            v.as_slice(),
-            mrows,
-            &f.tau[j0..j0 + kb],
-            &mut t,
-            kb,
-        );
-        larfb(
-            Side::Left,
-            Trans::No,
-            mrows,
-            ncols,
-            kb,
-            v.as_slice(),
-            mrows,
-            &t,
-            kb,
-            &mut c[j0 + 1..],
-            ldc,
-        );
-    }
+    let scope = flops::scope();
+    let blocks: Vec<BlockReflector<f64>> = (0..nrefl.div_ceil(nb))
+        .into_par_iter()
+        .map(|b| {
+            let _charged = scope.enter();
+            let (j0, kb) = (b * nb, nb.min(nrefl - b * nb));
+            let (r0, mm) = (j0 + 1, n - j0 - 1);
+            let (stored, tau) = (&f.a.as_slice()[r0 + j0 * lda..], &f.tau[j0..j0 + kb]);
+            let mut p = BlockReflector::default();
+            block_reflector_into(stored, lda, Storev::Columns, r0, mm, kb, tau, &mut p);
+            p
+        })
+        .collect();
+    let ldc = c.ld();
+    apply_q(&[], &blocks, c.as_mut_slice(), ldc, 1, 0);
 }
 
 #[cfg(test)]

@@ -10,9 +10,30 @@
 //! row-annihilation sweep so singular matrices converge too.
 
 use tseig_kernels::contract;
+use tseig_kernels::flops::{self, Level};
 use tseig_matrix::{chaos, Ctrl, Error, Matrix, Result};
 
 const MAX_ITER_PER_VALUE: usize = 60;
+
+/// Flops of a sweep's Wilkinson shift and starting pair.
+const SHIFT_FLOPS: u64 = 20;
+/// Flops of one bidiagonal step: two Givens rotations (6 each, as
+/// `dlartg` is counted) and 16 for rotating `d`, `e` and the bulge.
+const STEP_FLOPS: u64 = 28;
+/// Flops of one step of the zero-diagonal row annihilation: one Givens
+/// rotation and the two updates of the coupling.
+const ANNIHILATE_FLOPS: u64 = 8;
+/// Flops per row of one column-pair rotation (`drot`).
+const ROT_FLOPS: u64 = 6;
+/// Bytes of one step: `d` and `e` entries read and written back.
+const STEP_BYTES: u64 = 64;
+
+/// Charge one sweep of `steps` bidiagonal steps (`shift` flops ahead of
+/// them) and `rot_rows` rotated vector rows, once per sweep.
+fn charge_sweep(shift: u64, step: u64, steps: u64, rot_rows: u64) {
+    flops::add(Level::L1, shift + step * steps + ROT_FLOPS * rot_rows);
+    flops::add_bytes(Level::L1, STEP_BYTES * steps + 32 * rot_rows);
+}
 
 /// Diagonalize the upper bidiagonal `(d, e)` in place: on success `d`
 /// holds the singular values, descending, non-negative; `e` is
@@ -179,6 +200,14 @@ fn golub_kahan_step(
     mut u: Option<&mut Matrix>,
     mut v: Option<&mut Matrix>,
 ) {
+    // Each step rotates one column pair of V and one of U.
+    let rows = u.as_ref().map_or(0, |x| x.rows()) + v.as_ref().map_or(0, |x| x.rows());
+    charge_sweep(
+        SHIFT_FLOPS,
+        STEP_FLOPS,
+        (m - l) as u64,
+        (rows * (m - l)) as u64,
+    );
     // Wilkinson shift from the trailing 2x2 of B^T B.
     let dm1 = d[m - 1];
     let em2 = if m >= 2 && m - 1 > l { e[m - 2] } else { 0.0 };
@@ -244,6 +273,8 @@ fn golub_kahan_step(
 /// row `k` against rows `k+1..=m` from the left (Golub–Reinsch
 /// cancellation), splitting the block.
 fn annihilate_row(d: &mut [f64], e: &mut [f64], k: usize, m: usize, mut u: Option<&mut Matrix>) {
+    let rows = u.as_ref().map_or(0, |x| x.rows());
+    charge_sweep(0, ANNIHILATE_FLOPS, (m - k) as u64, (rows * (m - k)) as u64);
     let mut f = e[k];
     e[k] = 0.0;
     for i in k + 1..=m {
@@ -372,6 +403,40 @@ mod tests {
     #[test]
     fn already_diagonal() {
         check(vec![3.0, -1.0, 2.0], vec![0.0, 0.0], "diag");
+    }
+
+    #[test]
+    fn counted_flops_split_into_steps_and_rotations() {
+        // A nonsingular bidiagonal runs only Golub-Kahan sweeps, and
+        // vectors add exactly two n-row rotations per step. So the
+        // difference of the two counts gives the step count, and the
+        // values-only count must then split into whole sweeps.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let n = 40;
+        let mut rng = StdRng::seed_from_u64(91);
+        let d0: Vec<f64> = (0..n).map(|_| rng.gen_range(1.0..2.0)).collect();
+        let e0: Vec<f64> = (0..n - 1).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let (mut d, mut e) = (d0.clone(), e0.clone());
+        let (_, values) = flops::measure(|| bdsqr(&mut d, &mut e, None, None).unwrap());
+        let (mut d, mut e) = (d0, e0);
+        let (mut u, mut v) = (Matrix::identity(n), Matrix::identity(n));
+        let (_, vectors) =
+            flops::measure(|| bdsqr(&mut d, &mut e, Some(&mut u), Some(&mut v)).unwrap());
+        assert!(values.total() > 0, "values-only bdsqr charged nothing");
+        let rot = vectors.total() - values.total();
+        let per_step = 2 * ROT_FLOPS * n as u64;
+        assert_eq!(rot % per_step, 0, "rotation flops {rot}");
+        let steps = rot / per_step;
+        let shifts = values.total() - STEP_FLOPS * steps;
+        assert_eq!(shifts % SHIFT_FLOPS, 0, "shift flops {shifts}");
+        let sweeps = shifts / SHIFT_FLOPS;
+        assert!(
+            0 < sweeps && sweeps <= steps,
+            "{sweeps} sweeps, {steps} steps"
+        );
+        // The rotations dominate: up to 12 n / 28 times the scalar work.
+        assert!(rot > 5 * values.total(), "rot {rot} values {values:?}");
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! Two pipelines reach the same bidiagonal QR finish:
 //!
 //! * **one-stage** — `gebrd` (all `gemv`-bound, the paper's §4.1
-//!   baseline), reflector back-transformation, `bdsqr`;
+//!   baseline), `bdsqr`, and the back-transformation with `gebrd`'s
+//!   reflectors grouped into blocked panels (the `dormbr` role);
 //! * **two-stage** — [`crate::stage1::ge2bb`] (BLAS-3 dense→band) then
 //!   the [`crate::stage2`] bulge chase under a Serial/Static/Dynamic
 //!   scheduler, back-transformation from the panel and chase reflector
@@ -18,11 +19,13 @@ use crate::bdsqr::bdsqr_with;
 use crate::stage1::{apply_p1, apply_q1, ge2bb_with};
 use crate::stage2::{reduce_scheduled, reduce_ws, BvSet, Stage2Exec, Stage2Ws};
 use std::time::Duration;
-use tseig_kernels::householder::larf_left;
+use tseig_kernels::backtransform::{apply_q, apply_q_ws, default_panel_cols, BtPlan};
+use tseig_kernels::householder::BlockReflector;
+use tseig_kernels::qr::{block_reflector_into, Storev};
 use tseig_kernels::scaling::{safe_scale_factor, scale_matrix, screen_general};
 use tseig_matrix::diagnostics::{Recorder, Recovery, SolveDiagnostics, VerifyLevel, VerifyReport};
 use tseig_matrix::{Ctrl, Deadline, Error, Matrix, MemBudget, MemReq, Result};
-use tseig_onestage::bidiagonal::gebrd;
+use tseig_onestage::bidiagonal::gebrd_with;
 
 /// Thin SVD of an `m x n` matrix (`m >= n`): `A = U diag(s) V^T` with
 /// `U` `m x n`, `V` `n x n`, `s` descending non-negative.
@@ -53,10 +56,12 @@ pub enum SvdMethod {
 
 /// Reusable buffers of the SVD driver, mirroring `SolvePlan`'s ownership
 /// model: the dense working copy, the bidiagonal, the chase reflector
-/// set and scratch, and the accumulation matrices all live here and are
-/// reused across solves of the same shape instead of being reallocated
-/// (the one-stage path used to `clone` the input silently on every
-/// call).
+/// set and scratch, and the one-stage back-transform's single reflector
+/// panel and serial apply scratch live here and are reused across
+/// solves of the same shape instead of being reallocated. The `bdsqr`
+/// accumulators `Ub`/`Vb` become the result's `U`/`V` in place (a tall
+/// `U` is copied into its `m x n` frame), so each vector solve allocates
+/// them once, as a copy out would.
 #[derive(Default)]
 pub struct SvdPlan {
     work: Matrix,
@@ -68,6 +73,8 @@ pub struct SvdPlan {
     e: Vec<f64>,
     d0: Vec<f64>,
     e0: Vec<f64>,
+    panel: BlockReflector<f64>,
+    bt: BtPlan<f64>,
 }
 
 impl SvdPlan {
@@ -83,6 +90,8 @@ impl SvdPlan {
             + self.vb.capacity_bytes()
             + self.bv.capacity_bytes()
             + self.ws.capacity_bytes()
+            + self.panel.capacity_bytes()
+            + self.bt.capacity_bytes()
             + (self.d.capacity() + self.e.capacity() + self.d0.capacity() + self.e0.capacity())
                 * size_of::<f64>()
     }
@@ -192,6 +201,9 @@ impl GeSvd {
             .and(MemReq::f64s((3 * b + 2) * n)) // band form + bulge fill
             .and(MemReq::f64s(2 * n * (b + 1))) // chase reflector slots
             .and(MemReq::f64s(4 * n)) // bidiagonal + retry snapshot
+            .and(MemReq::f64s(
+                (m + b) * b + 2 * b * n.min(default_panel_cols::<f64>()),
+            )) // one-stage panel + scratch
     }
 
     /// Compute the SVD with internally-allocated buffers.
@@ -360,10 +372,10 @@ impl GeSvd {
         }
         // U = Q1 (L_chase Ub), V = P1 (R_chase Vb).
         self.ctrl.checkpoint()?;
-        let mut u = plan.ub.clone();
+        let mut u = std::mem::take(&mut plan.ub);
         plan.bv.apply_left(&mut u);
         apply_q1(&form.qpanels, &mut u);
-        let mut v = plan.vb.clone();
+        let mut v = std::mem::take(&mut plan.vb);
         plan.bv.apply_right(&mut v);
         apply_p1(&form.ppanels, &mut v);
         Ok(Svd {
@@ -377,8 +389,7 @@ impl GeSvd {
     /// One-stage pipeline on the (pre-scaled) working copy.
     fn solve_one_stage(&self, plan: &mut SvdPlan, rec: &Recorder) -> Result<Svd> {
         let (m, n) = (plan.work.rows(), plan.work.cols());
-        self.ctrl.checkpoint()?;
-        let (tauq, taup, d, e) = gebrd(&mut plan.work);
+        let (tauq, taup, d, e) = gebrd_with(&mut plan.work, &self.ctrl)?;
         plan.d = d;
         plan.e = e;
         self.bdsqr_with_retry(plan, rec, n, self.vectors)?;
@@ -390,63 +401,60 @@ impl GeSvd {
                 diagnostics: SolveDiagnostics::default(),
             });
         }
-        self.ctrl.checkpoint()?;
-        let fac = &plan.work;
-        // U = Q * [Ub; 0]  (Q = H_0 H_1 ... from the left reflectors).
-        let mut u = Matrix::zeros(m, n);
-        u.set_sub_matrix(0, 0, &plan.ub);
-        let lda = fac.ld();
-        let mut work = vec![0.0f64; n.max(m)];
-        let mut uvec = vec![0.0f64; m];
-        for j in (0..n).rev() {
-            if tauq[j] == 0.0 {
-                continue;
-            }
-            let rows = m - j;
-            uvec[0] = 1.0;
-            for (r, uv) in uvec[1..rows].iter_mut().enumerate() {
-                *uv = fac.as_slice()[j + 1 + r + j * lda];
-            }
-            let ldu = u.ld();
-            larf_left(
-                &uvec[..rows],
-                tauq[j],
-                rows,
-                n,
-                &mut u.as_mut_slice()[j..],
-                ldu,
-                &mut work,
-            );
-        }
-        // V = P * Vb  (P = G_0 G_1 ...; right reflector j acts on rows
-        // j+1..n of V, tail stored in row j of the factored matrix).
-        let mut v = plan.vb.clone();
-        for j in (0..n.saturating_sub(1)).rev() {
-            if taup[j] == 0.0 {
-                continue;
-            }
-            let len = n - j - 1;
-            uvec[0] = 1.0;
-            for c in 1..len {
-                uvec[c] = fac[(j, j + 1 + c)];
-            }
-            let ldv = v.ld();
-            larf_left(
-                &uvec[..len],
-                taup[j],
-                len,
-                n,
-                &mut v.as_mut_slice()[j + 1..],
-                ldv,
-                &mut work,
-            );
-        }
+        // U = Q [Ub; 0] with Q = H_0 H_1 ... (left reflectors, stored in
+        // columns), V = P Vb with P = G_0 G_1 ... (right reflectors,
+        // stored in rows; G_j acts on rows j+1..n).
+        let mut u = if m == n {
+            std::mem::take(&mut plan.ub)
+        } else {
+            let mut u = Matrix::zeros(m, n);
+            u.set_sub_matrix(0, 0, &plan.ub);
+            u
+        };
+        let mut v = std::mem::take(&mut plan.vb);
+        self.apply_gebrd_side(plan, Storev::Columns, &tauq, &mut u)?;
+        self.apply_gebrd_side(plan, Storev::Rows, &taup, &mut v)?;
         Ok(Svd {
             u,
             s: plan.d.clone(),
             v,
             diagnostics: SolveDiagnostics::default(),
         })
+    }
+
+    /// `C <- H_0 H_1 ... H_{k-1} C` for one side's reflectors of the
+    /// `gebrd` factor in `plan.work` (`k = tau.len()`), `nb` at a time:
+    /// each panel is built into the plan's one panel slot and applied,
+    /// last panel first. `Serial` runs the planned loop, polling `ctrl`
+    /// per column panel; other schedulers run the column panels on the
+    /// pool, polling between reflector panels.
+    fn apply_gebrd_side(
+        &self,
+        plan: &mut SvdPlan,
+        storev: Storev,
+        tau: &[f64],
+        c: &mut Matrix,
+    ) -> Result<()> {
+        let SvdPlan {
+            work, panel, bt, ..
+        } = plan;
+        let (nb, lda, ldc) = (self.nb.max(1), work.ld(), c.ld());
+        // Right reflector j starts one row below left reflector j.
+        let shift = usize::from(storev == Storev::Rows);
+        for j0 in (0..tau.len()).step_by(nb).rev() {
+            let (r0, kb) = (j0 + shift, nb.min(tau.len() - j0));
+            let stored = &work.as_slice()[j0 + r0 * lda..];
+            let tau = &tau[j0..j0 + kb];
+            block_reflector_into(stored, lda, storev, r0, c.rows() - r0, kb, tau, panel);
+            let panels = std::slice::from_ref(&*panel);
+            if self.scheduler == Stage2Exec::Serial {
+                apply_q_ws(&[], panels, c.as_mut_slice(), ldc, 1, 0, bt, &self.ctrl)?;
+            } else {
+                self.ctrl.checkpoint()?;
+                apply_q(&[], panels, c.as_mut_slice(), ldc, 1, 0);
+            }
+        }
+        Ok(())
     }
 }
 
@@ -756,6 +764,163 @@ mod tests {
             assert_eq!(resolved.u.as_slice(), fresh.u.as_slice(), "{sched:?}: U");
             assert_eq!(resolved.v.as_slice(), fresh.v.as_slice(), "{sched:?}: V");
         }
+    }
+
+    /// The unblocked back-transform the blocked panels replace: one
+    /// `larf_left` per reflector of one side of `gebrd`'s factor, last
+    /// reflector first (the test oracle).
+    fn unblocked_side(fac: &Matrix, storev: Storev, tau: &[f64], c: &mut Matrix) {
+        let shift = usize::from(storev == Storev::Rows);
+        let (ldc, ncols) = (c.ld(), c.cols());
+        let mut work = vec![0.0; ncols];
+        for j in (0..tau.len()).rev() {
+            let r0 = j + shift;
+            let v: Vec<f64> = (0..c.rows() - r0)
+                .map(|r| match (r, storev) {
+                    (0, _) => 1.0,
+                    (_, Storev::Columns) => fac[(r0 + r, j)],
+                    (_, Storev::Rows) => fac[(j, r0 + r)],
+                })
+                .collect();
+            let (len, c) = (v.len(), &mut c.as_mut_slice()[r0..]);
+            tseig_kernels::householder::larf_left(&v, tau[j], len, ncols, c, ldc, &mut work);
+        }
+    }
+
+    /// Blocked `U = Q C_u` and `V = P C_v` under `Serial` and `Static(2)`
+    /// against the unblocked oracle, within `c n eps`; both schedulers
+    /// give the same bits. Returns the `gebrd` reflector scalars.
+    fn blocked_matches_unblocked(a: &Matrix, nb: usize) -> (Vec<f64>, Vec<f64>) {
+        let (m, n) = (a.rows(), a.cols());
+        let mut fac = a.clone();
+        let (tauq, taup, _, _) = gebrd_with(&mut fac, &Ctrl::NONE).unwrap();
+        let (cu, cv) = (rand_mat(m, n, 5 + m as u64), rand_mat(n, n, 6 + n as u64));
+        let (mut want_u, mut want_v) = (cu.clone(), cv.clone());
+        unblocked_side(&fac, Storev::Columns, &tauq, &mut want_u);
+        unblocked_side(&fac, Storev::Rows, &taup, &mut want_v);
+        let tol = 10.0 * m as f64 * norms::EPS;
+        let mut bits = None;
+        for sched in [Stage2Exec::Serial, Stage2Exec::Static(2)] {
+            let drv = GeSvd::new().nb(nb).scheduler(sched);
+            let mut plan = SvdPlan::new();
+            plan.work = fac.clone();
+            let (mut u, mut v) = (cu.clone(), cv.clone());
+            drv.apply_gebrd_side(&mut plan, Storev::Columns, &tauq, &mut u)
+                .unwrap();
+            drv.apply_gebrd_side(&mut plan, Storev::Rows, &taup, &mut v)
+                .unwrap();
+            let tag = format!("{m}x{n} nb={nb} {sched:?}");
+            assert!(u.approx_eq(&want_u, tol), "{tag}: U off the oracle");
+            assert!(v.approx_eq(&want_v, tol), "{tag}: V off the oracle");
+            let got = (u.as_slice().to_vec(), v.as_slice().to_vec());
+            assert_eq!(bits.get_or_insert_with(|| got.clone()), &got, "{tag}");
+        }
+        (tauq, taup)
+    }
+
+    #[test]
+    fn blocked_back_transform_matches_unblocked_oracle() {
+        let nb = 8;
+        // n = 1 and 2, n < nb, n = nb - 1, nb, nb + 1, several panels,
+        // and tall inputs (one with m > n = nb + 1).
+        for (m, n) in [
+            (1, 1),
+            (2, 2),
+            (3, 2),
+            (5, 5),
+            (7, 7),
+            (8, 8),
+            (9, 9),
+            (27, 27),
+        ] {
+            blocked_matches_unblocked(&rand_mat(m, n, (m * 31 + n) as u64), nb);
+        }
+        for (m, n) in [(40, 17), (25, 9), (6, 1)] {
+            blocked_matches_unblocked(&rand_mat(m, n, (m * 31 + n) as u64), nb);
+        }
+    }
+
+    #[test]
+    fn blocked_back_transform_with_zero_tau_reflectors() {
+        // Rank 5 as diag(B, 0): every reflector past the block finds its
+        // column (or row) already zero, so its tau is exactly 0.
+        let (m, n, k) = (30, 21, 5);
+        let b = rand_mat(k, k, 930);
+        let a = Matrix::from_fn(m, n, |i, j| if i < k && j < k { b[(i, j)] } else { 0.0 });
+        let (tauq, taup) = blocked_matches_unblocked(&a, 8);
+        assert!(tauq[k..].iter().chain(&taup[k..]).all(|&t| t == 0.0));
+        let svd = GeSvd::new().nb(8).solve(&a).unwrap();
+        assert!(svd.s[k] <= 1e-14 * svd.s[0], "{:?}", svd.s);
+        assert!(svd_residual(&a, &svd) < 500.0);
+        assert!(norms::orthogonality(&svd.u) < 200.0);
+        assert!(norms::orthogonality(&svd.v) < 200.0);
+    }
+
+    #[test]
+    fn one_stage_polls_once_per_gebrd_column() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+        let n = 40;
+        let a = rand_mat(n, n, 940);
+        for values_only in [true, false] {
+            let hb = Arc::new(AtomicU64::new(0));
+            GeSvd::new()
+                .method(SvdMethod::OneStage)
+                .vectors(!values_only)
+                .ctrl(Ctrl::new().with_heartbeat(hb.clone()))
+                .solve(&a)
+                .unwrap();
+            let polls = hb.load(Ordering::Relaxed);
+            assert!(polls >= n as u64, "{polls} polls at n = {n}");
+        }
+    }
+
+    #[test]
+    fn cancel_mid_gebrd_leaves_the_plan_reusable() {
+        // A watcher cancels once the heartbeat shows `gebrd` under way.
+        // The solve must end `Cancelled`, and a re-solve on the same
+        // plan must match a fresh one bitwise. The cancel lands inside
+        // `gebrd` (fewer than n polls in all) unless the watcher is
+        // descheduled for the whole reduction, so the first claim is
+        // retried a few times.
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+        use tseig_matrix::CancelToken;
+        let n = 160;
+        let a = rand_mat(n, n, 950);
+        let drv = GeSvd::new().method(SvdMethod::OneStage);
+        let fresh = drv.solve(&a).unwrap();
+        let mut plan = SvdPlan::new();
+        let mut inside = false;
+        for _ in 0..5 {
+            let (hb, token) = (Arc::new(AtomicU64::new(0)), CancelToken::new());
+            let ctrl = Ctrl::new()
+                .with_heartbeat(hb.clone())
+                .with_cancel(token.clone());
+            let governed = drv.clone().ctrl(ctrl);
+            let watcher = std::thread::spawn(move || {
+                while hb.load(Ordering::Relaxed) < 4 {
+                    std::hint::spin_loop();
+                }
+                token.cancel();
+                hb
+            });
+            let r = governed.solve_with_plan(&a, &mut plan);
+            let polls = watcher.join().unwrap().load(Ordering::Relaxed);
+            match r {
+                Err(Error::Cancelled) => inside |= polls < n as u64,
+                Ok(_) => {}
+                Err(e) => panic!("expected Cancelled, got {e:?}"),
+            }
+            let again = drv.solve_with_plan(&a, &mut plan).unwrap();
+            assert_eq!(again.s, fresh.s, "singular values after a cancel");
+            assert_eq!(again.u.as_slice(), fresh.u.as_slice(), "U after a cancel");
+            assert_eq!(again.v.as_slice(), fresh.v.as_slice(), "V after a cancel");
+            if inside {
+                break;
+            }
+        }
+        assert!(inside, "no cancel landed inside gebrd in five tries");
     }
 
     #[test]

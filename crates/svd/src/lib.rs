@@ -12,7 +12,8 @@
 //!   with singular-vector accumulation (the `dbdsqr` role),
 //! * [`drivers::gesvd`] — the one-stage pipeline: `gebrd`
 //!   bidiagonalization (from `tseig-onestage`, all `gemv`-bound),
-//!   reflector back-transformation of `U`/`V`, and [`bdsqr`],
+//!   [`bdsqr`], and the blocked reflector back-transformation of
+//!   `U`/`V`,
 //! * flop-profile tests that verify the §4.1 ratios with the global
 //!   counters.
 

@@ -17,34 +17,25 @@
 //! of bandwidth `b`, every flop `gemm`-class. `Q1`/`P1` panels are
 //! retained for the back-transformation of the singular vectors.
 
+use tseig_kernels::backtransform::apply_q;
 use tseig_kernels::contract;
-use tseig_kernels::householder::{larfb_with_work, Side};
-use tseig_kernels::qr::{extract_v_t_into, geqrf_ws, QrWs};
+use tseig_kernels::householder::{larfb_with_work, BlockReflector, Side};
+use tseig_kernels::qr::{block_reflector_into, geqrf_ws, QrWs, Storev};
 use tseig_kernels::Trans;
 use tseig_matrix::workspace::reset_f64s;
 use tseig_matrix::{Ctrl, GeBandMatrix, Matrix};
-
-/// One panel's block reflector `I - V T V^T` acting on the contiguous
-/// coordinate range `j0 .. j0 + V.rows()` (rows for `Q1` panels, columns
-/// for `P1` panels).
-pub struct GbPanel {
-    /// First global coordinate the reflector touches.
-    pub j0: usize,
-    /// Explicit-V block (unit diagonal, zeros above).
-    pub v: Matrix,
-    /// `k x k` triangular factor, column-major.
-    pub t: Vec<f64>,
-}
 
 /// Result of the stage-1 reduction.
 pub struct BandBidiForm {
     /// The upper-band matrix `B` (logical bandwidth `b = kl()`, with
     /// `ku = 2b` fill diagonals ready for the bulge chase).
     pub band: GeBandMatrix,
-    /// Left panels composing `Q1` in application order.
-    pub qpanels: Vec<GbPanel>,
-    /// Right panels composing `P1` in application order.
-    pub ppanels: Vec<GbPanel>,
+    /// Left panels composing `Q1` in application order, each acting on
+    /// the rows `r0 .. r0 + rows`.
+    pub qpanels: Vec<BlockReflector<f64>>,
+    /// Right panels composing `P1` in application order, each acting on
+    /// the columns `r0 .. r0 + rows`.
+    pub ppanels: Vec<BlockReflector<f64>>,
     /// Bandwidth.
     pub b: usize,
 }
@@ -100,15 +91,9 @@ pub fn ge2bb_with(
             let panel = &mut work.as_mut_slice()[j0 + j0 * lda..];
             geqrf_ws(m0, jb, panel, lda, &mut tau, ib, &mut qr);
         }
-        let mut qp = GbPanel {
-            j0,
-            v: Matrix::zeros(0, 0),
-            t: Vec::new(),
-        };
-        {
-            let panel = &work.as_slice()[j0 + j0 * lda..];
-            extract_v_t_into(panel, lda, m0, jb, &tau, &mut qp.v, &mut qp.t);
-        }
+        let mut qp = BlockReflector::default();
+        let panel = &work.as_slice()[j0 + j0 * lda..];
+        block_reflector_into(panel, lda, Storev::Columns, j0, m0, jb, &tau, &mut qp);
         let wcols = n - j0 - jb;
         if wcols > 0 {
             // Trailing update C <- Q^T C on columns j0+jb..n.
@@ -119,7 +104,7 @@ pub fn ge2bb_with(
                 m0,
                 wcols,
                 jb,
-                qp.v.as_slice(),
+                &qp.v,
                 m0,
                 &qp.t,
                 jb,
@@ -150,12 +135,8 @@ pub fn ge2bb_with(
             }
             reset_f64s(&mut tau, kk);
             geqrf_ws(w, jb, &mut rp, w, &mut tau, ib, &mut qr);
-            let mut pp = GbPanel {
-                j0: j0 + jb,
-                v: Matrix::zeros(0, 0),
-                t: Vec::new(),
-            };
-            extract_v_t_into(&rp, w, w, kk, &tau, &mut pp.v, &mut pp.t);
+            let mut pp = BlockReflector::default();
+            block_reflector_into(&rp, w, Storev::Columns, j0 + jb, w, kk, &tau, &mut pp);
             // Row panel <- [Rt^T 0] (the lower-trapezoidal L).
             for c in 0..jb {
                 for i in 0..w {
@@ -172,7 +153,7 @@ pub fn ge2bb_with(
                 mrows,
                 w,
                 kk,
-                pp.v.as_slice(),
+                &pp.v,
                 w,
                 &pp.t,
                 kk,
@@ -202,43 +183,19 @@ pub fn ge2bb_with(
 }
 
 /// Apply `Q1` to `u` from the left: `u <- Q1 u` with
-/// `Q1 = Q_0 Q_1 ... Q_last` (last panel applied first). With `u = U_b`
-/// this completes the left singular vectors.
-pub fn apply_q1(panels: &[GbPanel], u: &mut Matrix) {
-    apply_panels(panels, u);
+/// `Q1 = Q_0 Q_1 ... Q_last` (last panel applied first), over column
+/// panels of `u` on the pool. With `u = U_b` this completes the left
+/// singular vectors.
+pub fn apply_q1(panels: &[BlockReflector<f64>], u: &mut Matrix) {
+    let ldu = u.ld();
+    apply_q(&[], panels, u.as_mut_slice(), ldu, 1, 0);
 }
 
 /// Apply `P1` to `v` from the left (acting on the column coordinate
 /// space): `v <- P1 v` with `P1 = P_0 P_1 ... P_last`. With `v = V_b`
 /// this completes the right singular vectors.
-pub fn apply_p1(panels: &[GbPanel], v: &mut Matrix) {
-    apply_panels(panels, v);
-}
-
-fn apply_panels(panels: &[GbPanel], u: &mut Matrix) {
-    let nc = u.cols();
-    let ldu = u.ld();
-    let mut lb = Vec::new();
-    for p in panels.iter().rev() {
-        let m0 = p.v.rows();
-        let kk = p.v.cols();
-        assert!(p.j0 + m0 <= u.rows(), "panel exceeds the target matrix");
-        reset_f64s(&mut lb, 2 * kk * nc);
-        larfb_with_work(
-            Side::Left,
-            Trans::No,
-            m0,
-            nc,
-            kk,
-            p.v.as_slice(),
-            m0,
-            &p.t,
-            kk,
-            &mut u.as_mut_slice()[p.j0..],
-            ldu,
-            &mut lb,
-        );
-    }
+pub fn apply_p1(panels: &[BlockReflector<f64>], v: &mut Matrix) {
+    apply_q1(panels, v);
 }
 
 #[cfg(test)]
