@@ -2,7 +2,7 @@
 //! parsing and command logic are unit-testable).
 
 use std::fmt::Write as _;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, BufWriter, ErrorKind, Write};
 use std::time::Duration;
 use tseig_core::{
     solve_generalized_with_plan, BatchDriver, BatchSummary, GenPlan, ScalarTag, Scheduler,
@@ -287,14 +287,16 @@ pub fn run<R: BufRead, W: Write>(
                     }
                 }
             }
-            println!(
-                "{} x {}  symmetric: {}  1-norm: {:.6e}",
-                a.rows(),
-                a.cols(),
-                sym,
-                norms::norm1(&a)
-            );
-            Ok(())
+            print_stdout(|w| {
+                writeln!(
+                    w,
+                    "{} x {}  symmetric: {}  1-norm: {:.6e}",
+                    a.rows(),
+                    a.cols(),
+                    sym,
+                    norms::norm1(&a)
+                )
+            })
         }
         Cli::Eig {
             path,
@@ -387,9 +389,7 @@ pub fn run<R: BufRead, W: Write>(
                     norms::orthogonality(z)
                 );
             }
-            for v in &vals {
-                println!("{v:.17e}");
-            }
+            print_stdout(|w| vals.iter().try_for_each(|v| writeln!(w, "{v:.17e}")))?;
             if let (Some(out), Some(z)) = (vectors_out, vecs.as_ref()) {
                 mmio::write_matrix_market(z, create(out)?).map_err(|e| e.to_string())?;
             }
@@ -481,11 +481,7 @@ pub fn run<R: BufRead, W: Write>(
                         writeln!(w, "{l}").map_err(|e| e.to_string())?;
                     }
                 }
-                None => {
-                    for l in lines {
-                        println!("{l}");
-                    }
-                }
+                None => print_stdout(|w| lines.into_iter().try_for_each(|l| writeln!(w, "{l}")))?,
             }
             let lifecycle =
                 if summary.deadline_exceeded + summary.stuck_workers + summary.worker_rescues > 0 {
@@ -531,9 +527,7 @@ pub fn run<R: BufRead, W: Write>(
                 t0.elapsed(),
                 tseig_svd::drivers::svd_residual(&work, &svd)
             );
-            for s in &svd.s {
-                println!("{s:.17e}");
-            }
+            print_stdout(|w| svd.s.iter().try_for_each(|s| writeln!(w, "{s:.17e}")))?;
             if !values_only {
                 let (u, v) = if transposed {
                     (&svd.v, &svd.u)
@@ -549,6 +543,21 @@ pub fn run<R: BufRead, W: Write>(
             }
             Ok(())
         }
+    }
+}
+
+/// Write a command's results to stdout through one locked, buffered
+/// writer. A reader that stops early (`tseig svd A.mtx | head -1`)
+/// closes the pipe: the rest of the output has nowhere to go, so the
+/// write stops there and the command goes on and succeeds, as Unix
+/// filters do, instead of panicking as `println!` would.
+fn print_stdout(
+    body: impl FnOnce(&mut BufWriter<std::io::StdoutLock<'static>>) -> std::io::Result<()>,
+) -> Result<(), String> {
+    let mut w = BufWriter::new(std::io::stdout().lock());
+    match body(&mut w).and_then(|()| w.flush()) {
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => Ok(()),
+        r => r.map_err(|e| format!("cannot write to stdout: {e}")),
     }
 }
 
@@ -652,6 +661,19 @@ fn key_occurrences<'a>(line: &'a str, key: &str) -> impl Iterator<Item = &'a str
     })
 }
 
+/// Fail a line that is not one whole `{...}` object. A line cut short
+/// (a truncated stream, a partial write) would otherwise solve whatever
+/// keys survived the cut: a lost `"scalar"` falls back to the default
+/// element type, a lost `"id"` to the line number.
+fn reject_truncated(line: &str) -> Result<(), String> {
+    let t = line.trim();
+    if t.starts_with('{') && t.ends_with('}') {
+        Ok(())
+    } else {
+        Err("truncated line: a request is one object from '{' to '}'".to_string())
+    }
+}
+
 /// Fail a request line that repeats one of the request keys: a flat
 /// extractor would silently pick the first copy.
 fn reject_duplicate_keys(line: &str) -> Result<(), String> {
@@ -708,10 +730,10 @@ enum GenRequest {
 }
 
 /// What every eig and gen line is checked for before any entry is
-/// parsed: no repeated key, a known element type, an order `n`, and an
-/// entry count per matrix (`n * n`, or `2 * n * n` interleaved re,im for
-/// complex types) computed with checked arithmetic, so a line claiming a
-/// huge `n` fails alone. A real request's `n` must then pass `admit`;
+/// parsed: a whole object, no repeated key, a known element type, an
+/// order `n`, and an entry count per matrix (`n * n`, or `2 * n * n`
+/// interleaved re,im for complex types) computed with checked
+/// arithmetic, so a line claiming a huge `n` fails alone. A real request's `n` must then pass `admit`;
 /// complex requests are not admitted (there is no Hermitian plan to
 /// size).
 fn request_shape(
@@ -719,6 +741,7 @@ fn request_shape(
     default_scalar: ScalarTag,
     admit: impl Fn(usize) -> tseig_matrix::Result<()>,
 ) -> Result<(ScalarTag, usize, usize), LineError> {
+    reject_truncated(line)?;
     reject_duplicate_keys(line)?;
     let tag = line_scalar(line, default_scalar)?;
     let n = read_n(line)?;
@@ -784,6 +807,7 @@ fn parse_svd_line(
     default_scalar: ScalarTag,
     admit: impl Fn(usize, usize) -> tseig_matrix::Result<()>,
 ) -> Result<(Matrix, bool), LineError> {
+    reject_truncated(line)?;
     reject_duplicate_keys(line)?;
     let tag = line_scalar(line, default_scalar)?;
     if is_complex(tag) {

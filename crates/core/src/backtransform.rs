@@ -17,7 +17,8 @@ use tseig_runtime::chase::depth_of_sweep;
 
 /// Column-panel width used for the cache-local distribution of `E`.
 /// Chosen so a panel of a few thousand rows plus a diamond block fit in
-/// a per-core L2 cache; exposed for the Figure-5-style tuning bench.
+/// a per-core L2 cache; the ledger's traced back-transform replays the
+/// pipeline with it.
 pub const DEFAULT_PANEL_COLS: usize = bt::default_panel_cols::<f64>();
 
 /// Retained storage of the planned back-transformation (diamond
@@ -102,20 +103,14 @@ pub fn apply_q_ws(
     )
 }
 
-/// `E <- Q2 E` using diamond-blocked reflectors, parallel over column
-/// panels of `E`. `ell` is the number of sweeps grouped per diamond;
-/// `panel_cols` the column-panel width (0 picks
-/// [`DEFAULT_PANEL_COLS`]).
-pub fn apply_q2(v2: &V2Set, e: &mut Matrix, ell: usize, panel_cols: usize) {
-    apply_q(v2, &[], e, ell, panel_cols);
-}
-
 /// Fused single-pass back-transformation `E <- Q1 Q2 E`: per column
 /// panel, the full diamond sequence and then the reverse `Q1` chain run
 /// while the panel is cache-resident — one pass over the eigenvector
-/// matrix instead of the two that separate [`apply_q2`] + [`apply_q1`]
-/// calls would make, with no synchronization barrier between the
-/// stages (the panels are fully independent, Fig. 3).
+/// matrix instead of one for `Q2` and one for `Q1`, with no
+/// synchronization barrier between the stages (the panels are fully
+/// independent, Fig. 3). `ell` is the number of sweeps grouped per
+/// diamond; `panel_cols` the column-panel width (0 picks
+/// [`DEFAULT_PANEL_COLS`]).
 pub fn apply_q(v2: &V2Set, panels: &[Q1Panel], e: &mut Matrix, ell: usize, panel_cols: usize) {
     assert_eq!(e.rows(), v2.n(), "E must have n rows");
     let ldc = e.ld();
@@ -123,20 +118,13 @@ pub fn apply_q(v2: &V2Set, panels: &[Q1Panel], e: &mut Matrix, ell: usize, panel
 }
 
 /// Naive reference `E <- Q2 E`: reflectors applied one at a time in
-/// exact reverse chase order (Level-2). Used by tests as the oracle for
-/// the diamond reordering, and by the benches as the "naive
-/// implementation" the paper compares against.
+/// exact reverse chase order (Level-2): the "naive implementation" the
+/// paper compares against, and the tests' oracle for the diamond
+/// reordering.
 pub fn apply_q2_naive(v2: &V2Set, e: &mut Matrix) {
     assert_eq!(e.rows(), v2.n());
     let ldc = e.ld();
     bt::apply_naive(v2.sweeps(), e.as_mut_slice(), ldc);
-}
-
-/// `G <- Q1 G`: stage-1 panels applied in reverse order with blocked
-/// reflectors, parallel over column panels of `G`.
-pub fn apply_q1(panels: &[Q1Panel], g: &mut Matrix, panel_cols: usize) {
-    let ldc = g.ld();
-    bt::apply_q(&[], panels, g.as_mut_slice(), ldc, 1, panel_cols);
 }
 
 #[cfg(test)]
@@ -145,6 +133,18 @@ mod tests {
     use crate::stage1::sy2sb;
     use crate::stage2::reduce;
     use tseig_matrix::{gen, norms, SymBandMatrix};
+
+    /// `E <- Q2 E` alone: the kernel pass with no `Q1` panels.
+    fn only_q2(v2: &V2Set, e: &mut Matrix, ell: usize, panel_cols: usize) {
+        let ldc = e.ld();
+        bt::apply_q(v2.sweeps(), &[], e.as_mut_slice(), ldc, ell, panel_cols);
+    }
+
+    /// `G <- Q1 G` alone: the kernel pass with no chase sweeps.
+    fn only_q1(panels: &[Q1Panel], g: &mut Matrix, panel_cols: usize) {
+        let ldc = g.ld();
+        bt::apply_q(&[], panels, g.as_mut_slice(), ldc, 1, panel_cols);
+    }
 
     fn chase_setup(n: usize, b: usize, seed: u64) -> (Matrix, V2Set, Matrix) {
         // Build a band matrix, chase it, return (dense band, V2, T dense).
@@ -184,7 +184,7 @@ mod tests {
             apply_q2_naive(&v2, &mut naive);
             for ell in [1, 2, 3, 8, 64] {
                 let mut fast = e0.clone();
-                apply_q2(&v2, &mut fast, ell, 7);
+                only_q2(&v2, &mut fast, ell, 7);
                 assert!(
                     fast.approx_eq(&naive, 1e-11),
                     "diamond != naive (n={n}, b={b}, ell={ell})"
@@ -198,12 +198,12 @@ mod tests {
         let (_, v2, _) = chase_setup(22, 4, 5);
         let full = {
             let mut e = Matrix::identity(22);
-            apply_q2(&v2, &mut e, 4, 0);
+            only_q2(&v2, &mut e, 4, 0);
             e
         };
         // Applying to 3 columns must equal the matching slice.
         let mut sub = Matrix::from_fn(22, 3, |i, j| if i == j + 5 { 1.0 } else { 0.0 });
-        apply_q2(&v2, &mut sub, 4, 2);
+        only_q2(&v2, &mut sub, 4, 2);
         for j in 0..3 {
             for i in 0..22 {
                 assert!((sub[(i, j)] - full[(i, j + 5)]).abs() < 1e-12);
@@ -218,7 +218,7 @@ mod tests {
         let a = gen::random_symmetric(n, 6);
         let bf = sy2sb(&a, nb, 0);
         let mut q1 = Matrix::identity(n);
-        apply_q1(&bf.panels, &mut q1, 16);
+        only_q1(&bf.panels, &mut q1, 16);
         assert!(norms::orthogonality(&q1) < 100.0);
         let b = bf.band.to_dense();
         let recon = q1.multiply(&b).unwrap().multiply(&q1.transpose()).unwrap();
@@ -235,8 +235,8 @@ mod tests {
         let e = gen::random_symmetric(n, 8);
         let mut r1 = e.clone();
         let mut r2 = e.clone();
-        apply_q1(&bf.panels, &mut r1, 1);
-        apply_q1(&bf.panels, &mut r2, 64);
+        only_q1(&bf.panels, &mut r1, 1);
+        only_q1(&bf.panels, &mut r2, 64);
         assert!(r1.approx_eq(&r2, 1e-12));
     }
 
@@ -253,7 +253,7 @@ mod tests {
 
             let mut want = e0.clone();
             apply_q2_naive(&chase.v2, &mut want);
-            apply_q1(&bf.panels, &mut want, n + 1); // serial: one panel
+            only_q1(&bf.panels, &mut want, n + 1); // serial: one panel
 
             for pc in [1, 5, 0] {
                 let mut fused = e0.clone();
@@ -266,8 +266,8 @@ mod tests {
 
             // And against the unfused blocked pair.
             let mut unfused = e0.clone();
-            apply_q2(&chase.v2, &mut unfused, 3, 0);
-            apply_q1(&bf.panels, &mut unfused, 0);
+            only_q2(&chase.v2, &mut unfused, 3, 0);
+            only_q1(&bf.panels, &mut unfused, 0);
             let mut fused = e0.clone();
             apply_q(&chase.v2, &bf.panels, &mut fused, 3, 0);
             assert!(fused.approx_eq(&unfused, 1e-11));
@@ -278,12 +278,12 @@ mod tests {
     fn empty_cases() {
         let (_, v2, _) = chase_setup(10, 2, 9);
         let mut empty = Matrix::zeros(10, 0);
-        apply_q2(&v2, &mut empty, 4, 0);
-        apply_q1(&[], &mut empty, 0);
+        only_q2(&v2, &mut empty, 4, 0);
+        only_q1(&[], &mut empty, 0);
         let mut e = Matrix::identity(10);
         apply_q(&v2, &[], &mut e, 4, 0); // no Q1 panels: fused == Q2 only
         let mut q2 = Matrix::identity(10);
-        apply_q2(&v2, &mut q2, 4, 0);
+        only_q2(&v2, &mut q2, 4, 0);
         assert!(e.approx_eq(&q2, 1e-13));
     }
 }

@@ -35,8 +35,8 @@
 //! over `ic` row blocks with private accumulators when the problem is
 //! tall and narrow.
 //!
-//! The seed's unpacked kernel is kept as [`gemm_unpacked`] — it is the
-//! baseline the `table2_kernels` bench compares the packed path against.
+//! The seed's unpacked kernel is kept as [`gemm_unpacked`] — an
+//! independent oracle the tests compare the packed path against.
 //!
 //! ## Microkernel dispatch
 //!
@@ -358,8 +358,9 @@ pub fn gemm_par_with<T: GemmScalar>(
 
 /// The seed's unpacked `gemm` — the `N/N` and `N/T` cases run a
 /// register-tiled microkernel straight off the strided operands, `T/N`
-/// is lane-split dot products, `T/T` a naive triple loop. Kept as the
-/// baseline the `table2_kernels` bench measures the packed path against.
+/// is lane-split dot products, `T/T` a naive triple loop. Kept as an
+/// oracle: the kernel and property tests compare the packed path
+/// against it.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_unpacked(
     transa: Trans,
@@ -1358,77 +1359,16 @@ fn trmm_diag<T: Scalar>(
     b: &mut [T],
     ldb: usize,
 ) {
-    let put = |_: usize, _: T, s: T| alpha * s;
     match trans {
-        Trans::No => tri_apply(Span::Tail(0), k, n, |i, l| t[i + l * ldt], b, ldb, put),
+        Trans::No => tri_apply(Span::Tail(0), k, n, |i, l| t[i + l * ldt], alpha, b, ldb),
         Trans::Yes => tri_apply(
             Span::Head(1),
             k,
             n,
             |i, l| t[l + i * ldt].conj(),
+            alpha,
             b,
             ldb,
-            put,
-        ),
-    }
-}
-
-/// In-place triangular multiply `B <- op(L) B` with `L` a `k x k`
-/// **unit lower-triangular** matrix (implicit ones on the diagonal; only
-/// the strictly-lower entries of `l` are read) and `B` `k x n`;
-/// `Trans::Yes` is `L^H`.
-///
-/// The top `k x k` block of a diamond's parallelogram `V` is exactly
-/// unit lower triangular; the back-transform applies whole diamonds
-/// through [`diamond_left`], and this kernel stays as the zero-free
-/// triangular product on its own. It runs through the column-vectorized
-/// `tri_apply`: `b_i += sum_{p < i}
-/// L(i,p) b_p` (row 0 untouched) or `b_i += sum_{p > i} conj(L(p,i))
-/// b_p`, each sum ascending from zero.
-pub fn trmm_unit_lower_left<T: Scalar>(
-    trans: Trans,
-    k: usize,
-    n: usize,
-    l: &[T],
-    ldl: usize,
-    b: &mut [T],
-    ldb: usize,
-) {
-    if contract::enabled() {
-        contract::require_mat("trmm_unit_lower_left", "l", l, k, k, ldl);
-        contract::require_mat("trmm_unit_lower_left", "b", b, k, n, ldb);
-        contract::require_no_alias("trmm_unit_lower_left", "l", l, "b", b);
-    }
-    add(Level::L3, (T::MULADD_FLOPS / 2) * (n * k * k) as u64);
-    add_bytes(
-        Level::L3,
-        T::BYTES * ((k * k / 2) as u64 + 2 * (k * n) as u64),
-    );
-    if k == 0 || n == 0 {
-        return;
-    }
-    // Which rows receive a sum decides the sign of a zero: row 0 of
-    // `L B` sums nothing and is left as it is, while row k-1 of `L^H B`
-    // also sums nothing but gets `+ 0.0` (a -0.0 there becomes +0.0),
-    // as the scalar loops these kernels replaced did.
-    match trans {
-        Trans::No => tri_apply(
-            Span::Head(0),
-            k,
-            n,
-            |i, p| l[i + p * ldl],
-            b,
-            ldb,
-            |i, old, s| if i == 0 { old } else { old + s },
-        ),
-        Trans::Yes => tri_apply(
-            Span::Tail(1),
-            k,
-            n,
-            |i, p| l[p + i * ldl].conj(),
-            b,
-            ldb,
-            |_, old, s| old + s,
         ),
     }
 }
@@ -1541,7 +1481,7 @@ impl Span {
 /// Column-vectorized in-place triangular product: for every output
 /// `(i, j)`, `s = sum_{p in span(i)} a(i, p) B(p, j)` over the input
 /// `B`, accumulated from zero in ascending `p` with a separate multiply
-/// and add (no FMA), then stored as `B(i, j) <- put(i, B(i, j), s)`.
+/// and add (no FMA), then stored as `B(i, j) <- alpha s`.
 /// That is exactly the operation order of a scalar row-at-a-time loop,
 /// so the result bits do not depend on the blocking below.
 ///
@@ -1558,9 +1498,9 @@ fn tri_apply<T: Scalar>(
     k: usize,
     n: usize,
     a: impl Fn(usize, usize) -> T,
+    alpha: T,
     b: &mut [T],
     ldb: usize,
-    put: impl Fn(usize, T, T) -> T,
 ) {
     let mut x = [[T::ZERO; TRI_JB]; TRI_KB];
     let mut acc = [[T::ZERO; TRI_JB]; TRI_KB];
@@ -1603,8 +1543,8 @@ fn tri_apply<T: Scalar>(
             for jj in 0..jn {
                 let col = &mut b[i0 + (j0 + jj) * ldb..][..i1 - i0];
                 let sums = acc.iter().map(|row| row[jj]);
-                for ((i, v), s) in (i0..).zip(col.iter_mut()).zip(sums) {
-                    *v = put(i, *v, s);
+                for (v, s) in col.iter_mut().zip(sums) {
+                    *v = alpha * s;
                 }
             }
         }
@@ -2465,54 +2405,6 @@ mod tests {
         }
     }
 
-    /// The scalar loop `trmm_unit_lower_left` replaced (then `f64`-only;
-    /// the conjugation is the identity there).
-    fn trmm_unit_lower_scalar<T: Scalar>(
-        trans: Trans,
-        k: usize,
-        n: usize,
-        l: &[T],
-        ldl: usize,
-        b: &mut [T],
-        ldb: usize,
-    ) {
-        let mut j = 0;
-        while j < n {
-            let jn = NR.min(n - j);
-            match trans {
-                Trans::No => {
-                    for i in (1..k).rev() {
-                        let mut s = [T::ZERO; NR];
-                        for p in 0..i {
-                            let lv = l[i + p * ldl];
-                            for (jj, sv) in s.iter_mut().enumerate().take(jn) {
-                                *sv += lv * b[p + (j + jj) * ldb];
-                            }
-                        }
-                        for (jj, sv) in s.iter().enumerate().take(jn) {
-                            b[i + (j + jj) * ldb] += *sv;
-                        }
-                    }
-                }
-                Trans::Yes => {
-                    for i in 0..k {
-                        let mut s = [T::ZERO; NR];
-                        for p in i + 1..k {
-                            let lv = l[p + i * ldl].conj();
-                            for (jj, sv) in s.iter_mut().enumerate().take(jn) {
-                                *sv += lv * b[p + (j + jj) * ldb];
-                            }
-                        }
-                        for (jj, sv) in s.iter().enumerate().take(jn) {
-                            b[i + (j + jj) * ldb] += *sv;
-                        }
-                    }
-                }
-            }
-            j += jn;
-        }
-    }
-
     fn assert_same_bits<T: GemmScalar>(got: &[T], want: &[T], what: &str) {
         let bits = |v: &[T]| -> Vec<(u64, u64)> {
             v.iter()
@@ -2522,24 +2414,18 @@ mod tests {
         assert!(bits(got) == bits(want), "{what}: bits differ");
     }
 
-    /// Both triangular kernels against their scalar loops, bit for bit:
-    /// every `k` up to past one 64-row block, ragged `n`, both
+    /// The diagonal-block triangular kernel against its scalar loop, bit
+    /// for bit: every `k` up to past one 64-row block, ragged `n`, both
     /// transposes, padded leading dimensions, NaN in every entry the
-    /// kernels must not read and -0.0 in the first and last row of `B`.
+    /// kernel must not read and -0.0 in the first and last row of `B`.
     fn check_tri_bits<T: GemmScalar>(seed: u64) {
         let alpha = T::new(0.75, -0.5);
         for k in 0..=70usize {
             let (lda, ldb) = (k + 2, k + 1);
             let mut upper = rand_vec::<T>(lda * k, seed + k as u64);
-            let mut unit_lower = upper.clone();
             for j in 0..k {
-                for i in 0..k {
-                    let nan = T::new(f64::NAN, 0.0);
-                    if i > j {
-                        upper[i + j * lda] = nan;
-                    } else {
-                        unit_lower[i + j * lda] = nan;
-                    }
+                for i in j + 1..k {
+                    upper[i + j * lda] = T::new(f64::NAN, 0.0);
                 }
             }
             for n in [0usize, 1, 3, 16, 17, 37] {
@@ -2555,10 +2441,6 @@ mod tests {
                     trmm_diag(trans, k, n, alpha, &upper, lda, &mut got, ldb);
                     trmm_diag_scalar(trans, k, n, alpha, &upper, lda, &mut want, ldb);
                     assert_same_bits(&got, &want, &format!("trmm_diag {what}"));
-                    let (mut got, mut want) = (b0.clone(), b0.clone());
-                    trmm_unit_lower_left(trans, k, n, &unit_lower, lda, &mut got, ldb);
-                    trmm_unit_lower_scalar(trans, k, n, &unit_lower, lda, &mut want, ldb);
-                    assert_same_bits(&got, &want, &format!("trmm_unit_lower_left {what}"));
                 }
             }
         }
@@ -2570,34 +2452,6 @@ mod tests {
         check_tri_bits::<f32>(2);
         check_tri_bits::<C32>(3);
         check_tri_bits::<C64>(4);
-    }
-
-    #[test]
-    fn trmm_unit_lower_matches_dense() {
-        let k = 9;
-        let n = 6;
-        let mut l = rand_mat(k, k, 90);
-        let mut dense = Matrix::zeros(k, k);
-        for j in 0..k {
-            for i in 0..k {
-                if i > j {
-                    dense[(i, j)] = l[(i, j)];
-                } else if i == j {
-                    dense[(i, j)] = 1.0;
-                    l[(i, j)] = f64::NAN; // prove diagonal is implicit
-                } else {
-                    l[(i, j)] = f64::NAN; // prove upper part unread
-                }
-            }
-        }
-        let b0 = rand_mat(k, n, 91);
-        let mut b = b0.clone();
-        trmm_unit_lower_left(Trans::No, k, n, l.as_slice(), k, b.as_mut_slice(), k);
-        assert!(b.approx_eq(&naive(&dense, &b0), 1e-13));
-
-        let mut b2 = b0.clone();
-        trmm_unit_lower_left(Trans::Yes, k, n, l.as_slice(), k, b2.as_mut_slice(), k);
-        assert!(b2.approx_eq(&naive(&dense.transpose(), &b0), 1e-13));
     }
 
     #[test]

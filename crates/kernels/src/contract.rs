@@ -11,8 +11,8 @@
 //!
 //! In release builds (`debug_assertions` off) every check compiles to
 //! nothing: the checks sit outside the `O(n^3)` loops and inside
-//! `if cfg!(debug_assertions)` blocks, so the hot paths are untouched —
-//! the `table2_kernels` benchmark gates that claim.
+//! `if cfg!(debug_assertions)` blocks, so the hot paths the ledger times
+//! in its release build are untouched.
 //!
 //! The opt-in `paranoid` cargo feature adds non-finite (NaN/Inf) *input
 //! poison* detection on top, in debug builds only. That is deliberately

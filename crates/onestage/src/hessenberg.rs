@@ -4,8 +4,8 @@
 //! *third row of the paper's Table 2*: the Hessenberg reduction performs
 //! ~10 `gemv`-class memory-bound operations per element (vs 4 `symv` for
 //! the symmetric tridiagonal reduction), which is why nonsymmetric
-//! reductions are even more bandwidth-starved. The `table2` bench
-//! measures all three reductions' achieved rates side by side.
+//! reductions are even more bandwidth-starved. Only its tests run it;
+//! EXPERIMENTS.md (Table 2) quotes the seed host's rate.
 
 use tseig_kernels::householder::{larf_left, larf_right, larfg};
 use tseig_matrix::Matrix;

@@ -103,29 +103,13 @@ pub fn measure_machine(n: usize) -> MachineParams {
     }
 }
 
-/// Estimate the single-core FMA peak (flop/s): a register-resident
-/// microbenchmark of independent vector FMA accumulator chains with no
-/// memory traffic in the timed loop — the denominator for "fraction of
-/// peak" reporting in the kernel benches.
-///
-/// Delegates to `tseig_kernels::blas3::simd::fma_peak`, which probes
-/// with the same vector ISA the dispatched GEMM microkernel issues: an
-/// explicit-zmm kernel must be judged against a zmm ceiling, and a
-/// portable autovectorized probe typically stops at ymm width. The
-/// estimate is a *floor* of true peak (loop overhead), so quoting a
-/// gemm rate against it slightly flatters the kernel, never the
-/// machine.
-pub fn measure_fma_peak() -> f64 {
-    tseig_kernels::blas3::simd::fma_peak()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn fma_peak_is_sane() {
-        let peak = measure_fma_peak();
+        let peak = tseig_kernels::blas3::simd::fma_peak();
         assert!(peak > 1e6, "peak {peak:.3e}");
         // On optimized builds the register-resident loop must beat the
         // memory-bound symv rate by a wide margin.

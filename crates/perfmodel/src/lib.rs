@@ -27,7 +27,6 @@
 
 pub mod calibrate;
 pub mod model;
-pub mod tables;
 
 pub use calibrate::{measure_machine, MachineParams};
 pub use model::{crossover_n, t_bulge_comm, t_bulge_exec, t_one_stage, t_two_stage, ModelParams};

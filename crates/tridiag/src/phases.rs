@@ -3,8 +3,9 @@
 //! The paper's Figure 1 reports the *percentage of total time* spent in
 //! the three phases of a full eigensolve — reduction to tridiagonal,
 //! tridiagonal eigensolve, eigenvector back-transformation — for the
-//! one-stage and two-stage pipelines. Both drivers fill this struct so
-//! the benchmark harness can reproduce that figure directly.
+//! one-stage and two-stage pipelines. Both drivers fill this struct, so
+//! every solve result carries its own split ([`PhaseTimings::percentages`]);
+//! the ledger's traced run reports the same split as `*.share`.
 
 use std::time::Duration;
 

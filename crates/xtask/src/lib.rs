@@ -17,6 +17,7 @@
 //! | `pure-req`          | `*_req` sizing fns are pure arithmetic (no alloc/I-O/env/clock) |
 //! | `task-storage`      | task-body and touch-reporting files reach storage only through shadow-reported accessors |
 //! | `shim-deps`         | `shims/*` stay std-only |
+//! | `doc-refs`          | every `-p`/`--bin`/`--example` in the docs names a workspace target |
 //!
 //! A rule can be waived on one line with a
 //! `// tidy: allow(<rule>) -- reason` comment — trailing on the line, or

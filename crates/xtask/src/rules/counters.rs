@@ -3,7 +3,7 @@
 //! Every kernel charges its flop count via `flops::add(...)`; the
 //! roofline/intensity reporting divides those flops by the bytes charged
 //! via `flops::add_bytes(...)`. A kernel that adds flops but not bytes
-//! silently inflates every intensity number downstream (the bench would
+//! silently inflates every intensity number downstream (the ledger would
 //! still "work" — just lie). So: any non-test `fn` in a kernel source
 //! file whose body calls `add(Level::...)` (or `flops::add(...)`) must
 //! also call `add_bytes(...)`.

@@ -86,7 +86,7 @@ mod tests {
     #[test]
     fn expect_on_eigenvectors_fails() {
         let d = run(
-            "crates/bench/src/lib.rs",
+            "crates/cli/src/lib.rs",
             "fn f() { let z = r.eigenvectors.expect(\"vectors\"); }\n",
         );
         assert_eq!(d.len(), 1);
@@ -105,7 +105,7 @@ mod tests {
         assert!(run("crates/core/src/driver.rs", test_src).is_empty());
         let escaped =
             "fn f() { s.solve(&a).unwrap(); } // tidy: allow(result-unwrap) -- controlled input\n";
-        assert!(run("crates/bench/src/lib.rs", escaped).is_empty());
+        assert!(run("crates/cli/src/lib.rs", escaped).is_empty());
         // tests/ trees are out of scope entirely.
         assert!(run(
             "crates/core/tests/x.rs",

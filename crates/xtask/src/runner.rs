@@ -2,8 +2,8 @@
 //! through the rules, and aggregates diagnostics.
 
 use crate::rules::{
-    casts, checkpoint_loop, counters, panics, plan_no_alloc, pure_req, result_unwrap, shims,
-    task_shadow, unsafe_rules,
+    casts, checkpoint_loop, counters, doc_refs, panics, plan_no_alloc, pure_req, result_unwrap,
+    shims, task_shadow, unsafe_rules,
 };
 use crate::source::SourceFile;
 use crate::Diag;
@@ -31,7 +31,7 @@ pub fn run_tidy(root: &Path) -> std::io::Result<Vec<Diag>> {
     let mut diags = Vec::new();
     let mut rs_files = Vec::new();
     for top in ["crates", "shims", "examples"] {
-        collect_rs(&root.join(top), &mut rs_files)?;
+        collect(&root.join(top), "rs", &mut rs_files)?;
     }
     rs_files.sort();
     for path in &rs_files {
@@ -63,12 +63,59 @@ pub fn run_tidy(root: &Path) -> std::io::Result<Vec<Diag>> {
             shims::check_manifest(&rel, &text, &mut diags);
         }
     }
+    // Cargo targets named by the docs.
+    let targets = workspace_targets(root)?;
+    for doc in doc_files(root)? {
+        let text = std::fs::read_to_string(&doc)?;
+        doc_refs::check_doc(&rel_path(root, &doc), &text, &targets, &mut diags);
+    }
     diags.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
     Ok(diags)
 }
 
-/// Recursively collect `.rs` files, skipping build artifacts.
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+/// The packages, binaries and examples of every workspace member (the
+/// packages under `crates/` and `shims/`).
+fn workspace_targets(root: &Path) -> std::io::Result<doc_refs::Targets> {
+    let stems = |dir: PathBuf| -> std::io::Result<Vec<String>> {
+        let mut files = Vec::new();
+        collect(&dir, "rs", &mut files)?;
+        let stem = |p: &PathBuf| p.file_stem().map(|s| s.to_string_lossy().into_owned());
+        Ok(files.iter().filter_map(stem).collect())
+    };
+    let mut targets = doc_refs::Targets::default();
+    for top in ["crates", "shims"] {
+        for entry in std::fs::read_dir(root.join(top))? {
+            let member = entry?.path();
+            let Ok(manifest) = std::fs::read_to_string(member.join("Cargo.toml")) else {
+                continue;
+            };
+            targets.add_member(
+                &manifest,
+                member.join("src/main.rs").is_file(),
+                &stems(member.join("src/bin"))?,
+                &stems(member.join("examples"))?,
+            );
+        }
+    }
+    Ok(targets)
+}
+
+/// The documents whose commands `doc-refs` checks: README.md, DESIGN.md,
+/// EXPERIMENTS.md, `docs/*.md` and every `.md` under `.claude/skills/`.
+fn doc_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
+    let mut docs: Vec<PathBuf> = ["README.md", "DESIGN.md", "EXPERIMENTS.md"]
+        .iter()
+        .map(|d| root.join(d))
+        .filter(|p| p.is_file())
+        .collect();
+    collect(&root.join("docs"), "md", &mut docs)?;
+    collect(&root.join(".claude/skills"), "md", &mut docs)?;
+    Ok(docs)
+}
+
+/// Recursively collect the files with extension `ext`, skipping build
+/// artifacts and hidden directories below `dir`.
+fn collect(dir: &Path, ext: &str, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     if !dir.is_dir() {
         return Ok(());
     }
@@ -81,8 +128,8 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
             if name == "target" || name.starts_with('.') {
                 continue;
             }
-            collect_rs(&path, out)?;
-        } else if name.ends_with(".rs") {
+            collect(&path, ext, out)?;
+        } else if path.extension().is_some_and(|e| e == ext) {
             out.push(path);
         }
     }
