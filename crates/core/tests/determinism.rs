@@ -133,3 +133,25 @@ fn default_block_solve_is_pinned_for_every_scheduler() {
         );
     }
 }
+
+#[test]
+fn qr_vector_solve_is_pinned() {
+    // `Method::Qr` with vectors accumulates every QL rotation into `Z`;
+    // n = 200 spans several 32-row strips of the rotation kernel. The
+    // one-shot and the planned entry points share the bits. Recorded
+    // before the rotations were deferred, with the residual (0.0055)
+    // and orthogonality (0.175) checked below.
+    let a = gen::random_symmetric(200, 45);
+    let eigen = SymmetricEigen::new().method(Method::Qr);
+    let r = eigen.solve(&a).unwrap();
+    let z = r.eigenvectors.as_ref().expect("vectors");
+    let res = norms::eigen_residual(&a, &r.eigenvalues, z);
+    let orth = norms::orthogonality(z);
+    assert!(res < 500.0, "residual {res}");
+    assert!(orth < 500.0, "orthogonality {orth}");
+    assert_eq!(result_hash(&r), 0x4f3d_ec4c_ea2a_d68b, "QR solve bits");
+    let mut plan = tseig_core::SolvePlan::new();
+    eigen.solve_into(&a, &mut plan).unwrap();
+    assert_eq!(plan.eigenvalues(), r.eigenvalues.as_slice());
+    assert_eq!(plan.eigenvectors().unwrap().as_slice(), z.as_slice());
+}

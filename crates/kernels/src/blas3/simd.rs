@@ -18,7 +18,10 @@
 //!
 //! Each descriptor also carries the same ISA's body of the fused
 //! diamond kernel of the back-transform ([`DiamondFn`], section "Diamond
-//! kernel" below), so one dispatch choice covers both.
+//! kernel" below), so one dispatch choice covers both. The same choice
+//! also picks the AVX-512 rotation chains of [`crate::rot`]
+//! ([`rot_chains`], section "Rotation chains"), which keep the portable
+//! loops' bits.
 //!
 //! **Dispatch** happens once per element type, at the first
 //! `gemm`-family call: the `TSEIG_SIMD` environment variable (`avx512`
@@ -2139,6 +2142,233 @@ diamond_entry!("avx512f", diamond_avx512_c64, C64, __m512d, 2, 2, 4);
 diamond_entry!(diamond_scalar_c32, C32, Port<f32, 8>, 2, 2, 2);
 diamond_entry!("avx2,fma", diamond_avx2_c32, C32, __m256, 2, 2, 2);
 diamond_entry!("avx512f", diamond_avx512_c32, C32, __m512, 2, 2, 4);
+
+// ---------------------------------------------------------------------------
+// Rotation chains
+// ---------------------------------------------------------------------------
+//
+// The inner loops of `crate::rot`: a chain of plane rotations over the
+// 32-row columns of a strip tile, the carried column held in four zmm
+// registers. Each element is computed as `c*p + s*q` or `-s*p + c*q`
+// with separate multiplies and adds (no FMA), exactly the portable
+// loops' expressions, so every body gives the same bits. The AVX-512
+// bodies exist because the portable loops auto-vectorize to ymm only.
+
+/// Rows of a rotation tile column (`crate::rot::STRIP`).
+const ROT_ROWS: usize = 32;
+
+/// The rotation-chain bodies of one ISA, for [`crate::rot`]: forward
+/// (`(f + t, f + t + 1)`), backward (`(f - t, f - t + 1)`) and fixed
+/// pivot (`(f + t, pivot)`), over tile columns of 32 rows, `cs` holding
+/// the `(c, s)` pairs in application order.
+pub struct RotChains {
+    pub forward: fn(tile: &mut [f64], f: usize, cs: &[f64]),
+    pub backward: fn(tile: &mut [f64], f: usize, cs: &[f64]),
+    pub pivot: fn(tile: &mut [f64], f: usize, pivot: usize, cs: &[f64]),
+}
+
+/// The AVX-512 chains when the `f64` dispatch ([`selected`]) runs
+/// AVX-512, `None` when the caller's portable loops should run.
+pub fn rot_chains() -> Option<&'static RotChains> {
+    if selected().name == "avx512" {
+        rot_chains_avx512()
+    } else {
+        None
+    }
+}
+
+/// The AVX-512 chains when this machine has AVX-512F, whatever the
+/// dispatch choice (differential tests).
+pub fn rot_chains_avx512() -> Option<&'static RotChains> {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if is_x86_feature_detected!("avx512f") {
+            return Some(&ROT_AVX512);
+        }
+    }
+    None
+}
+
+#[cfg(target_arch = "x86_64")]
+static ROT_AVX512: RotChains = RotChains {
+    forward: rot_forward_avx512_entry,
+    backward: rot_backward_avx512_entry,
+    pivot: rot_pivot_avx512_entry,
+};
+
+/// Safe entry of the forward chain: touches tile columns `f..=f + k`.
+#[cfg(target_arch = "x86_64")]
+fn rot_forward_avx512_entry(tile: &mut [f64], f: usize, cs: &[f64]) {
+    let k = cs.len() / 2;
+    assert!(
+        is_x86_feature_detected!("avx512f"),
+        "rot chain needs avx512f"
+    );
+    assert!(tile.len() >= (f + k + 1) * ROT_ROWS, "rot tile too short");
+    // SAFETY: the feature and the tile columns `f..=f + k` the body
+    // dereferences are asserted just above.
+    unsafe { rot_forward_avx512(tile, f, cs) }
+}
+
+/// Safe entry of the backward chain: touches tile columns
+/// `f + 1 - k..=f + 1`.
+#[cfg(target_arch = "x86_64")]
+fn rot_backward_avx512_entry(tile: &mut [f64], f: usize, cs: &[f64]) {
+    let k = cs.len() / 2;
+    assert!(
+        is_x86_feature_detected!("avx512f"),
+        "rot chain needs avx512f"
+    );
+    assert!(k <= f + 1, "rot backward chain runs past column 0");
+    assert!(tile.len() >= (f + 2) * ROT_ROWS, "rot tile too short");
+    // SAFETY: the feature, `f + 1 - k >= 0` and the last column `f + 1`
+    // the body dereferences are asserted just above.
+    unsafe { rot_backward_avx512(tile, f, cs) }
+}
+
+/// Safe entry of the fixed-pivot chain: touches tile columns
+/// `f..f + k` and `pivot`.
+#[cfg(target_arch = "x86_64")]
+fn rot_pivot_avx512_entry(tile: &mut [f64], f: usize, pivot: usize, cs: &[f64]) {
+    let k = cs.len() / 2;
+    assert!(
+        is_x86_feature_detected!("avx512f"),
+        "rot chain needs avx512f"
+    );
+    assert!(
+        tile.len() >= (f + k).max(pivot + 1) * ROT_ROWS,
+        "rot tile too short"
+    );
+    assert!(pivot < f || pivot >= f + k, "rot pivot inside its run");
+    // SAFETY: the feature and every column the body dereferences are
+    // asserted just above; the pivot column is distinct from the run.
+    unsafe { rot_pivot_avx512(tile, f, pivot, cs) }
+}
+
+/// Forward chain: column `f + t` is carried into rotation `t` (first
+/// operand), which stores it finished and carries column `f + t + 1`.
+///
+/// # Safety
+///
+/// Caller must guarantee `avx512f` and `tile.len() >= (f + k + 1) * 32`
+/// for `k = cs.len() / 2`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn rot_forward_avx512(tile: &mut [f64], f: usize, cs: &[f64]) {
+    use std::arch::x86_64::*;
+    // SAFETY: every access is to a 32-row column `f..=f + k` of `tile`,
+    // in bounds by the caller's contract.
+    unsafe {
+        let t = tile.as_mut_ptr();
+        let mut x = [_mm512_setzero_pd(); 4];
+        for (l, xl) in x.iter_mut().enumerate() {
+            *xl = _mm512_loadu_pd(t.add(f * ROT_ROWS + 8 * l));
+        }
+        let mut j = f;
+        for g in cs.chunks_exact(2) {
+            let (c, s, ns) = (
+                _mm512_set1_pd(g[0]),
+                _mm512_set1_pd(g[1]),
+                _mm512_set1_pd(-g[1]),
+            );
+            let out = t.add(j * ROT_ROWS);
+            let next = t.add((j + 1) * ROT_ROWS);
+            for (l, xl) in x.iter_mut().enumerate() {
+                let (p, q) = (*xl, _mm512_loadu_pd(next.add(8 * l)));
+                let a = _mm512_add_pd(_mm512_mul_pd(c, p), _mm512_mul_pd(s, q));
+                _mm512_storeu_pd(out.add(8 * l), a);
+                *xl = _mm512_add_pd(_mm512_mul_pd(ns, p), _mm512_mul_pd(c, q));
+            }
+            j += 1;
+        }
+        for (l, xl) in x.iter().enumerate() {
+            _mm512_storeu_pd(t.add(j * ROT_ROWS + 8 * l), *xl);
+        }
+    }
+}
+
+/// Backward chain: column `f + 1 - t` is carried into rotation `t`
+/// (second operand), which stores it finished and carries column
+/// `f - t`.
+///
+/// # Safety
+///
+/// Caller must guarantee `avx512f`, `k <= f + 1` and
+/// `tile.len() >= (f + 2) * 32` for `k = cs.len() / 2`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn rot_backward_avx512(tile: &mut [f64], f: usize, cs: &[f64]) {
+    use std::arch::x86_64::*;
+    // SAFETY: every access is to a 32-row column `f + 1 - k..=f + 1` of
+    // `tile`, in bounds by the caller's contract.
+    unsafe {
+        let t = tile.as_mut_ptr();
+        let mut x = [_mm512_setzero_pd(); 4];
+        for (l, xl) in x.iter_mut().enumerate() {
+            *xl = _mm512_loadu_pd(t.add((f + 1) * ROT_ROWS + 8 * l));
+        }
+        let mut j = f + 1;
+        for g in cs.chunks_exact(2) {
+            let (c, s, ns) = (
+                _mm512_set1_pd(g[0]),
+                _mm512_set1_pd(g[1]),
+                _mm512_set1_pd(-g[1]),
+            );
+            let out = t.add(j * ROT_ROWS);
+            let prev = t.add((j - 1) * ROT_ROWS);
+            for (l, xl) in x.iter_mut().enumerate() {
+                let (p, q) = (_mm512_loadu_pd(prev.add(8 * l)), *xl);
+                let b = _mm512_add_pd(_mm512_mul_pd(ns, p), _mm512_mul_pd(c, q));
+                _mm512_storeu_pd(out.add(8 * l), b);
+                *xl = _mm512_add_pd(_mm512_mul_pd(c, p), _mm512_mul_pd(s, q));
+            }
+            j -= 1;
+        }
+        for (l, xl) in x.iter().enumerate() {
+            _mm512_storeu_pd(t.add(j * ROT_ROWS + 8 * l), *xl);
+        }
+    }
+}
+
+/// Fixed-pivot chain: column `pivot` is carried through every rotation
+/// (second operand) and meets columns `f, f + 1, ...`.
+///
+/// # Safety
+///
+/// Caller must guarantee `avx512f`, that `tile` holds the 32-row
+/// columns `f..f + k` and `pivot` for `k = cs.len() / 2`, and that
+/// `pivot` is not among `f..f + k`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn rot_pivot_avx512(tile: &mut [f64], f: usize, pivot: usize, cs: &[f64]) {
+    use std::arch::x86_64::*;
+    // SAFETY: every access is to a 32-row column `f..f + k` or `pivot`
+    // of `tile`, in bounds by the caller's contract.
+    unsafe {
+        let t = tile.as_mut_ptr();
+        let mut x = [_mm512_setzero_pd(); 4];
+        for (l, xl) in x.iter_mut().enumerate() {
+            *xl = _mm512_loadu_pd(t.add(pivot * ROT_ROWS + 8 * l));
+        }
+        for (i, g) in cs.chunks_exact(2).enumerate() {
+            let (c, s, ns) = (
+                _mm512_set1_pd(g[0]),
+                _mm512_set1_pd(g[1]),
+                _mm512_set1_pd(-g[1]),
+            );
+            let col = t.add((f + i) * ROT_ROWS);
+            for (l, xl) in x.iter_mut().enumerate() {
+                let (p, q) = (_mm512_loadu_pd(col.add(8 * l)), *xl);
+                let a = _mm512_add_pd(_mm512_mul_pd(c, p), _mm512_mul_pd(s, q));
+                _mm512_storeu_pd(col.add(8 * l), a);
+                *xl = _mm512_add_pd(_mm512_mul_pd(ns, p), _mm512_mul_pd(c, q));
+            }
+        }
+        for (l, xl) in x.iter().enumerate() {
+            _mm512_storeu_pd(t.add(pivot * ROT_ROWS + 8 * l), *xl);
+        }
+    }
+}
 
 // ---------------------------------------------------------------------------
 // FMA peak probe

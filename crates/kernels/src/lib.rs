@@ -17,6 +17,10 @@
 //!   bulge chase on band storage and the diamond-blocked
 //!   back-transformation, written once for all four element types;
 //!   `tseig-core` and `tseig-hermitian` are thin entry points over them.
+//! * **Rotation sequences** ([`rot`]) — the deferred Givens rotations of
+//!   the tridiagonal and bidiagonal QR iterations, applied to cache-sized
+//!   row strips of the vector matrix, serially or on the pool (the LAPACK
+//!   `dlasr` role).
 //! * **Cholesky tool-chain** ([`cholesky`]) — `potrf`, `trsm`, `hegst`:
 //!   the reduction of a generalized problem to standard form.
 //! * **Flop accounting** ([`flops`]) — relaxed atomic counters, split by
@@ -51,6 +55,7 @@ pub mod flops;
 pub mod householder;
 pub mod qr;
 pub mod reference;
+pub mod rot;
 pub mod scaling;
 pub mod stage1;
 pub mod stage2;

@@ -14,6 +14,7 @@ use tseig_kernels::blas3::{
 use tseig_kernels::cholesky::{hegst, potrf, trsm_left, trsm_right};
 use tseig_kernels::householder::{larf_left, larfb_with_work, Side};
 use tseig_kernels::qr::geqr2;
+use tseig_kernels::rot;
 use tseig_matrix::{c64, C64};
 
 fn filled(len: usize, seed: u64) -> Vec<f64> {
@@ -73,6 +74,100 @@ fn gemm_rejects_small_lda() {
         &mut c,
         4,
     );
+}
+
+/// One pending forward sweep over all `cols` columns.
+fn rot_sweep(cs: &mut [f64], cols: usize) -> rot::Pending<'_> {
+    let mut p = rot::Pending::new(cs);
+    p.begin(rot::Pattern::Forward, 0);
+    for _ in 1..cols {
+        p.push(0.6, 0.8);
+    }
+    p
+}
+
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "contracts compile out in release")]
+#[should_panic(expected = "leading dimension")]
+fn rot_apply_rejects_small_lda() {
+    let mut cs = vec![0.0; 8];
+    let mut p = rot_sweep(&mut cs, 3);
+    let mut a = filled(12, 1);
+    let mut job = rot::Job {
+        pending: &mut p,
+        a: &mut a,
+        rows: 4,
+        cols: 3,
+        lda: 3,
+    };
+    rot::apply(&mut job, &mut vec![0.0; rot::tile_len(3)]);
+}
+
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "contracts compile out in release")]
+#[should_panic(expected = "slice too short")]
+fn rot_apply_rejects_short_a() {
+    let mut cs = vec![0.0; 8];
+    let mut p = rot_sweep(&mut cs, 3);
+    let mut a = filled(11, 1); // needs (3-1)*4 + 4 = 12
+    let mut job = rot::Job {
+        pending: &mut p,
+        a: &mut a,
+        rows: 4,
+        cols: 3,
+        lda: 4,
+    };
+    rot::apply(&mut job, &mut vec![0.0; rot::tile_len(3)]);
+}
+
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "contracts compile out in release")]
+#[should_panic(expected = "slice too short")]
+fn rot_apply_rejects_short_tile() {
+    let mut cs = vec![0.0; 8];
+    let mut p = rot_sweep(&mut cs, 3);
+    let mut a = filled(12, 1);
+    let mut job = rot::Job {
+        pending: &mut p,
+        a: &mut a,
+        rows: 4,
+        cols: 3,
+        lda: 4,
+    };
+    rot::apply(&mut job, &mut vec![0.0; rot::tile_len(3) - 1]);
+}
+
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "contracts compile out in release")]
+#[should_panic(expected = "slice too short")]
+fn rot_apply_par_rejects_short_tiles() {
+    let mut cs = vec![0.0; 8];
+    let mut p = rot_sweep(&mut cs, 3);
+    let mut a = filled(12, 1);
+    let job = rot::Job {
+        pending: &mut p,
+        a: &mut a,
+        rows: 4,
+        cols: 3,
+        lda: 4,
+    };
+    rot::apply_par(&mut [job], &mut [0.0; 5]);
+}
+
+#[test]
+#[should_panic(expected = "pending rotations touch column 3")]
+fn rot_apply_rejects_rotations_past_the_last_column() {
+    let mut cs = vec![0.0; 8];
+    let mut p = rot_sweep(&mut cs, 4);
+    let mut a = filled(12, 1);
+    let mut job = rot::Job {
+        pending: &mut p,
+        a: &mut a,
+        rows: 4,
+        cols: 3,
+        lda: 4,
+    };
+    rot::apply(&mut job, &mut vec![0.0; rot::tile_len(3)]);
 }
 
 #[test]

@@ -21,7 +21,6 @@
 
 pub mod bidiagonal;
 pub mod driver;
-pub mod hessenberg;
 pub mod ormtr;
 pub mod sytrd;
 

@@ -8,10 +8,21 @@
 //! caller's transformations. Deflation splits at negligible
 //! super-diagonals; a negligible *diagonal* is handled by the classical
 //! row-annihilation sweep so singular matrices converge too.
+//!
+//! The sweeps compute only on `(d, e)`. Each rotation meant for `U` or
+//! `V` is recorded in a pending buffer ([`tseig_kernels::rot`]); when a
+//! buffer cannot take the next sweep, and once at the end, the buffers
+//! are applied to row strips of `U` and `V` spread over the pool. The
+//! pending `(c, s)` pairs and the strip tiles share an 896 KiB budget
+//! ([`rot::BUDGET_BYTES`]). The kernel gives every element the same
+//! rotations in the same order and with the same expressions as a
+//! one-rotation-at-a-time update, so the bits do not depend on the
+//! budget or the thread count.
 
 use tseig_kernels::contract;
 use tseig_kernels::flops::{self, Level};
-use tseig_matrix::{chaos, Ctrl, Error, Matrix, Result};
+use tseig_kernels::rot::{self, Job, Pattern, Pending};
+use tseig_matrix::{chaos, workspace, Ctrl, Error, Matrix, Result};
 
 const MAX_ITER_PER_VALUE: usize = 60;
 
@@ -55,13 +66,41 @@ pub fn bdsqr(
 /// [`bdsqr`] under a request control: polls `ctrl` once per deflation
 /// step of the outer sweep loop — an armed cancel or expired deadline
 /// aborts with the structured error (the bidiagonal is left
-/// partially-rotated; callers snapshot `(d, e)` before entry, as
-/// the retry rung already does).
+/// partially-rotated and `U`/`V` hold an unspecified subset of the
+/// rotations; callers snapshot `(d, e)` before entry, as the retry rung
+/// already does).
 pub fn bdsqr_with(
     d: &mut [f64],
     e: &mut [f64],
-    mut u: Option<&mut Matrix>,
-    mut v: Option<&mut Matrix>,
+    u: Option<&mut Matrix>,
+    v: Option<&mut Matrix>,
+    ctrl: &Ctrl,
+) -> Result<()> {
+    let mut work = Vec::new();
+    bdsqr_ws(d, e, u, v, &mut work, ctrl)
+}
+
+/// Length of the `work` buffer [`bdsqr_ws`] uses on an order-`n`
+/// bidiagonal with `mats` vector matrices (0, 1 or 2) of at most `rows`
+/// rows: a pending buffer per matrix and a strip tile per pool worker,
+/// within [`rot::BUDGET_BYTES`] unless one sweep needs more.
+pub fn work_len(n: usize, rows: usize, mats: usize) -> usize {
+    if mats == 0 || n == 0 {
+        return 0;
+    }
+    let tiles = rot::workers(rows);
+    2 * mats * rot::pending_cap(n, mats, tiles) + tiles * rot::tile_len(n)
+}
+
+/// [`bdsqr_with`] with a caller-owned work buffer (resized to
+/// [`work_len`]): allocation-free in the sweeps once `work` has warmed
+/// up, bit-identical to the allocating entry point.
+pub fn bdsqr_ws(
+    d: &mut [f64],
+    e: &mut [f64],
+    u: Option<&mut Matrix>,
+    v: Option<&mut Matrix>,
+    work: &mut Vec<f64>,
     ctrl: &Ctrl,
 ) -> Result<()> {
     let n = d.len();
@@ -88,6 +127,27 @@ pub fn bdsqr_with(
         });
     }
     let eps = f64::EPSILON;
+
+    let rows = u
+        .iter()
+        .chain(v.iter())
+        .map(|x| x.rows())
+        .max()
+        .unwrap_or(0);
+    let mats = usize::from(u.is_some()) + usize::from(v.is_some());
+    workspace::reset_f64s(work, work_len(n, rows, mats));
+    let cap = if mats == 0 {
+        0
+    } else {
+        rot::pending_cap(n, mats, rot::workers(rows))
+    };
+    let (cs, tiles) = work.split_at_mut(2 * mats * cap);
+    let (cs_u, cs_v) = cs.split_at_mut(if u.is_some() { 2 * cap } else { 0 });
+    let mut acc = Acc {
+        u: u.map(|x| (x, Pending::new(cs_u))),
+        v: v.map(|x| (x, Pending::new(cs_v))),
+        tiles,
+    };
 
     // Iterate on the trailing index of the active block.
     let mut m = n - 1;
@@ -118,22 +178,18 @@ pub fn bdsqr_with(
         // A negligible diagonal inside the block forces a split: rotate
         // the offending row's super-diagonal away to the right with left
         // rotations, then retry.
-        let mut split = false;
-        for k in l..m {
-            if d[k].abs()
-                <= eps * (d.iter().fold(0.0f64, |a, &b| a.max(b.abs())) + f64::MIN_POSITIVE)
-            {
-                annihilate_row(d, e, k, m, u.as_deref_mut());
-                split = true;
-                break;
-            }
-        }
-        if split {
+        let tiny = eps * (d.iter().fold(0.0f64, |a, &b| a.max(b.abs())) + f64::MIN_POSITIVE);
+        if let Some(k) = (l..m).find(|&k| d[k].abs() <= tiny) {
+            acc.reserve(m - k);
+            annihilate_row(d, e, k, m, &mut acc);
             continue;
         }
 
-        golub_kahan_step(d, e, l, m, u.as_deref_mut(), v.as_deref_mut());
+        acc.reserve(m - l);
+        golub_kahan_step(d, e, l, m, &mut acc);
     }
+    acc.flush();
+    let (mut u, mut v) = (acc.u.map(|(x, _)| x), acc.v.map(|(x, _)| x));
 
     // Make singular values non-negative (flip the U column sign).
     for (j, dv) in d.iter_mut().enumerate() {
@@ -180,28 +236,57 @@ fn givens(a: f64, b: f64) -> (f64, f64, f64) {
     }
 }
 
-/// Apply `X <- X G(j1, j2; c, s)` to the columns of `x`
-/// (`col_j1' = c col_j1 + s col_j2`, `col_j2' = -s col_j1 + c col_j2`).
-fn rot_cols(x: &mut Matrix, j1: usize, j2: usize, c: f64, s: f64) {
-    let (a, b) = x.cols_mut_pair(j1, j2);
-    for i in 0..a.len() {
-        let (p, q) = (a[i], b[i]);
-        a[i] = c * p + s * q;
-        b[i] = -s * p + c * q;
+/// `U` and `V` (when given) with the rotations pending on them; a
+/// recorded rotation `(c, s)` on columns `(j1, j2)` stands for
+/// `X <- X G(j1, j2; c, s)` (`col_j1' = c col_j1 + s col_j2`,
+/// `col_j2' = -s col_j1 + c col_j2`).
+struct Acc<'a, 'w> {
+    u: Option<(&'a mut Matrix, Pending<'w>)>,
+    v: Option<(&'a mut Matrix, Pending<'w>)>,
+    tiles: &'w mut [f64],
+}
+
+impl<'w> Acc<'_, 'w> {
+    /// Rows of `U` and of `V` (0 when absent).
+    fn rows(&self) -> (usize, usize) {
+        let rows = |x: &Option<(&mut Matrix, Pending<'w>)>| x.as_ref().map_or(0, |(m, _)| m.rows());
+        (rows(&self.u), rows(&self.v))
+    }
+
+    /// The pending buffers of `U` and `V`.
+    fn pending(&mut self) -> (Option<&mut Pending<'w>>, Option<&mut Pending<'w>>) {
+        (
+            self.u.as_mut().map(|(_, p)| p),
+            self.v.as_mut().map(|(_, p)| p),
+        )
+    }
+
+    /// Apply the pending rotations first if a sequence of `k` more might
+    /// not fit.
+    fn reserve(&mut self, k: usize) {
+        let (pu, pv) = self.pending();
+        if pu.into_iter().chain(pv).any(|p| !p.has_room(k)) {
+            self.flush();
+        }
+    }
+
+    /// Apply every pending rotation to `U` and `V`, row strips on the
+    /// pool.
+    fn flush(&mut self) {
+        let mut jobs: Vec<Job<'_, '_>> = [self.u.as_mut(), self.v.as_mut()]
+            .into_iter()
+            .flatten()
+            .map(|(x, p)| Job::on(p, x))
+            .collect();
+        rot::apply_par(&mut jobs, self.tiles);
     }
 }
 
 /// One implicit-shift sweep on the block `l..=m`.
-fn golub_kahan_step(
-    d: &mut [f64],
-    e: &mut [f64],
-    l: usize,
-    m: usize,
-    mut u: Option<&mut Matrix>,
-    mut v: Option<&mut Matrix>,
-) {
+fn golub_kahan_step(d: &mut [f64], e: &mut [f64], l: usize, m: usize, acc: &mut Acc<'_, '_>) {
     // Each step rotates one column pair of V and one of U.
-    let rows = u.as_ref().map_or(0, |x| x.rows()) + v.as_ref().map_or(0, |x| x.rows());
+    let (ru, rv) = acc.rows();
+    let rows = ru + rv;
     charge_sweep(
         SHIFT_FLOPS,
         STEP_FLOPS,
@@ -233,6 +318,10 @@ fn golub_kahan_step(
 
     let mut y = d[l] * d[l] - mu;
     let mut z = d[l] * e[l];
+    let (mut pu, mut pv) = acc.pending();
+    for p in [pu.as_deref_mut(), pv.as_deref_mut()].into_iter().flatten() {
+        p.begin(Pattern::Forward, l);
+    }
 
     for k in l..m {
         // Right rotation on columns (k, k+1): zero z against y. For
@@ -247,8 +336,8 @@ fn golub_kahan_step(
         e[k] = -s * dk + c * ek;
         let bulge_below = s * dk1; // new entry at (k+1, k)
         d[k + 1] = c * dk1;
-        if let Some(vm) = v.as_deref_mut() {
-            rot_cols(vm, k, k + 1, c, s);
+        if let Some(p) = pv.as_deref_mut() {
+            p.push(c, s);
         }
         // Left rotation on rows (k, k+1): zero the (k+1, k) bulge.
         let (c2, s2, r2) = givens(d[k], bulge_below);
@@ -256,8 +345,8 @@ fn golub_kahan_step(
         let (ek, dk1) = (e[k], d[k + 1]);
         e[k] = c2 * ek + s2 * dk1;
         d[k + 1] = -s2 * ek + c2 * dk1;
-        if let Some(um) = u.as_deref_mut() {
-            rot_cols(um, k, k + 1, c2, s2);
+        if let Some(p) = pu.as_deref_mut() {
+            p.push(c2, s2);
         }
         if k + 1 < m {
             // Bulge at (k, k+2) becomes the next step's z.
@@ -272,9 +361,13 @@ fn golub_kahan_step(
 /// Diagonal `d[k]` is (numerically) zero: annihilate `e[k]` by rotating
 /// row `k` against rows `k+1..=m` from the left (Golub–Reinsch
 /// cancellation), splitting the block.
-fn annihilate_row(d: &mut [f64], e: &mut [f64], k: usize, m: usize, mut u: Option<&mut Matrix>) {
-    let rows = u.as_ref().map_or(0, |x| x.rows());
+fn annihilate_row(d: &mut [f64], e: &mut [f64], k: usize, m: usize, acc: &mut Acc<'_, '_>) {
+    let (rows, _) = acc.rows();
     charge_sweep(0, ANNIHILATE_FLOPS, (m - k) as u64, (rows * (m - k)) as u64);
+    let (mut pu, _) = acc.pending();
+    if let Some(p) = pu.as_deref_mut() {
+        p.begin(Pattern::Pivot(k), k + 1);
+    }
     let mut f = e[k];
     e[k] = 0.0;
     for i in k + 1..=m {
@@ -282,8 +375,8 @@ fn annihilate_row(d: &mut [f64], e: &mut [f64], k: usize, m: usize, mut u: Optio
         // this pushes the coupling one column right (to (k, i+1)).
         let (c, s, r) = givens(d[i], f);
         d[i] = r;
-        if let Some(um) = u.as_deref_mut() {
-            rot_cols(um, i, k, c, s);
+        if let Some(p) = pu.as_deref_mut() {
+            p.push(c, s);
         }
         if i < m {
             f = -s * e[i];

@@ -15,7 +15,7 @@
 //! recovery rungs (scheduler fallback, `bdsqr` cap → eps-perturbed
 //! retry) recorded in [`SolveDiagnostics`], and opt-in verification.
 
-use crate::bdsqr::bdsqr_with;
+use crate::bdsqr::{self, bdsqr_ws};
 use crate::stage1::{apply_p1, apply_q1, ge2bb_with};
 use crate::stage2::{reduce_scheduled, reduce_ws, BvSet, Stage2Exec, Stage2Ws};
 use std::time::Duration;
@@ -58,7 +58,8 @@ pub enum SvdMethod {
 /// model: the dense working copy, the bidiagonal, the chase reflector
 /// set and scratch, and the one-stage back-transform's single reflector
 /// panel and serial apply scratch live here and are reused across
-/// solves of the same shape instead of being reallocated. The `bdsqr`
+/// solves of the same shape instead of being reallocated, and so do
+/// `bdsqr`'s pending rotations and strip tiles. The `bdsqr`
 /// accumulators `Ub`/`Vb` become the result's `U`/`V` in place (a tall
 /// `U` is copied into its `m x n` frame), so each vector solve allocates
 /// them once, as a copy out would.
@@ -73,6 +74,7 @@ pub struct SvdPlan {
     e: Vec<f64>,
     d0: Vec<f64>,
     e0: Vec<f64>,
+    rot: Vec<f64>,
     panel: BlockReflector<f64>,
     bt: BtPlan<f64>,
 }
@@ -92,7 +94,11 @@ impl SvdPlan {
             + self.ws.capacity_bytes()
             + self.panel.capacity_bytes()
             + self.bt.capacity_bytes()
-            + (self.d.capacity() + self.e.capacity() + self.d0.capacity() + self.e0.capacity())
+            + (self.d.capacity()
+                + self.e.capacity()
+                + self.d0.capacity()
+                + self.e0.capacity()
+                + self.rot.capacity())
                 * size_of::<f64>()
     }
 }
@@ -196,11 +202,13 @@ impl GeSvd {
     /// allocation.
     pub fn plan_req(&self, m: usize, n: usize) -> MemReq {
         let b = self.nb.max(2);
+        let uv = 2 * usize::from(self.vectors);
         MemReq::f64s(m * n) // dense working copy
             .and(MemReq::f64s(n * n).times(2)) // Ub / Vb accumulators
             .and(MemReq::f64s((3 * b + 2) * n)) // band form + bulge fill
             .and(MemReq::f64s(2 * n * (b + 1))) // chase reflector slots
             .and(MemReq::f64s(4 * n)) // bidiagonal + retry snapshot
+            .and(MemReq::f64s(bdsqr::work_len(n, n, uv))) // pending rotations + strip tiles
             .and(MemReq::f64s(
                 (m + b) * b + 2 * b * n.min(default_panel_cols::<f64>()),
             )) // one-stage panel + scratch
@@ -312,13 +320,15 @@ impl GeSvd {
         };
         reset_uv(plan);
         let first = {
-            let SvdPlan { d, e, ub, vb, .. } = plan;
+            let SvdPlan {
+                d, e, ub, vb, rot, ..
+            } = plan;
             let (u, v) = if with_vectors {
                 (Some(&mut *ub), Some(&mut *vb))
             } else {
                 (None, None)
             };
-            bdsqr_with(d, e, u, v, &self.ctrl)
+            bdsqr_ws(d, e, u, v, rot, &self.ctrl)
         };
         match first {
             Ok(()) => Ok(()),
@@ -335,13 +345,15 @@ impl GeSvd {
                     *v *= 1.0 - 4.0 * f64::EPSILON;
                 }
                 reset_uv(plan);
-                let SvdPlan { d, e, ub, vb, .. } = plan;
+                let SvdPlan {
+                    d, e, ub, vb, rot, ..
+                } = plan;
                 let (u, v) = if with_vectors {
                     (Some(&mut *ub), Some(&mut *vb))
                 } else {
                     (None, None)
                 };
-                bdsqr_with(d, e, u, v, &self.ctrl)
+                bdsqr_ws(d, e, u, v, rot, &self.ctrl)
             }
             Err(e) => Err(e),
         }

@@ -82,3 +82,62 @@ fn two_stage_square_solve_is_pinned() {
         0xf37c_d87c_5325_c000,
     );
 }
+
+/// FNV-1a over the bits of `d`, `U` and `V` of a direct `bdsqr` run.
+fn bdsqr_hash(d: &[f64], u: &Matrix, v: &Matrix) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for x in d.iter().chain(u.as_slice()).chain(v.as_slice()) {
+        for b in x.to_bits().to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn singular_bidiagonal_bdsqr_is_pinned() {
+    // Exact zeros on the diagonal send `bdsqr` through the row
+    // annihilation (fixed-pivot rotations of `U`) as well as the
+    // Golub-Kahan sweeps; n = 90 spans several 32-row strips. Recorded
+    // before the rotations were deferred, with the reconstruction and
+    // orthogonality checked alongside (max |B - U S V^T| 9.8e-15,
+    // orthogonality 0.4).
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let n = 90;
+    let mut rng = StdRng::seed_from_u64(64);
+    let mut d: Vec<f64> = (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect();
+    let mut e: Vec<f64> = (0..n - 1).map(|_| rng.gen_range(-1.0..1.0)).collect();
+    for k in [0, 17, 40, 41, 89] {
+        d[k] = 0.0;
+    }
+    let b = Matrix::from_fn(n, n, |i, j| {
+        if i == j {
+            d[i]
+        } else if j == i + 1 {
+            e[i]
+        } else {
+            0.0
+        }
+    });
+    let (mut u, mut v) = (Matrix::identity(n), Matrix::identity(n));
+    tseig_svd::bdsqr(&mut d, &mut e, Some(&mut u), Some(&mut v)).unwrap();
+    let sig = Matrix::from_fn(n, n, |i, j| if i == j { d[i] } else { 0.0 });
+    let recon = u.multiply(&sig).unwrap().multiply(&v.transpose()).unwrap();
+    let mut res = 0.0f64;
+    for j in 0..n {
+        for i in 0..n {
+            res = res.max((recon[(i, j)] - b[(i, j)]).abs());
+        }
+    }
+    let orth = norms::orthogonality(&u).max(norms::orthogonality(&v));
+    assert!(res < 1e-13, "reconstruction {res:e}");
+    assert!(orth < 200.0, "orthogonality {orth}");
+    assert!(
+        d[n - 1] < 1e-12,
+        "zero singular value not found: {}",
+        d[n - 1]
+    );
+    assert_eq!(bdsqr_hash(&d, &u, &v), 0x8ce9_eac4_71e9_e6a1, "bdsqr bits");
+}

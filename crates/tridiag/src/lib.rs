@@ -209,8 +209,9 @@ pub fn solve_with_diag(
 }
 
 /// Retained workspace for the planned full-spectrum QR solve
-/// ([`steqr_planned`]): the `(d, e)` working copies, the rotation
-/// scratch, and the accumulated eigenvector matrix.
+/// ([`steqr_planned`]): the `(d, e)` working copies, the QR work buffer
+/// (off-diagonal scratch, pending rotations and strip tile), and the
+/// accumulated eigenvector matrix.
 #[derive(Default)]
 pub struct TridiagWs {
     vals: Vec<f64>,
@@ -259,7 +260,7 @@ impl TridiagWs {
 pub fn steqr_planned_req(n: usize) -> MemReq {
     MemReq::f64s(n) // vals
         .and(MemReq::f64s(n.saturating_sub(1))) // off
-        .and(MemReq::f64s(n)) // ee
+        .and(MemReq::f64s(qr_iteration::work_len(n, true))) // ee: off-diagonals, pending rotations, strip tile
         .and(MemReq::f64s(n * n)) // z
 }
 

@@ -4,7 +4,19 @@
 //! deflation, optionally accumulating the plane rotations into an
 //! eigenvector matrix. Port of the EISPACK `imtql2` / LAPACK `dsteqr`
 //! algorithm. With accumulation the cost is `O(n^3)`; without, `O(n^2)`.
+//!
+//! The sweeps compute only on `(d, e)`. With accumulation each sweep's
+//! rotations are recorded in a pending buffer and applied to row strips
+//! of `Z` by [`tseig_kernels::rot`] on the calling thread, whenever the
+//! buffer cannot take the next sweep and once before the final sort.
+//! The buffer and the one strip tile live in the caller's work buffer
+//! ([`work_len`]), within the kernel's 896 KiB budget, so a warm planned
+//! solve allocates nothing. The kernel gives every element the same
+//! rotations in the same order and with the same expressions as a
+//! one-rotation-at-a-time update, so the bits do not depend on the
+//! budget.
 
+use tseig_kernels::rot::{self, Job, Pattern, Pending};
 use tseig_matrix::chaos;
 use tseig_matrix::{Ctrl, Error, Matrix, Result};
 
@@ -24,10 +36,22 @@ pub fn steqr(d: &mut [f64], e: &mut [f64], z: Option<&mut Matrix>) -> Result<()>
     steqr_ws(d, e, z, &mut ee, &Ctrl::NONE)
 }
 
-/// [`steqr`] with a caller-owned copy of the off-diagonal work buffer:
-/// allocation-free once `ee` has warmed up to length `n`. Bit-identical
-/// to the allocating entry point. Polls `ctrl` once per eigenvalue; an
-/// armed cancel or expired deadline aborts with the structured error.
+/// Length of the work buffer [`steqr_ws`] uses at order `n`: the
+/// off-diagonal copy and, with vectors, the pending rotations and one
+/// strip tile.
+pub fn work_len(n: usize, vectors: bool) -> usize {
+    if !vectors || n == 0 {
+        return n;
+    }
+    n + 2 * rot::pending_cap(n, 1, 1) + rot::tile_len(n)
+}
+
+/// [`steqr`] with a caller-owned work buffer `ee` (the off-diagonal
+/// copy, the pending rotations and the strip tile; see [`work_len`]):
+/// allocation-free once `ee` has warmed up. Bit-identical to the
+/// allocating entry point. Polls `ctrl` once per QR sweep; an armed
+/// cancel or expired deadline aborts with the structured error, leaving
+/// `Z` with an unspecified subset of the rotations.
 pub fn steqr_ws(
     d: &mut [f64],
     e: &mut [f64],
@@ -43,11 +67,19 @@ pub fn steqr_ws(
         return Ok(());
     }
     let eps = f64::EPSILON;
-    // Work buffer of length n: the sweep uses e[m] as scratch even when
-    // m == n-1 (EISPACK sizes E(N) for the same reason).
-    tseig_matrix::workspace::reset_f64s(ee, n);
-    ee[..n - 1].copy_from_slice(&e[..n.saturating_sub(1)]);
-    let e = &mut ee[..];
+    // The off-diagonal copy has length n: the sweep uses e[m] as scratch
+    // even when m == n-1 (EISPACK sizes E(N) for the same reason).
+    let vectors = z.is_some();
+    tseig_matrix::workspace::reset_f64s(ee, work_len(n, vectors));
+    let (e_work, rest) = ee.split_at_mut(n);
+    e_work[..n - 1].copy_from_slice(&e[..n.saturating_sub(1)]);
+    let e = e_work;
+    let (cs, tile) = rest.split_at_mut(if vectors {
+        2 * rot::pending_cap(n, 1, 1)
+    } else {
+        0
+    });
+    let mut pending = Pending::new(cs);
 
     for l in 0..n {
         let mut iter = 0;
@@ -84,11 +116,17 @@ pub fn steqr_ws(
             let mut s = 1.0;
             let mut c = 1.0;
             let mut p = 0.0;
+            if let Some(zm) = z.as_deref_mut() {
+                if !pending.has_room(m - l) {
+                    rot::apply(&mut Job::on(&mut pending, zm), tile);
+                }
+                pending.begin(Pattern::Backward, m - 1);
+            }
             // Implicit QL sweep from m-1 down to l.
             let mut i = m;
             while i > l {
                 i -= 1;
-                let mut f = s * e[i];
+                let f = s * e[i];
                 let b = c * e[i];
                 r = f.hypot(g);
                 e[i + 1] = r;
@@ -105,14 +143,10 @@ pub fn steqr_ws(
                 p = s * r;
                 d[i + 1] = g + p;
                 g = c * r - b;
-                if let Some(zm) = z.as_deref_mut() {
-                    // Z <- Z * G(i, i+1, c, s)
-                    let (zi, zi1) = zm.cols_mut_pair(i, i + 1);
-                    for k in 0..zi.len() {
-                        f = zi1[k];
-                        zi1[k] = s * zi[k] + c * f;
-                        zi[k] = c * zi[k] - s * f;
-                    }
+                if vectors {
+                    // Z <- Z * G(i, i+1, c, s): z_i' = c z_i - s z_{i+1},
+                    // z_{i+1}' = s z_i + c z_{i+1}, recorded as (c, -s).
+                    pending.push(c, -s);
                 }
             }
             if r == 0.0 && i > l {
@@ -124,6 +158,9 @@ pub fn steqr_ws(
         }
     }
 
+    if let Some(zm) = z.as_deref_mut() {
+        rot::apply(&mut Job::on(&mut pending, zm), tile);
+    }
     // Sort ascending (selection sort, LAPACK-style), permuting Z columns.
     for i in 0..n.saturating_sub(1) {
         let mut kmin = i;

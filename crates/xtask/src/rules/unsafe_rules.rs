@@ -20,7 +20,8 @@ use crate::Diag;
 ///   frontend's `(s, k)` task reaches the shared band and reflector store
 ///   through `DataCell` under the scheduler's region guarantee, written
 ///   once for all three chases.
-/// * `kernels/src/blas3/simd.rs` — the `std::arch` GEMM microkernels;
+/// * `kernels/src/blas3/simd.rs` — the `std::arch` GEMM microkernels
+///   and the rotation chains of `kernels::rot`;
 ///   runtime `is_x86_feature_detected!` dispatch plus the safe entry
 ///   wrappers' bounds assertions are the safety argument.
 pub const UNSAFE_ALLOWLIST: &[&str] = &[
