@@ -288,6 +288,7 @@ pub fn run<R: BufRead, W: Write>(
                 }
             }
             print_stdout(|w| {
+                // tidy: allow(float-spelling) -- a one-line summary for people, never read back
                 writeln!(
                     w,
                     "{} x {}  symmetric: {}  1-norm: {:.6e}",
@@ -389,7 +390,7 @@ pub fn run<R: BufRead, W: Write>(
                     norms::orthogonality(z)
                 );
             }
-            print_stdout(|w| vals.iter().try_for_each(|v| writeln!(w, "{v:.17e}")))?;
+            print_stdout(|w| mmio::write_f64_lines(w, &vals))?;
             if let (Some(out), Some(z)) = (vectors_out, vecs.as_ref()) {
                 mmio::write_matrix_market(z, create(out)?).map_err(|e| e.to_string())?;
             }
@@ -527,7 +528,7 @@ pub fn run<R: BufRead, W: Write>(
                 t0.elapsed(),
                 tseig_svd::drivers::svd_residual(&work, &svd)
             );
-            print_stdout(|w| svd.s.iter().try_for_each(|s| writeln!(w, "{s:.17e}")))?;
+            print_stdout(|w| mmio::write_f64_lines(w, &svd.s))?;
             if !values_only {
                 let (u, v) = if transposed {
                     (&svd.v, &svd.u)
@@ -839,23 +840,99 @@ fn parse_svd_line(
 }
 
 /// Parse a comma-separated float array (the inside of a JSON `[...]`)
-/// that should hold `expect` entries. The empty array is valid; an
-/// empty element (`[1,,2]`, `[1,2,]`) is not. Capacity is reserved for
-/// `expect` entries but never more than the text can hold (an entry
-/// takes at least two bytes with its comma), so a line claiming a huge
-/// count allocates nothing sized from it.
+/// that should hold `expect` entries, in one pass over its bytes. The
+/// empty array is valid; an empty element (`[1,,2]`, `[1,2,]`) is not,
+/// and the scan stops at the first entry past `expect`. Capacity is
+/// reserved for `expect` entries but never more than the text can hold
+/// (an entry takes at least two bytes with its comma), so a line
+/// claiming a huge count allocates nothing sized from it.
+///
+/// Every entry is what `str::parse::<f64>` makes of its trimmed text, to
+/// the bit: a plain decimal goes through [`plain_decimal`], every other
+/// token (exponents, long mantissas, `NaN`, non-ASCII space) through std.
 fn parse_floats(data: &str, expect: usize) -> Result<Vec<f64>, String> {
     let mut vals = Vec::with_capacity(expect.min(data.len() / 2 + 1));
     if data.trim().is_empty() {
         return Ok(vals);
     }
-    for tok in data.split(',') {
-        match tok.trim() {
-            "" => return Err("empty array element".to_string()),
-            tok => vals.push(tok.parse().map_err(|_| format!("bad number {tok:?}"))?),
+    let bytes = data.as_bytes();
+    let mut at = 0;
+    loop {
+        let (v, end) = match plain_decimal(bytes, at) {
+            Some(hit) => hit,
+            None => {
+                let end = bytes[at..]
+                    .iter()
+                    .position(|&c| c == b',')
+                    .map_or(bytes.len(), |p| at + p);
+                let tok = data[at..end].trim();
+                if tok.is_empty() {
+                    return Err("empty array element".to_string());
+                }
+                let v = tok.parse().map_err(|_| format!("bad number {tok:?}"))?;
+                (v, end)
+            }
+        };
+        if vals.len() == expect {
+            return Err(format!("more than {expect} entries"));
         }
+        vals.push(v);
+        if end == bytes.len() {
+            return Ok(vals);
+        }
+        at = end + 1;
     }
-    Ok(vals)
+}
+
+/// The entry of `text` that starts at `at`, and the index of the comma
+/// (or end) closing it, when the entry is a plain decimal: ASCII
+/// whitespace, an optional sign, at most 19 digits with at most one
+/// `.`, of which at most 15 significant and 22 after the point, ASCII
+/// whitespace. Its value is Clinger's fast path, the integer of its
+/// digits over `10^fraction`: both are exact in f64, so the one
+/// division rounds the decimal correctly, as std does.
+fn plain_decimal(text: &[u8], mut at: usize) -> Option<(f64, usize)> {
+    const POW10: [f64; 23] = [
+        1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+        1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+    ];
+    let space = |mut i: usize| {
+        while text.get(i).is_some_and(u8::is_ascii_whitespace) {
+            i += 1;
+        }
+        i
+    };
+    at = space(at);
+    let negative = text.get(at) == Some(&b'-');
+    if negative || text.get(at) == Some(&b'+') {
+        at += 1;
+    }
+    let (mut mantissa, start, mut point) = (0u64, at, None);
+    loop {
+        match text.get(at) {
+            Some(&c) if c.is_ascii_digit() => {
+                mantissa = mantissa.wrapping_mul(10).wrapping_add(u64::from(c - b'0'));
+            }
+            Some(b'.') if point.is_none() => point = Some(at),
+            _ => break,
+        }
+        at += 1;
+    }
+    let digits = at - start - usize::from(point.is_some());
+    let fraction = point.map_or(0, |p| at - p - 1);
+    at = space(at);
+    // Up to 19 digits cannot wrap, and a mantissa below 10^15 has at
+    // most 15 significant ones.
+    if digits == 0
+        || digits > 19
+        || mantissa >= 1_000_000_000_000_000
+        || fraction > 22
+        || text.get(at).is_some_and(|&c| c != b',')
+    {
+        return None;
+    }
+    let v = mantissa as f64 / POW10[fraction];
+    Some((if negative { -v } else { v }, at))
 }
 
 /// Read the `expect` entries of element type `tag` stored under `key`;
@@ -1039,8 +1116,8 @@ fn finished(line: &Line, tag: ScalarTag, r: Result<(bool, String), LineError>) -
 fn line_start(line: &Line, tag: ScalarTag, ok: bool, floats: usize) -> String {
     let (k, text) = line;
     let id = json_value(text, "id");
-    // One `{:.17e}` value and its comma take at most 26 bytes.
-    let mut s = String::with_capacity(128 + id.map_or(20, str::len) + 26 * floats);
+    let per = mmio::F64_TEXT_MAX + 1;
+    let mut s = String::with_capacity(128 + id.map_or(20, str::len) + per * floats);
     s.push_str("{\"id\": \"");
     match id {
         Some(id) => s.push_str(id),
@@ -1084,15 +1161,15 @@ fn eig_line<T: ComplexScalar>(
     (degraded, s)
 }
 
-/// Append `, "key": [v0,v1,...]`, each value as `{:.17e}` written in
-/// place.
+/// Append `, "key": [v0,v1,...]`, each value spelled in place by
+/// [`mmio::push_f64`].
 fn push_json_floats(out: &mut String, key: &str, vals: impl IntoIterator<Item = f64>) {
     let _ = write!(out, ", \"{key}\": [");
     for (k, v) in vals.into_iter().enumerate() {
         if k > 0 {
             out.push(',');
         }
-        let _ = write!(out, "{v:.17e}");
+        mmio::push_f64(out, v);
     }
     out.push(']');
 }
@@ -1513,7 +1590,7 @@ mod tests {
         assert_eq!(vals.len(), 2);
         assert!((vals[0] - 1.0).abs() < 1e-12 && (vals[1] - 3.0).abs() < 1e-12);
         assert!(lines[1].contains("\"id\": \"broken\"") && lines[1].contains("\"ok\": false"));
-        assert!(lines[2].contains("\"id\": \"b\"") && lines[2].contains("5.00000000000000000e0"));
+        assert!(lines[2].contains("\"id\": \"b\"") && lines[2].contains("5.0000000000000000e0"));
     }
 
     /// Run `tseig <argv>` over `jsonl` in memory; the output lines.
@@ -1948,6 +2025,136 @@ mod tests {
             }
         }
         v.join(",")
+    }
+
+    /// What `str::parse::<f64>` makes of a float array: each trimmed
+    /// element's bits, `None` on an empty or rejected element.
+    fn std_floats(data: &str) -> Option<Vec<u64>> {
+        if data.trim().is_empty() {
+            return Some(Vec::new());
+        }
+        data.split(',')
+            .map(|t| match t.trim() {
+                "" => None,
+                t => t.parse::<f64>().ok().map(f64::to_bits),
+            })
+            .collect()
+    }
+
+    /// `parse_floats` accepts and rejects what std does, with std's bits.
+    fn assert_scans_as_std(data: &str) {
+        let got = parse_floats(data, usize::MAX).ok();
+        let got = got.map(|v| v.into_iter().map(f64::to_bits).collect());
+        assert_eq!(got, std_floats(data), "{data:?}");
+    }
+
+    #[test]
+    fn scanner_matches_std_bit_for_bit() {
+        for data in [
+            "123456789012345",
+            "1234567890123456",
+            "-999999999999999.0",
+            "0.000000000000000123456789012345",
+            "1.0000000000000000000000",
+            "0.1234567890123456789012",
+            "0.12345678901234567890123",
+            "9007199254740993",
+            "-0",
+            "-0.0",
+            ".5",
+            "5.",
+            "-.5",
+            "+1",
+            "+-1",
+            "1e5",
+            "1E-3",
+            " 1 , 2 ",
+            "\t1,\n2\r",
+            "007.50,-00.0",
+            "NaN",
+            "inf",
+            "-infinity",
+            "",
+            "  ",
+            ".",
+            "-",
+            "1.2.3",
+            "1 2",
+            "0x10",
+            "1,,2",
+            "1,2,",
+            ",1",
+            "\u{a0}1,2\u{2003}",
+            "\u{b}3",
+            "1\u{e9}",
+        ] {
+            assert_scans_as_std(data);
+        }
+        // Random plain decimals around the 15-digit and 22-place limits.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |m: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % m
+        };
+        for _ in 0..20_000 {
+            let digits: String = (0..1 + next(26))
+                .map(|_| char::from(b'0' + next(10) as u8))
+                .collect();
+            let point = next(digits.len() as u64 + 2) as usize;
+            let mut tok = ["", "-", "+", " "][next(4) as usize].to_string();
+            tok.push_str(&digits[..point.min(digits.len())]);
+            if point <= digits.len() {
+                tok.push('.');
+                tok.push_str(&digits[point..]);
+            }
+            assert_scans_as_std(&tok);
+        }
+    }
+
+    #[test]
+    fn scanner_stops_past_the_expected_count() {
+        assert_eq!(parse_floats("1, 2", 2), Ok(vec![1.0, 2.0]));
+        assert_eq!(parse_floats("1", 2), Ok(vec![1.0]));
+        // The third entry ends the scan: the bad token after it is never read.
+        let e = parse_floats("1,2,3,bad", 2).unwrap_err();
+        assert_eq!(e, "more than 2 entries");
+        assert_eq!(parse_floats("1,2,", 2).unwrap_err(), "empty array element");
+        assert_eq!(parse_floats("7", 0).unwrap_err(), "more than 0 entries");
+    }
+
+    #[test]
+    fn batch_floats_read_back_as_17_digit_text_does() {
+        // A four-type batch: every value it writes parses to the bits
+        // that its `{:.17e}` spelling parses to, and is spelled `{:.16e}`.
+        let m = test_matrix;
+        let jsonl = format!(
+            "{{\"id\": \"d\", \"scalar\": \"f64\", \"n\": 6, \"data\": [{}]}}\n\
+             {{\"id\": \"s\", \"scalar\": \"f32\", \"n\": 5, \"data\": [{}]}}\n\
+             {{\"id\": \"z\", \"scalar\": \"c64\", \"n\": 4, \"data\": [{}]}}\n\
+             {{\"id\": \"c\", \"scalar\": \"c32\", \"n\": 3, \"data\": [{}]}}\n",
+            m(6, "f64", 1),
+            m(5, "f32", 2),
+            m(4, "c64", 3),
+            m(3, "c32", 4),
+        );
+        let lines = batch_in_memory("batch mem.jsonl -o out.jsonl --nb 4 --vectors", &jsonl);
+        assert_eq!(lines.len(), 4);
+        let mut count = 0;
+        for line in &lines {
+            assert!(line.contains("\"ok\": true"), "{line}");
+            for key in ["eigenvalues", "eigenvectors"] {
+                for tok in json_value(line, key).unwrap().split(',') {
+                    let v: f64 = tok.parse().unwrap();
+                    let wide: f64 = format!("{v:.17e}").parse().unwrap();
+                    assert_eq!(v.to_bits(), wide.to_bits(), "{tok}");
+                    assert_eq!(tok, format!("{v:.16e}"));
+                    count += 1;
+                }
+            }
+        }
+        assert_eq!(count, (6 + 36) + (5 + 25) + (4 + 32) + (3 + 18));
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! | `task-storage`      | task-body and touch-reporting files reach storage only through shadow-reported accessors |
 //! | `shim-deps`         | `shims/*` stay std-only |
 //! | `doc-refs`          | every `-p`/`--bin`/`--example` in the docs names a workspace target |
+//! | `float-spelling`    | cli/matrix data floats are written by `push_f64`, not `{:e}` specs |
 //!
 //! A rule can be waived on one line with a
 //! `// tidy: allow(<rule>) -- reason` comment — trailing on the line, or

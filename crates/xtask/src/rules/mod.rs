@@ -7,6 +7,7 @@ pub mod casts;
 pub mod checkpoint_loop;
 pub mod counters;
 pub mod doc_refs;
+pub mod float_spelling;
 pub mod panics;
 pub mod plan_no_alloc;
 pub mod pure_req;

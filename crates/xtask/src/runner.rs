@@ -2,8 +2,8 @@
 //! through the rules, and aggregates diagnostics.
 
 use crate::rules::{
-    casts, checkpoint_loop, counters, doc_refs, panics, plan_no_alloc, pure_req, result_unwrap,
-    shims, task_shadow, unsafe_rules,
+    casts, checkpoint_loop, counters, doc_refs, float_spelling, panics, plan_no_alloc, pure_req,
+    result_unwrap, shims, task_shadow, unsafe_rules,
 };
 use crate::source::SourceFile;
 use crate::Diag;
@@ -47,6 +47,7 @@ pub fn run_tidy(root: &Path) -> std::io::Result<Vec<Diag>> {
         plan_no_alloc::check(&file, &mut diags);
         pure_req::check(&file, &mut diags);
         task_shadow::check(&file, &mut diags);
+        float_spelling::check(&file, &mut diags);
     }
     // Shim manifest drift.
     let shims_dir = root.join("shims");

@@ -12,6 +12,9 @@
 //!   block), blanked elsewhere;
 //! * `in_test` — whether the line sits inside a `#[cfg(test)]` item.
 //!
+//! The line as written is kept too (`text`), aligned char for char with
+//! `code`, for the one rule that reads inside string literals.
+//!
 //! The scanner is a small hand-rolled lexer: line comments, nested block
 //! comments, string/char/raw-string literals, and a lifetime-vs-char
 //! heuristic. It does not need to be a full Rust parser — tidy rules are
@@ -20,6 +23,8 @@
 /// One scanned source line.
 #[derive(Debug, Clone)]
 pub struct Line {
+    /// The source text as written (char for char aligned with `code`).
+    pub text: String,
     /// Source text with comments and literal contents blanked.
     pub code: String,
     /// Comment text on this line (empty if none).
@@ -55,6 +60,7 @@ impl SourceFile {
             let (code, comment, next) = scan_line(raw, state);
             state = next;
             lines.push(Line {
+                text: raw.to_string(),
                 code,
                 comment,
                 in_test: false,
