@@ -11,7 +11,7 @@
 //! `#[test]`: no other test in this binary can charge them concurrently.
 
 use tseig_kernels::blas3::{symm_lower_left, syr2k_lower, syrk_lower, trmm_upper_left, Trans};
-use tseig_kernels::cholesky::{potrf_lower, sygst, trsm_left_lower, trsm_right_lower_trans};
+use tseig_kernels::cholesky::{hegst, potrf, trsm_left, trsm_right};
 use tseig_kernels::flops;
 use tseig_kernels::householder::{
     larf_left, larf_right, larf_sym_two_sided, larfb, larfb_with_work, larfg, larft, Side,
@@ -277,7 +277,7 @@ fn cases() -> Vec<(&'static str, u64)> {
         out.push((
             "potrf_lower",
             pin(|h| {
-                potrf_lower(&mut l, nb).expect("spd");
+                potrf(n, l.as_mut_slice(), n, nb).expect("spd");
                 h.f64s(l.as_slice());
             }),
         ));
@@ -288,7 +288,7 @@ fn cases() -> Vec<(&'static str, u64)> {
         out.push((
             "potrf_lower",
             pin(|h| {
-                let err = potrf_lower(&mut a, 2).expect_err("indefinite");
+                let err = potrf(6, a.as_mut_slice(), 6, 2).expect_err("indefinite");
                 for b in err.to_string().bytes() {
                     h.word(u64::from(b));
                 }
@@ -297,7 +297,7 @@ fn cases() -> Vec<(&'static str, u64)> {
     }
 
     let mut l = spd(33, 3);
-    potrf_lower(&mut l, 8).expect("spd");
+    potrf(33, l.as_mut_slice(), 33, 8).expect("spd");
     for (trans, alpha) in [
         (Trans::No, 1.0),
         (Trans::No, 1.5),
@@ -309,7 +309,7 @@ fn cases() -> Vec<(&'static str, u64)> {
         out.push((
             "trsm_left_lower",
             pin(|h| {
-                trsm_left_lower(trans, m, n, alpha, &l, &mut b, ldb);
+                trsm_left(trans, m, n, alpha, l.as_slice(), 33, &mut b, ldb);
                 h.f64s(&b);
             }),
         ));
@@ -320,7 +320,7 @@ fn cases() -> Vec<(&'static str, u64)> {
         out.push((
             "trsm_right_lower_trans",
             pin(|h| {
-                trsm_right_lower_trans(m, n, &l, &mut b, ldb);
+                trsm_right(m, n, l.as_slice(), 33, &mut b, ldb);
                 h.f64s(&b);
             }),
         ));
@@ -330,7 +330,9 @@ fn cases() -> Vec<(&'static str, u64)> {
         out.push((
             "sygst",
             pin(|h| {
-                let c = sygst(&a, &l);
+                let mut c = a.clone();
+                c.symmetrize_from_lower();
+                hegst(33, c.as_mut_slice(), 33, l.as_slice(), 33);
                 h.f64s(c.as_slice());
             }),
         ));
