@@ -12,11 +12,12 @@ use crate::plan::SolvePlan;
 use crate::stage1;
 use crate::stage2::{self, Stage2Schedule};
 use std::time::Instant;
+use tseig_kernels::pencil::{self, Reduced};
 use tseig_kernels::scaling;
 use tseig_kernels::stage2::{stage2_ws_req, v2_req};
-use tseig_matrix::diagnostics::{Recorder, SolveDiagnostics, VerifyLevel, VerifyReport};
+use tseig_matrix::diagnostics::{Recorder, SolveDiagnostics, VerifyLevel};
 use tseig_matrix::workspace::MemReq;
-use tseig_matrix::{norms, Ctrl, Error, Matrix, Result};
+use tseig_matrix::{Ctrl, Error, Matrix, Result};
 use tseig_tridiag::{EigenRange, Method, PhaseTimings};
 
 /// Scaled-measure acceptance bound for [`SymmetricEigen::verify`].
@@ -176,10 +177,16 @@ impl SymmetricEigen {
         &self.ctrl
     }
 
-    /// Configured verification depth (the generalized driver reads this
-    /// to run pencil-level checks in place of the inner standard ones).
-    pub(crate) fn verify_level(&self) -> VerifyLevel {
-        self.verify
+    /// The standard solve of a pencil reduced to `C`, unverified and
+    /// with a `Value` range in `C`'s units, and the verification level
+    /// the generalized driver runs on the pencil in its place.
+    pub(crate) fn pencil_inner(&self, pencil: &Reduced) -> (SymmetricEigen, VerifyLevel) {
+        let mut inner = self.clone().verify(VerifyLevel::Off);
+        if let EigenRange::Value(vl, vu) = inner.range {
+            let (vl, vu) = pencil.inner_bounds(vl, vu);
+            inner.range = EigenRange::Value(vl, vu);
+        }
+        (inner, self.verify)
     }
 
     /// Run the solver on the dense symmetric matrix `a` (lower triangle
@@ -424,14 +431,9 @@ impl SymmetricEigen {
         // Opt-in verification against the ORIGINAL input: the unscaled
         // eigenvalues and back-transformed vectors must reproduce `a`,
         // whatever path (scaled, fallback) produced them.
-        if self.verify != VerifyLevel::Off {
-            diagnostics.verify = Some(verify_solution(
-                a,
-                &plan.evals,
-                plan.has_vectors.then_some(&plan.evecs),
-                self.verify,
-            )?);
-        }
+        let z = plan.has_vectors.then(|| plan.evecs.as_slice());
+        let (lda, level) = (a.ld().max(1), self.verify);
+        diagnostics.verify = pencil::verify(n, a.as_slice(), lda, None, &plan.evals, z, level)?;
 
         plan.timings = timings;
         plan.diagnostics = diagnostics;
@@ -514,96 +516,6 @@ impl SymmetricEigen {
         });
         plan.set_trivial(eigenvalues, eigenvectors);
     }
-}
-
-/// Check a computed eigendecomposition against the matrix it claims to
-/// decompose. Eigenvalues must be finite and ascending; with vectors the
-/// per-column scaled residual (and for [`VerifyLevel::Full`] the pairwise
-/// orthogonality) must stay under [`VERIFY_BOUND`].
-fn verify_solution(
-    a: &Matrix,
-    lambda: &[f64],
-    z: Option<&Matrix>,
-    level: VerifyLevel,
-) -> Result<VerifyReport> {
-    let n = a.rows();
-    for (j, &lam) in lambda.iter().enumerate() {
-        if !lam.is_finite() {
-            return Err(Error::VerificationFailed {
-                index: j,
-                measure: "eigenvalue finiteness".into(),
-                value: lam,
-                bound: f64::MAX,
-            });
-        }
-        if j > 0 && lam < lambda[j - 1] {
-            return Err(Error::VerificationFailed {
-                index: j,
-                measure: "eigenvalue ordering".into(),
-                value: lam - lambda[j - 1],
-                bound: 0.0,
-            });
-        }
-    }
-    let Some(z) = z else {
-        return Ok(VerifyReport::default());
-    };
-    let az = a.multiply(z)?;
-    let denom = norms::norm1(a).max(norms::EPS) * n as f64 * norms::EPS;
-    let mut worst = (0usize, 0.0f64);
-    for (j, &lam) in lambda.iter().enumerate() {
-        let azc = az.col(j);
-        let zc = z.col(j);
-        let mut colmax = 0.0f64;
-        for i in 0..n {
-            colmax = colmax.max((azc[i] - lam * zc[i]).abs());
-        }
-        let m = colmax / denom;
-        if m > worst.1 || m.is_nan() {
-            worst = (j, m);
-        }
-    }
-    // The NaN check matters: a poisoned vector yields a NaN measure,
-    // which must fail verification rather than slip past `>`.
-    if worst.1 > VERIFY_BOUND || worst.1.is_nan() {
-        return Err(Error::VerificationFailed {
-            index: worst.0,
-            measure: "scaled residual".into(),
-            value: worst.1,
-            bound: VERIFY_BOUND,
-        });
-    }
-    let residual = worst.1;
-    let mut orthogonality = 0.0;
-    if level == VerifyLevel::Full {
-        let scale = n as f64 * norms::EPS;
-        let mut worst = (0usize, 0.0f64);
-        for j in 0..z.cols() {
-            for i in 0..=j {
-                let dot: f64 = z.col(i).iter().zip(z.col(j)).map(|(x, y)| x * y).sum();
-                let target = if i == j { 1.0 } else { 0.0 };
-                let m = (dot - target).abs() / scale;
-                if m > worst.1 || m.is_nan() {
-                    worst = (j, m);
-                }
-            }
-        }
-        // The NaN check matters: a poisoned vector yields a NaN measure,
-        // which must fail verification rather than slip past `>`.
-        if worst.1 > VERIFY_BOUND || worst.1.is_nan() {
-            return Err(Error::VerificationFailed {
-                index: worst.0,
-                measure: "orthogonality".into(),
-                value: worst.1,
-                bound: VERIFY_BOUND,
-            });
-        }
-        orthogonality = worst.1;
-    }
-    Ok(VerifyReport {
-        residual,
-        orthogonality,
-    })
 }
 
 #[cfg(test)]

@@ -13,30 +13,17 @@
 //!
 //! This is a first-class driver, not a wrapper: both pencil matrices are
 //! screened on entry (NaN/Inf and asymmetry with offender location),
-//! each is scaled into the `DSYGV` safe-norm window independently, a
-//! Cholesky breakdown is retried on the shifted pencil `(A, B + delta I)`
-//! (recorded as a degradation), an ill-conditioned factor triggers an
-//! explicit re-symmetrization record, and every detour lands in the
-//! result's [`SolveDiagnostics`]. All working storage lives in a
-//! reusable [`GenPlan`] (the old driver silently `clone`d `B` on every
-//! call).
+//! and steps 1, 2 and 4 with their recovery rungs (`DSYGV` scaling, the
+//! Cholesky shift retry, the conditioning record) and the pencil-level
+//! verification are `tseig_kernels::pencil`, the code the complex driver
+//! runs. Every detour lands in the result's `SolveDiagnostics`. All
+//! working storage lives in a reusable [`GenPlan`].
 
-use crate::driver::{SymmetricEigen, TwoStageResult, VERIFY_BOUND};
+use crate::driver::{SymmetricEigen, TwoStageResult};
 use crate::plan::SolvePlan;
-use tseig_kernels::blas3::{gemm, Trans};
-use tseig_kernels::cholesky::{hegst, potrf_lower, trsm_left_lower, POTRF_NB};
-use tseig_kernels::scaling::{safe_scale_factor, scale_matrix, screen_symmetric};
-use tseig_matrix::diagnostics::{
-    Recorder, Recovery, VerifyLevel, VerifyReport, MAX_SHIFT_ATTEMPTS,
-};
-use tseig_matrix::{norms, Error, Matrix, Result};
-
-/// Estimated `kappa(B)` beyond which the pencil counts as
-/// ill-conditioned (`1/sqrt(eps)`, the point where `L^-1 A L^-T` loses
-/// half the digits).
-fn cond_threshold() -> f64 {
-    1.0 / f64::EPSILON.sqrt()
-}
+use tseig_kernels::pencil;
+use tseig_kernels::scaling::screen_symmetric;
+use tseig_matrix::{Error, Matrix, Result};
 
 /// Reusable buffers of the generalized driver: the Cholesky factor, the
 /// transformed standard matrix, and the standard solve's own
@@ -83,232 +70,46 @@ pub fn solve_generalized_with_plan(
     opts: &SymmetricEigen,
     plan: &mut GenPlan,
 ) -> Result<TwoStageResult> {
-    if a.rows() != a.cols() || b.rows() != b.cols() || a.rows() != b.rows() {
-        return Err(Error::DimensionMismatch(format!(
-            "pencil shapes {}x{} and {}x{}",
-            a.rows(),
-            a.cols(),
-            b.rows(),
-            b.cols()
-        )));
-    }
     let n = a.rows();
+    if a.cols() != n || b.rows() != n || b.cols() != n {
+        let (ac, br, bc) = (a.cols(), b.rows(), b.cols());
+        let msg = format!("pencil shapes {n}x{ac} and {br}x{bc}");
+        return Err(Error::DimensionMismatch(msg));
+    }
     // Screen both matrices before touching either: non-finite entries and
     // gross asymmetry are surfaced with their location.
     let anorm = screen_symmetric(a)?;
     let bnorm = screen_symmetric(b)?;
-    let rec = Recorder::new();
-    // DSYGV-style scaling: each matrix moves into the safe-norm window
-    // independently; the pencil eigenvalues pick up the ratio sa/sb,
-    // undone on exit.
-    let sa = safe_scale_factor(anorm);
-    let sb = safe_scale_factor(bnorm);
+    let (lda, ldb) = (a.ld().max(1), b.ld().max(1));
+    plan.l.reset_to(n, n);
+    plan.c.reset_to(n, n);
+    let (l, c, ctrl) = (plan.l.as_mut_slice(), plan.c.as_mut_slice(), opts.control());
+    let (a, b) = (a.as_slice(), b.as_slice());
+    let reduced = pencil::reduce(n, a, lda, anorm, b, ldb, bnorm, l, c, ctrl)?;
 
-    // Phase-boundary lifecycle polls: the pencil phases (factor,
-    // transform, back-substitution) run between the standard solve's own
-    // checkpoints, so each gets its own.
-    let ctrl = opts.control();
-    ctrl.checkpoint()?;
-
-    // 1. B = L L^T, with the shifted-retry rung.
-    let load_b = |l: &mut Matrix| {
-        l.copy_from(b);
-        if let Some(s) = sb {
-            scale_matrix(l, s);
-        }
-    };
-    load_b(&mut plan.l);
-    if let Err(breakdown) = potrf_lower(&mut plan.l, POTRF_NB) {
-        let bscaled = bnorm * sb.unwrap_or(1.0);
-        let mut shift = bscaled.max(1.0) * n as f64 * f64::EPSILON;
-        let mut rescued = None;
-        for attempt in 1..=MAX_SHIFT_ATTEMPTS {
-            load_b(&mut plan.l);
-            for i in 0..n {
-                plan.l[(i, i)] += shift;
-            }
-            if potrf_lower(&mut plan.l, POTRF_NB).is_ok() {
-                rescued = Some(attempt);
-                break;
-            }
-            shift *= 100.0;
-        }
-        match rescued {
-            Some(attempts) => rec.record(Recovery::CholeskyShiftRetry { shift, attempts }),
-            // Genuinely indefinite: report the original breakdown, not
-            // the last shifted one.
-            None => return Err(breakdown),
-        }
-    }
-    // Diagonal spread of L as a cheap condition estimate: kappa(B) ~
-    // (dmax/dmin)^2.
-    let mut dmin = f64::INFINITY;
-    let mut dmax = 0.0f64;
-    for i in 0..n {
-        let d = plan.l[(i, i)];
-        dmin = dmin.min(d);
-        dmax = dmax.max(d);
-    }
-    // kappa(B) ~ (dmax/dmin)^2 — the squared diagonal spread of L.
-    let cond = if dmin > 0.0 {
-        (dmax / dmin).powi(2)
-    } else {
-        f64::INFINITY
-    };
-
-    // 2. C = L^-1 A L^-T into the plan's buffer (the sygst kernel, with
-    // the clone replaced by plan-owned storage).
-    ctrl.checkpoint()?;
-    plan.c.copy_from(a);
-    if let Some(s) = sa {
-        scale_matrix(&mut plan.c, s);
-    }
-    plan.c.symmetrize_from_lower();
-    let ldc = plan.c.ld().max(1);
-    hegst(
-        n,
-        plan.c.as_mut_slice(),
-        ldc,
-        plan.l.as_slice(),
-        plan.l.ld().max(1),
-    );
-    // The two one-sided triangular solves leave C symmetric only to
-    // rounding amplified by kappa(L), which hegst averages away; when L
-    // is ill-conditioned that asymmetry is a real accuracy hazard, so it
-    // is recorded.
-    if cond > cond_threshold() {
-        rec.record(Recovery::PencilSymmetrized { cond });
-    }
-
-    // 3. Standard two-stage solve on the plan's buffers.
-    opts.solve_into(&plan.c, &mut plan.inner)?;
+    let (inner, level) = opts.pencil_inner(&reduced);
+    inner.solve_into(&plan.c, &mut plan.inner)?;
     let mut result = plan.inner.take_result();
 
-    // 4. x = L^-T y, plus the B-scaling compensation: the vectors are
-    // orthonormal against sb*B, so sqrt(sb) restores X^T B X = I.
-    ctrl.checkpoint()?;
-    if let Some(z) = result.eigenvectors.as_mut() {
-        let k = z.cols();
-        let ldz = z.ld().max(1);
-        trsm_left_lower(Trans::Yes, n, k, 1.0, &plan.l, z.as_mut_slice(), ldz);
-        if let Some(s) = sb {
-            let f = s.sqrt();
-            for v in z.as_mut_slice() {
-                *v *= f;
-            }
-        }
-    }
-    // The solved pencil was (sa A, sb B): eigenvalues carry sa/sb.
-    if sa.is_some() || sb.is_some() {
-        let back = sb.unwrap_or(1.0) / sa.unwrap_or(1.0);
-        for v in &mut result.eigenvalues {
-            *v *= back;
-        }
-        result.diagnostics.scaled_by = Some(sa.unwrap_or(1.0) / sb.unwrap_or(1.0));
-    }
-    // Fold the pencil-level recoveries in ahead of the standard solve's.
-    let pre = rec.take();
-    if !pre.is_empty() {
-        result.diagnostics.degraded = true;
-        result.diagnostics.recoveries.splice(0..0, pre);
-    }
-    // Pencil-level verification replaces the inner report (which judged
-    // C, not (A, B)).
-    let level = opts.verify_level();
-    if level != VerifyLevel::Off {
-        if let Some(z) = result.eigenvectors.as_ref() {
-            let (residual, worst) = generalized_residual_worst(a, b, &result.eigenvalues, z);
-            if residual > VERIFY_BOUND || residual.is_nan() {
-                return Err(Error::VerificationFailed {
-                    index: worst,
-                    measure: "generalized residual".to_string(),
-                    value: residual,
-                    bound: VERIFY_BOUND,
-                });
-            }
-            let orthogonality = if level == VerifyLevel::Full {
-                let o = b_orthogonality(b, z);
-                if o > VERIFY_BOUND || o.is_nan() {
-                    return Err(Error::VerificationFailed {
-                        index: 0,
-                        measure: "B-orthogonality".to_string(),
-                        value: o,
-                        bound: VERIFY_BOUND,
-                    });
-                }
-                o
-            } else {
-                0.0
-            };
-            result.diagnostics.verify = Some(VerifyReport {
-                residual,
-                orthogonality,
-            });
-        }
-    }
+    let z = result.eigenvectors.as_mut().map(|z| z.as_mut_slice());
+    let (lambda, diagnostics) = (&mut result.eigenvalues, &mut result.diagnostics);
+    reduced.finish(n, plan.l.as_slice(), lambda, z, diagnostics, ctrl)?;
+    let x = result.eigenvectors.as_ref().map(|x| x.as_slice());
+    let lambda = &result.eigenvalues;
+    result.diagnostics.verify = pencil::verify(n, a, lda, Some((b, ldb)), lambda, x, level)?;
     Ok(result)
-}
-
-/// `C <- op(A) * B` through the packed SIMD engine (the residual paths
-/// used to run the naive schoolbook `Matrix::multiply`).
-fn engine_mm(transa: Trans, a: &Matrix, bm: &Matrix) -> Matrix {
-    let (m, k) = match transa {
-        Trans::No => (a.rows(), a.cols()),
-        Trans::Yes => (a.cols(), a.rows()),
-    };
-    let n = bm.cols();
-    let mut c = Matrix::zeros(m, n);
-    let ldc = c.ld().max(1);
-    gemm(
-        transa,
-        Trans::No,
-        m,
-        n,
-        k,
-        1.0,
-        a.as_slice(),
-        a.ld().max(1),
-        bm.as_slice(),
-        bm.ld().max(1),
-        0.0,
-        c.as_mut_slice(),
-        ldc,
-    );
-    c
 }
 
 /// Scaled residual for the generalized problem:
 /// `max_j ||A x_j - lambda_j B x_j|| / ((||A|| + |lambda_j| ||B||) n eps)`.
 pub fn generalized_residual(a: &Matrix, b: &Matrix, lambda: &[f64], x: &Matrix) -> f64 {
-    generalized_residual_worst(a, b, lambda, x).0
-}
-
-/// [`generalized_residual`] plus the index of the worst eigenpair.
-fn generalized_residual_worst(a: &Matrix, b: &Matrix, lambda: &[f64], x: &Matrix) -> (f64, usize) {
     // Mismatched shapes make the residual meaningless; report it loudly
     // as "infinitely bad" rather than aborting a diagnostic routine.
     if a.cols() != x.rows() || b.cols() != x.rows() || x.cols() != lambda.len() {
-        return (f64::INFINITY, 0);
+        return f64::INFINITY;
     }
-    let ax = engine_mm(Trans::No, a, x);
-    let bx = engine_mm(Trans::No, b, x);
-    let na = norms::norm1(a);
-    let nb = norms::norm1(b);
-    let n = a.rows() as f64;
-    let mut worst = 0.0f64;
-    let mut worst_j = 0usize;
-    for (j, &lj) in lambda.iter().enumerate() {
-        let mut num = 0.0f64;
-        for i in 0..a.rows() {
-            num = num.max((ax.col(j)[i] - lj * bx.col(j)[i]).abs());
-        }
-        let den = (na + lj.abs() * nb).max(norms::EPS) * n * norms::EPS;
-        if num / den > worst {
-            worst = num / den;
-            worst_j = j;
-        }
-    }
-    (worst, worst_j)
+    let (n, b) = (a.rows(), Some((b.as_slice(), b.ld().max(1))));
+    pencil::residual_worst(n, a.as_slice(), a.ld().max(1), b, lambda, x.as_slice()).0
 }
 
 /// `||X^T B X - I||_max / (n eps)` — B-orthonormality of the vectors.
@@ -317,26 +118,18 @@ pub fn b_orthogonality(b: &Matrix, x: &Matrix) -> f64 {
     if b.cols() != x.rows() {
         return f64::INFINITY;
     }
-    let k = x.cols();
-    if k == 0 {
-        return 0.0; // an empty basis is trivially B-orthonormal (and 0/0 is NaN)
-    }
-    let bx = engine_mm(Trans::No, b, x);
-    let xtbx = engine_mm(Trans::Yes, x, &bx);
-    let mut worst = 0.0f64;
-    for j in 0..k {
-        for i in 0..k {
-            let target = if i == j { 1.0 } else { 0.0 };
-            worst = worst.max((xtbx[(i, j)] - target).abs());
-        }
-    }
-    worst / (x.rows() as f64 * norms::EPS)
+    let (n, b) = (x.rows(), Some((b.as_slice(), b.ld().max(1))));
+    pencil::gram_error(n, b, x.as_slice(), x.cols()).0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tseig_kernels::cholesky::{hegst, potrf};
+    use tseig_kernels::scaling::scale_matrix;
+    use tseig_matrix::diagnostics::{Recovery, VerifyLevel};
     use tseig_matrix::gen;
+    use tseig_tridiag::EigenRange;
 
     fn spd(n: usize, seed: u64) -> Matrix {
         let g = gen::random_symmetric(n, seed);
@@ -360,8 +153,10 @@ mod tests {
     fn oracle_pencil_eigenvalues(a: &Matrix, b: &Matrix) -> Vec<f64> {
         let n = a.rows();
         let mut l = b.clone();
-        potrf_lower(&mut l, 8).unwrap();
-        let c = tseig_kernels::cholesky::sygst(a, &l);
+        potrf(n, l.as_mut_slice(), n, 8).unwrap();
+        let mut c = a.clone();
+        c.symmetrize_from_lower();
+        hegst(n, c.as_mut_slice(), n, l.as_slice(), n);
         let mut ev = tseig_kernels::reference::jacobi_eigen(&c, false)
             .unwrap()
             .eigenvalues;
@@ -583,6 +378,26 @@ mod tests {
         );
         let x = part.eigenvectors.as_ref().unwrap();
         assert!(generalized_residual(&a, &b, &part.eigenvalues, x) < 1000.0);
+    }
+
+    #[test]
+    fn value_range_selects_in_the_pencil_units() {
+        // A = diag(1..6) s, B = I: (1.5 s, 3.5 s] holds 2 s and 3 s at
+        // every scale, also where A is scaled into the safe window.
+        for s in [1.0, 1e200, 1e-200] {
+            let a = Matrix::from_fn(6, 6, |i, j| if i == j { (i + 1) as f64 * s } else { 0.0 });
+            let opts = SymmetricEigen::new()
+                .nb(2)
+                .range(EigenRange::Value(1.5 * s, 3.5 * s));
+            let r = solve_generalized(&a, &Matrix::identity(6), &opts).unwrap();
+            assert_eq!(r.eigenvalues.len(), 2, "s = {s}: {:?}", r.eigenvalues);
+            for (got, want) in r.eigenvalues.iter().zip([2.0 * s, 3.0 * s]) {
+                assert!(
+                    (got - want).abs() <= 1e-12 * want,
+                    "s = {s}: {got} vs {want}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -8,8 +8,9 @@ use crate::backtransform::{apply_q, HermScalar};
 use crate::stage1::he2hb_with;
 use crate::stage2::{reduce_scheduled, reduce_with, Scheduler};
 use std::time::Instant;
+use tseig_kernels::pencil::{self, Reduced};
 use tseig_kernels::scaling;
-use tseig_matrix::diagnostics::{Recorder, SolveDiagnostics, VerifyLevel, VerifyReport};
+use tseig_matrix::diagnostics::{Recorder, SolveDiagnostics, VerifyLevel};
 use tseig_matrix::{CMatrixG, ComplexScalar, Ctrl, Error, Result, C64};
 use tseig_tridiag::{EigenRange, Method, PhaseTimings};
 
@@ -130,11 +131,16 @@ impl HermitianEigen {
         &self.ctrl
     }
 
-    /// Requested verification depth — read by the generalized driver,
-    /// which verifies at the pencil level instead of the standard-`C`
-    /// level.
-    pub(crate) fn verify_level(&self) -> VerifyLevel {
-        self.verify
+    /// The standard solve of a pencil reduced to `C`, unverified and
+    /// with a `Value` range in `C`'s units, and the verification level
+    /// the generalized driver runs on the pencil in its place.
+    pub(crate) fn pencil_inner(&self, pencil: &Reduced) -> (HermitianEigen, VerifyLevel) {
+        let mut inner = self.clone().verify(VerifyLevel::Off);
+        if let EigenRange::Value(vl, vu) = inner.range {
+            let (vl, vu) = pencil.inner_bounds(vl, vu);
+            inner.range = EigenRange::Value(vl, vu);
+        }
+        (inner, self.verify)
     }
 
     /// Solve the dense Hermitian eigenproblem (lower triangle of `a`
@@ -254,14 +260,10 @@ impl HermitianEigen {
         let mut diagnostics = SolveDiagnostics::from_recorder(&rec);
         diagnostics.scaled_by = sigma;
 
-        if self.verify != VerifyLevel::Off {
-            diagnostics.verify = Some(verify_solution(
-                a,
-                &eigenvalues,
-                eigenvectors.as_ref(),
-                self.verify,
-            )?);
-        }
+        // Opt-in verification against the original input.
+        let z = eigenvectors.as_ref().map(|z| z.as_slice());
+        let (lda, level) = (a.ld().max(1), self.verify);
+        diagnostics.verify = pencil::verify(n, a.as_slice(), lda, None, &eigenvalues, z, level)?;
 
         Ok(HermitianResult {
             eigenvalues,
@@ -299,99 +301,6 @@ impl HermitianEigen {
             diagnostics: SolveDiagnostics::default(),
         })
     }
-}
-
-/// Verify a Hermitian eigendecomposition: finite ascending eigenvalues,
-/// per-column scaled residual, and (for [`VerifyLevel::Full`]) pairwise
-/// unitarity, all bounded by [`VERIFY_BOUND`]. The scaled measures
-/// divide by the *element type's* epsilon ([`ComplexScalar::EPS`]), so
-/// the same [`VERIFY_BOUND`] applies to C32 and C64 solves alike.
-fn verify_solution<T: ComplexScalar>(
-    a: &CMatrixG<T>,
-    lambda: &[f64],
-    z: Option<&CMatrixG<T>>,
-    level: VerifyLevel,
-) -> Result<VerifyReport> {
-    let n = a.rows();
-    let eps = T::EPS / 2.0;
-    for (j, &lam) in lambda.iter().enumerate() {
-        if !lam.is_finite() {
-            return Err(Error::VerificationFailed {
-                index: j,
-                measure: "eigenvalue finiteness".into(),
-                value: lam,
-                bound: f64::MAX,
-            });
-        }
-        if j > 0 && lam < lambda[j - 1] {
-            return Err(Error::VerificationFailed {
-                index: j,
-                measure: "eigenvalue ordering".into(),
-                value: lam - lambda[j - 1],
-                bound: 0.0,
-            });
-        }
-    }
-    let Some(z) = z else {
-        return Ok(VerifyReport::default());
-    };
-    let az = a.multiply(z);
-    let norm1 = (0..n)
-        .map(|j| (0..n).map(|i| a[(i, j)].abs()).sum::<f64>())
-        .fold(0.0f64, f64::max);
-    let denom = norm1.max(f64::MIN_POSITIVE) * n as f64 * eps;
-    let mut worst = (0usize, 0.0f64);
-    for (j, &lam) in lambda.iter().enumerate() {
-        let mut colmax = 0.0f64;
-        for i in 0..n {
-            colmax = colmax.max((az[(i, j)] - z[(i, j)].scale(lam)).abs());
-        }
-        let m = colmax / denom;
-        if m > worst.1 || m.is_nan() {
-            worst = (j, m);
-        }
-    }
-    // The NaN check matters: a poisoned vector yields a NaN measure,
-    // which must fail verification rather than slip past `>`.
-    if worst.1 > VERIFY_BOUND || worst.1.is_nan() {
-        return Err(Error::VerificationFailed {
-            index: worst.0,
-            measure: "scaled residual".into(),
-            value: worst.1,
-            bound: VERIFY_BOUND,
-        });
-    }
-    let residual = worst.1;
-    let mut orthogonality = 0.0;
-    if level == VerifyLevel::Full {
-        let g = z.adjoint().multiply(z);
-        let scale = n as f64 * eps;
-        let mut worst = (0usize, 0.0f64);
-        for j in 0..z.cols() {
-            for i in 0..=j {
-                let target = if i == j { 1.0 } else { 0.0 };
-                let m = (g[(i, j)] - T::new(target, 0.0)).abs() / scale;
-                if m > worst.1 || m.is_nan() {
-                    worst = (j, m);
-                }
-            }
-        }
-        // The NaN check matters: a poisoned vector yields a NaN measure,
-        // which must fail verification rather than slip past `>`.
-        if worst.1 > VERIFY_BOUND || worst.1.is_nan() {
-            return Err(Error::VerificationFailed {
-                index: worst.0,
-                measure: "orthogonality".into(),
-                value: worst.1,
-                bound: VERIFY_BOUND,
-            });
-        }
-        orthogonality = worst.1;
-    }
-    Ok(VerifyReport {
-        residual,
-        orthogonality,
-    })
 }
 
 #[cfg(test)]

@@ -11,28 +11,18 @@
 //! 4. `x = L^-H y`; the eigenvectors are `B`-orthonormal:
 //!    `X^H B X = I`.
 //!
-//! Ladder parity with `tseig-core`'s `solve_generalized`: both inputs
-//! are screened (`screen_hermitian` — non-finite, non-hermitian, or
-//! non-real-diagonal entries are located), each is scaled into the safe
-//! norm window independently, Cholesky breakdown is retried on
-//! `B + delta I` and recorded as [`Recovery::CholeskyShiftRetry`], an
-//! ill-conditioned factor records [`Recovery::PencilSymmetrized`], and
-//! opt-in verification checks the *pencil* residual and
-//! `B`-orthonormality.
-//!
-//! The factorization, the transform and the back-substitution are the
-//! generic Cholesky kernels of `tseig-kernels` (`potrf`, `hegst`,
-//! `trsm_left`) the real driver runs, monomorphized at the complex type:
-//! blocked, with contracts and flop/byte accounting.
+//! Both inputs are screened (`screen_hermitian` — non-finite,
+//! non-hermitian, or non-real-diagonal entries are located); steps 1, 2
+//! and 4 with their recovery rungs (independent scaling of `A` and `B`,
+//! [`Recovery::CholeskyShiftRetry`](crate::Recovery),
+//! [`Recovery::PencilSymmetrized`](crate::Recovery)) and the opt-in
+//! pencil verification are `tseig_kernels::pencil`, the code the real
+//! driver runs, monomorphized at the complex type.
 
 use crate::backtransform::HermScalar;
 use crate::driver::{HermitianEigen, HermitianResult};
-use tseig_kernels::cholesky::{hegst, potrf, trsm_left, POTRF_NB};
-use tseig_kernels::scaling::{safe_scale_factor, scale_cmatrix, screen_hermitian};
-use tseig_kernels::Trans;
-use tseig_matrix::diagnostics::{
-    Recorder, Recovery, VerifyLevel, VerifyReport, MAX_SHIFT_ATTEMPTS, VERIFY_BOUND,
-};
+use tseig_kernels::pencil;
+use tseig_kernels::scaling::screen_hermitian;
 use tseig_matrix::{CMatrixG, ComplexScalar, Error, Result};
 
 /// Solve the Hermitian-definite pencil `A x = lambda B x` with the
@@ -44,155 +34,29 @@ pub fn solve_generalized<T: HermScalar>(
     b: &CMatrixG<T>,
     opts: &HermitianEigen,
 ) -> Result<HermitianResult<T>> {
-    if a.rows() != a.cols() || b.rows() != b.cols() || a.rows() != b.rows() {
-        return Err(Error::DimensionMismatch(format!(
-            "pencil shapes {}x{} and {}x{}",
-            a.rows(),
-            a.cols(),
-            b.rows(),
-            b.cols()
-        )));
-    }
     let n = a.rows();
+    if a.cols() != n || b.rows() != n || b.cols() != n {
+        let (ac, br, bc) = (a.cols(), b.rows(), b.cols());
+        let msg = format!("pencil shapes {n}x{ac} and {br}x{bc}");
+        return Err(Error::DimensionMismatch(msg));
+    }
     let anorm = screen_hermitian(a)?;
     let bnorm = screen_hermitian(b)?;
-    let rec = Recorder::new();
-    let sa = safe_scale_factor(anorm);
-    let sb = safe_scale_factor(bnorm);
+    let (lda, ldb) = (a.ld().max(1), b.ld().max(1));
+    let (mut l, mut c) = (CMatrixG::zeros(n, n), CMatrixG::zeros(n, n));
+    let (ls, cs, ctrl) = (l.as_mut_slice(), c.as_mut_slice(), opts.control());
+    let (a, b) = (a.as_slice(), b.as_slice());
+    let reduced = pencil::reduce(n, a, lda, anorm, b, ldb, bnorm, ls, cs, ctrl)?;
 
-    // The pencil phases poll the lifecycle control between the standard
-    // solve's own checkpoints.
-    let ctrl = opts.control();
-    ctrl.checkpoint()?;
+    let (inner, level) = opts.pencil_inner(&reduced);
+    let mut result = inner.solve(&c)?;
 
-    // 1. B = L L^H with the shifted-retry rung.
-    let load_b = || {
-        let mut l = b.clone();
-        if let Some(s) = sb {
-            scale_cmatrix(&mut l, s);
-        }
-        l
-    };
-    let factor = |l: &mut CMatrixG<T>| potrf(n, l.as_mut_slice(), n.max(1), POTRF_NB);
-    let mut l = load_b();
-    if let Err(breakdown) = factor(&mut l) {
-        let bscaled = bnorm * sb.unwrap_or(1.0);
-        let mut shift = bscaled.max(1.0) * n as f64 * T::EPS;
-        let mut rescued = None;
-        for attempt in 1..=MAX_SHIFT_ATTEMPTS {
-            l = load_b();
-            for i in 0..n {
-                let d = l[(i, i)].re() + shift;
-                l[(i, i)] = T::new(d, 0.0);
-            }
-            if factor(&mut l).is_ok() {
-                rescued = Some(attempt);
-                break;
-            }
-            shift *= 100.0;
-        }
-        match rescued {
-            Some(attempts) => rec.record(Recovery::CholeskyShiftRetry { shift, attempts }),
-            None => return Err(breakdown),
-        }
-    }
-    let mut dmin = f64::INFINITY;
-    let mut dmax = 0.0f64;
-    for i in 0..n {
-        let d = l[(i, i)].re();
-        dmin = dmin.min(d);
-        dmax = dmax.max(d);
-    }
-    let cond = if dmin > 0.0 {
-        (dmax / dmin).powi(2)
-    } else {
-        f64::INFINITY
-    };
-    if cond > 1.0 / T::EPS.sqrt() {
-        rec.record(Recovery::PencilSymmetrized { cond });
-    }
-
-    // 2. C = L^-1 A L^-H (made exactly Hermitian by hegst).
-    ctrl.checkpoint()?;
-    let mut c = a.clone();
-    if let Some(s) = sa {
-        scale_cmatrix(&mut c, s);
-    }
-    c.hermitize_from_lower();
-    let ldc = c.ld().max(1);
-    hegst(n, c.as_mut_slice(), ldc, l.as_slice(), l.ld().max(1));
-
-    // 3. Standard Hermitian two-stage solve.
-    let mut result = opts.solve(&c)?;
-
-    // 4. x = L^-H y, plus sqrt(sb) to restore X^H B X = I against the
-    // unscaled B.
-    ctrl.checkpoint()?;
-    if let Some(z) = result.eigenvectors.as_mut() {
-        let k = z.cols();
-        let (ldz, ldl) = (z.ld().max(1), l.ld().max(1));
-        trsm_left(
-            Trans::Yes,
-            n,
-            k,
-            T::ONE,
-            l.as_slice(),
-            ldl,
-            z.as_mut_slice(),
-            ldz,
-        );
-        if let Some(s) = sb {
-            let f = s.sqrt();
-            for v in z.as_mut_slice() {
-                *v = v.scale(f);
-            }
-        }
-    }
-    if sa.is_some() || sb.is_some() {
-        let back = sb.unwrap_or(1.0) / sa.unwrap_or(1.0);
-        for v in &mut result.eigenvalues {
-            *v *= back;
-        }
-        result.diagnostics.scaled_by = Some(sa.unwrap_or(1.0) / sb.unwrap_or(1.0));
-    }
-    let pre = rec.take();
-    if !pre.is_empty() {
-        result.diagnostics.degraded = true;
-        result.diagnostics.recoveries.splice(0..0, pre);
-    }
-    // Pencil-level verification replaces the inner (standard-C) report.
-    let level = opts.verify_level();
-    if level != VerifyLevel::Off {
-        if let Some(z) = result.eigenvectors.as_ref() {
-            let residual = generalized_residual(a, b, &result.eigenvalues, z);
-            if residual > VERIFY_BOUND || residual.is_nan() {
-                return Err(Error::VerificationFailed {
-                    index: 0,
-                    measure: "generalized residual".to_string(),
-                    value: residual,
-                    bound: VERIFY_BOUND,
-                });
-            }
-            let orthogonality = if level == VerifyLevel::Full {
-                let o = b_orthogonality(b, z);
-                if o > VERIFY_BOUND || o.is_nan() {
-                    return Err(Error::VerificationFailed {
-                        index: 0,
-                        measure: "B-orthogonality".to_string(),
-                        value: o,
-                        bound: VERIFY_BOUND,
-                    });
-                }
-                o
-            } else {
-                0.0
-            };
-            result.diagnostics.verify = Some(VerifyReport {
-                residual,
-                orthogonality,
-            });
-        }
-    }
+    let z = result.eigenvectors.as_mut().map(|z| z.as_mut_slice());
+    let (lambda, diagnostics) = (&mut result.eigenvalues, &mut result.diagnostics);
+    reduced.finish(n, l.as_slice(), lambda, z, diagnostics, ctrl)?;
+    let x = result.eigenvectors.as_ref().map(|x| x.as_slice());
+    let lambda = &result.eigenvalues;
+    result.diagnostics.verify = pencil::verify(n, a, lda, Some((b, ldb)), lambda, x, level)?;
     Ok(result)
 }
 
@@ -208,27 +72,8 @@ pub fn generalized_residual<T: ComplexScalar>(
     if a.cols() != x.rows() || b.cols() != x.rows() || x.cols() != lambda.len() {
         return f64::INFINITY;
     }
-    let ax = a.multiply(x);
-    let bx = b.multiply(x);
-    let norm1 = |m: &CMatrixG<T>| {
-        (0..m.cols())
-            .map(|j| (0..m.rows()).map(|i| m[(i, j)].abs()).sum::<f64>())
-            .fold(0.0f64, f64::max)
-    };
-    let na = norm1(a);
-    let nb = norm1(b);
-    let n = a.rows() as f64;
-    let mut worst = 0.0f64;
-    for (j, &lj) in lambda.iter().enumerate() {
-        let mut num = 0.0f64;
-        for i in 0..a.rows() {
-            let diff = ax[(i, j)] - bx[(i, j)].scale(lj);
-            num = num.max(diff.abs());
-        }
-        let den = (na + lj.abs() * nb).max(f64::MIN_POSITIVE) * n * T::EPS / 2.0;
-        worst = worst.max(num / den);
-    }
-    worst
+    let (n, b) = (a.rows(), Some((b.as_slice(), b.ld().max(1))));
+    pencil::residual_worst(n, a.as_slice(), a.ld().max(1), b, lambda, x.as_slice()).0
 }
 
 /// `||X^H B X - I||_max / (n eps)` with the element type's `eps`.
@@ -236,26 +81,18 @@ pub fn b_orthogonality<T: ComplexScalar>(b: &CMatrixG<T>, x: &CMatrixG<T>) -> f6
     if b.cols() != x.rows() {
         return f64::INFINITY;
     }
-    let k = x.cols();
-    if k == 0 {
-        return 0.0; // an empty basis is trivially B-orthonormal (and 0/0 is NaN)
-    }
-    let g = x.adjoint().multiply(&b.multiply(x));
-    let mut worst = 0.0f64;
-    for j in 0..k {
-        for i in 0..k {
-            let target = if i == j { 1.0 } else { 0.0 };
-            worst = worst.max((g[(i, j)] - T::new(target, 0.0)).abs());
-        }
-    }
-    worst / (x.rows() as f64 * T::EPS / 2.0)
+    let (n, b) = (x.rows(), Some((b.as_slice(), b.ld().max(1))));
+    pencil::gram_error(n, b, x.as_slice(), x.cols()).0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::validate::{hermitian_with_spectrum, rand_hermitian, real_embedding_eigenvalues};
+    use crate::{Recovery, VerifyLevel};
+    use tseig_kernels::cholesky::{hegst, potrf, POTRF_NB};
     use tseig_matrix::{norms, CMatrix, C32, C64};
+    use tseig_tridiag::EigenRange;
 
     /// Hermitian positive definite with spectrum in [1, 2].
     fn hpd(n: usize, seed: u64) -> CMatrix {
@@ -408,6 +245,28 @@ mod tests {
             "{:?}",
             r.diagnostics.recoveries
         );
+    }
+
+    #[test]
+    fn value_range_selects_in_the_pencil_units() {
+        // A = diag(1..6) s, B = I: (1.5 s, 3.5 s] holds 2 s and 3 s at
+        // every scale, also where A is scaled into the safe window.
+        for s in [1.0, 1e200, 1e-200] {
+            let a = CMatrix::from_fn(6, 6, |i, j| {
+                C64::new(if i == j { (i + 1) as f64 * s } else { 0.0 }, 0.0)
+            });
+            let opts = HermitianEigen::new()
+                .nb(2)
+                .range(EigenRange::Value(1.5 * s, 3.5 * s));
+            let r = solve_generalized(&a, &CMatrix::identity(6), &opts).unwrap();
+            assert_eq!(r.eigenvalues.len(), 2, "s = {s}: {:?}", r.eigenvalues);
+            for (got, want) in r.eigenvalues.iter().zip([2.0 * s, 3.0 * s]) {
+                assert!(
+                    (got - want).abs() <= 1e-12 * want,
+                    "s = {s}: {got} vs {want}"
+                );
+            }
+        }
     }
 
     #[test]

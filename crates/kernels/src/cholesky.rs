@@ -8,15 +8,14 @@
 //! back-substitute the eigenvectors. On the real types `L^H` is `L^T`
 //! and every conjugation below is the identity.
 //!
-//! The kernels take LAPACK-style `(slice, ld)` operands; [`potrf_lower`],
-//! [`trsm_left_lower`], [`trsm_right_lower_trans`] and [`sygst`] are the
-//! same kernels on an `f64` [`Matrix`].
+//! The kernels take LAPACK-style `(slice, ld)` operands; the whole
+//! pencil reduction built from them is [`crate::pencil`].
 
 use crate::blas3::engine::GemmScalar;
 use crate::blas3::{syrk_lower, Trans};
 use crate::contract;
 use crate::flops::{add, add_bytes, Level};
-use tseig_matrix::{chaos, ComplexScalar, Error, Matrix, Result};
+use tseig_matrix::{chaos, ComplexScalar, Error, Result};
 
 /// Block size the generalized drivers factor their `B` with.
 pub const POTRF_NB: usize = 32;
@@ -97,13 +96,6 @@ pub fn potrf<T: GemmScalar>(n: usize, a: &mut [T], lda: usize, nb: usize) -> Res
     Ok(())
 }
 
-/// [`potrf`] on a square `f64` [`Matrix`].
-pub fn potrf_lower(a: &mut Matrix, nb: usize) -> Result<()> {
-    assert_eq!(a.rows(), a.cols());
-    let (n, lda) = (a.rows(), a.ld().max(1));
-    potrf(n, a.as_mut_slice(), lda, nb)
-}
-
 /// Solve `op(L) X = alpha B` in place (`X` overwrites `B`), `L` the
 /// leading `m x m` lower triangle of `l` (non-unit), `B` `m x n`;
 /// `Trans::Yes` is `L^H`.
@@ -165,20 +157,6 @@ pub fn trsm_left<T: ComplexScalar>(
     }
 }
 
-/// [`trsm_left`] with `L` an `f64` [`Matrix`].
-pub fn trsm_left_lower(
-    trans: Trans,
-    m: usize,
-    n: usize,
-    alpha: f64,
-    l: &Matrix,
-    b: &mut [f64],
-    ldb: usize,
-) {
-    assert!(l.rows() >= m && l.cols() >= m);
-    trsm_left(trans, m, n, alpha, l.as_slice(), l.ld().max(1), b, ldb);
-}
-
 /// Solve `X L^H = B` in place (`X` overwrites `B`), `L` the leading
 /// `n x n` lower triangle of `l` (non-unit), `B` `m x n`.
 pub fn trsm_right<T: ComplexScalar>(
@@ -223,12 +201,6 @@ pub fn trsm_right<T: ComplexScalar>(
     }
 }
 
-/// [`trsm_right`] with `L` an `f64` [`Matrix`]: solves `X L^T = B`.
-pub fn trsm_right_lower_trans(m: usize, n: usize, l: &Matrix, b: &mut [f64], ldb: usize) {
-    assert!(l.rows() >= n && l.cols() >= n);
-    trsm_right(m, n, l.as_slice(), l.ld(), b, ldb);
-}
-
 /// Disjoint mutable views of columns `k < j`.
 fn split_two<T>(b: &mut [T], k: usize, j: usize, ldb: usize, m: usize) -> (&[T], &mut [T]) {
     debug_assert!(k < j);
@@ -259,19 +231,6 @@ pub fn hegst<T: ComplexScalar>(n: usize, a: &mut [T], lda: usize, l: &[T], ldl: 
         }
         a[j + j * lda] = T::new(a[j + j * lda].re(), 0.0);
     }
-}
-
-/// [`hegst`] on `f64` [`Matrix`] operands: given `A` symmetric (lower
-/// triangle referenced) and the Cholesky factor `L` of `B`, return
-/// `C = L^-1 A L^-T` (full symmetric storage).
-pub fn sygst(a: &Matrix, l: &Matrix) -> Matrix {
-    let n = a.rows();
-    assert_eq!(a.cols(), n);
-    let mut c = a.clone();
-    c.symmetrize_from_lower();
-    let ldc = c.ld();
-    hegst(n, c.as_mut_slice(), ldc, l.as_slice(), l.ld());
-    c
 }
 
 #[cfg(test)]
@@ -311,9 +270,9 @@ mod tests {
 
     #[test]
     fn cholesky_rejects_indefinite() {
-        let mut a = Matrix::identity(3);
+        let mut a = CMatrixG::<f64>::identity(3);
         a[(1, 1)] = -1.0;
-        assert!(potrf_lower(&mut a, 2).is_err());
+        assert!(potrf(3, a.as_mut_slice(), 3, 2).is_err());
         let mut b = CMatrixG::<C64>::identity(5);
         b[(3, 3)] = C64::new(-1.0, 0.0);
         assert!(potrf(5, b.as_mut_slice(), 5, 2).is_err());

@@ -23,6 +23,10 @@
 //!   `dlasr` role).
 //! * **Cholesky tool-chain** ([`cholesky`]) — `potrf`, `trsm`, `hegst`:
 //!   the reduction of a generalized problem to standard form.
+//! * **Pencils and verification** ([`pencil`]) — the whole reduction of
+//!   `A x = lambda B x` to standard form and back (scaling, the Cholesky
+//!   shift ladder, the transform, the back-substitution) for both pencil
+//!   drivers, and the one post-solve verifier of the eigensolvers.
 //! * **Flop accounting** ([`flops`]) — relaxed atomic counters, split by
 //!   BLAS level, used to *measure* the complexity columns of the paper's
 //!   Table 1 instead of trusting the formulas.
@@ -53,6 +57,7 @@ pub mod cholesky;
 pub mod contract;
 pub mod flops;
 pub mod householder;
+pub mod pencil;
 pub mod qr;
 pub mod reference;
 pub mod rot;

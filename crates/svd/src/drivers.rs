@@ -21,10 +21,11 @@ use crate::stage2::{reduce_scheduled, reduce_ws, BvSet, Stage2Exec, Stage2Ws};
 use std::time::Duration;
 use tseig_kernels::backtransform::{apply_q, apply_q_ws, default_panel_cols, BtPlan};
 use tseig_kernels::householder::BlockReflector;
+use tseig_kernels::pencil::{check_bound, check_sorted};
 use tseig_kernels::qr::{block_reflector_into, Storev};
 use tseig_kernels::scaling::{safe_scale_factor, scale_matrix, screen_general};
 use tseig_matrix::diagnostics::{Recorder, Recovery, SolveDiagnostics, VerifyLevel, VerifyReport};
-use tseig_matrix::{Ctrl, Deadline, Error, Matrix, MemBudget, MemReq, Result};
+use tseig_matrix::{norms, Ctrl, Deadline, Error, Matrix, MemBudget, MemReq, Result};
 use tseig_onestage::bidiagonal::gebrd_with;
 
 /// Thin SVD of an `m x n` matrix (`m >= n`): `A = U diag(s) V^T` with
@@ -275,18 +276,8 @@ impl GeSvd {
         }
         out.diagnostics = SolveDiagnostics::from_recorder(&rec);
         out.diagnostics.scaled_by = sigma;
-        if self.verify != VerifyLevel::Off && self.vectors {
-            use tseig_matrix::norms;
-            let residual = svd_residual(a, &out);
-            let orthogonality = if self.verify == VerifyLevel::Full {
-                norms::orthogonality(&out.u).max(norms::orthogonality(&out.v))
-            } else {
-                0.0
-            };
-            out.diagnostics.verify = Some(VerifyReport {
-                residual,
-                orthogonality,
-            });
+        if self.verify != VerifyLevel::Off {
+            out.diagnostics.verify = Some(verify_svd(a, &out, self.vectors, self.verify)?);
         }
         Ok(out)
     }
@@ -653,9 +644,41 @@ pub fn gesvd(a: &Matrix) -> Result<Svd> {
     GeSvd::new().solve(a)
 }
 
+/// Opt-in verification of a computed SVD of `a` at `level` (not `Off`):
+/// singular values finite, non-negative and descending; with vectors the
+/// [`svd_residual`] (NaN for a non-finite factor) and, at `Full`, the
+/// orthogonality of `U` and `V` within `VERIFY_BOUND`, else
+/// `Error::VerificationFailed`.
+fn verify_svd(a: &Matrix, svd: &Svd, vectors: bool, level: VerifyLevel) -> Result<VerifyReport> {
+    check_sorted("singular value", &svd.s, 0.0, false)?;
+    if !vectors {
+        return Ok(VerifyReport::default());
+    }
+    // `svd_residual` takes maxima that skip NaN: a non-finite factor
+    // measures NaN here, which fails.
+    let finite = [&svd.u, &svd.v]
+        .iter()
+        .all(|m| m.as_slice().iter().all(|x| x.is_finite()));
+    let residual = if finite {
+        svd_residual(a, svd)
+    } else {
+        f64::NAN
+    };
+    let residual = check_bound("scaled residual", (residual, 0))?;
+    let orthogonality = if level == VerifyLevel::Full {
+        let o = norms::orthogonality(&svd.u).max(norms::orthogonality(&svd.v));
+        check_bound("orthogonality", (o, 0))?
+    } else {
+        0.0
+    };
+    Ok(VerifyReport {
+        residual,
+        orthogonality,
+    })
+}
+
 /// Scaled SVD residual `||A - U S V^T||_max / (||A||_1 max(m,n) eps)`.
 pub fn svd_residual(a: &Matrix, svd: &Svd) -> f64 {
-    use tseig_matrix::norms;
     let n = svd.s.len();
     let mut us = svd.u.clone();
     for j in 0..n {
@@ -1085,6 +1108,67 @@ mod tests {
         let svd = GeSvd::new().verify(VerifyLevel::Full).solve(&a).unwrap();
         let rep = svd.diagnostics.verify.expect("verify requested");
         assert!(rep.residual < 500.0 && rep.orthogonality < 200.0);
+    }
+
+    #[test]
+    fn verify_full_passes_healthy_tall_and_square_inputs() {
+        for (m, n) in [(40, 17), (24, 24)] {
+            let a = rand_mat(m, n, 119);
+            for vectors in [true, false] {
+                let drv = GeSvd::new().vectors(vectors).verify(VerifyLevel::Full);
+                let rep = drv.solve(&a).unwrap().diagnostics.verify.unwrap();
+                assert!(rep.residual < 500.0 && rep.orthogonality < 200.0, "{m}x{n}");
+            }
+        }
+    }
+
+    #[test]
+    fn verify_rejects_corrupted_factors_and_values() {
+        let a = rand_mat(30, 20, 120);
+        let good = || GeSvd::new().solve(&a).unwrap();
+        let failed = |svd: &Svd, vectors: bool, level: VerifyLevel| -> String {
+            match verify_svd(&a, svd, vectors, level) {
+                Err(Error::VerificationFailed { measure, .. }) => measure,
+                other => panic!("expected a verification failure, got {other:?}"),
+            }
+        };
+        // A corrupted U fails the residual.
+        let mut bad = good();
+        bad.u[(3, 2)] += 1e-6;
+        assert_eq!(failed(&bad, true, VerifyLevel::Residual), "scaled residual");
+        // V's first column stretched and U's shrunk by the same factor:
+        // U S V^T is unchanged, but V is no longer orthonormal, which
+        // only `Full` checks.
+        let mut skew = good();
+        skew.v.col_mut(0).iter_mut().for_each(|x| *x *= 1.0 + 1e-6);
+        skew.u.col_mut(0).iter_mut().for_each(|x| *x /= 1.0 + 1e-6);
+        assert!(verify_svd(&a, &skew, true, VerifyLevel::Residual).is_ok());
+        assert_eq!(failed(&skew, true, VerifyLevel::Full), "orthogonality");
+        // A NaN in V fails as NaN, not as a pass.
+        let mut nan = good();
+        nan.v[(0, 0)] = f64::NAN;
+        assert_eq!(failed(&nan, true, VerifyLevel::Residual), "scaled residual");
+        // Values are checked with or without vectors.
+        for vectors in [true, false] {
+            let mut unsorted = good();
+            unsorted.s.swap(0, 1);
+            assert_eq!(
+                failed(&unsorted, vectors, VerifyLevel::Residual),
+                "singular value ordering"
+            );
+            let mut negative = good();
+            *negative.s.last_mut().unwrap() = -1.0;
+            assert_eq!(
+                failed(&negative, vectors, VerifyLevel::Residual),
+                "singular value sign"
+            );
+            let mut inf = good();
+            inf.s[0] = f64::INFINITY;
+            assert_eq!(
+                failed(&inf, vectors, VerifyLevel::Residual),
+                "singular value finiteness"
+            );
+        }
     }
 
     #[test]
