@@ -651,6 +651,32 @@ mod tests {
     }
 
     #[test]
+    fn bisection_value_range_at_every_scale() {
+        // diag(1..6) s: (1.5 s, 3.5 s] holds 2 s and 3 s, also where the
+        // spectrum is far below 1 and where A is scaled into the safe
+        // window (its edge is 1.4e-146).
+        for s in [1e-200, 1.4e-146, 1e-20, 1.0, 1e200] {
+            let a = Matrix::from_fn(6, 6, |i, j| if i == j { (i + 1) as f64 * s } else { 0.0 });
+            let r = SymmetricEigen::new()
+                .nb(2)
+                .method(Method::BisectionInverse)
+                .range(EigenRange::Value(1.5 * s, 3.5 * s))
+                .verify(VerifyLevel::Full)
+                .solve(&a)
+                .unwrap();
+            assert_eq!(r.eigenvalues.len(), 2, "s = {s}: {:?}", r.eigenvalues);
+            for (got, want) in r.eigenvalues.iter().zip([2.0 * s, 3.0 * s]) {
+                assert!(
+                    (got - want).abs() <= 1e-13 * want,
+                    "s = {s}: {got:e} vs {want:e}"
+                );
+            }
+            let report = r.diagnostics.verify.expect("verified");
+            assert!(report.residual < VERIFY_BOUND, "s = {s}: {report:?}");
+        }
+    }
+
+    #[test]
     fn values_only() {
         let a = gen::random_symmetric(30, 45);
         let r = SymmetricEigen::new()

@@ -23,6 +23,18 @@
 //! ([`rot_chains`], section "Rotation chains"), which keep the portable
 //! loops' bits.
 //!
+//! **One body per kernel.** Each SIMD kernel here — the GEMM tile
+//! ([`gemm_body`]), the diamond kernel, the rotation chain and the FMA
+//! probe — is one generic function over the private [`Lanes`] trait (a
+//! vector of `N` components), and each (element type, ISA) pair is a
+//! one-line instance that compiles it under `#[target_feature]`. The
+//! intrinsics appear only in the `simd_lanes!` invocations and the AVX2
+//! `mask_epi*` helpers (`xtask tidy` rule `intrinsics-in-lanes`), so
+//! adding an ISA means one `simd_lanes!` plus one instance line per
+//! kernel. The portable scalar GEMM tiles and the portable rotation
+//! loops of [`crate::rot`] are written separately on purpose: they are
+//! the independent oracles the SIMD bodies are tested against.
+//!
 //! **Dispatch** happens once per element type, at the first
 //! `gemm`-family call: the `TSEIG_SIMD` environment variable (`avx512`
 //! / `avx2` / `scalar`) is honored when the requested ISA is available,
@@ -30,8 +42,8 @@
 //! [`std::arch::is_x86_feature_detected!`]. [`SimdScalar::available`]
 //! exposes every kernel the machine supports so tests and benches can
 //! run each path explicitly in one process (the env override is a
-//! process-wide choice). The historical free functions [`available`],
-//! [`by_name`] and [`selected`] remain the `f64` entry points.
+//! process-wide choice). The free functions [`available`], [`by_name`]
+//! and [`selected`] forward to the `f64` table.
 //!
 //! **Numerical contract (real types):** for a fixed problem every
 //! kernel of a type produces *bitwise identical* results. Each `C(i,j)`
@@ -39,6 +51,9 @@
 //! shape (packing only regroups rows/columns, never the `k` loop), and
 //! the writeback computes `c + alpha * acc` with a separate multiply
 //! and add (not an FMA) to match the scalar path rounding-for-rounding.
+//! Partial tiles load and store `C` through masked lanes, so the same
+//! operations run on every element of the `mr_eff x nr_eff` corner and
+//! nothing outside it is touched.
 //!
 //! **Numerical contract (complex types):** every complex kernel keeps
 //! *two* k-ordered real-FMA accumulator chains per `C(i,j)` component:
@@ -55,7 +70,7 @@
 //! the same two chains with scalar `mul_add`, so all dispatch paths of
 //! a complex type are bitwise identical too. The combine + writeback is
 //! always done in scalar code (SIMD kernels spill their accumulators to
-//! a stack buffer first; ~0.4% of the FMA work at `kc = 256`), which
+//! the stack first; ~0.4% of the FMA work at `kc = 256`), which
 //! removes any vectorized-final-rounding divergence by construction.
 //! Conjugation never reaches the kernels: the pack step folds it in via
 //! [`super::Op`]. The differential proptests in `tests/simd_dispatch.rs`
@@ -108,27 +123,6 @@ pub struct MicroKernel<T: 'static = f64> {
 }
 
 impl<T: 'static> MicroKernel<T> {
-    /// Build a kernel descriptor from explicit blocking values.
-    pub const fn new(
-        name: &'static str,
-        mr: usize,
-        nr: usize,
-        mc: usize,
-        nc: usize,
-        func: MicroFn<T>,
-        diamond: DiamondFn<T>,
-    ) -> Self {
-        MicroKernel {
-            name,
-            mr,
-            nr,
-            mc,
-            nc,
-            func,
-            diamond,
-        }
-    }
-
     /// Build a kernel descriptor with its cache blocking taken from a
     /// [`BlockingParams`] derivation — the tile shape and the blocking
     /// come from the same place and cannot drift apart. Every static in
@@ -202,21 +196,23 @@ pub static SCALAR: MicroKernel = MicroKernel::from_blocking(
     diamond_scalar_f64,
 );
 
-/// AVX2+FMA `f64` tile.
+/// AVX2+FMA `f64` tile: 12 ymm accumulators, one `A` load and one
+/// broadcast per FMA pair.
 #[cfg(target_arch = "x86_64")]
 pub static AVX2: MicroKernel = MicroKernel::from_blocking(
     "avx2",
     BlockingParams::for_scalar::<f64>(4, 12),
-    mk_avx2_entry,
+    mk_avx2_f64,
     diamond_avx2_f64,
 );
 
-/// AVX-512F `f64` tile.
+/// AVX-512F `f64` tile: 24 zmm accumulators (three per column), one
+/// column broadcast per FMA.
 #[cfg(target_arch = "x86_64")]
 pub static AVX512: MicroKernel = MicroKernel::from_blocking(
     "avx512",
     BlockingParams::for_scalar::<f64>(24, 8),
-    mk_avx512_entry,
+    mk_avx512_f64,
     diamond_avx512_f64,
 );
 
@@ -234,7 +230,7 @@ pub static SCALAR_F32: MicroKernel<f32> = MicroKernel::from_blocking(
 pub static AVX2_F32: MicroKernel<f32> = MicroKernel::from_blocking(
     "avx2",
     BlockingParams::for_scalar::<f32>(8, 12),
-    mk_avx2_f32_entry,
+    mk_avx2_f32,
     diamond_avx2_f32,
 );
 
@@ -243,7 +239,7 @@ pub static AVX2_F32: MicroKernel<f32> = MicroKernel::from_blocking(
 pub static AVX512_F32: MicroKernel<f32> = MicroKernel::from_blocking(
     "avx512",
     BlockingParams::for_scalar::<f32>(48, 8),
-    mk_avx512_f32_entry,
+    mk_avx512_f32,
     diamond_avx512_f32,
 );
 
@@ -264,7 +260,7 @@ pub static SCALAR_C64: MicroKernel<C64> = MicroKernel::from_blocking(
 pub static AVX2_C64: MicroKernel<C64> = MicroKernel::from_blocking(
     "avx2",
     BlockingParams::for_scalar::<C64>(2, 6),
-    mk_avx2_c64_entry,
+    mk_avx2_c64,
     diamond_avx2_c64,
 );
 
@@ -275,7 +271,7 @@ pub static AVX2_C64: MicroKernel<C64> = MicroKernel::from_blocking(
 pub static AVX512_C64: MicroKernel<C64> = MicroKernel::from_blocking(
     "avx512",
     BlockingParams::for_scalar::<C64>(8, 4),
-    mk_avx512_c64_entry,
+    mk_avx512_c64,
     diamond_avx512_c64,
 );
 
@@ -292,7 +288,7 @@ pub static SCALAR_C32: MicroKernel<C32> = MicroKernel::from_blocking(
 pub static AVX2_C32: MicroKernel<C32> = MicroKernel::from_blocking(
     "avx2",
     BlockingParams::for_scalar::<C32>(4, 6),
-    mk_avx2_c32_entry,
+    mk_avx2_c32,
     diamond_avx2_c32,
 );
 
@@ -301,37 +297,21 @@ pub static AVX2_C32: MicroKernel<C32> = MicroKernel::from_blocking(
 pub static AVX512_C32: MicroKernel<C32> = MicroKernel::from_blocking(
     "avx512",
     BlockingParams::for_scalar::<C32>(16, 4),
-    mk_avx512_c32_entry,
+    mk_avx512_c32,
     diamond_avx512_c32,
 );
 
-/// Every `f64` kernel this machine can execute, best first. Tests and
-/// benches iterate this to exercise each dispatch path in-process.
-/// (Kept as a free function for back-compat; [`SimdScalar::available`]
-/// is the per-type generalization.)
+/// Every `f64` kernel this machine can execute, best first: the `f64`
+/// face of [`SimdScalar::available`]. Tests and benches iterate this
+/// to exercise each dispatch path in-process.
 pub fn available() -> &'static [&'static MicroKernel] {
-    static AVAIL: OnceLock<Vec<&'static MicroKernel>> = OnceLock::new();
-    AVAIL.get_or_init(|| {
-        #[allow(unused_mut)]
-        let mut v: Vec<&'static MicroKernel> = Vec::new();
-        #[cfg(target_arch = "x86_64")]
-        {
-            if is_x86_feature_detected!("avx512f") {
-                v.push(&AVX512);
-            }
-            if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-                v.push(&AVX2);
-            }
-        }
-        v.push(&SCALAR);
-        v
-    })
+    <f64 as SimdScalar>::available()
 }
 
 /// Look an `f64` kernel up by its dispatch name, `None` when the
 /// machine does not support it (or the name is unknown).
 pub fn by_name(name: &str) -> Option<&'static MicroKernel> {
-    available().iter().copied().find(|k| k.name == name)
+    <f64 as SimdScalar>::by_name(name)
 }
 
 /// The kernel the packed `f64` engine uses, chosen once at first call:
@@ -340,8 +320,7 @@ pub fn by_name(name: &str) -> Option<&'static MicroKernel> {
 /// detection rather than failing — the env knob exists for testing and
 /// benchmarking, not as a hard requirement.
 pub fn selected() -> &'static MicroKernel {
-    static SELECTED: OnceLock<&'static MicroKernel> = OnceLock::new();
-    SELECTED.get_or_init(|| select_env(available()))
+    <f64 as SimdScalar>::selected()
 }
 
 /// Apply the `TSEIG_SIMD` override to an availability table (shared by
@@ -358,8 +337,8 @@ fn select_env<T: 'static>(avail: &[&'static MicroKernel<T>]) -> &'static MicroKe
 
 /// Element types with a runtime-dispatched microkernel table: the
 /// per-type face of the one dispatch mechanism (`OnceLock` + feature
-/// detection + `TSEIG_SIMD` override) the `f64` path has always used.
-/// Implemented for exactly the four engine types.
+/// detection + `TSEIG_SIMD` override). Implemented for exactly the four
+/// engine types.
 pub trait SimdScalar: Scalar + 'static {
     /// Every kernel of this element type the machine can execute, best
     /// first; the portable `scalar` kernel is always present and last.
@@ -372,17 +351,6 @@ pub trait SimdScalar: Scalar + 'static {
     /// Look a kernel of this element type up by dispatch name.
     fn by_name(name: &str) -> Option<&'static MicroKernel<Self>> {
         Self::available().iter().copied().find(|k| k.name == name)
-    }
-}
-
-impl SimdScalar for f64 {
-    #[inline]
-    fn available() -> &'static [&'static MicroKernel<f64>] {
-        available()
-    }
-    #[inline]
-    fn selected() -> &'static MicroKernel<f64> {
-        selected()
     }
 }
 
@@ -418,498 +386,99 @@ macro_rules! simd_dispatch {
     };
 }
 
+simd_dispatch!(f64, SCALAR, AVX2, AVX512);
 simd_dispatch!(f32, SCALAR_F32, AVX2_F32, AVX512_F32);
 simd_dispatch!(C64, SCALAR_C64, AVX2_C64, AVX512_C64);
 simd_dispatch!(C32, SCALAR_C32, AVX2_C32, AVX512_C32);
 
 // ---------------------------------------------------------------------------
-// f64 kernels
+// Portable tiles and per-type writebacks
 // ---------------------------------------------------------------------------
 
-/// Scalar 16x4 tile: plain `mul_add` chains the compiler may
-/// autovectorize; semantics identical to the SIMD tiles by construction.
-fn mk_scalar(
-    kc: usize,
-    alpha: f64,
-    ap: &[f64],
-    bp: &[f64],
-    c: &mut [f64],
-    ldc: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-) {
-    const MR: usize = 16;
-    const NR: usize = 4;
-    let mut acc = [[0.0f64; MR]; NR];
-    let (achunks, _) = ap.as_chunks::<MR>();
-    let (bchunks, _) = bp.as_chunks::<NR>();
-    for p in 0..kc {
-        let av: &[f64; MR] = &achunks[p];
-        let bv: &[f64; NR] = &bchunks[p];
-        for jj in 0..NR {
-            let bvj = bv[jj];
-            for ii in 0..MR {
-                acc[jj][ii] = av[ii].mul_add(bvj, acc[jj][ii]);
-            }
-        }
-    }
-    if mr_eff == MR && nr_eff == NR {
-        for jj in 0..NR {
-            let ccol = &mut c[jj * ldc..jj * ldc + MR];
-            for ii in 0..MR {
-                ccol[ii] += alpha * acc[jj][ii];
-            }
-        }
-    } else {
-        for jj in 0..nr_eff {
-            let ccol = &mut c[jj * ldc..][..mr_eff];
-            for ii in 0..mr_eff {
-                ccol[ii] += alpha * acc[jj][ii];
-            }
-        }
-    }
-}
-
-/// Safe entry for the AVX-512 tile: checks every slice bound the
-/// intrinsics body relies on, then calls into the `target_feature` fn.
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
-fn mk_avx512_entry(
-    kc: usize,
-    alpha: f64,
-    ap: &[f64],
-    bp: &[f64],
-    c: &mut [f64],
-    ldc: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-) {
-    assert!(
-        ap.len() >= 24 * kc && bp.len() >= 8 * kc,
-        "packed strip too short"
-    );
-    assert!(
-        c.len() >= (nr_eff.max(1) - 1) * ldc + mr_eff,
-        "C tile out of bounds"
-    );
-    if mr_eff == 24 && nr_eff == 8 {
-        assert!(c.len() >= 7 * ldc + 24, "full C tile out of bounds");
-    }
-    // SAFETY: this entry is only reachable through the AVX512 kernel
-    // descriptor, which `available()` registers iff
-    // `is_x86_feature_detected!("avx512f")`; the slice bounds the body
-    // dereferences are asserted just above.
-    unsafe { mk_avx512_24x8(kc, alpha, ap, bp, c, ldc, mr_eff, nr_eff) }
-}
-
-/// 24x8 AVX-512F tile: 24 zmm accumulators (three per column), one
-/// column broadcast per FMA.
-///
-/// # Safety
-///
-/// Caller must guarantee the `avx512f` target feature is available and
-/// that `ap.len() >= 24*kc`, `bp.len() >= 8*kc`, and `c` covers the
-/// `mr_eff x nr_eff` output tile at leading dimension `ldc` (the full
-/// `24 x 8` tile when `mr_eff == 24 && nr_eff == 8`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn mk_avx512_24x8(
-    kc: usize,
-    alpha: f64,
-    ap: &[f64],
-    bp: &[f64],
-    c: &mut [f64],
-    ldc: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-) {
-    use std::arch::x86_64::*;
-    const MR: usize = 24;
-    const NR: usize = 8;
-    // SAFETY: all pointer arithmetic below stays inside the bounds the
-    // safe entry asserted: `ap` is read at `p*24 + 0..24` for p < kc,
-    // `bp` at `p*8 + 0..8`, and `c` only on the full-tile path that
-    // asserted `7*ldc + 24` coverage.
-    unsafe {
-        let mut acc = [[_mm512_setzero_pd(); 3]; NR];
-        let mut aptr = ap.as_ptr();
-        let mut bptr = bp.as_ptr();
-        for _ in 0..kc {
-            let a0 = _mm512_loadu_pd(aptr);
-            let a1 = _mm512_loadu_pd(aptr.add(8));
-            let a2 = _mm512_loadu_pd(aptr.add(16));
-            for (jj, accj) in acc.iter_mut().enumerate() {
-                let bv = _mm512_set1_pd(*bptr.add(jj));
-                accj[0] = _mm512_fmadd_pd(a0, bv, accj[0]);
-                accj[1] = _mm512_fmadd_pd(a1, bv, accj[1]);
-                accj[2] = _mm512_fmadd_pd(a2, bv, accj[2]);
-            }
-            aptr = aptr.add(MR);
-            bptr = bptr.add(NR);
-        }
-        if mr_eff == MR && nr_eff == NR {
-            // Writeback is mul-then-add (not FMA) so every kernel's
-            // rounding matches the scalar tile bitwise.
-            let va = _mm512_set1_pd(alpha);
-            for (jj, accj) in acc.iter().enumerate() {
-                let cp = c.as_mut_ptr().add(jj * ldc);
-                for (q, &av) in accj.iter().enumerate() {
-                    let cv = _mm512_loadu_pd(cp.add(8 * q));
-                    _mm512_storeu_pd(cp.add(8 * q), _mm512_add_pd(cv, _mm512_mul_pd(av, va)));
-                }
-            }
-        } else {
-            let mut buf = [0.0f64; MR * NR];
-            for (jj, accj) in acc.iter().enumerate() {
-                for (q, &av) in accj.iter().enumerate() {
-                    _mm512_storeu_pd(buf.as_mut_ptr().add(jj * MR + 8 * q), av);
+/// Generate, per real type, the portable scalar tile — plain `mul_add`
+/// chains the compiler may autovectorize, the differential oracle of
+/// the type's SIMD tiles — and the SIMD tiles' writeback ([`TileOut`]):
+/// `c + alpha * acc` per vector, a separate multiply and add as in the
+/// scalar tile, through masked lanes on a partial tile.
+macro_rules! real_kernels {
+    ($scalar_fn:ident, $t:ty, $mr:expr, $nr:expr) => {
+        /// Portable real tile: one `mul_add` chain per `C(i,j)`, the
+        /// differential oracle of this type's SIMD tiles.
+        #[allow(clippy::too_many_arguments)]
+        fn $scalar_fn(
+            kc: usize,
+            alpha: $t,
+            ap: &[$t],
+            bp: &[$t],
+            c: &mut [$t],
+            ldc: usize,
+            mr_eff: usize,
+            nr_eff: usize,
+        ) {
+            const MR: usize = $mr;
+            const NR: usize = $nr;
+            let mut acc = [[0.0 as $t; MR]; NR];
+            let (achunks, _) = ap.as_chunks::<MR>();
+            let (bchunks, _) = bp.as_chunks::<NR>();
+            for p in 0..kc {
+                let av: &[$t; MR] = &achunks[p];
+                let bv: &[$t; NR] = &bchunks[p];
+                for jj in 0..NR {
+                    let bvj = bv[jj];
+                    for ii in 0..MR {
+                        acc[jj][ii] = av[ii].mul_add(bvj, acc[jj][ii]);
+                    }
                 }
             }
             for jj in 0..nr_eff {
+                let ccol = &mut c[jj * ldc..][..mr_eff];
                 for ii in 0..mr_eff {
-                    c[ii + jj * ldc] += alpha * buf[jj * MR + ii];
+                    ccol[ii] += alpha * acc[jj][ii];
                 }
             }
         }
-    }
-}
 
-/// Safe entry for the AVX2 tile; same bounds discipline as the AVX-512
-/// entry.
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
-fn mk_avx2_entry(
-    kc: usize,
-    alpha: f64,
-    ap: &[f64],
-    bp: &[f64],
-    c: &mut [f64],
-    ldc: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-) {
-    assert!(
-        ap.len() >= 4 * kc && bp.len() >= 12 * kc,
-        "packed strip too short"
-    );
-    assert!(
-        c.len() >= (nr_eff.max(1) - 1) * ldc + mr_eff,
-        "C tile out of bounds"
-    );
-    if mr_eff == 4 && nr_eff == 12 {
-        assert!(c.len() >= 11 * ldc + 4, "full C tile out of bounds");
-    }
-    // SAFETY: only reachable through the AVX2 kernel descriptor, which
-    // `available()` registers iff `avx2` and `fma` are detected; slice
-    // bounds asserted above.
-    unsafe { mk_avx2_4x12(kc, alpha, ap, bp, c, ldc, mr_eff, nr_eff) }
-}
-
-/// 4x12 AVX2+FMA tile: 12 ymm accumulators, one `A` load and one
-/// broadcast per FMA pair.
-///
-/// # Safety
-///
-/// Caller must guarantee the `avx2` and `fma` target features are
-/// available and that `ap.len() >= 4*kc`, `bp.len() >= 12*kc`, and `c`
-/// covers the `mr_eff x nr_eff` output tile at leading dimension `ldc`
-/// (the full `4 x 12` tile when `mr_eff == 4 && nr_eff == 12`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn mk_avx2_4x12(
-    kc: usize,
-    alpha: f64,
-    ap: &[f64],
-    bp: &[f64],
-    c: &mut [f64],
-    ldc: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-) {
-    use std::arch::x86_64::*;
-    const MR: usize = 4;
-    const NR: usize = 12;
-    // SAFETY: pointer arithmetic stays inside the bounds the safe entry
-    // asserted (`ap` at `p*4 + 0..4`, `bp` at `p*12 + 0..12`, `c` only
-    // on the asserted full-tile path).
-    unsafe {
-        let mut acc = [_mm256_setzero_pd(); NR];
-        let mut aptr = ap.as_ptr();
-        let mut bptr = bp.as_ptr();
-        for _ in 0..kc {
-            let av = _mm256_loadu_pd(aptr);
-            for (jj, a) in acc.iter_mut().enumerate() {
-                let bv = _mm256_broadcast_sd(&*bptr.add(jj));
-                *a = _mm256_fmadd_pd(av, bv, *a);
-            }
-            aptr = aptr.add(MR);
-            bptr = bptr.add(NR);
-        }
-        if mr_eff == MR && nr_eff == NR {
-            let va = _mm256_set1_pd(alpha);
-            for (jj, a) in acc.iter().enumerate() {
-                let cp = c.as_mut_ptr().add(jj * ldc);
-                let cv = _mm256_loadu_pd(cp);
-                _mm256_storeu_pd(cp, _mm256_add_pd(cv, _mm256_mul_pd(*a, va)));
-            }
-        } else {
-            let mut buf = [0.0f64; MR * NR];
-            for (jj, a) in acc.iter().enumerate() {
-                _mm256_storeu_pd(buf.as_mut_ptr().add(jj * MR), *a);
-            }
-            for jj in 0..nr_eff {
-                for ii in 0..mr_eff {
-                    c[ii + jj * ldc] += alpha * buf[jj * MR + ii];
+        impl TileOut for $t {
+            type F = $t;
+            /// # Safety: see [`TileOut::put`].
+            #[inline(always)]
+            unsafe fn put<V: Lanes<F = $t>, const MV: usize, const NR: usize>(
+                acc: &Acc<V, MV, NR>,
+                alpha: $t,
+                c: &mut [$t],
+                ldc: usize,
+                mr_eff: usize,
+                nr_eff: usize,
+            ) {
+                let va = V::splat(alpha);
+                // Constant trip counts: the loops unroll and the
+                // accumulators stay in their registers.
+                for (jj, col) in acc.s1.iter().enumerate() {
+                    for (q, x) in col.iter().enumerate() {
+                        let m = mr_eff.saturating_sub(q * V::N).min(V::N);
+                        if jj < nr_eff && m > 0 {
+                            let p = c.as_mut_ptr().add(jj * ldc + q * V::N);
+                            store_n(load_n::<V>(p, m).add(x.mul(va)), p, m);
+                        }
+                    }
                 }
             }
         }
-    }
+    };
 }
 
-// ---------------------------------------------------------------------------
-// f32 kernels
-// ---------------------------------------------------------------------------
+real_kernels!(mk_scalar, f64, 16, 4);
+real_kernels!(mk_scalar_f32, f32, 16, 4);
 
-/// Scalar 16x4 `f32` tile: the `f64` scalar tile verbatim at `f32`.
-fn mk_scalar_f32(
-    kc: usize,
-    alpha: f32,
-    ap: &[f32],
-    bp: &[f32],
-    c: &mut [f32],
-    ldc: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-) {
-    const MR: usize = 16;
-    const NR: usize = 4;
-    let mut acc = [[0.0f32; MR]; NR];
-    let (achunks, _) = ap.as_chunks::<MR>();
-    let (bchunks, _) = bp.as_chunks::<NR>();
-    for p in 0..kc {
-        let av: &[f32; MR] = &achunks[p];
-        let bv: &[f32; NR] = &bchunks[p];
-        for jj in 0..NR {
-            let bvj = bv[jj];
-            for ii in 0..MR {
-                acc[jj][ii] = av[ii].mul_add(bvj, acc[jj][ii]);
-            }
-        }
-    }
-    for jj in 0..nr_eff {
-        let ccol = &mut c[jj * ldc..][..mr_eff];
-        for ii in 0..mr_eff {
-            ccol[ii] += alpha * acc[jj][ii];
-        }
-    }
-}
-
-/// Safe entry for the `f32` AVX-512 tile; same bounds discipline as the
-/// `f64` entries.
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
-fn mk_avx512_f32_entry(
-    kc: usize,
-    alpha: f32,
-    ap: &[f32],
-    bp: &[f32],
-    c: &mut [f32],
-    ldc: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-) {
-    assert!(
-        ap.len() >= 48 * kc && bp.len() >= 8 * kc,
-        "packed strip too short"
-    );
-    assert!(
-        c.len() >= (nr_eff.max(1) - 1) * ldc + mr_eff,
-        "C tile out of bounds"
-    );
-    if mr_eff == 48 && nr_eff == 8 {
-        assert!(c.len() >= 7 * ldc + 48, "full C tile out of bounds");
-    }
-    // SAFETY: only reachable through the AVX512_F32 kernel descriptor,
-    // registered iff `is_x86_feature_detected!("avx512f")`; slice
-    // bounds asserted above.
-    unsafe { mk_avx512_f32_48x8(kc, alpha, ap, bp, c, ldc, mr_eff, nr_eff) }
-}
-
-/// 48x8 AVX-512F `f32` tile: the 24x8 `f64` tile at 16 lanes per zmm
-/// (24 accumulators, three per column, one broadcast per FMA).
-///
-/// # Safety
-///
-/// Caller must guarantee the `avx512f` target feature is available and
-/// that `ap.len() >= 48*kc`, `bp.len() >= 8*kc`, and `c` covers the
-/// `mr_eff x nr_eff` output tile at leading dimension `ldc` (the full
-/// `48 x 8` tile when `mr_eff == 48 && nr_eff == 8`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn mk_avx512_f32_48x8(
-    kc: usize,
-    alpha: f32,
-    ap: &[f32],
-    bp: &[f32],
-    c: &mut [f32],
-    ldc: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-) {
-    use std::arch::x86_64::*;
-    const MR: usize = 48;
-    const NR: usize = 8;
-    // SAFETY: pointer arithmetic stays inside the bounds the safe entry
-    // asserted (`ap` at `p*48 + 0..48`, `bp` at `p*8 + 0..8`, `c` only
-    // on the asserted full-tile path).
-    unsafe {
-        let mut acc = [[_mm512_setzero_ps(); 3]; NR];
-        let mut aptr = ap.as_ptr();
-        let mut bptr = bp.as_ptr();
-        for _ in 0..kc {
-            let a0 = _mm512_loadu_ps(aptr);
-            let a1 = _mm512_loadu_ps(aptr.add(16));
-            let a2 = _mm512_loadu_ps(aptr.add(32));
-            for (jj, accj) in acc.iter_mut().enumerate() {
-                let bv = _mm512_set1_ps(*bptr.add(jj));
-                accj[0] = _mm512_fmadd_ps(a0, bv, accj[0]);
-                accj[1] = _mm512_fmadd_ps(a1, bv, accj[1]);
-                accj[2] = _mm512_fmadd_ps(a2, bv, accj[2]);
-            }
-            aptr = aptr.add(MR);
-            bptr = bptr.add(NR);
-        }
-        if mr_eff == MR && nr_eff == NR {
-            let va = _mm512_set1_ps(alpha);
-            for (jj, accj) in acc.iter().enumerate() {
-                let cp = c.as_mut_ptr().add(jj * ldc);
-                for (q, &av) in accj.iter().enumerate() {
-                    let cv = _mm512_loadu_ps(cp.add(16 * q));
-                    _mm512_storeu_ps(cp.add(16 * q), _mm512_add_ps(cv, _mm512_mul_ps(av, va)));
-                }
-            }
-        } else {
-            let mut buf = [0.0f32; MR * NR];
-            for (jj, accj) in acc.iter().enumerate() {
-                for (q, &av) in accj.iter().enumerate() {
-                    _mm512_storeu_ps(buf.as_mut_ptr().add(jj * MR + 16 * q), av);
-                }
-            }
-            for jj in 0..nr_eff {
-                for ii in 0..mr_eff {
-                    c[ii + jj * ldc] += alpha * buf[jj * MR + ii];
-                }
-            }
-        }
-    }
-}
-
-/// Safe entry for the `f32` AVX2 tile.
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
-fn mk_avx2_f32_entry(
-    kc: usize,
-    alpha: f32,
-    ap: &[f32],
-    bp: &[f32],
-    c: &mut [f32],
-    ldc: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-) {
-    assert!(
-        ap.len() >= 8 * kc && bp.len() >= 12 * kc,
-        "packed strip too short"
-    );
-    assert!(
-        c.len() >= (nr_eff.max(1) - 1) * ldc + mr_eff,
-        "C tile out of bounds"
-    );
-    if mr_eff == 8 && nr_eff == 12 {
-        assert!(c.len() >= 11 * ldc + 8, "full C tile out of bounds");
-    }
-    // SAFETY: only reachable through the AVX2_F32 kernel descriptor,
-    // registered iff `avx2` and `fma` are detected; slice bounds
-    // asserted above.
-    unsafe { mk_avx2_f32_8x12(kc, alpha, ap, bp, c, ldc, mr_eff, nr_eff) }
-}
-
-/// 8x12 AVX2+FMA `f32` tile: the 4x12 `f64` tile at 8 lanes per ymm.
-///
-/// # Safety
-///
-/// Caller must guarantee the `avx2` and `fma` target features are
-/// available and that `ap.len() >= 8*kc`, `bp.len() >= 12*kc`, and `c`
-/// covers the `mr_eff x nr_eff` output tile at leading dimension `ldc`
-/// (the full `8 x 12` tile when `mr_eff == 8 && nr_eff == 12`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn mk_avx2_f32_8x12(
-    kc: usize,
-    alpha: f32,
-    ap: &[f32],
-    bp: &[f32],
-    c: &mut [f32],
-    ldc: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-) {
-    use std::arch::x86_64::*;
-    const MR: usize = 8;
-    const NR: usize = 12;
-    // SAFETY: pointer arithmetic stays inside the bounds the safe entry
-    // asserted (`ap` at `p*8 + 0..8`, `bp` at `p*12 + 0..12`, `c` only
-    // on the asserted full-tile path).
-    unsafe {
-        let mut acc = [_mm256_setzero_ps(); NR];
-        let mut aptr = ap.as_ptr();
-        let mut bptr = bp.as_ptr();
-        for _ in 0..kc {
-            let av = _mm256_loadu_ps(aptr);
-            for (jj, a) in acc.iter_mut().enumerate() {
-                let bv = _mm256_broadcast_ss(&*bptr.add(jj));
-                *a = _mm256_fmadd_ps(av, bv, *a);
-            }
-            aptr = aptr.add(MR);
-            bptr = bptr.add(NR);
-        }
-        if mr_eff == MR && nr_eff == NR {
-            let va = _mm256_set1_ps(alpha);
-            for (jj, a) in acc.iter().enumerate() {
-                let cp = c.as_mut_ptr().add(jj * ldc);
-                let cv = _mm256_loadu_ps(cp);
-                _mm256_storeu_ps(cp, _mm256_add_ps(cv, _mm256_mul_ps(*a, va)));
-            }
-        } else {
-            let mut buf = [0.0f32; MR * NR];
-            for (jj, a) in acc.iter().enumerate() {
-                _mm256_storeu_ps(buf.as_mut_ptr().add(jj * MR), *a);
-            }
-            for jj in 0..nr_eff {
-                for ii in 0..mr_eff {
-                    c[ii + jj * ldc] += alpha * buf[jj * MR + ii];
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Complex kernels (dual-accumulator contract)
-// ---------------------------------------------------------------------------
-
-/// Generate, per complex type, the shared combine/writeback helper and
-/// the portable scalar tile of the dual-accumulator contract (module
-/// docs): the two component-FMA chains per `C(i,j)` live in interleaved
-/// `(re, im)` stack buffers — the exact memory image of the SIMD
-/// kernels' spilled accumulator registers — and the combine
-/// `t = (s1.re - s2.re, s1.im + s2.im); c += alpha * t` is one scalar
-/// code path every kernel of the type funnels through, which is what
-/// makes all dispatch paths bitwise identical.
+/// Generate, per complex type, the shared combine/writeback helper, the
+/// portable scalar tile of the dual-accumulator contract (module docs)
+/// and the SIMD tiles' writeback ([`TileOut`]): the two component-FMA
+/// chains per `C(i,j)` live in interleaved `(re, im)` buffers — the
+/// scalar tile's stack arrays, the SIMD tiles' spilled accumulator
+/// registers — and the combine `t = (s1.re - s2.re, s1.im + s2.im);
+/// c += alpha * t` is one scalar code path every kernel of the type
+/// funnels through, which is what makes all dispatch paths bitwise
+/// identical.
 macro_rules! complex_kernels {
     ($combine:ident, $scalar_fn:ident, $ct:ty, $ft:ty, $mk:path, $mr:expr, $nr:expr) => {
         /// Combine the two spilled accumulator chains and write the
@@ -975,394 +544,54 @@ macro_rules! complex_kernels {
             }
             $combine(&s1, &s2, MR, alpha, c, ldc, mr_eff, nr_eff);
         }
+
+        impl TileOut for $ct {
+            type F = $ft;
+            /// # Safety: see [`TileOut::put`].
+            #[inline(always)]
+            unsafe fn put<V: Lanes<F = $ft>, const MV: usize, const NR: usize>(
+                acc: &Acc<V, MV, NR>,
+                alpha: $ct,
+                c: &mut [$ct],
+                ldc: usize,
+                mr_eff: usize,
+                nr_eff: usize,
+            ) {
+                const {
+                    assert!(std::mem::size_of::<V>() == V::N * std::mem::size_of::<$ft>());
+                };
+                // A `[[V; MV]; NR]` array is the interleaved image the
+                // combine reads: column `jj` at `jj * MV * N` components.
+                let spill = |s: &[[V; MV]; NR]| {
+                    std::slice::from_raw_parts(s.as_ptr().cast::<$ft>(), MV * NR * V::N)
+                };
+                $combine(
+                    spill(&acc.s1),
+                    spill(&acc.s2),
+                    MV * V::N / 2,
+                    alpha,
+                    c,
+                    ldc,
+                    mr_eff,
+                    nr_eff,
+                );
+            }
+        }
     };
 }
 
 complex_kernels!(combine_c64, mk_scalar_c64, C64, f64, c64, 8, 4);
 complex_kernels!(combine_c32, mk_scalar_c32, C32, f32, c32, 8, 4);
 
-/// Safe entry for the `C64` AVX-512 tile.
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
-fn mk_avx512_c64_entry(
-    kc: usize,
-    alpha: C64,
-    ap: &[C64],
-    bp: &[C64],
-    c: &mut [C64],
-    ldc: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-) {
-    assert!(
-        ap.len() >= 8 * kc && bp.len() >= 4 * kc,
-        "packed strip too short"
-    );
-    assert!(
-        c.len() >= (nr_eff.max(1) - 1) * ldc + mr_eff,
-        "C tile out of bounds"
-    );
-    // SAFETY: only reachable through the AVX512_C64 kernel descriptor,
-    // registered iff `is_x86_feature_detected!("avx512f")`; slice
-    // bounds asserted above, and the writeback goes through the
-    // bounds-checked scalar combine.
-    unsafe { mk_avx512_c64_8x4(kc, alpha, ap, bp, c, ldc, mr_eff, nr_eff) }
-}
-
-/// 8x4 AVX-512F `C64` tile on the dual-accumulator contract: chain 1 is
-/// `fmadd(a, set1(b.re))` on the interleaved vector (2 zmm = 8 complex
-/// rows), chain 2 is `fmadd(pair_swap(a), set1(b.im))` where the pair
-/// swap is `_mm512_permute_pd::<0x55>`. 16 accumulator zmm + the two
-/// `A` vectors, their swaps, and two broadcasts ≈ 22 of 32 registers;
-/// 16 FMAs per `k` step against 12 load-port ops, so the loop is
-/// FMA-bound. Accumulators are unconditionally spilled to stack buffers
-/// and combined in scalar code ([`combine_c64`]) — the cost is ~0.4% of
-/// the FMA work at `kc = 256` and it buys bitwise identity with the
-/// scalar tile on every path, full tiles included.
-///
-/// # Safety
-///
-/// Caller must guarantee the `avx512f` target feature is available and
-/// that `ap.len() >= 8*kc` and `bp.len() >= 4*kc` (`C64` is a
-/// `#[repr(C)]` `(re, im)` pair, so the strips are read as interleaved
-/// `f64` at twice the element count).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn mk_avx512_c64_8x4(
-    kc: usize,
-    alpha: C64,
-    ap: &[C64],
-    bp: &[C64],
-    c: &mut [C64],
-    ldc: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-) {
-    use std::arch::x86_64::*;
-    const MR: usize = 8;
-    const NR: usize = 4;
-    // SAFETY: `C64` is `#[repr(C)] { re: f64, im: f64 }`, so `ap`/`bp`
-    // reinterpret as `2 * len` interleaved f64; reads stay at
-    // `p*16 + 0..16` (`ap`) and `p*8 + 0..8` (`bp`) for p < kc, inside
-    // the bounds the safe entry asserted. `c` is only written through
-    // the bounds-checked scalar combine.
-    unsafe {
-        let apf = ap.as_ptr() as *const f64;
-        let bpf = bp.as_ptr() as *const f64;
-        let mut acc1 = [[_mm512_setzero_pd(); 2]; NR];
-        let mut acc2 = [[_mm512_setzero_pd(); 2]; NR];
-        for p in 0..kc {
-            let a0 = _mm512_loadu_pd(apf.add(2 * MR * p));
-            let a1 = _mm512_loadu_pd(apf.add(2 * MR * p + 8));
-            let a0s = _mm512_permute_pd::<0x55>(a0);
-            let a1s = _mm512_permute_pd::<0x55>(a1);
-            let bb = bpf.add(2 * NR * p);
-            for jj in 0..NR {
-                let br = _mm512_set1_pd(*bb.add(2 * jj));
-                let bi = _mm512_set1_pd(*bb.add(2 * jj + 1));
-                acc1[jj][0] = _mm512_fmadd_pd(a0, br, acc1[jj][0]);
-                acc1[jj][1] = _mm512_fmadd_pd(a1, br, acc1[jj][1]);
-                acc2[jj][0] = _mm512_fmadd_pd(a0s, bi, acc2[jj][0]);
-                acc2[jj][1] = _mm512_fmadd_pd(a1s, bi, acc2[jj][1]);
-            }
-        }
-        let mut s1 = [0.0f64; 2 * MR * NR];
-        let mut s2 = [0.0f64; 2 * MR * NR];
-        for jj in 0..NR {
-            for q in 0..2 {
-                _mm512_storeu_pd(s1.as_mut_ptr().add(jj * 2 * MR + 8 * q), acc1[jj][q]);
-                _mm512_storeu_pd(s2.as_mut_ptr().add(jj * 2 * MR + 8 * q), acc2[jj][q]);
-            }
-        }
-        combine_c64(&s1, &s2, MR, alpha, c, ldc, mr_eff, nr_eff);
-    }
-}
-
-/// Safe entry for the `C64` AVX2 tile.
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
-fn mk_avx2_c64_entry(
-    kc: usize,
-    alpha: C64,
-    ap: &[C64],
-    bp: &[C64],
-    c: &mut [C64],
-    ldc: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-) {
-    assert!(
-        ap.len() >= 2 * kc && bp.len() >= 6 * kc,
-        "packed strip too short"
-    );
-    assert!(
-        c.len() >= (nr_eff.max(1) - 1) * ldc + mr_eff,
-        "C tile out of bounds"
-    );
-    // SAFETY: only reachable through the AVX2_C64 kernel descriptor,
-    // registered iff `avx2` and `fma` are detected; slice bounds
-    // asserted above, writeback through the bounds-checked scalar
-    // combine.
-    unsafe { mk_avx2_c64_2x6(kc, alpha, ap, bp, c, ldc, mr_eff, nr_eff) }
-}
-
-/// 2x6 AVX2+FMA `C64` tile on the dual-accumulator contract (pair swap
-/// via `_mm256_permute_pd::<0x5>`): 12 accumulator ymm + the `A`
-/// vector, its swap, and two broadcasts fill the 16-register file.
-///
-/// # Safety
-///
-/// Caller must guarantee the `avx2` and `fma` target features are
-/// available and that `ap.len() >= 2*kc` and `bp.len() >= 6*kc`
-/// (strips read as interleaved `f64`, see [`mk_avx512_c64_8x4`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn mk_avx2_c64_2x6(
-    kc: usize,
-    alpha: C64,
-    ap: &[C64],
-    bp: &[C64],
-    c: &mut [C64],
-    ldc: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-) {
-    use std::arch::x86_64::*;
-    const MR: usize = 2;
-    const NR: usize = 6;
-    // SAFETY: strips reinterpret as interleaved f64 (`C64` is
-    // `#[repr(C)]`); reads stay at `p*4 + 0..4` (`ap`) and
-    // `p*12 + 0..12` (`bp`) for p < kc, inside the asserted bounds.
-    unsafe {
-        let apf = ap.as_ptr() as *const f64;
-        let bpf = bp.as_ptr() as *const f64;
-        let mut acc1 = [_mm256_setzero_pd(); NR];
-        let mut acc2 = [_mm256_setzero_pd(); NR];
-        for p in 0..kc {
-            let a = _mm256_loadu_pd(apf.add(2 * MR * p));
-            let asw = _mm256_permute_pd::<0x5>(a);
-            let bb = bpf.add(2 * NR * p);
-            for jj in 0..NR {
-                let br = _mm256_broadcast_sd(&*bb.add(2 * jj));
-                let bi = _mm256_broadcast_sd(&*bb.add(2 * jj + 1));
-                acc1[jj] = _mm256_fmadd_pd(a, br, acc1[jj]);
-                acc2[jj] = _mm256_fmadd_pd(asw, bi, acc2[jj]);
-            }
-        }
-        let mut s1 = [0.0f64; 2 * MR * NR];
-        let mut s2 = [0.0f64; 2 * MR * NR];
-        for jj in 0..NR {
-            _mm256_storeu_pd(s1.as_mut_ptr().add(jj * 2 * MR), acc1[jj]);
-            _mm256_storeu_pd(s2.as_mut_ptr().add(jj * 2 * MR), acc2[jj]);
-        }
-        combine_c64(&s1, &s2, MR, alpha, c, ldc, mr_eff, nr_eff);
-    }
-}
-
-/// Safe entry for the `C32` AVX-512 tile.
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
-fn mk_avx512_c32_entry(
-    kc: usize,
-    alpha: C32,
-    ap: &[C32],
-    bp: &[C32],
-    c: &mut [C32],
-    ldc: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-) {
-    assert!(
-        ap.len() >= 16 * kc && bp.len() >= 4 * kc,
-        "packed strip too short"
-    );
-    assert!(
-        c.len() >= (nr_eff.max(1) - 1) * ldc + mr_eff,
-        "C tile out of bounds"
-    );
-    // SAFETY: only reachable through the AVX512_C32 kernel descriptor,
-    // registered iff `is_x86_feature_detected!("avx512f")`; slice
-    // bounds asserted above, writeback through the bounds-checked
-    // scalar combine.
-    unsafe { mk_avx512_c32_16x4(kc, alpha, ap, bp, c, ldc, mr_eff, nr_eff) }
-}
-
-/// 16x4 AVX-512F `C32` tile: the `C64` 8x4 dual-accumulator shape at 16
-/// `f32` lanes per zmm (pair swap via `_mm512_permute_ps::<0xB1>`).
-///
-/// # Safety
-///
-/// Caller must guarantee the `avx512f` target feature is available and
-/// that `ap.len() >= 16*kc` and `bp.len() >= 4*kc` (`C32` is a
-/// `#[repr(C)]` `(re, im)` pair, so strips are read as interleaved
-/// `f32` at twice the element count).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn mk_avx512_c32_16x4(
-    kc: usize,
-    alpha: C32,
-    ap: &[C32],
-    bp: &[C32],
-    c: &mut [C32],
-    ldc: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-) {
-    use std::arch::x86_64::*;
-    const MR: usize = 16;
-    const NR: usize = 4;
-    // SAFETY: strips reinterpret as interleaved f32 (`C32` is
-    // `#[repr(C)]`); reads stay at `p*32 + 0..32` (`ap`) and
-    // `p*8 + 0..8` (`bp`) for p < kc, inside the asserted bounds.
-    unsafe {
-        let apf = ap.as_ptr() as *const f32;
-        let bpf = bp.as_ptr() as *const f32;
-        let mut acc1 = [[_mm512_setzero_ps(); 2]; NR];
-        let mut acc2 = [[_mm512_setzero_ps(); 2]; NR];
-        for p in 0..kc {
-            let a0 = _mm512_loadu_ps(apf.add(2 * MR * p));
-            let a1 = _mm512_loadu_ps(apf.add(2 * MR * p + 16));
-            let a0s = _mm512_permute_ps::<0xB1>(a0);
-            let a1s = _mm512_permute_ps::<0xB1>(a1);
-            let bb = bpf.add(2 * NR * p);
-            for jj in 0..NR {
-                let br = _mm512_set1_ps(*bb.add(2 * jj));
-                let bi = _mm512_set1_ps(*bb.add(2 * jj + 1));
-                acc1[jj][0] = _mm512_fmadd_ps(a0, br, acc1[jj][0]);
-                acc1[jj][1] = _mm512_fmadd_ps(a1, br, acc1[jj][1]);
-                acc2[jj][0] = _mm512_fmadd_ps(a0s, bi, acc2[jj][0]);
-                acc2[jj][1] = _mm512_fmadd_ps(a1s, bi, acc2[jj][1]);
-            }
-        }
-        let mut s1 = [0.0f32; 2 * MR * NR];
-        let mut s2 = [0.0f32; 2 * MR * NR];
-        for jj in 0..NR {
-            for q in 0..2 {
-                _mm512_storeu_ps(s1.as_mut_ptr().add(jj * 2 * MR + 16 * q), acc1[jj][q]);
-                _mm512_storeu_ps(s2.as_mut_ptr().add(jj * 2 * MR + 16 * q), acc2[jj][q]);
-            }
-        }
-        combine_c32(&s1, &s2, MR, alpha, c, ldc, mr_eff, nr_eff);
-    }
-}
-
-/// Safe entry for the `C32` AVX2 tile.
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
-fn mk_avx2_c32_entry(
-    kc: usize,
-    alpha: C32,
-    ap: &[C32],
-    bp: &[C32],
-    c: &mut [C32],
-    ldc: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-) {
-    assert!(
-        ap.len() >= 4 * kc && bp.len() >= 6 * kc,
-        "packed strip too short"
-    );
-    assert!(
-        c.len() >= (nr_eff.max(1) - 1) * ldc + mr_eff,
-        "C tile out of bounds"
-    );
-    // SAFETY: only reachable through the AVX2_C32 kernel descriptor,
-    // registered iff `avx2` and `fma` are detected; slice bounds
-    // asserted above, writeback through the bounds-checked scalar
-    // combine.
-    unsafe { mk_avx2_c32_4x6(kc, alpha, ap, bp, c, ldc, mr_eff, nr_eff) }
-}
-
-/// 4x6 AVX2+FMA `C32` tile: the `C64` 2x6 dual-accumulator shape at 8
-/// `f32` lanes per ymm (pair swap via `_mm256_permute_ps::<0xB1>`).
-///
-/// # Safety
-///
-/// Caller must guarantee the `avx2` and `fma` target features are
-/// available and that `ap.len() >= 4*kc` and `bp.len() >= 6*kc`
-/// (strips read as interleaved `f32`, see [`mk_avx512_c32_16x4`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn mk_avx2_c32_4x6(
-    kc: usize,
-    alpha: C32,
-    ap: &[C32],
-    bp: &[C32],
-    c: &mut [C32],
-    ldc: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-) {
-    use std::arch::x86_64::*;
-    const MR: usize = 4;
-    const NR: usize = 6;
-    // SAFETY: strips reinterpret as interleaved f32 (`C32` is
-    // `#[repr(C)]`); reads stay at `p*8 + 0..8` (`ap`) and
-    // `p*12 + 0..12` (`bp`) for p < kc, inside the asserted bounds.
-    unsafe {
-        let apf = ap.as_ptr() as *const f32;
-        let bpf = bp.as_ptr() as *const f32;
-        let mut acc1 = [_mm256_setzero_ps(); NR];
-        let mut acc2 = [_mm256_setzero_ps(); NR];
-        for p in 0..kc {
-            let a = _mm256_loadu_ps(apf.add(2 * MR * p));
-            let asw = _mm256_permute_ps::<0xB1>(a);
-            let bb = bpf.add(2 * NR * p);
-            for jj in 0..NR {
-                let br = _mm256_broadcast_ss(&*bb.add(2 * jj));
-                let bi = _mm256_broadcast_ss(&*bb.add(2 * jj + 1));
-                acc1[jj] = _mm256_fmadd_ps(a, br, acc1[jj]);
-                acc2[jj] = _mm256_fmadd_ps(asw, bi, acc2[jj]);
-            }
-        }
-        let mut s1 = [0.0f32; 2 * MR * NR];
-        let mut s2 = [0.0f32; 2 * MR * NR];
-        for jj in 0..NR {
-            _mm256_storeu_ps(s1.as_mut_ptr().add(jj * 2 * MR), acc1[jj]);
-            _mm256_storeu_ps(s2.as_mut_ptr().add(jj * 2 * MR), acc2[jj]);
-        }
-        combine_c32(&s1, &s2, MR, alpha, c, ldc, mr_eff, nr_eff);
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Diamond kernel
+// Lanes
 // ---------------------------------------------------------------------------
 
-/// Signature of the fused diamond kernel of the back-transform: `C <- (I
-/// - V T V^H) C` for one diamond block reflector, `C` the `h x n` block
-/// at leading dimension `ldc`. `V` is `h x k` (leading dimension `ldv`):
-/// column `p` holds its reflector on rows `p .. min(p + band, h)`, the
-/// unit diagonal stored, and zeros on every other row — the
-/// parallelogram the diamond builder lays out. `T` is the `k x k` upper
-/// triangular factor (leading dimension `ldt`; its strictly lower part
-/// is never read). `work` holds at least `k * n` elements.
-pub type DiamondFn<T = f64> = fn(
-    k: usize,
-    h: usize,
-    band: usize,
-    v: &[T],
-    ldv: usize,
-    t: &[T],
-    ldt: usize,
-    c: &mut [T],
-    ldc: usize,
-    n: usize,
-    work: &mut [T],
-);
-
-/// Rows of `V` one pass of [`diamond_body`] transposes into its stack
-/// tile; a taller diamond is transposed again for every column block.
-const DIAMOND_TILE_ROWS: usize = 128;
-
-/// A vector of [`Lanes::N`] components: the unit [`diamond_body`] is
-/// written over, so one loop nest serves every ISA and element type.
-/// Complex elements are interleaved `(re, im)` component pairs.
+/// A vector of [`Lanes::N`] components: the unit every SIMD body of
+/// this module ([`gemm_body`], [`diamond_body`], [`rot_body`],
+/// [`peak_probe`]) is written over, so one loop serves every ISA and
+/// element type. Complex elements are interleaved `(re, im)` component
+/// pairs.
 ///
 /// # Safety
 ///
@@ -1389,6 +618,10 @@ trait Lanes: Copy {
     unsafe fn fmadd(self, b: Self, c: Self) -> Self;
     /// # Safety: see [`Lanes`].
     unsafe fn sub(self, b: Self) -> Self;
+    /// # Safety: see [`Lanes`].
+    unsafe fn mul(self, b: Self) -> Self;
+    /// # Safety: see [`Lanes`].
+    unsafe fn add(self, b: Self) -> Self;
     /// Even lanes `self - b`, odd lanes `self + b`: the complex combine
     /// `(s1.re - s2.re, s1.im + s2.im)`. # Safety: see [`Lanes`].
     unsafe fn addsub(self, b: Self) -> Self;
@@ -1399,7 +632,7 @@ trait Lanes: Copy {
 /// [`Lanes`] for one `std::arch` vector type, from its intrinsics.
 macro_rules! simd_lanes {
     ($v:ty, $f:ty, $n:expr, $splat:ident, $load:ident, $store:ident, $fmadd:ident, $sub:ident,
-     |$a:ident, $b:ident| $addsub:expr, |$x:ident| $swap:expr,
+     $mul:ident, $add:ident, |$a:ident, $b:ident| $addsub:expr, |$x:ident| $swap:expr,
      |$lp:ident, $lm:ident| $load_part:expr, |$sx:ident, $sp:ident, $sm:ident| $store_part:expr) => {
         #[cfg(target_arch = "x86_64")]
         impl Lanes for $v {
@@ -1443,6 +676,16 @@ macro_rules! simd_lanes {
             }
             /// # Safety: see [`Lanes`].
             #[inline(always)]
+            unsafe fn mul(self, b: Self) -> Self {
+                $mul(self, b)
+            }
+            /// # Safety: see [`Lanes`].
+            #[inline(always)]
+            unsafe fn add(self, b: Self) -> Self {
+                $add(self, b)
+            }
+            /// # Safety: see [`Lanes`].
+            #[inline(always)]
             unsafe fn addsub(self, b: Self) -> Self {
                 let ($a, $b) = (self, b);
                 $addsub
@@ -1468,6 +711,8 @@ simd_lanes!(
     _mm512_storeu_pd,
     _mm512_fmadd_pd,
     _mm512_sub_pd,
+    _mm512_mul_pd,
+    _mm512_add_pd,
     |a, b| _mm512_mask_sub_pd(_mm512_add_pd(a, b), 0x55, a, b),
     |x| _mm512_permute_pd::<0x55>(x),
     |p, m| _mm512_maskz_loadu_pd(((1u32 << m) - 1) as __mmask8, p),
@@ -1482,6 +727,8 @@ simd_lanes!(
     _mm512_storeu_ps,
     _mm512_fmadd_ps,
     _mm512_sub_ps,
+    _mm512_mul_ps,
+    _mm512_add_ps,
     |a, b| _mm512_mask_sub_ps(_mm512_add_ps(a, b), 0x5555, a, b),
     |x| _mm512_permute_ps::<0xB1>(x),
     |p, m| _mm512_maskz_loadu_ps(((1u32 << m) - 1) as __mmask16, p),
@@ -1496,6 +743,8 @@ simd_lanes!(
     _mm256_storeu_pd,
     _mm256_fmadd_pd,
     _mm256_sub_pd,
+    _mm256_mul_pd,
+    _mm256_add_pd,
     |a, b| _mm256_addsub_pd(a, b),
     |x| _mm256_permute_pd::<0b0101>(x),
     |p, m| _mm256_maskload_pd(p, mask_epi64(m)),
@@ -1510,6 +759,8 @@ simd_lanes!(
     _mm256_storeu_ps,
     _mm256_fmadd_ps,
     _mm256_sub_ps,
+    _mm256_mul_ps,
+    _mm256_add_ps,
     |a, b| _mm256_addsub_ps(a, b),
     |x| _mm256_permute_ps::<0xB1>(x),
     |p, m| _mm256_maskload_ps(p, mask_epi32(m)),
@@ -1599,6 +850,16 @@ macro_rules! port_lanes {
             }
             /// # Safety: none.
             #[inline(always)]
+            unsafe fn mul(self, b: Self) -> Self {
+                Port(std::array::from_fn(|i| self.0[i] * b.0[i]))
+            }
+            /// # Safety: none.
+            #[inline(always)]
+            unsafe fn add(self, b: Self) -> Self {
+                Port(std::array::from_fn(|i| self.0[i] + b.0[i]))
+            }
+            /// # Safety: none.
+            #[inline(always)]
             unsafe fn addsub(self, b: Self) -> Self {
                 let lane = |i: usize| {
                     if i % 2 == 0 {
@@ -1619,6 +880,7 @@ macro_rules! port_lanes {
 }
 
 port_lanes!(f64, 4);
+port_lanes!(f64, 8);
 port_lanes!(f32, 8);
 
 /// Load the first `m` components at `p`, zeros in the other lanes.
@@ -1648,6 +910,36 @@ unsafe fn store_n<V: Lanes>(x: V, p: *mut V::F, m: usize) {
         x.store_part(p, m)
     }
 }
+
+// ---------------------------------------------------------------------------
+// Diamond kernel
+// ---------------------------------------------------------------------------
+
+/// Signature of the fused diamond kernel of the back-transform: `C <- (I
+/// - V T V^H) C` for one diamond block reflector, `C` the `h x n` block
+/// at leading dimension `ldc`. `V` is `h x k` (leading dimension `ldv`):
+/// column `p` holds its reflector on rows `p .. min(p + band, h)`, the
+/// unit diagonal stored, and zeros on every other row — the
+/// parallelogram the diamond builder lays out. `T` is the `k x k` upper
+/// triangular factor (leading dimension `ldt`; its strictly lower part
+/// is never read). `work` holds at least `k * n` elements.
+pub type DiamondFn<T = f64> = fn(
+    k: usize,
+    h: usize,
+    band: usize,
+    v: &[T],
+    ldv: usize,
+    t: &[T],
+    ldt: usize,
+    c: &mut [T],
+    ldc: usize,
+    n: usize,
+    work: &mut [T],
+);
+
+/// Rows of `V` one pass of [`diamond_body`] transposes into its stack
+/// tile; a taller diamond is transposed again for every column block.
+const DIAMOND_TILE_ROWS: usize = 128;
 
 /// Vectors `QLO .. QHI` of a `KV`-vector block of `valid` consecutive
 /// elements at `p` (`E` components each), zero-filled past `valid`; the
@@ -2144,15 +1436,147 @@ diamond_entry!("avx2,fma", diamond_avx2_c32, C32, __m256, 2, 2, 2);
 diamond_entry!("avx512f", diamond_avx512_c32, C32, __m512, 2, 2, 4);
 
 // ---------------------------------------------------------------------------
+// GEMM tiles
+// ---------------------------------------------------------------------------
+
+/// How an element type's SIMD tiles write their accumulators back:
+/// real types `c + alpha * acc` per vector (see `real_kernels!`),
+/// complex types through the scalar combine (see `complex_kernels!`).
+trait TileOut: Copy {
+    /// Component type (`f64` or `f32`).
+    type F;
+    /// `C += alpha * acc` on the `mr_eff x nr_eff` corner of `c` (at
+    /// leading dimension `ldc`), touching no other element.
+    ///
+    /// # Safety
+    ///
+    /// [`Lanes`] ISA; `c` covers the corner; `mr_eff <= MV * N / E` and
+    /// `nr_eff <= NR` for the element's `E` components.
+    unsafe fn put<V: Lanes<F = Self::F>, const MV: usize, const NR: usize>(
+        acc: &Acc<V, MV, NR>,
+        alpha: Self,
+        c: &mut [Self],
+        ldc: usize,
+        mr_eff: usize,
+        nr_eff: usize,
+    );
+}
+
+/// The one loop of every SIMD GEMM tile: an `MV`-vector by `NR`-column
+/// register tile (`MV * N / E` rows of `E`-component elements) of
+/// `C += alpha * Ap * Bp`. Per `k` step it loads the `MV` vectors of the
+/// `A` strip and steps every chain once ([`Acc::step`]): `fmadd(a,
+/// splat(b))` for real elements, and for complex ones also
+/// `fmadd(swap_pairs(a), splat(b.im))` on the second chain. The
+/// element type's [`TileOut`] writes the corner back.
+///
+/// # Safety
+///
+/// [`Lanes`] ISA; `ap` readable for `kc * MV * N` components, `bp` for
+/// `kc * NR * E`; `c` covers the `mr_eff x nr_eff` corner at `ldc`,
+/// `mr_eff <= MV * N / E` and `nr_eff <= NR`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn gemm_body<
+    T: TileOut,
+    V: Lanes<F = T::F>,
+    const E: usize,
+    const MV: usize,
+    const NR: usize,
+>(
+    kc: usize,
+    alpha: T,
+    ap: *const V::F,
+    bp: *const V::F,
+    c: &mut [T],
+    ldc: usize,
+    mr_eff: usize,
+    nr_eff: usize,
+) {
+    let mut acc = Acc::<V, MV, NR>::zero();
+    for p in 0..kc {
+        let a: [V; MV] = std::array::from_fn(|q| V::load(ap.add((p * MV + q) * V::N)));
+        acc.step::<E, 0, MV>(&a, |jj| bp.add((p * NR + jj) * E));
+    }
+    T::put(&acc, alpha, c, ldc, mr_eff, nr_eff);
+}
+
+/// A safe [`MicroFn`] entry over one [`gemm_body`] instance: asserts
+/// every bound the body relies on, then runs it through a nested
+/// `unsafe fn` compiled for its ISA.
+macro_rules! gemm_entry {
+    ($feat:literal, $name:ident, $t:ty, $v:ty, $e:expr, $mv:expr, $nr:expr) => {
+        #[cfg(target_arch = "x86_64")]
+        #[allow(clippy::too_many_arguments)]
+        fn $name(
+            kc: usize,
+            alpha: $t,
+            ap: &[$t],
+            bp: &[$t],
+            c: &mut [$t],
+            ldc: usize,
+            mr_eff: usize,
+            nr_eff: usize,
+        ) {
+            /// # Safety
+            ///
+            /// The CPU features this function enables are available;
+            /// the preconditions of [`gemm_body`].
+            #[target_feature(enable = $feat)]
+            #[allow(clippy::too_many_arguments)]
+            unsafe fn body(
+                kc: usize,
+                alpha: $t,
+                ap: *const <$v as Lanes>::F,
+                bp: *const <$v as Lanes>::F,
+                c: &mut [$t],
+                ldc: usize,
+                mr_eff: usize,
+                nr_eff: usize,
+            ) {
+                gemm_body::<$t, $v, $e, $mv, $nr>(kc, alpha, ap, bp, c, ldc, mr_eff, nr_eff)
+            }
+            const MR: usize = $mv * <$v as Lanes>::N / $e;
+            assert!(
+                ap.len() >= MR * kc && bp.len() >= $nr * kc,
+                "packed strip too short"
+            );
+            assert!(mr_eff <= MR && nr_eff <= $nr, "C corner larger than the tile");
+            assert!(
+                c.len() >= (nr_eff.max(1) - 1) * ldc + mr_eff,
+                "C tile out of bounds"
+            );
+            let (ap, bp) = (ap.as_ptr().cast(), bp.as_ptr().cast());
+            // SAFETY: bounds asserted above (a complex element is a
+            // `#[repr(C)]` `(re, im)` pair, so the strips read as `E`
+            // components per element). The entry is only reachable
+            // through its descriptor, which `available()` registers once
+            // the ISA is detected.
+            unsafe { body(kc, alpha, ap, bp, c, ldc, mr_eff, nr_eff) }
+        }
+    };
+}
+
+// Register tiles: `MV` vectors by `NR` columns (see the module table).
+gemm_entry!("avx2,fma", mk_avx2_f64, f64, __m256d, 1, 1, 12);
+gemm_entry!("avx512f", mk_avx512_f64, f64, __m512d, 1, 3, 8);
+gemm_entry!("avx2,fma", mk_avx2_f32, f32, __m256, 1, 1, 12);
+gemm_entry!("avx512f", mk_avx512_f32, f32, __m512, 1, 3, 8);
+gemm_entry!("avx2,fma", mk_avx2_c64, C64, __m256d, 2, 1, 6);
+gemm_entry!("avx512f", mk_avx512_c64, C64, __m512d, 2, 2, 4);
+gemm_entry!("avx2,fma", mk_avx2_c32, C32, __m256, 2, 1, 6);
+gemm_entry!("avx512f", mk_avx512_c32, C32, __m512, 2, 2, 4);
+
+// ---------------------------------------------------------------------------
 // Rotation chains
 // ---------------------------------------------------------------------------
 //
 // The inner loops of `crate::rot`: a chain of plane rotations over the
-// 32-row columns of a strip tile, the carried column held in four zmm
+// 32-row columns of a strip tile, the carried column held in vector
 // registers. Each element is computed as `c*p + s*q` or `-s*p + c*q`
 // with separate multiplies and adds (no FMA), exactly the portable
 // loops' expressions, so every body gives the same bits. The AVX-512
-// bodies exist because the portable loops auto-vectorize to ymm only.
+// instance exists because the portable loops auto-vectorize to ymm only.
 
 /// Rows of a rotation tile column (`crate::rot::STRIP`).
 const ROT_ROWS: usize = 32;
@@ -2191,29 +1615,32 @@ pub fn rot_chains_avx512() -> Option<&'static RotChains> {
 
 #[cfg(target_arch = "x86_64")]
 static ROT_AVX512: RotChains = RotChains {
-    forward: rot_forward_avx512_entry,
-    backward: rot_backward_avx512_entry,
-    pivot: rot_pivot_avx512_entry,
+    forward: rot_forward_avx512,
+    backward: rot_backward_avx512,
+    pivot: rot_pivot_avx512,
 };
 
-/// Safe entry of the forward chain: touches tile columns `f..=f + k`.
+/// Forward chain: column `f + t` is carried into rotation `t` (first
+/// operand), which stores it finished and carries column `f + t + 1`.
+/// Touches tile columns `f..=f + k`.
 #[cfg(target_arch = "x86_64")]
-fn rot_forward_avx512_entry(tile: &mut [f64], f: usize, cs: &[f64]) {
+fn rot_forward_avx512(tile: &mut [f64], f: usize, cs: &[f64]) {
     let k = cs.len() / 2;
     assert!(
         is_x86_feature_detected!("avx512f"),
         "rot chain needs avx512f"
     );
     assert!(tile.len() >= (f + k + 1) * ROT_ROWS, "rot tile too short");
-    // SAFETY: the feature and the tile columns `f..=f + k` the body
+    // SAFETY: the feature and the tile columns `f..=f + k` the chain
     // dereferences are asserted just above.
-    unsafe { rot_forward_avx512(tile, f, cs) }
+    unsafe { rot_avx512::<true, false>(tile.as_mut_ptr(), f, f + k, cs, |t| (f + t + 1, f + t)) }
 }
 
-/// Safe entry of the backward chain: touches tile columns
-/// `f + 1 - k..=f + 1`.
+/// Backward chain: column `f + 1 - t` is carried into rotation `t`
+/// (second operand), which stores it finished and carries column
+/// `f - t`. Touches tile columns `f + 1 - k..=f + 1`.
 #[cfg(target_arch = "x86_64")]
-fn rot_backward_avx512_entry(tile: &mut [f64], f: usize, cs: &[f64]) {
+fn rot_backward_avx512(tile: &mut [f64], f: usize, cs: &[f64]) {
     let k = cs.len() / 2;
     assert!(
         is_x86_feature_detected!("avx512f"),
@@ -2222,14 +1649,19 @@ fn rot_backward_avx512_entry(tile: &mut [f64], f: usize, cs: &[f64]) {
     assert!(k <= f + 1, "rot backward chain runs past column 0");
     assert!(tile.len() >= (f + 2) * ROT_ROWS, "rot tile too short");
     // SAFETY: the feature, `f + 1 - k >= 0` and the last column `f + 1`
-    // the body dereferences are asserted just above.
-    unsafe { rot_backward_avx512(tile, f, cs) }
+    // the chain dereferences are asserted just above.
+    unsafe {
+        rot_avx512::<false, true>(tile.as_mut_ptr(), f + 1, f + 1 - k, cs, |t| {
+            (f - t, f + 1 - t)
+        })
+    }
 }
 
-/// Safe entry of the fixed-pivot chain: touches tile columns
-/// `f..f + k` and `pivot`.
+/// Fixed-pivot chain: column `pivot` is carried through every rotation
+/// (second operand) and meets columns `f, f + 1, ...`. Touches tile
+/// columns `f..f + k` and `pivot`.
 #[cfg(target_arch = "x86_64")]
-fn rot_pivot_avx512_entry(tile: &mut [f64], f: usize, pivot: usize, cs: &[f64]) {
+fn rot_pivot_avx512(tile: &mut [f64], f: usize, pivot: usize, cs: &[f64]) {
     let k = cs.len() / 2;
     assert!(
         is_x86_feature_detected!("avx512f"),
@@ -2240,133 +1672,65 @@ fn rot_pivot_avx512_entry(tile: &mut [f64], f: usize, pivot: usize, cs: &[f64]) 
         "rot tile too short"
     );
     assert!(pivot < f || pivot >= f + k, "rot pivot inside its run");
-    // SAFETY: the feature and every column the body dereferences are
+    // SAFETY: the feature and every column the chain dereferences are
     // asserted just above; the pivot column is distinct from the run.
-    unsafe { rot_pivot_avx512(tile, f, pivot, cs) }
+    unsafe { rot_avx512::<false, false>(tile.as_mut_ptr(), pivot, pivot, cs, |t| (f + t, f + t)) }
 }
 
-/// Forward chain: column `f + t` is carried into rotation `t` (first
-/// operand), which stores it finished and carries column `f + t + 1`.
+/// [`rot_body`] on zmm registers.
 ///
 /// # Safety
 ///
-/// Caller must guarantee `avx512f` and `tile.len() >= (f + k + 1) * 32`
-/// for `k = cs.len() / 2`.
+/// `avx512f` is available; the preconditions of [`rot_body`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn rot_forward_avx512(tile: &mut [f64], f: usize, cs: &[f64]) {
-    use std::arch::x86_64::*;
-    // SAFETY: every access is to a 32-row column `f..=f + k` of `tile`,
-    // in bounds by the caller's contract.
-    unsafe {
-        let t = tile.as_mut_ptr();
-        let mut x = [_mm512_setzero_pd(); 4];
+unsafe fn rot_avx512<const CARRY_P: bool, const KEEP_A: bool>(
+    tile: *mut f64,
+    carry: usize,
+    end: usize,
+    cs: &[f64],
+    cols: impl Fn(usize) -> (usize, usize),
+) {
+    rot_body::<__m512d, 4, CARRY_P, KEEP_A>(tile, carry, end, cs, cols)
+}
+
+/// The one rotation-chain body: tile column `carry` is loaded into `RV`
+/// vectors and carried through the rotations; rotation `t` meets column
+/// `cols(t).0` and stores its finished column to `cols(t).1`, and the
+/// carried column ends in column `end`. The carried column is the
+/// rotation's first operand `p` when `CARRY_P` (else its second, `q`),
+/// and it goes on as `c*p + s*q` when `KEEP_A` (else as `-s*p + c*q`).
+///
+/// # Safety
+///
+/// [`Lanes`] ISA; `tile` holds the 32-row columns `carry`, `end` and
+/// every `cols(t)` for `t < cs.len() / 2`.
+#[inline(always)]
+unsafe fn rot_body<V: Lanes<F = f64>, const RV: usize, const CARRY_P: bool, const KEEP_A: bool>(
+    tile: *mut f64,
+    carry: usize,
+    end: usize,
+    cs: &[f64],
+    cols: impl Fn(usize) -> (usize, usize),
+) {
+    const { assert!(RV * V::N == ROT_ROWS, "RV vectors hold one tile column") };
+    let at = |j: usize, l: usize| tile.add(j * ROT_ROWS + l * V::N);
+    let mut x: [V; RV] = std::array::from_fn(|l| V::load(at(carry, l)));
+    for (t, g) in cs.chunks_exact(2).enumerate() {
+        let (c, s, ns) = (V::splat(g[0]), V::splat(g[1]), V::splat(-g[1]));
+        let (met, out) = cols(t);
         for (l, xl) in x.iter_mut().enumerate() {
-            *xl = _mm512_loadu_pd(t.add(f * ROT_ROWS + 8 * l));
-        }
-        let mut j = f;
-        for g in cs.chunks_exact(2) {
-            let (c, s, ns) = (
-                _mm512_set1_pd(g[0]),
-                _mm512_set1_pd(g[1]),
-                _mm512_set1_pd(-g[1]),
-            );
-            let out = t.add(j * ROT_ROWS);
-            let next = t.add((j + 1) * ROT_ROWS);
-            for (l, xl) in x.iter_mut().enumerate() {
-                let (p, q) = (*xl, _mm512_loadu_pd(next.add(8 * l)));
-                let a = _mm512_add_pd(_mm512_mul_pd(c, p), _mm512_mul_pd(s, q));
-                _mm512_storeu_pd(out.add(8 * l), a);
-                *xl = _mm512_add_pd(_mm512_mul_pd(ns, p), _mm512_mul_pd(c, q));
-            }
-            j += 1;
-        }
-        for (l, xl) in x.iter().enumerate() {
-            _mm512_storeu_pd(t.add(j * ROT_ROWS + 8 * l), *xl);
+            let y = V::load(at(met, l));
+            let (p, q) = if CARRY_P { (*xl, y) } else { (y, *xl) };
+            let a = c.mul(p).add(s.mul(q));
+            let b = ns.mul(p).add(c.mul(q));
+            let (keep, done) = if KEEP_A { (a, b) } else { (b, a) };
+            done.store(at(out, l));
+            *xl = keep;
         }
     }
-}
-
-/// Backward chain: column `f + 1 - t` is carried into rotation `t`
-/// (second operand), which stores it finished and carries column
-/// `f - t`.
-///
-/// # Safety
-///
-/// Caller must guarantee `avx512f`, `k <= f + 1` and
-/// `tile.len() >= (f + 2) * 32` for `k = cs.len() / 2`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn rot_backward_avx512(tile: &mut [f64], f: usize, cs: &[f64]) {
-    use std::arch::x86_64::*;
-    // SAFETY: every access is to a 32-row column `f + 1 - k..=f + 1` of
-    // `tile`, in bounds by the caller's contract.
-    unsafe {
-        let t = tile.as_mut_ptr();
-        let mut x = [_mm512_setzero_pd(); 4];
-        for (l, xl) in x.iter_mut().enumerate() {
-            *xl = _mm512_loadu_pd(t.add((f + 1) * ROT_ROWS + 8 * l));
-        }
-        let mut j = f + 1;
-        for g in cs.chunks_exact(2) {
-            let (c, s, ns) = (
-                _mm512_set1_pd(g[0]),
-                _mm512_set1_pd(g[1]),
-                _mm512_set1_pd(-g[1]),
-            );
-            let out = t.add(j * ROT_ROWS);
-            let prev = t.add((j - 1) * ROT_ROWS);
-            for (l, xl) in x.iter_mut().enumerate() {
-                let (p, q) = (_mm512_loadu_pd(prev.add(8 * l)), *xl);
-                let b = _mm512_add_pd(_mm512_mul_pd(ns, p), _mm512_mul_pd(c, q));
-                _mm512_storeu_pd(out.add(8 * l), b);
-                *xl = _mm512_add_pd(_mm512_mul_pd(c, p), _mm512_mul_pd(s, q));
-            }
-            j -= 1;
-        }
-        for (l, xl) in x.iter().enumerate() {
-            _mm512_storeu_pd(t.add(j * ROT_ROWS + 8 * l), *xl);
-        }
-    }
-}
-
-/// Fixed-pivot chain: column `pivot` is carried through every rotation
-/// (second operand) and meets columns `f, f + 1, ...`.
-///
-/// # Safety
-///
-/// Caller must guarantee `avx512f`, that `tile` holds the 32-row
-/// columns `f..f + k` and `pivot` for `k = cs.len() / 2`, and that
-/// `pivot` is not among `f..f + k`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn rot_pivot_avx512(tile: &mut [f64], f: usize, pivot: usize, cs: &[f64]) {
-    use std::arch::x86_64::*;
-    // SAFETY: every access is to a 32-row column `f..f + k` or `pivot`
-    // of `tile`, in bounds by the caller's contract.
-    unsafe {
-        let t = tile.as_mut_ptr();
-        let mut x = [_mm512_setzero_pd(); 4];
-        for (l, xl) in x.iter_mut().enumerate() {
-            *xl = _mm512_loadu_pd(t.add(pivot * ROT_ROWS + 8 * l));
-        }
-        for (i, g) in cs.chunks_exact(2).enumerate() {
-            let (c, s, ns) = (
-                _mm512_set1_pd(g[0]),
-                _mm512_set1_pd(g[1]),
-                _mm512_set1_pd(-g[1]),
-            );
-            let col = t.add((f + i) * ROT_ROWS);
-            for (l, xl) in x.iter_mut().enumerate() {
-                let (p, q) = (_mm512_loadu_pd(col.add(8 * l)), *xl);
-                let a = _mm512_add_pd(_mm512_mul_pd(c, p), _mm512_mul_pd(s, q));
-                _mm512_storeu_pd(col.add(8 * l), a);
-                *xl = _mm512_add_pd(_mm512_mul_pd(ns, p), _mm512_mul_pd(c, q));
-            }
-        }
-        for (l, xl) in x.iter().enumerate() {
-            _mm512_storeu_pd(t.add(pivot * ROT_ROWS + 8 * l), *xl);
-        }
+    for (l, xl) in x.iter().enumerate() {
+        xl.store(at(end, l));
     }
 }
 
@@ -2376,15 +1740,31 @@ unsafe fn rot_pivot_avx512(tile: &mut [f64], f: usize, pivot: usize, cs: &[f64])
 
 /// Measured register-resident FMA throughput (flop/s) of the *selected*
 /// dispatch path — the "machine peak" denominator for fraction-of-peak
-/// reporting. The probe runs eight independent vector accumulator
-/// chains with no memory traffic in the timed loop, enough parallelism
-/// to cover the FMA latency on both issue ports, using the same vector
-/// width the selected microkernel issues (an explicit-zmm kernel must be
-/// judged against a zmm ceiling; the compiler's autovectorized loops
-/// often stop at ymm). The estimate is a floor of true peak — loop
-/// overhead only ever flatters the kernel being judged, never the
-/// machine.
+/// reporting. The probe ([`peak_probe`]) runs eight independent vector
+/// accumulator chains with no memory traffic in the timed loop, enough
+/// parallelism to cover the FMA latency on both issue ports, using the
+/// same vector width the selected microkernel issues (an explicit-zmm
+/// kernel must be judged against a zmm ceiling; the compiler's
+/// autovectorized loops often stop at ymm). The estimate is a floor of
+/// true peak — loop overhead only ever flatters the kernel being
+/// judged, never the machine.
 pub fn fma_peak() -> f64 {
+    /// # Safety
+    ///
+    /// `avx512f` is available.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn probe_avx512(iters: u64) -> f64 {
+        peak_probe::<__m512d>(iters)
+    }
+    /// # Safety
+    ///
+    /// `avx2` and `fma` are available.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn probe_avx2(iters: u64) -> f64 {
+        peak_probe::<__m256d>(iters)
+    }
     let iters: u64 = 5_000_000;
     let mut best = 0.0f64;
     for _ in 0..3 {
@@ -2392,12 +1772,12 @@ pub fn fma_peak() -> f64 {
             #[cfg(target_arch = "x86_64")]
             "avx512" if is_x86_feature_detected!("avx512f") => {
                 // SAFETY: avx512f presence re-checked by the guard above.
-                unsafe { peak_probe_avx512(iters) }
+                unsafe { probe_avx512(iters) }
             }
             #[cfg(target_arch = "x86_64")]
             "avx2" if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") => {
                 // SAFETY: avx2+fma presence re-checked by the guard above.
-                unsafe { peak_probe_avx2(iters) }
+                unsafe { probe_avx2(iters) }
             }
             _ => peak_probe_portable(iters),
         };
@@ -2420,114 +1800,34 @@ pub fn fma_peak_for(bytes_per_component: usize) -> f64 {
     }
 }
 
-/// Portable probe: eight independent eight-lane `mul_add` chains the
-/// compiler autovectorizes at whatever width it prefers. Returns flop/s.
+/// Portable probe: eight chains of eight-lane [`Port`] vectors, which
+/// the compiler autovectorizes at whatever width it prefers.
 fn peak_probe_portable(iters: u64) -> f64 {
-    const LANES: usize = 8;
+    // SAFETY: `Port` lanes need no ISA.
+    unsafe { peak_probe::<Port<f64, 8>>(iters) }
+}
+
+/// The one FMA probe: eight independent `fmadd` chains of `V` vectors
+/// (latency x throughput needs >= 8 in flight). Returns flop/s.
+///
+/// # Safety
+///
+/// [`Lanes`] ISA.
+#[inline(always)]
+unsafe fn peak_probe<V: Lanes<F = f64>>(iters: u64) -> f64 {
     const CHAINS: usize = 8;
-    let x = std::hint::black_box([1.000_000_01f64; LANES]);
-    let y = std::hint::black_box([0.999_999_99f64; LANES]);
-    let mut acc = [[0.0f64; LANES]; CHAINS];
+    let x = V::splat(std::hint::black_box(1.000_000_01));
+    let y = V::splat(std::hint::black_box(0.999_999_99));
+    let mut acc = [V::splat(0.0); CHAINS];
     let t = std::time::Instant::now();
     for _ in 0..iters {
-        for chain in &mut acc {
-            for l in 0..LANES {
-                chain[l] = x[l].mul_add(y[l], chain[l]);
-            }
+        for a in &mut acc {
+            *a = x.fmadd(y, *a);
         }
     }
     let dt = t.elapsed().as_secs_f64();
     std::hint::black_box(&acc);
-    (iters * (CHAINS * LANES * 2) as u64) as f64 / dt
-}
-
-/// AVX-512 probe: eight independent zmm `vfmadd` chains (latency x
-/// throughput needs >= 8 in flight). Returns flop/s.
-///
-/// # Safety
-///
-/// The CPU must support AVX-512F; callers check
-/// `is_x86_feature_detected!("avx512f")` first.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn peak_probe_avx512(iters: u64) -> f64 {
-    use std::arch::x86_64::*;
-    let x = _mm512_set1_pd(1.000_000_01);
-    let y = _mm512_set1_pd(0.999_999_99);
-    let mut a0 = _mm512_setzero_pd();
-    let mut a1 = _mm512_setzero_pd();
-    let mut a2 = _mm512_setzero_pd();
-    let mut a3 = _mm512_setzero_pd();
-    let mut a4 = _mm512_setzero_pd();
-    let mut a5 = _mm512_setzero_pd();
-    let mut a6 = _mm512_setzero_pd();
-    let mut a7 = _mm512_setzero_pd();
-    let t = std::time::Instant::now();
-    for _ in 0..iters {
-        a0 = _mm512_fmadd_pd(x, y, a0);
-        a1 = _mm512_fmadd_pd(x, y, a1);
-        a2 = _mm512_fmadd_pd(x, y, a2);
-        a3 = _mm512_fmadd_pd(x, y, a3);
-        a4 = _mm512_fmadd_pd(x, y, a4);
-        a5 = _mm512_fmadd_pd(x, y, a5);
-        a6 = _mm512_fmadd_pd(x, y, a6);
-        a7 = _mm512_fmadd_pd(x, y, a7);
-    }
-    let dt = t.elapsed().as_secs_f64();
-    let fold = _mm512_add_pd(
-        _mm512_add_pd(_mm512_add_pd(a0, a1), _mm512_add_pd(a2, a3)),
-        _mm512_add_pd(_mm512_add_pd(a4, a5), _mm512_add_pd(a6, a7)),
-    );
-    let mut sink = [0.0f64; 8];
-    _mm512_storeu_pd(sink.as_mut_ptr(), fold);
-    std::hint::black_box(&sink);
-    (iters * (8 * 8 * 2) as u64) as f64 / dt
-}
-
-/// AVX2+FMA probe: eight independent ymm `vfmadd` chains. Returns
-/// flop/s.
-///
-/// # Safety
-///
-/// The CPU must support AVX2 and FMA; callers check
-/// `is_x86_feature_detected!` for both first.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn peak_probe_avx2(iters: u64) -> f64 {
-    use std::arch::x86_64::*;
-    let x = _mm256_set1_pd(1.000_000_01);
-    let y = _mm256_set1_pd(0.999_999_99);
-    let mut a0 = _mm256_setzero_pd();
-    let mut a1 = _mm256_setzero_pd();
-    let mut a2 = _mm256_setzero_pd();
-    let mut a3 = _mm256_setzero_pd();
-    let mut a4 = _mm256_setzero_pd();
-    let mut a5 = _mm256_setzero_pd();
-    let mut a6 = _mm256_setzero_pd();
-    let mut a7 = _mm256_setzero_pd();
-    let t = std::time::Instant::now();
-    for _ in 0..iters {
-        a0 = _mm256_fmadd_pd(x, y, a0);
-        a1 = _mm256_fmadd_pd(x, y, a1);
-        a2 = _mm256_fmadd_pd(x, y, a2);
-        a3 = _mm256_fmadd_pd(x, y, a3);
-        a4 = _mm256_fmadd_pd(x, y, a4);
-        a5 = _mm256_fmadd_pd(x, y, a5);
-        a6 = _mm256_fmadd_pd(x, y, a6);
-        a7 = _mm256_fmadd_pd(x, y, a7);
-    }
-    let dt = t.elapsed().as_secs_f64();
-    let fold = _mm256_add_pd(
-        _mm256_add_pd(a0, a1),
-        _mm256_add_pd(
-            _mm256_add_pd(a2, a3),
-            _mm256_add_pd(_mm256_add_pd(a4, a5), _mm256_add_pd(a6, a7)),
-        ),
-    );
-    let mut sink = [0.0f64; 4];
-    _mm256_storeu_pd(sink.as_mut_ptr(), fold);
-    std::hint::black_box(&sink);
-    (iters * (8 * 4 * 2) as u64) as f64 / dt
+    (iters * (CHAINS * V::N * 2) as u64) as f64 / dt
 }
 
 #[cfg(test)]

@@ -133,6 +133,15 @@ pub fn stein_with(
     if n == 0 || k == 0 {
         return Ok(z);
     }
+    // Work on T / 2^p, 2^p the power of two at or below ||T||_1. The
+    // scaling is exact above the underflow threshold, so it moves no bit
+    // of a normalized iterate, and it keeps the solve's growth of about
+    // 1 / (eps ||T||) from overflowing the 2-norm when ||T|| is tiny.
+    let scale =
+        f64::from_bits(t.norm1().max(f64::MIN_POSITIVE).to_bits() & f64::INFINITY.to_bits());
+    let scaled = |x: &[f64]| x.iter().map(|v| v / scale).collect::<Vec<f64>>();
+    let t = &SymTridiagonal::new(scaled(t.diag()), scaled(t.off_diag()));
+    let lambda: &[f64] = &scaled(lambda);
     let onenrm = t.norm1().max(f64::MIN_POSITIVE);
     // Cluster threshold. LAPACK dstein uses 1e-3 * ||T||, but a pair of
     // eigenvalues separated by just over that still loses ~||T||/gap of
@@ -277,6 +286,32 @@ mod tests {
         let z = stein(&t, &vals).unwrap();
         assert!(norms::eigen_residual(&t.to_dense(), &vals, &z) < 100.0);
         assert!(norms::orthogonality(&z) < 100.0);
+    }
+
+    #[test]
+    fn vectors_do_not_depend_on_the_scale() {
+        // Across the drivers' scaling window (outside it the Sturm
+        // recurrence's e^2 under- or overflows, so they scale into it).
+        // The solve's growth is about 1 / (eps ||T||): unscaled, its
+        // 2-norm overflowed at the window's lower edge.
+        let n = 12;
+        let base = gen::laplacian_1d(n);
+        let at = |s: f64| {
+            let scaled = |x: &[f64]| x.iter().map(|v| v * s).collect();
+            let t = SymTridiagonal::new(scaled(base.diag()), scaled(base.off_diag()));
+            let vals = bisect_eigenvalues(&t, 3, 7).unwrap();
+            stein(&t, &vals).unwrap()
+        };
+        let want = at(1.0);
+        for s in [1.4e-146, 1e-20, 1e100] {
+            let z = at(s);
+            for j in 0..z.cols() {
+                let sign = z.col(j)[0].signum() * want.col(j)[0].signum();
+                for (got, w) in z.col(j).iter().zip(want.col(j)) {
+                    assert!((got * sign - w).abs() < 1e-10, "s = {s}: {got} vs {w}");
+                }
+            }
+        }
     }
 
     #[test]

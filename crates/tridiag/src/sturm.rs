@@ -73,10 +73,12 @@ pub fn bisect_with(
         )));
     }
     let (mut glo, mut ghi) = t.gershgorin_bounds();
-    // Widen slightly so strict inequalities behave at the boundary.
-    let span = (ghi - glo).max(1.0);
-    glo -= 1e-12 * span + f64::MIN_POSITIVE;
-    ghi += 1e-12 * span + f64::MIN_POSITIVE;
+    // Widen slightly so strict inequalities behave at the boundary, by
+    // an amount relative to the spectrum's magnitude (LAPACK `dstebz`'s
+    // `tnorm`): an absolute widening would swamp a spectrum far below 1.
+    let tnorm = glo.abs().max(ghi.abs());
+    glo -= 1e-12 * tnorm + f64::MIN_POSITIVE;
+    ghi += 1e-12 * tnorm + f64::MIN_POSITIVE;
 
     let mut vals: Vec<f64> = (lo..hi)
         .into_par_iter()
@@ -188,6 +190,23 @@ mod tests {
         let single = SymTridiagonal::new(vec![42.0], vec![]);
         let v = bisect_eigenvalues(&single, 0, 1).unwrap();
         assert!((v[0] - 42.0).abs() < 1e-10);
+    }
+
+    #[test]
+    fn bisection_resolves_spectra_at_every_scale() {
+        // diag(1..6) s: eigenvalues 2 s and 3 s, also far below 1, where
+        // an absolute widening of the search interval left a bisection
+        // tolerance of about 1e-28 and returned 2.2e-28 twice.
+        for s in [1e-200, 1.4e-146, 1e-20, 1.0, 1e200] {
+            let t = SymTridiagonal::new((1..=6).map(|i| i as f64 * s).collect(), vec![0.0; 5]);
+            let v = bisect_eigenvalues(&t, 1, 3).unwrap();
+            for (got, want) in v.iter().zip([2.0 * s, 3.0 * s]) {
+                assert!(
+                    (got - want).abs() <= 1e-13 * want,
+                    "s = {s}: {got:e} vs {want:e}"
+                );
+            }
+        }
     }
 
     #[test]

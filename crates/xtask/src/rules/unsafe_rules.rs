@@ -20,10 +20,14 @@ use crate::Diag;
 ///   frontend's `(s, k)` task reaches the shared band and reflector store
 ///   through `DataCell` under the scheduler's region guarantee, written
 ///   once for all three chases.
-/// * `kernels/src/blas3/simd.rs` — the `std::arch` GEMM microkernels
-///   and the rotation chains of `kernels::rot`;
-///   runtime `is_x86_feature_detected!` dispatch plus the safe entry
-///   wrappers' bounds assertions are the safety argument.
+/// * `kernels/src/blas3/simd.rs` — the private `Lanes` vector trait,
+///   whose implementations are the workspace's only `std::arch`
+///   intrinsics (rule `intrinsics-in-lanes`), and the one generic body
+///   per SIMD kernel written over it (GEMM tile, diamond kernel,
+///   rotation chain, FMA probe), instantiated per ISA as
+///   `#[target_feature]` functions; runtime `is_x86_feature_detected!`
+///   dispatch plus the safe entry wrappers' bounds assertions are the
+///   safety argument.
 pub const UNSAFE_ALLOWLIST: &[&str] = &[
     "crates/runtime/src/data.rs",
     "crates/runtime/src/chase.rs",
@@ -137,6 +141,60 @@ fn check_target_feature(file: &SourceFile, diags: &mut Vec<Diag>) {
             });
         }
     }
+}
+
+/// The file whose intrinsics rule `intrinsics-in-lanes` confines.
+const LANES_FILE: &str = "crates/kernels/src/blas3/simd.rs";
+
+/// Rule `intrinsics-in-lanes`: in the SIMD kernel file, a `_mm256_*` or
+/// `_mm512_*` intrinsic may appear only inside a `simd_lanes!(...)`
+/// invocation (the `Lanes` implementations) or a `mask_epi*` helper.
+/// Every kernel is one generic body over `Lanes`, so an intrinsic
+/// anywhere else is a hand-spelled copy of a body for one ISA.
+pub fn check_intrinsics(file: &SourceFile, diags: &mut Vec<Diag>) {
+    if file.rel_path != LANES_FILE {
+        return;
+    }
+    // Open delimiters of the allowed item being scanned (0: outside).
+    let mut depth = 0i64;
+    for (idx, line) in file.lines.iter().enumerate() {
+        let code = &line.code;
+        if depth > 0 || code.contains("simd_lanes!(") || code.contains("fn mask_epi") {
+            for ch in code.chars() {
+                match ch {
+                    '(' | '[' | '{' => depth += 1,
+                    ')' | ']' | '}' => depth -= 1,
+                    _ => {}
+                }
+            }
+            depth = depth.max(0);
+            continue;
+        }
+        let lineno = idx + 1;
+        if has_intrinsic_token(code) && !file.allows(lineno, "intrinsics-in-lanes") {
+            diags.push(Diag {
+                path: file.rel_path.clone(),
+                line: lineno,
+                rule: "intrinsics-in-lanes",
+                msg: "`_mm256_*`/`_mm512_*` intrinsic outside `simd_lanes!` and the \
+                      `mask_epi*` helpers; write the kernel over `Lanes` (add the \
+                      operation to the trait if it is missing)"
+                    .to_string(),
+            });
+        }
+    }
+}
+
+/// A `_mm256_` or `_mm512_` identifier in the code channel.
+fn has_intrinsic_token(code: &str) -> bool {
+    ["_mm256_", "_mm512_"].iter().any(|prefix| {
+        code.match_indices(prefix).any(|(pos, _)| {
+            !code[..pos]
+                .chars()
+                .next_back()
+                .is_some_and(|c| c.is_alphanumeric() || c == '_')
+        })
+    })
 }
 
 /// Token-level `unsafe` occurrence (word-bounded, code channel only).
@@ -339,6 +397,56 @@ fn dispatch(k: usize, a: *const C64, b: *const C64, c: *mut C64, ldc: usize) {\n
         // the unsafe-allowlist rule doesn't, since nothing is `unsafe`.
         assert_eq!(d.len(), 2, "{d:?}");
         assert!(d.iter().all(|x| x.rule == "target-feature-unsafe"));
+    }
+
+    fn run_intrinsics(path: &str, src: &str) -> Vec<Diag> {
+        let f = SourceFile::parse(path, src);
+        let mut d = Vec::new();
+        check_intrinsics(&f, &mut d);
+        d
+    }
+
+    #[test]
+    fn intrinsic_outside_lanes_is_flagged() {
+        // A hand-spelled AVX-512 tile beside the `Lanes` implementations:
+        // its loads, broadcast and FMA are flagged, the macro invocation
+        // and the mask helper above it are not.
+        let bad = "\
+simd_lanes!(\n\
+    __m512d,\n\
+    _mm512_set1_pd,\n\
+    |p, m| _mm512_maskz_loadu_pd(((1u32 << m) - 1) as __mmask8, p)\n\
+);\n\
+unsafe fn mask_epi64(m: usize) -> __m256i {\n\
+    _mm256_cmpgt_epi64(_mm256_set1_epi64x(m as i64), _mm256_setr_epi64x(0, 1, 2, 3))\n\
+}\n\
+unsafe fn mk_avx512_24x8(kc: usize, ap: *const f64, bp: *const f64) {\n\
+    let a0 = _mm512_loadu_pd(ap);\n\
+    let bv = _mm512_set1_pd(*bp); // the broadcast\n\
+    acc = _mm512_fmadd_pd(a0, bv, acc);\n\
+}\n";
+        let d = run_intrinsics("crates/kernels/src/blas3/simd.rs", bad);
+        let lines: Vec<usize> = d.iter().map(|x| x.line).collect();
+        assert_eq!(lines, [10, 11, 12], "{d:?}");
+        assert!(d.iter().all(|x| x.rule == "intrinsics-in-lanes"));
+        // The rule only polices the SIMD kernel file.
+        assert!(run_intrinsics("crates/kernels/src/rot.rs", bad).is_empty());
+    }
+
+    #[test]
+    fn kernel_over_lanes_is_clean() {
+        // The same tile written over `Lanes`, an intrinsic named in a
+        // comment or a string, and an identifier that merely contains
+        // the prefix: nothing to flag.
+        let good = "\
+simd_lanes!(__m256d, f64, 4, _mm256_set1_pd, _mm256_loadu_pd);\n\
+unsafe fn gemm_body<V: Lanes>(kc: usize, ap: *const V::F) -> V {\n\
+    // was: _mm512_fmadd_pd(a0, bv, acc)\n\
+    let name = \"_mm512_fmadd_pd\";\n\
+    let my_mm512_count = 3;\n\
+    V::load(ap).fmadd(V::splat(1.0), V::splat(0.0))\n\
+}\n";
+        assert!(run_intrinsics("crates/kernels/src/blas3/simd.rs", good).is_empty());
     }
 
     #[test]

@@ -39,6 +39,7 @@ pub fn run_tidy(root: &Path) -> std::io::Result<Vec<Diag>> {
         let text = std::fs::read_to_string(path)?;
         let file = SourceFile::parse(&rel, &text);
         unsafe_rules::check(&file, &mut diags);
+        unsafe_rules::check_intrinsics(&file, &mut diags);
         counters::check(&file, &mut diags);
         panics::check(&file, &mut diags);
         result_unwrap::check(&file, &mut diags);
