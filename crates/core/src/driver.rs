@@ -214,7 +214,10 @@ impl SymmetricEigen {
     /// [`VerifyLevel::Off`], input norm inside the safe window, and no
     /// recovery event — a warmed-up plan performs **zero heap
     /// allocations**. Other configurations still reuse the plan's
-    /// buffers but may allocate in the scheduled/fallback machinery.
+    /// buffers but may allocate in the scheduled/fallback machinery; the
+    /// default D&C solve with vectors keeps every `n x n`-class buffer
+    /// in the plan (its merges borrow the stage-1 working copy), and
+    /// allocates only its pool's bookkeeping.
     ///
     /// Results are read from the plan ([`SolvePlan::eigenvalues`],
     /// [`SolvePlan::eigenvectors`], ...) or moved out with
@@ -351,13 +354,26 @@ impl SymmetricEigen {
 
         // Tridiagonal eigensolve, with the recovery recorder threaded
         // through (QR -> bisection, D&C -> QR, perturbed-shift retries).
-        // The full-spectrum QR solve with vectors runs on the planned
-        // path (caller-owned state, allocation-free when warm); every
-        // other method/range combination goes through the facade.
+        // The full-spectrum QR and D&C solves with vectors run on the
+        // planned paths (caller-owned state): the D&C writes straight
+        // into the result slots and merges in the dead stage-1 working
+        // copy. Every other method/range combination goes through the
+        // facade.
         let t2 = Instant::now();
         if self.planned_qr() {
             tseig_tridiag::steqr_planned(&plan.tri, &rec, &mut plan.td, &self.ctrl)?;
             plan.td.swap_results(&mut plan.evals, &mut plan.evecs);
+            plan.has_vectors = true;
+        } else if self.planned_dc() {
+            tseig_tridiag::dandc::stedc_planned(
+                &plan.tri,
+                &rec,
+                &self.ctrl,
+                &mut plan.dc,
+                plan.work.as_mut_slice(),
+                &mut plan.evals,
+                &mut plan.evecs,
+            )?;
             plan.has_vectors = true;
         } else {
             let sol = tseig_tridiag::solve_with_diag(
@@ -448,7 +464,9 @@ impl SymmetricEigen {
     /// this — the plan never retains more than it advertises. Only a
     /// vectors solve counts the eigenvector slot and the back-transform,
     /// and only the planned QR path (QR, vectors, full spectrum, no
-    /// fraction) the tridiagonal QR state.
+    /// fraction) the tridiagonal QR state. The planned D&C path (D&C,
+    /// vectors, full spectrum, no fraction) merges in the stage-1 working
+    /// copy, so it adds only its row panels and index arrays.
     pub fn plan_req(&self, n: usize) -> MemReq {
         if n <= 1 {
             return MemReq::f64s(n).and(MemReq::f64s(n * n));
@@ -464,7 +482,12 @@ impl SymmetricEigen {
         } else {
             self.panel_cols
         };
-        let mut req = MemReq::f64s(n * n) // stage-1 working copy
+        let mut work = MemReq::f64s(n * n); // stage-1 working copy
+        if self.planned_dc() {
+            // The D&C merge region lives in the dead working copy.
+            work = work.or(tseig_tridiag::dandc::stedc_merge_req(n));
+        }
+        let mut req = work
             .and(stage1::sy2sb_ws_req(n, nb, self.ib))
             .and(stage1::sy2sb_out_req(n, nb)) // band form + panels
             .and(MemReq::f64s((2 * nb + 1) * n)) // chase working band
@@ -474,6 +497,9 @@ impl SymmetricEigen {
             .and(MemReq::f64s(n)); // eigenvalue slot
         if self.planned_qr() {
             req = req.and(tseig_tridiag::steqr_planned_req(n));
+        }
+        if self.planned_dc() {
+            req = req.and(tseig_tridiag::dandc::stedc_ws_req(n));
         }
         if self.want_vectors {
             req = req
@@ -489,10 +515,19 @@ impl SymmetricEigen {
     /// scaling leaves `EigenRange::All` as it is, so this holds before
     /// and after it.
     fn planned_qr(&self) -> bool {
-        self.method == Method::Qr
-            && self.want_vectors
-            && self.fraction.is_none()
-            && self.range == EigenRange::All
+        self.method == Method::Qr && self.full_spectrum_vectors()
+    }
+
+    /// Does the tridiagonal solve run on the planned D&C path (same
+    /// conditions as [`Self::planned_qr`], method D&C)?
+    fn planned_dc(&self) -> bool {
+        self.method == Method::DivideAndConquer && self.full_spectrum_vectors()
+    }
+
+    /// Full spectrum with vectors: the effective range is `All` and no
+    /// fraction overrides it.
+    fn full_spectrum_vectors(&self) -> bool {
+        self.want_vectors && self.fraction.is_none() && self.range == EigenRange::All
     }
 
     /// The order-1 eigenproblem is its own answer; solving it through the
@@ -552,6 +587,46 @@ mod tests {
                 req < got + 8 * n * n,
                 "{method:?}: req {req} over-advertises footprint {got}"
             );
+        }
+    }
+
+    #[test]
+    fn dc_vectors_plan_req_is_tight() {
+        // The planned D&C merges in the stage-1 working copy: plan_req
+        // adds its row panels and index arrays to a vectors plan whose
+        // tridiagonal solve keeps no state (bisection), and no second
+        // n x n slot. Leaves (n <= 25), one merge (26) and deeper trees,
+        // one panel (<= 256 rows) and two.
+        for n in [2, 25, 26, 51, 97, 300] {
+            let a = gen::random_symmetric(n, 48 + n as u64);
+            let eigen = SymmetricEigen::new().nb(8);
+            let mut plan = SolvePlan::new();
+            eigen.solve_into(&a, &mut plan).unwrap();
+            eigen.solve_into(&a, &mut plan).unwrap();
+            let got = plan.footprint_bytes();
+            let req = eigen.plan_req(n).total_bytes();
+            assert!(got <= req, "n = {n}: footprint {got} > req {req}");
+            let stateless = SymmetricEigen::new()
+                .nb(8)
+                .method(Method::BisectionInverse)
+                .plan_req(n)
+                .total_bytes();
+            let ws = tseig_tridiag::dandc::stedc_ws_req(n).total_bytes();
+            assert_eq!(req - stateless, ws, "n = {n}");
+            if n > tseig_tridiag::dandc::PANEL_ROWS {
+                assert!(
+                    ws < 8 * n * n,
+                    "n = {n}: D&C workspace {ws} holds an n x n slot"
+                );
+            }
+            // Above the band width (where the stage sizes stop rounding
+            // up to nb), within one n x n of the footprint.
+            if n > 8 {
+                assert!(
+                    req < got + 8 * n * n,
+                    "n = {n}: req {req} over-advertises footprint {got}"
+                );
+            }
         }
     }
 

@@ -6,7 +6,9 @@
 //! dropping it on exit), the plan owns the dense working copy, the band
 //! store, the stage-2 reflector set, the tridiagonal solver state, the
 //! back-transform diamonds and the result slots, and the stages carve
-//! from it. A warmed-up plan (one solve of the target size) runs the
+//! from it. Buffers whose lifetimes do not overlap are shared: the
+//! divide & conquer solve uses the dead stage-1 working copy as its
+//! merge region. A warmed-up plan (one solve of the target size) runs the
 //! entire serial pipeline — stage 1, bulge chase, QR tridiagonal solve,
 //! fused back-transform — without touching the heap; see
 //! [`SymmetricEigen::solve_into`](crate::SymmetricEigen::solve_into)
@@ -24,6 +26,7 @@ use crate::stage1::{BandForm, Stage1Ws};
 use crate::stage2::{Stage2Schedule, Stage2Ws, V2Set};
 use tseig_matrix::diagnostics::SolveDiagnostics;
 use tseig_matrix::{Matrix, SymBandMatrix, SymTridiagonal};
+use tseig_tridiag::dandc::StedcWs;
 use tseig_tridiag::{PhaseTimings, TridiagWs};
 
 use crate::driver::TwoStageResult;
@@ -41,7 +44,9 @@ pub struct SolvePlan {
     /// Scaled copy of the input when its norm falls outside the safe
     /// window (rare; empty on the paved road).
     pub(crate) scaled: Matrix,
-    /// Stage-1 dense working copy (overwritten by the reduction).
+    /// Stage-1 dense working copy (overwritten by the reduction). Dead
+    /// once stage 1 has written the band form, so the divide & conquer
+    /// solve borrows it as its merge region.
     pub(crate) work: Matrix,
     /// Stage-1 output: band matrix + `Q1` panel reflectors.
     pub(crate) bf: BandForm,
@@ -60,6 +65,9 @@ pub struct SolvePlan {
     pub(crate) sched: Option<Stage2Schedule>,
     /// Tridiagonal QR solver state (planned full-spectrum path).
     pub(crate) td: TridiagWs,
+    /// Divide & conquer row panels and index arrays (planned
+    /// full-spectrum path).
+    pub(crate) dc: StedcWs,
     /// Back-transform diamonds and panel scratch.
     pub(crate) bt: BtPlan,
     /// Final eigenvalues (ascending, rescaled).
@@ -148,6 +156,7 @@ impl SolvePlan {
             + self.s2.capacity_bytes()
             + self.tri.capacity_bytes()
             + self.td.capacity_bytes()
+            + self.dc.capacity_bytes()
             + self.bt.capacity_bytes()
             + self.evals.capacity() * std::mem::size_of::<f64>()
             + self.evecs.capacity_bytes()

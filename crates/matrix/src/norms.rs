@@ -36,6 +36,17 @@ pub fn norm_inf(a: &Matrix) -> f64 {
     sums.into_iter().fold(0.0, f64::max)
 }
 
+/// `max(acc, x)` that keeps a NaN: once either side is NaN the result
+/// is NaN. `f64::max` returns the other operand instead, so a measure
+/// folded with it would score a NaN entry as 0.
+pub fn max_nan(acc: f64, x: f64) -> f64 {
+    if acc.is_nan() || x.is_nan() {
+        f64::NAN
+    } else {
+        acc.max(x)
+    }
+}
+
 /// Euclidean norm of a vector.
 pub fn vec_norm2(x: &[f64]) -> f64 {
     x.iter().map(|v| v * v).sum::<f64>().sqrt()
@@ -45,7 +56,7 @@ pub fn vec_norm2(x: &[f64]) -> f64 {
 ///
 /// `z` holds eigenvectors in its columns; `lambda[j]` is the eigenvalue
 /// paired with column `j`. `z` may contain fewer columns than `n` (subset
-/// computations).
+/// computations). NaN if any entry of `z`, `lambda` or `A Z` is NaN.
 pub fn eigen_residual(a: &Matrix, lambda: &[f64], z: &Matrix) -> f64 {
     assert_eq!(a.rows(), a.cols());
     assert_eq!(z.rows(), a.rows());
@@ -60,7 +71,7 @@ pub fn eigen_residual(a: &Matrix, lambda: &[f64], z: &Matrix) -> f64 {
         let azc = az.col(j);
         let zc = z.col(j);
         for i in 0..a.rows() {
-            max = max.max((azc[i] - lam * zc[i]).abs());
+            max = max_nan(max, (azc[i] - lam * zc[i]).abs());
         }
     }
     let denom = norm1(a).max(EPS) * a.rows() as f64 * EPS;
@@ -68,7 +79,7 @@ pub fn eigen_residual(a: &Matrix, lambda: &[f64], z: &Matrix) -> f64 {
 }
 
 /// Scaled orthogonality `||Z^T Z - I||_max / (n eps)` over the columns
-/// present in `z`.
+/// present in `z`. NaN if any entry of `z` is NaN.
 pub fn orthogonality(z: &Matrix) -> f64 {
     let n = z.rows();
     let k = z.cols();
@@ -80,7 +91,7 @@ pub fn orthogonality(z: &Matrix) -> f64 {
         for i in 0..=j {
             let dot: f64 = z.col(i).iter().zip(z.col(j)).map(|(a, b)| a * b).sum();
             let target = if i == j { 1.0 } else { 0.0 };
-            max = max.max((dot - target).abs());
+            max = max_nan(max, (dot - target).abs());
         }
     }
     max / (n as f64 * EPS)
@@ -142,6 +153,25 @@ mod tests {
         let mut z = Matrix::identity(3);
         z[(0, 1)] = 0.5;
         assert!(orthogonality(&z) > 1e12);
+    }
+
+    #[test]
+    fn measures_keep_a_nan_in_z() {
+        // A NaN anywhere in Z (here in the last column, after healthy
+        // ones) must not score as a healthy eigenbasis.
+        let n = 4;
+        let a = Matrix::from_fn(n, n, |i, j| if i == j { (i + 1) as f64 } else { 0.0 });
+        let lambda = [1.0, 2.0, 3.0, 4.0];
+        for (i, j) in [(0, 0), (3, 3), (1, 2)] {
+            let mut z = Matrix::identity(n);
+            z[(i, j)] = f64::NAN;
+            assert!(eigen_residual(&a, &lambda, &z).is_nan(), "({i}, {j})");
+            assert!(orthogonality(&z).is_nan(), "({i}, {j})");
+        }
+        let z = Matrix::identity(n);
+        assert!(eigen_residual(&a, &[1.0, 2.0, 3.0, f64::NAN], &z).is_nan());
+        assert!(max_nan(f64::NAN, 1.0).is_nan() && max_nan(1.0, f64::NAN).is_nan());
+        assert_eq!(max_nan(1.0, 2.0), 2.0);
     }
 
     #[test]

@@ -678,6 +678,7 @@ fn verify_svd(a: &Matrix, svd: &Svd, vectors: bool, level: VerifyLevel) -> Resul
 }
 
 /// Scaled SVD residual `||A - U S V^T||_max / (||A||_1 max(m,n) eps)`.
+/// NaN if the reconstruction has a NaN entry (a NaN in `U`, `S` or `V`).
 pub fn svd_residual(a: &Matrix, svd: &Svd) -> f64 {
     let n = svd.s.len();
     let mut us = svd.u.clone();
@@ -690,7 +691,7 @@ pub fn svd_residual(a: &Matrix, svd: &Svd) -> f64 {
     let recon = us.multiply(&svd.v.transpose()).expect("shapes");
     let mut diff = 0.0f64;
     for (x, y) in recon.as_slice().iter().zip(a.as_slice()) {
-        diff = diff.max((x - y).abs());
+        diff = norms::max_nan(diff, (x - y).abs());
     }
     diff / (norms::norm1(a).max(norms::EPS) * a.rows().max(a.cols()) as f64 * norms::EPS)
 }
@@ -872,6 +873,30 @@ mod tests {
         }
         for (m, n) in [(40, 17), (25, 9), (6, 1)] {
             blocked_matches_unblocked(&rand_mat(m, n, (m * 31 + n) as u64), nb);
+        }
+    }
+
+    #[test]
+    fn svd_residual_keeps_a_nan_in_u_or_v() {
+        // A NaN planted in one entry of U or V (not the first, so the
+        // fold has seen healthy entries before it) scores as NaN, not as
+        // the residual of the healthy entries.
+        let a = rand_mat(12, 9, 931);
+        let svd = GeSvd::new().nb(4).solve(&a).unwrap();
+        assert!(svd_residual(&a, &svd) < 500.0);
+        for (in_u, i, j) in [(true, 7, 3), (false, 8, 8), (true, 0, 0)] {
+            let mut bad = Svd {
+                u: svd.u.clone(),
+                s: svd.s.clone(),
+                v: svd.v.clone(),
+                diagnostics: Default::default(),
+            };
+            if in_u {
+                bad.u[(i, j)] = f64::NAN;
+            } else {
+                bad.v[(i, j)] = f64::NAN;
+            }
+            assert!(svd_residual(&a, &bad).is_nan(), "u {in_u} ({i}, {j})");
         }
     }
 

@@ -55,7 +55,7 @@ pub fn work_len(n: usize, vectors: bool) -> usize {
 pub fn steqr_ws(
     d: &mut [f64],
     e: &mut [f64],
-    mut z: Option<&mut Matrix>,
+    z: Option<&mut Matrix>,
     ee: &mut Vec<f64>,
     ctrl: &Ctrl,
 ) -> Result<()> {
@@ -63,6 +63,39 @@ pub fn steqr_ws(
     if let Some(zm) = z.as_ref() {
         assert_eq!(zm.cols(), n, "Z must have n columns");
     }
+    let block = z.map(|zm| {
+        let (rows, ld) = (zm.rows(), zm.ld());
+        Block {
+            a: zm.as_mut_slice(),
+            rows,
+            ld,
+        }
+    });
+    tseig_matrix::workspace::reset_f64s(ee, work_len(n, block.is_some()));
+    steqr_in(d, e, block, ee, ctrl)
+}
+
+/// The `rows x n` eigenvector block [`steqr_in`] accumulates into:
+/// column-major with leading dimension `ld`, so it can be a diagonal
+/// block of a larger matrix.
+pub(crate) struct Block<'a> {
+    pub a: &'a mut [f64],
+    pub rows: usize,
+    pub ld: usize,
+}
+
+/// The QL iteration of [`steqr_ws`] on a strided eigenvector block and
+/// a work slice of at least [`work_len`]`(n, z.is_some())` elements
+/// (zeroed here), so the divide & conquer leaves can run in place in
+/// their diagonal block of the output.
+pub(crate) fn steqr_in(
+    d: &mut [f64],
+    e: &[f64],
+    mut z: Option<Block<'_>>,
+    work: &mut [f64],
+    ctrl: &Ctrl,
+) -> Result<()> {
+    let n = d.len();
     if n == 0 {
         return Ok(());
     }
@@ -70,8 +103,9 @@ pub fn steqr_ws(
     // The off-diagonal copy has length n: the sweep uses e[m] as scratch
     // even when m == n-1 (EISPACK sizes E(N) for the same reason).
     let vectors = z.is_some();
-    tseig_matrix::workspace::reset_f64s(ee, work_len(n, vectors));
-    let (e_work, rest) = ee.split_at_mut(n);
+    let work = &mut work[..work_len(n, vectors)];
+    work.fill(0.0);
+    let (e_work, rest) = work.split_at_mut(n);
     e_work[..n - 1].copy_from_slice(&e[..n.saturating_sub(1)]);
     let e = e_work;
     let (cs, tile) = rest.split_at_mut(if vectors {
@@ -80,7 +114,19 @@ pub fn steqr_ws(
         0
     });
     let mut pending = Pending::new(cs);
-
+    // The rotations pending on the block, applied strip by strip.
+    let flush = |pending: &mut Pending<'_>, zb: &mut Block<'_>, tile: &mut [f64]| {
+        rot::apply(
+            &mut Job {
+                pending,
+                a: zb.a,
+                rows: zb.rows,
+                cols: n,
+                lda: zb.ld,
+            },
+            tile,
+        );
+    };
     for l in 0..n {
         let mut iter = 0;
         loop {
@@ -116,9 +162,9 @@ pub fn steqr_ws(
             let mut s = 1.0;
             let mut c = 1.0;
             let mut p = 0.0;
-            if let Some(zm) = z.as_deref_mut() {
+            if let Some(zb) = z.as_mut() {
                 if !pending.has_room(m - l) {
-                    rot::apply(&mut Job::on(&mut pending, zm), tile);
+                    flush(&mut pending, zb, tile);
                 }
                 pending.begin(Pattern::Backward, m - 1);
             }
@@ -158,8 +204,8 @@ pub fn steqr_ws(
         }
     }
 
-    if let Some(zm) = z.as_deref_mut() {
-        rot::apply(&mut Job::on(&mut pending, zm), tile);
+    if let Some(zb) = z.as_mut() {
+        flush(&mut pending, zb, tile);
     }
     // Sort ascending (selection sort, LAPACK-style), permuting Z columns.
     for i in 0..n.saturating_sub(1) {
@@ -171,9 +217,10 @@ pub fn steqr_ws(
         }
         if kmin != i {
             d.swap(i, kmin);
-            if let Some(zm) = z.as_deref_mut() {
-                let (a, b) = zm.cols_mut_pair(i, kmin);
-                a.swap_with_slice(b);
+            if let Some(zb) = z.as_mut() {
+                // kmin > i: split between the two columns.
+                let (head, tail) = zb.a.split_at_mut(kmin * zb.ld);
+                head[i * zb.ld..][..zb.rows].swap_with_slice(&mut tail[..zb.rows]);
             }
         }
     }

@@ -33,25 +33,39 @@ pub struct SecularRoot {
 /// Solve for root `i` (0-based, ascending) of the secular equation with
 /// poles `d` (strictly ascending), weights `z` and `rho > 0`.
 pub fn solve_root(i: usize, d: &[f64], z: &[f64], rho: f64) -> SecularRoot {
+    let mut delta = vec![0.0; d.len()];
+    let lambda = solve_root_into(i, d, z, rho, &mut delta);
+    SecularRoot { lambda, delta }
+}
+
+/// [`solve_root`] into a caller-owned difference table: writes
+/// `delta[j] = d_j - lambda` (using `delta` as the shifted-frame scratch
+/// on the way) and returns `lambda`. The divide & conquer merge passes
+/// column `i` of its `k x k` eigenvector region, so the table becomes
+/// that column in place (LAPACK `dlaed4` writing into `dlaed3`'s `Q`).
+pub fn solve_root_into(i: usize, d: &[f64], z: &[f64], rho: f64, delta: &mut [f64]) -> f64 {
     let k = d.len();
-    assert!(i < k && z.len() == k && rho > 0.0);
+    assert!(i < k && z.len() == k && delta.len() == k && rho > 0.0);
     if k == 1 {
         let mu = rho * z[0] * z[0];
-        return SecularRoot {
-            lambda: d[0] + mu,
-            delta: vec![-mu],
-        };
+        delta[0] = -mu;
+        return d[0] + mu;
     }
 
     let sumz2: f64 = z.iter().map(|v| v * v).sum();
+    let shift = |delta: &mut [f64], sigma: f64| {
+        for (dd, &x) in delta.iter_mut().zip(d) {
+            *dd = x - sigma;
+        }
+    };
     // Choose the shift origin sigma and the bracket for mu.
     let (sigma_idx, mut lo, mut hi) = if i == k - 1 {
         // Last root: to the right of the last pole.
         let mut hi = rho * sumz2;
         // Guarantee g(hi) >= 0 despite rounding.
-        let dd: Vec<f64> = d.iter().map(|&x| x - d[k - 1]).collect();
+        shift(delta, d[k - 1]);
         let mut guard = 0;
-        while eval_g(&dd, z, rho, hi).0 < 0.0 && guard < 60 {
+        while eval_g(delta, z, rho, hi).0 < 0.0 && guard < 60 {
             hi *= 2.0;
             guard += 1;
         }
@@ -60,8 +74,8 @@ pub fn solve_root(i: usize, d: &[f64], z: &[f64], rho: f64) -> SecularRoot {
         let gap = d[i + 1] - d[i];
         let mid = 0.5 * gap;
         // Evaluate f at the interval midpoint in the frame of d[i].
-        let dd: Vec<f64> = d.iter().map(|&x| x - d[i]).collect();
-        let (fmid, _) = eval_g(&dd, z, rho, mid);
+        shift(delta, d[i]);
+        let (fmid, _) = eval_g(delta, z, rho, mid);
         if fmid >= 0.0 {
             // Root is in the left half: origin at d[i], mu in (0, mid].
             (i, 0.0, mid)
@@ -72,7 +86,7 @@ pub fn solve_root(i: usize, d: &[f64], z: &[f64], rho: f64) -> SecularRoot {
     };
 
     let sigma = d[sigma_idx];
-    let dd: Vec<f64> = d.iter().map(|&x| x - sigma).collect();
+    shift(delta, sigma);
 
     // Safeguarded Newton on g(mu) = 1 + rho sum z^2/(dd_j - mu), which is
     // strictly increasing on the bracket. Invariant: g(lo) < 0 < g(hi)
@@ -83,7 +97,7 @@ pub fn solve_root(i: usize, d: &[f64], z: &[f64], rho: f64) -> SecularRoot {
         if width <= f64::EPSILON * lo.abs().max(hi.abs()).max(f64::MIN_POSITIVE) {
             break;
         }
-        let (g, gp) = eval_g(&dd, z, rho, mu);
+        let (g, gp) = eval_g(delta, z, rho, mu);
         if g == 0.0 {
             break;
         }
@@ -103,11 +117,10 @@ pub fn solve_root(i: usize, d: &[f64], z: &[f64], rho: f64) -> SecularRoot {
         }
     }
 
-    let delta: Vec<f64> = dd.iter().map(|&x| x - mu).collect();
-    SecularRoot {
-        lambda: sigma + mu,
-        delta,
+    for dd in delta.iter_mut() {
+        *dd -= mu;
     }
+    sigma + mu
 }
 
 /// Evaluate `g(mu) = 1 + rho sum z_j^2/(dd_j - mu)` and its derivative.

@@ -11,7 +11,7 @@
 //! on [`CHAOS_LOCK`] and resets the plan before releasing it.
 
 use std::sync::Mutex;
-use tseig_core::{Recovery, Scheduler, SymmetricEigen, TwoStageResult};
+use tseig_core::{Recovery, Scheduler, SolvePlan, SymmetricEigen, TwoStageResult};
 use tseig_matrix::chaos::{self, Plan, Site};
 use tseig_matrix::{gen, norms, Error, Matrix};
 use tseig_tridiag::{EigenRange, Method};
@@ -80,6 +80,44 @@ fn full_ladder_in_one_solve_dynamic() {
         r.diagnostics.recoveries
     );
     residual_ok(&a, &r);
+}
+
+/// The default vector solve runs the planned D&C, which merges in the
+/// plan's stage-1 working copy and writes into its result slots. A NaN
+/// secular root there must be re-solved by QR, and must leave nothing
+/// behind: the next solve on the same plan is bitwise a fresh plan's.
+#[test]
+fn planned_dc_recovers_a_secular_nan_and_leaves_no_stale_state() {
+    let n = 120;
+    let a = gen::random_symmetric(n, 31);
+    let b = gen::random_symmetric(n, 32);
+    for scheduler in [Scheduler::Serial, Scheduler::Static(2)] {
+        let eigen = SymmetricEigen::new().nb(8).scheduler(scheduler);
+        let mut plan = SolvePlan::new();
+        let (r, next, fresh) = with_plan(Plan::new().with(Site::SecularNan, 1), || {
+            eigen
+                .solve_into(&a, &mut plan)
+                .expect("ladder must recover, not fail");
+            let r = plan.to_result();
+            chaos::reset();
+            eigen.solve_into(&b, &mut plan).expect("clean solve");
+            let fresh = eigen.solve(&b).expect("clean solve");
+            (r, plan.to_result(), fresh)
+        });
+        assert!(
+            has(&r, |x| matches!(x, Recovery::DcFallbackToQr { .. })),
+            "{scheduler:?}: secular NaN must re-solve the subproblem by QR: {:?}",
+            r.diagnostics.recoveries
+        );
+        residual_ok(&a, &r);
+        assert!(next.diagnostics.is_clean(), "{scheduler:?}");
+        assert_eq!(next.eigenvalues, fresh.eigenvalues, "{scheduler:?}");
+        assert_eq!(
+            next.eigenvectors.as_ref().expect("vectors").as_slice(),
+            fresh.eigenvectors.as_ref().expect("vectors").as_slice(),
+            "{scheduler:?}"
+        );
+    }
 }
 
 #[test]
